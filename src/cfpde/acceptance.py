@@ -233,7 +233,7 @@ def criterion_6() -> CriterionResult:
     except se.OverlappingSupport:
         raised = True
     # ... and the naive expansion really is wrong somewhere
-    naive = se._shuffle_series_unchecked(c1, c1)
+    naive = se._shuffle_series_raw(c1, c1)
     g1 = ii.Grid(((0.0, 2 * math.pi, 129),), 1.0, 257)
     u = ii.InputSignal.symbolic(ex.parse("t*sin(theta_1)", 1))
     naive_vals = ii.evaluate_series(naive, u, g1).values

@@ -29,6 +29,7 @@ import io
 import json
 import math
 import os
+import re
 import sys
 import tempfile
 import time
@@ -57,12 +58,20 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
+def _umask() -> int:
+    mask = os.umask(0o022)
+    os.umask(mask)
+    return mask
+
+
 def _write_atomic(path: str, data: str) -> None:
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".cf-tmp-")
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(data)
+            # mkstemp creates the file 0600; give it the mode open() would
+            os.fchmod(fh.fileno(), 0o666 & ~_umask())
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -401,11 +410,27 @@ _HANDLERS = {
 }
 
 
+def _attach_dash_values(argv: list[str]) -> list[str]:
+    """Join "--opt VALUE" into "--opt=VALUE" when VALUE starts like a
+    negative number ("-0.5:0.5:65,0:1:129", "-2+1j"), which argparse would
+    otherwise read as an unknown option."""
+    out: list[str] = []
+    for arg in argv:
+        if (out and out[-1].startswith("--") and len(out[-1]) > 2
+                and "=" not in out[-1] and re.match(r"-[\d.]", arg)):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     started = time.monotonic()
     parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_dash_values(list(argv)))
         command = " ".join(["cf", args.command]
                            + ([args.kind] if getattr(args, "kind", None) else []))
         return _HANDLERS[args.command](args, command, started)

@@ -8,8 +8,13 @@ are distributed over the input-letter occurrences of each word
 (``expand_derivative``); derivative orders attach to those occurrences as
 decorations, since the drift signal is constant and absorbs none.
 
-Summation order is fixed (canonical word order, then lexicographic
-operator terms) so repeated runs are bit-identical.
+A series is evaluated over a trie of decorated words: each node holds the
+coefficient of the word ending there, and a node's sum is its coefficient
+plus, per child step (letter, order), the cumulative integral of the
+letter's signal times the child's sum.  Summation order is fixed - a
+depth-first walk with children in first-insertion order, inserted in
+canonical word order, then lexicographic operator terms, then
+``expand_derivative`` order - so repeated runs are bit-identical.
 """
 
 from __future__ import annotations
@@ -101,7 +106,14 @@ class Grid:
             parts = chunk.split(":")
             if len(parts) != 3:
                 raise EvaluationError(f"bad grid axis {chunk!r}; expected a:b:n")
-            a, b, n = float(parts[0]), float(parts[1]), int(parts[2])
+            try:
+                a, b, n = float(parts[0]), float(parts[1]), int(parts[2])
+            except ValueError:
+                raise EvaluationError(
+                    f"bad grid axis {chunk!r}; a and b must be numbers and n "
+                    "an integer") from None
+            if not (math.isfinite(a) and math.isfinite(b)):
+                raise EvaluationError(f"bad grid axis {chunk!r}; bounds must be finite")
             axes.append((a, b, n))
         if len(axes) < 2:
             raise EvaluationError("grid needs at least one theta axis and a time axis")
@@ -335,10 +347,52 @@ def iterated_integral(w: Union[Word, DecoratedWord],
     return GridField(grid, np.broadcast_to(values, grid.shape).copy())
 
 
+class _TrieNode:
+    """A decorated prefix: the summed coefficient of the word ending here
+    and the children keyed by the next (letter, order) step, in insertion
+    order."""
+
+    __slots__ = ("coef", "children")
+
+    def __init__(self):
+        self.coef: np.ndarray | None = None
+        self.children: dict[tuple[Letter, Optional[MultiIndex]], _TrieNode] = {}
+
+
+def _accumulate(total: np.ndarray | None, part: np.ndarray) -> np.ndarray:
+    """total + part, in place when total (owned) already has the result
+    shape."""
+    if total is None:
+        return part
+    if total.shape == np.broadcast_shapes(total.shape, part.shape):
+        total += part
+        return total
+    return total + part
+
+
+def _node_sum(node: _TrieNode, binding: Binding, grid: Grid) -> np.ndarray | None:
+    """sum_w a_{p w} E_w for the node's prefix p: its coefficient plus one
+    integration pass per child."""
+    total = node.coef
+    for (letter, order), child in node.children.items():
+        inner = _node_sum(child, binding, grid)
+        if letter.is_drift:
+            integrand = np.broadcast_to(inner, inner.shape[:-1] + (grid.n_t,))
+        else:
+            integrand = binding[letter.index].derivative_values(grid, order) * inner
+        total = _accumulate(total, cumulative_trapezoid(integrand, grid.dt))
+    return total
+
+
 def evaluate_series(c: GenSeries, u: Union[InputSignal, Binding],
                     grid: Grid) -> GridField:
     """Evaluate the input-output map of c: sum over words and operator
-    terms of coefficient(theta) times the decorated iterated integrals."""
+    terms of coefficient(theta) times the decorated iterated integrals.
+
+    The coefficients are free of t and the cumulative integral is linear,
+    so sum_w a_w E_{l w} = I[u_l sum_w a_w E_w]: the terms are gathered in
+    a trie of decorated words and integrated once per trie edge, holding
+    one grid array per level of the depth-first walk."""
     if grid.dim != c.dim:
         raise EvaluationError(
             f"grid dim {grid.dim} does not match series dim {c.dim}")
@@ -349,23 +403,23 @@ def evaluate_series(c: GenSeries, u: Union[InputSignal, Binding],
         raise EvaluationError(
             f"unbound input letters: {sorted('x%d' % i for i in missing)}")
     theta_meshes = grid.meshes(with_t=False)
-    cache: dict = {}
-    total = np.zeros(grid.shape, dtype=np.complex128)
+    coef_shape = (1,) * (grid.dim + 1)
+    root = _TrieNode()
     for w in sorted(c.coeffs, key=Word.sort_key):
-        op = c.coeffs[w]
-        for alpha, coeff in op.sorted_terms():
+        for alpha, coeff in c.coeffs[w].sorted_terms():
             terms = expand_derivative(w, alpha)
             if not terms:
                 continue
-            acc = np.zeros((1,) * grid.dim + (grid.n_t,), dtype=np.complex128)
-            for weight, dw in terms:
-                e = _integral_from_cache(dw, binding, grid, cache)
-                acc = acc + (weight * e if weight != 1 else e)
             a = np.asarray(ex.evaluate(coeff, theta_meshes), dtype=np.complex128)
-            if a.ndim:
-                total = total + a[..., np.newaxis] * acc
-            else:
-                total = total + a * acc
+            a = a[..., np.newaxis] if a.ndim else a.reshape(coef_shape)
+            for weight, dw in terms:
+                node = root
+                for step in dw:
+                    node = node.children.setdefault(step, _TrieNode())
+                node.coef = _accumulate(node.coef, a * weight)
+    total = _node_sum(root, binding, grid)
+    if total is None or total.shape != grid.shape:
+        total = np.broadcast_to(0j if total is None else total, grid.shape).copy()
     return GridField(grid, total)
 
 
@@ -405,14 +459,13 @@ def write_csv(field: GridField, fh) -> None:
     grid = field.grid
     names = [f"theta_{k + 1}" for k in range(grid.dim)]
     fh.write(",".join(names + ["t", "re", "im"]) + "\n")
-    axes = [grid.theta_points(k) for k in range(grid.dim)]
-    t = grid.t_points
+    axes = [[f"{x:.17g}" for x in grid.theta_points(k).tolist()]
+            for k in range(grid.dim)]
+    t = [f"{x:.17g}" for x in grid.t_points.tolist()]
     flat = field.values.reshape(-1, grid.n_t)
     theta_shape = tuple(n for _, _, n in grid.theta_axes)
     for row, idx in enumerate(np.ndindex(theta_shape)):
-        coords = [f"{axes[k][i]:.17g}" for k, i in enumerate(idx)]
-        prefix = ",".join(coords)
+        prefix = ",".join([axes[k][i] for k, i in enumerate(idx)])
         values = flat[row]
-        for j in range(grid.n_t):
-            v = values[j]
-            fh.write(f"{prefix},{t[j]:.17g},{v.real:.17g},{v.imag:.17g}\n")
+        fh.write("".join([f"{prefix},{tj},{re:.17g},{im:.17g}\n" for tj, re, im
+                          in zip(t, values.real.tolist(), values.imag.tolist())]))

@@ -260,6 +260,9 @@ def _check_shuffle_preconditions(c: GenSeries, d: GenSeries):
 
 
 def _shuffle_series_raw(c: GenSeries, d: GenSeries) -> GenSeries:
+    """The shuffle without the support preconditions.  With overlapping
+    supports the result does NOT represent the product of the evaluated
+    maps."""
     if c.dim != d.dim:
         raise do.DimensionMismatch(
             f"series dims differ: {c.dim} vs {d.dim}; embed into a joint space first")
@@ -287,13 +290,6 @@ def shuffle_series(c: GenSeries, d: GenSeries) -> GenSeries:
     represent the pointwise product of the outputs.
     """
     _check_shuffle_preconditions(c, d)
-    return _shuffle_series_raw(c, d)
-
-
-def _shuffle_series_unchecked(c: GenSeries, d: GenSeries) -> GenSeries:
-    """The naive shuffle with overlapping supports allowed.  Diagnostic
-    only: the result does NOT represent the product of the evaluated maps
-    when the supports overlap."""
     return _shuffle_series_raw(c, d)
 
 

@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -216,7 +218,35 @@ class TestVerify:
         assert run(["verify", "--only", "abc"]) == 1
 
 
+class TestOutputFiles:
+    def test_mode_follows_umask(self, tmp_path):
+        out = tmp_path / "y.csv"
+        old = os.umask(0o027)
+        try:
+            code = run(["solve", "transport", "--V", "1", "--u", "t", "--N", "2",
+                        "--grid", "0:1:5,0:1:5", "--out", str(out)])
+        finally:
+            os.umask(old)
+        assert code == 0
+        for path in (out, tmp_path / "y.csv.report.json"):
+            assert stat.S_IMODE(path.stat().st_mode) == 0o640
+
+
 class TestArgumentValidation:
+    def test_negative_grid_bound_as_separate_argument(self, tmp_path):
+        out = tmp_path / "y.csv"
+        assert run(["solve", "transport", "--V", "1", "--u", "t", "--N", "2",
+                    "--grid", "-0.5:0.5:5,0:0.1:5", "--out", str(out)]) == 0
+        rows = np.loadtxt(out, delimiter=",", skiprows=1)
+        assert rows[0, 0] == -0.5 and rows[-1, 0] == 0.5
+
+    def test_non_numeric_grid_field_exits_one(self, tmp_path, capsys):
+        assert run(["solve", "transport", "--V", "1", "--u", "t", "--N", "2",
+                    "--grid", "0:1:abc,0:1:5", "--out", str(tmp_path / "y.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad --grid") and err.count("\n") == 1
+
+
     def test_unknown_subcommand_exits_one(self, capsys):
         assert run(["frobnicate"]) == 1
 

@@ -3,10 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cfpde import diffop as do
 from cfpde import expr as ex
 from cfpde import iterint as ii
+from cfpde import pde
 from cfpde import series as se
 from cfpde.words import DRIFT, Letter, Word, word
 
@@ -20,6 +23,46 @@ def small_grid(n_theta=33, n_t=129, t_end=1.0, theta=(0.0, 1.0)):
 
 def drift_input_word(i, j):
     return Word((DRIFT,) * i + (X1,) + (DRIFT,) * j)
+
+
+def per_word_sum(c, binding, grid):
+    """Reference evaluation word by word: sum of coefficient * weight *
+    E_dw over every decorated word, each integral computed on its own.
+    Returns the sum and the sum of the terms' magnitudes."""
+    meshes = grid.meshes(with_t=False)
+    total = np.zeros(grid.shape, dtype=np.complex128)
+    scale = 0.0
+    for w in sorted(c.coeffs, key=Word.sort_key):
+        for alpha, coeff in c.coeffs[w].sorted_terms():
+            a = np.asarray(ex.evaluate(coeff, meshes), dtype=np.complex128)[..., None]
+            for weight, dw in ii.expand_derivative(w, alpha):
+                term = a * weight * ii.iterated_integral(dw, binding, grid).values
+                total += term
+                scale += float(np.max(np.abs(term)))
+    return total, scale
+
+
+GRID_2D = ii.Grid(((0.2, 1.2, 7), (0.1, 0.9, 6)), 1.0, 9)
+_meshes_2d = GRID_2D.meshes()
+BINDING_2D = {
+    1: ii.InputSignal.symbolic(ex.parse("t*sin(theta_1) + cos(theta_2)", 2)),
+    2: ii.InputSignal.sampled(ii.GridField(GRID_2D, np.broadcast_to(
+        np.exp(_meshes_2d["theta_1"] * _meshes_2d["theta_2"]) * (1 + _meshes_2d["t"]),
+        GRID_2D.shape))),
+}
+COEFF_FORMS = ("{a}", "{a}*theta_1", "{a}*cos(theta_2)", "{a} + sin(theta_1*theta_2)")
+random_ops = st.dictionaries(
+    st.sampled_from([(0, 0), (1, 0), (0, 1), (1, 1), (2, 0), (0, 2)]),
+    st.tuples(st.sampled_from(COEFF_FORMS),
+              st.floats(-2, 2).map(lambda a: round(a, 3))),
+    min_size=1, max_size=3)
+random_words = st.lists(st.sampled_from([DRIFT, X1, Letter(2)]), max_size=3).map(
+    lambda letters: Word(tuple(letters)))
+random_series_2d = st.dictionaries(random_words, random_ops, max_size=6).map(
+    lambda coeffs: se.series_from_coeffs(2, {
+        w: do.DiffOp(2, {alpha: ex.parse(form.format(a=a), 2)
+                         for alpha, (form, a) in op.items()})
+        for w, op in coeffs.items()}))
 
 
 class TestIteratedIntegral:
@@ -177,6 +220,41 @@ class TestEvaluateSeries:
         scale = np.maximum(np.abs(sym), 1.0)
         assert np.max(np.abs(fd - sym) / scale) <= 1e-4
 
+    @settings(max_examples=60, deadline=None)
+    @given(random_series_2d)
+    def test_trie_matches_per_word_sum(self, c):
+        out = ii.evaluate_series(c, BINDING_2D, GRID_2D)
+        want, scale = per_word_sum(c, BINDING_2D, GRID_2D)
+        assert np.max(np.abs(out.values - want)) <= 1e-13 * (1 + scale)
+
+    def test_one_integration_pass_per_decorated_prefix(self, monkeypatch):
+        c = pde.transport_series(pde.TransportSpec(1.0, ex.parse("sin(theta_1)", 1), 24))
+        prefixes = {dw[:k]
+                    for w, op in c.coeffs.items() for alpha, _ in op.sorted_terms()
+                    for _, dw in ii.expand_derivative(w, alpha)
+                    for k in range(1, len(dw) + 1)}
+        passes = []
+        integrate = ii.cumulative_trapezoid
+
+        def counted(f, dt):
+            passes.append(f.shape)
+            return integrate(f, dt)
+
+        monkeypatch.setattr(ii, "cumulative_trapezoid", counted)
+        u = ii.InputSignal.symbolic(ex.parse("t*sin(2*theta_1)", 1))
+        ii.evaluate_series(c, u, small_grid(n_theta=9, n_t=17))
+        assert len(passes) == len(prefixes) == 49
+
+    @pytest.mark.parametrize("c, value", [(se.zero_series(2), 0.0),
+                                          (se.one_series(2), 1.0)])
+    def test_result_is_owned_and_writable(self, c, value):
+        out = ii.evaluate_series(c, BINDING_2D, GRID_2D)
+        assert out.values.shape == GRID_2D.shape
+        assert out.values.flags.writeable and out.values.flags.owndata
+        assert np.all(out.values == value)
+        out.values[0, 0, 0] = 5.0
+        assert np.count_nonzero(out.values != value) == 1
+
     def test_missing_binding_raises(self):
         g = small_grid()
         c = se.series_from_coeffs(1, {word("x2"): do.identity(1)})
@@ -214,6 +292,12 @@ class TestGridAndCsv:
         assert g.theta_axes == ((0.0, 6.283, 257),)
         assert g.t_end == 1.0 and g.n_t == 513
 
+    @pytest.mark.parametrize("spec", ["0:1:abc,0:1:5", "x:1:5,0:1:5",
+                                      "0:1:5,0:1:2.5", "0:inf:5,0:1:5"])
+    def test_grid_spec_bad_field(self, spec):
+        with pytest.raises(ii.EvaluationError, match="bad grid axis"):
+            ii.Grid.from_spec(spec)
+
     def test_grid_spec_requires_zero_time_origin(self):
         with pytest.raises(ii.EvaluationError, match="start at 0"):
             ii.Grid.from_spec("0:1:9,1:2:9")
@@ -230,6 +314,22 @@ class TestGridAndCsv:
         assert lines[3] == "1,0,0.25,0"
         assert lines[4] == "1,1,-1.5,0"
         assert len(lines) == 5
+
+    def test_csv_matches_per_cell_formatting(self):
+        g = ii.Grid(((-1.0, 0.3, 3), (-0.7, -0.1, 4)), 0.9, 5)
+        rng = np.random.default_rng(7)
+        values = rng.standard_normal(g.shape) - 1j * rng.standard_normal(g.shape)
+        values[0, 0, 0] = -0.0
+        buf = io.StringIO()
+        ii.write_csv(ii.GridField(g, values), buf)
+        rows = ["theta_1,theta_2,t,re,im"]
+        for i, th1 in enumerate(g.theta_points(0)):
+            for j, th2 in enumerate(g.theta_points(1)):
+                for k, t in enumerate(g.t_points):
+                    v = values[i, j, k]
+                    rows.append(f"{th1:.17g},{th2:.17g},{t:.17g},"
+                                f"{v.real:.17g},{v.imag:.17g}")
+        assert buf.getvalue() == "\n".join(rows) + "\n"
 
     def test_csv_seventeen_digits(self):
         g = ii.Grid(((0.0, 1.0, 2),), 1.0, 2)
