@@ -29,7 +29,6 @@ import io
 import json
 import math
 import os
-import re
 import sys
 import tempfile
 import time
@@ -410,14 +409,26 @@ _HANDLERS = {
 }
 
 
-def _attach_dash_values(argv: list[str]) -> list[str]:
-    """Join "--opt VALUE" into "--opt=VALUE" when VALUE starts like a
-    negative number ("-0.5:0.5:65,0:1:129", "-2+1j"), which argparse would
-    otherwise read as an unknown option."""
+def _option_strings(parser: argparse.ArgumentParser) -> set[str]:
+    """Every option string of the parser and its subcommands."""
+    out = set(parser._option_string_actions)
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                out |= _option_strings(sub)
+    return out
+
+
+def _attach_dash_values(argv: list[str], options: set[str]) -> list[str]:
+    """Join "--opt VALUE" into "--opt=VALUE" when VALUE starts with a
+    single "-" and is not an option string ("-t", "-sin(theta_1)",
+    "-0.5:0.5:65,0:1:129"), which argparse would otherwise read as an
+    unknown option."""
     out: list[str] = []
     for arg in argv:
         if (out and out[-1].startswith("--") and len(out[-1]) > 2
-                and "=" not in out[-1] and re.match(r"-[\d.]", arg)):
+                and "=" not in out[-1] and arg.startswith("-")
+                and not arg.startswith("--") and arg not in options):
             out[-1] += "=" + arg
         else:
             out.append(arg)
@@ -430,7 +441,8 @@ def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     try:
-        args = parser.parse_args(_attach_dash_values(list(argv)))
+        args = parser.parse_args(
+            _attach_dash_values(list(argv), _option_strings(parser)))
         command = " ".join(["cf", args.command]
                            + ([args.kind] if getattr(args, "kind", None) else []))
         return _HANDLERS[args.command](args, command, started)

@@ -6,17 +6,17 @@ of the partial derivatives.  The noncommutative product expands D^alpha
 through a coefficient with the Leibniz rule, so
 op_apply(op_mul(A, B), f) == op_apply(A, op_apply(B, f)).
 
-Coefficients depend on the theta variables only, never on t.  Because the
-expression layer has no canonical form, zero terms are detected by
-evaluating the coefficient at two independent batches of random points.
+Coefficients depend on the theta variables only, never on t.  They are
+held in the canonical sparse form ``expr.Poly``: an expression is
+converted once when it enters a DiffOp, every operation below works on
+the monomial dicts, and a term is zero exactly when its coefficient's
+dict is empty.
 """
 
 from __future__ import annotations
 
 import math
 from typing import Mapping
-
-import numpy as np
 
 from . import expr as ex
 
@@ -31,9 +31,6 @@ __all__ = [
 MultiIndex = tuple[int, ...]
 
 MAX_TERM_DEGREE = 64
-_PRUNE_EPS = 1e-12
-_PRUNE_POINTS = 20
-_PRUNE_LOW, _PRUNE_HIGH = 0.3, 2.5
 
 
 class DiffOpError(Exception):
@@ -80,63 +77,32 @@ def _sub_indices(alpha: MultiIndex):
             yield (g,) + rest
 
 
-_prune_cache: dict[int, tuple[dict, dict]] = {}
-
-
-def _prune_bindings(dim: int) -> tuple[dict, dict]:
-    """Two independent batches of random theta points, fixed seeds."""
-    if dim not in _prune_cache:
-        batches = []
-        for seed in (0xC0FFEE, 0x5EED5):
-            rng = np.random.default_rng(seed + dim)
-            pts = rng.uniform(_PRUNE_LOW, _PRUNE_HIGH, size=(_PRUNE_POINTS, dim))
-            batches.append({f"theta_{k + 1}": pts[:, k] for k in range(dim)})
-        _prune_cache[dim] = (batches[0], batches[1])
-    return _prune_cache[dim]
-
-
-def _coeff_is_zero(coeff: ex.Expr, dim: int) -> bool:
-    if isinstance(coeff, ex.Const):
-        return abs(coeff.value) <= _PRUNE_EPS
-    first, second = _prune_bindings(dim)
-    for bindings in (first, second):
-        try:
-            values = np.asarray(ex.evaluate(coeff, bindings))
-        except ex.EvalError:
-            return False
-        if np.any(np.abs(values) > _PRUNE_EPS):
-            return False
-    return True
-
-
 class DiffOp:
-    """Normal-ordered sum of coefficient * D^alpha terms."""
+    """Normal-ordered sum of coefficient * D^alpha terms.
+
+    ``terms`` maps a multi-index to a nonzero ``expr.Poly`` coefficient.
+    Any expression or number is accepted on construction and converted
+    once; ``_trusted`` skips that for coefficients already canonical."""
 
     __slots__ = ("dim", "terms")
 
-    def __init__(self, dim: int, terms: Mapping[MultiIndex, ex.Expr] | None = None,
+    def __init__(self, dim: int, terms: Mapping[MultiIndex, object] | None = None,
                  _trusted: bool = False):
         if dim < 1:
             raise DiffOpError("dim must be a positive integer")
         object.__setattr__(self, "dim", dim)
-        cleaned: dict[MultiIndex, ex.Expr] = {}
+        cleaned: dict[MultiIndex, ex.Poly] = {}
         for alpha, coeff in (terms or {}).items():
-            alpha = tuple(int(a) for a in alpha)
-            if len(alpha) != dim or any(a < 0 for a in alpha):
-                raise DiffOpError(f"bad multi-index {alpha} for dim {dim}")
+            if not _trusted:
+                alpha = tuple(int(a) for a in alpha)
+                if len(alpha) != dim or any(a < 0 for a in alpha):
+                    raise DiffOpError(f"bad multi-index {alpha} for dim {dim}")
+                coeff = _to_poly(coeff, dim, "coefficient", DiffOpError)
             if mi_abs(alpha) > MAX_TERM_DEGREE:
                 raise DiffOpError(
                     f"term degree {mi_abs(alpha)} exceeds the cap {MAX_TERM_DEGREE}")
-            coeff = coeff if _trusted else ex.simplify(ex.as_expr(coeff))
-            if ex.depends_on(coeff, "t"):
-                raise DiffOpError("operator coefficients may not depend on t")
-            bad = [k for k in ex.theta_indices(coeff) if k > dim]
-            if bad:
-                raise DiffOpError(
-                    f"coefficient references theta_{max(bad)} beyond dim {dim}")
-            if _coeff_is_zero(coeff, dim):
-                continue
-            cleaned[alpha] = coeff
+            if coeff.terms:
+                cleaned[alpha] = coeff
         object.__setattr__(self, "terms", cleaned)
 
     def __setattr__(self, *args):
@@ -158,17 +124,14 @@ class DiffOp:
             out |= {i + 1 for i, a in enumerate(alpha) if a > 0}
         return out
 
-    def constant_part(self) -> ex.Expr:
+    def constant_part(self) -> ex.Poly:
         """Coefficient of D^0; this equals the operator applied to 1."""
-        return self.terms.get(mi_zero(self.dim), ex.ZERO)
+        return self.terms.get(mi_zero(self.dim), ex.Poly(self.dim, {}))
 
     def is_scalar_constant(self) -> bool:
         """True when the operator is c * identity with c a constant."""
-        if not self.terms:
-            return True
-        if set(self.terms) != {mi_zero(self.dim)}:
-            return False
-        return isinstance(self.constant_part(), ex.Const)
+        return (set(self.terms) <= {mi_zero(self.dim)}
+                and self.constant_part().constant() is not None)
 
     def text(self) -> str:
         if not self.terms:
@@ -195,6 +158,18 @@ class DiffOp:
         return op_apply(self, f)
 
 
+def _to_poly(value, dim: int, what: str, error) -> ex.Poly:
+    """Check that an expression lives on theta_1..theta_dim and convert it."""
+    e = ex.as_expr(value)
+    names = ex.variables(e)
+    if "t" in names:
+        raise DiffOpError(f"operator {what} may not depend on t")
+    bad = [k for k in ex.theta_indices(e) if k > dim]
+    if bad:
+        raise error(f"{what} references theta_{max(bad)} beyond dim {dim}")
+    return ex.canonical(e, dim)
+
+
 def identity(dim: int) -> DiffOp:
     return DiffOp(dim, {mi_zero(dim): ex.ONE})
 
@@ -205,7 +180,7 @@ def zero(dim: int) -> DiffOp:
 
 def from_expr(coeff, dim: int) -> DiffOp:
     """The multiplication operator f -> coeff * f."""
-    return DiffOp(dim, {mi_zero(dim): ex.as_expr(coeff)})
+    return DiffOp(dim, {mi_zero(dim): coeff})
 
 
 def partial(dim: int, axis: int = 0, order: int = 1) -> DiffOp:
@@ -220,7 +195,7 @@ def partial(dim: int, axis: int = 0, order: int = 1) -> DiffOp:
 
 def monomial(coeff, alpha: MultiIndex) -> DiffOp:
     """coeff * D^alpha."""
-    return DiffOp(len(alpha), {tuple(alpha): ex.as_expr(coeff)})
+    return DiffOp(len(alpha), {tuple(alpha): coeff})
 
 
 def _check_dims(a: DiffOp, b: DiffOp):
@@ -228,38 +203,41 @@ def _check_dims(a: DiffOp, b: DiffOp):
         raise DimensionMismatch(f"operator dims differ: {a.dim} vs {b.dim}")
 
 
+def _derivative(delta: MultiIndex, memo: dict) -> ex.Poly:
+    """D^delta of the Poly memo[zero], from the memoized lower orders."""
+    if delta not in memo:
+        axis = next(i for i, k in enumerate(delta) if k)
+        lower = delta[:axis] + (delta[axis] - 1,) + delta[axis + 1:]
+        memo[delta] = _derivative(lower, memo).derivative(axis)
+    return memo[delta]
+
+
 def op_apply(op: DiffOp, f) -> ex.Expr:
-    """Apply the operator to an expression: sum of a_alpha * d^alpha f."""
-    f = ex.simplify(ex.as_expr(f))
-    bad = [k for k in ex.theta_indices(f) if k > op.dim]
-    if bad:
-        raise DimensionMismatch(
-            f"function references theta_{max(bad)} beyond operator dim {op.dim}")
-    parts = []
+    """Apply the operator to a function of theta: sum of a_alpha * d^alpha f,
+    returned as an expression tree."""
+    memo = {mi_zero(op.dim): _to_poly(f, op.dim, "function", DimensionMismatch)}
+    pairs = []
     for alpha, coeff in op.sorted_terms():
-        g = f
-        for axis, k in enumerate(alpha):
-            if k:
-                g = ex.differentiate(g, f"theta_{axis + 1}", k)
-        parts.append(ex.mul(coeff, g))
-    return ex.add(*parts)
+        pairs += ex.product_terms(coeff, _derivative(alpha, memo))
+    return ex.to_expr(ex.collect(op.dim, pairs))
 
 
 def op_add(a: DiffOp, b: DiffOp) -> DiffOp:
     _check_dims(a, b)
-    terms: dict[MultiIndex, ex.Expr] = dict(a.terms)
+    terms = dict(a.terms)
     for alpha, coeff in b.terms.items():
         if alpha in terms:
-            terms[alpha] = ex.add(terms[alpha], coeff)
+            terms[alpha] = ex.collect(a.dim, [*terms[alpha].terms.items(),
+                                              *coeff.terms.items()])
         else:
             terms[alpha] = coeff
-    return DiffOp(a.dim, terms)
+    return DiffOp(a.dim, terms, _trusted=True)
 
 
 def op_scale(factor, a: DiffOp) -> DiffOp:
-    factor = ex.as_expr(factor)
-    return DiffOp(a.dim, {alpha: ex.mul(factor, coeff)
-                          for alpha, coeff in a.terms.items()})
+    factor = _to_poly(factor, a.dim, "coefficient", DiffOpError)
+    return DiffOp(a.dim, {alpha: ex.collect(a.dim, ex.product_terms(factor, coeff))
+                          for alpha, coeff in a.terms.items()}, _trusted=True)
 
 
 def op_neg(a: DiffOp) -> DiffOp:
@@ -273,24 +251,19 @@ def op_mul(a: DiffOp, b: DiffOp) -> DiffOp:
     (D^(alpha-gamma) b) D^gamma g.
     """
     _check_dims(a, b)
-    terms: dict[MultiIndex, ex.Expr] = {}
+    pieces: dict[MultiIndex, list] = {}
+    memos = {beta: {mi_zero(a.dim): cb} for beta, cb in b.terms.items()}
     for alpha, ca in a.terms.items():
         for beta, cb in b.terms.items():
-            for gamma in _sub_indices(alpha):
-                weight = _mi_binomial(alpha, gamma)
-                db = cb
-                for axis, k in enumerate(tuple(x - y for x, y in zip(alpha, gamma))):
-                    if k:
-                        db = ex.differentiate(db, f"theta_{axis + 1}", k)
-                if isinstance(db, ex.Const) and db.value == 0:
-                    continue
-                key = mi_add(gamma, beta)
-                piece = ex.mul(ca, ex.const(weight), db)
-                if key in terms:
-                    terms[key] = ex.add(terms[key], piece)
-                else:
-                    terms[key] = piece
-    return DiffOp(a.dim, terms)
+            constant = cb.constant() is not None
+            for gamma in (alpha,) if constant else _sub_indices(alpha):
+                db = _derivative(tuple(x - y for x, y in zip(alpha, gamma)),
+                                 memos[beta])
+                if db.terms:
+                    pieces.setdefault(mi_add(gamma, beta), []).extend(
+                        ex.product_terms(ca, db, _mi_binomial(alpha, gamma)))
+    return DiffOp(a.dim, {key: ex.collect(a.dim, pairs)
+                          for key, pairs in pieces.items()}, _trusted=True)
 
 
 def op_pow(a: DiffOp, k: int) -> DiffOp:
@@ -305,6 +278,5 @@ def op_pow(a: DiffOp, k: int) -> DiffOp:
 def coefficient_derivative(a: DiffOp, axis: int = 0) -> DiffOp:
     """Differentiate every coefficient in place (the derivative does not
     act through the D factors)."""
-    v = f"theta_{axis + 1}"
-    return DiffOp(a.dim, {alpha: ex.differentiate(coeff, v)
-                          for alpha, coeff in a.terms.items()})
+    return DiffOp(a.dim, {alpha: coeff.derivative(axis)
+                          for alpha, coeff in a.terms.items()}, _trusted=True)

@@ -2,19 +2,27 @@
 
 The expression language is deliberately tiny: complex constants, the
 variables ``t`` and ``theta_k``, sums, products, integer powers, negation,
-and the unary functions sin/cos/exp.  It is closed under differentiation,
-which is all the rest of the package needs for coefficient functions and
-symbolic input signals.
+and the unary functions sin/cos/exp.  It is closed under differentiation.
+Trees are the language of user input and of time-dependent signals; their
+simplification is local rewriting only (constant folding, 0/1 identities,
+flattening of nested sums/products).
 
-Simplification is local rewriting only (constant folding, 0/1 identities,
-flattening of nested sums/products).  No canonical form is attempted;
-modules that need equality checks compare by evaluation.
+Operator coefficients live in a canonical sparse form instead, ``Poly``: a
+dict from monomial key to complex coefficient, where a key is the theta
+exponent tuple (negative entries allowed) and a sorted tuple of atoms
+(sin|cos|exp, canonical argument, multiplicity).  ``canonical`` converts
+a tree once; like terms collect when a Poly is built, so zero is the
+empty dict and equality is dict equality.  A collected sum is zero when
+it is exactly 0 or within 8 eps of the summed magnitudes of its
+contributions, never by an absolute cut.  Trig identities are not
+applied: sin^2 + cos^2 - 1 stays three terms and evaluates to about 0.
 """
 
 from __future__ import annotations
 
 import cmath
 import re
+import sys
 from dataclasses import dataclass
 from typing import Mapping, Union
 
@@ -26,9 +34,12 @@ __all__ = [
     "const", "var", "add", "mul", "neg", "sub", "intpow", "sin", "cos", "exp",
     "parse", "to_string", "simplify", "differentiate", "evaluate",
     "variables", "theta_indices", "depends_on", "as_expr",
+    "Poly", "canonical", "to_expr", "collect", "product_terms",
 ]
 
 MAX_EXPONENT = 2 ** 31
+MAX_EXPANDED_POWER = 64
+_ROUNDOFF = 8 * sys.float_info.epsilon
 _IMAG_DISPLAY_EPS = 1e-12
 
 
@@ -96,7 +107,97 @@ class Exp:
     arg: "Expr"
 
 
-Expr = Union[Const, Var, Add, Mul, Pow, Neg, Sin, Cos, Exp]
+class Poly:
+    """Canonical sparse sum of monomials over theta_1..theta_dim.
+
+    ``terms`` maps (exponents, atoms) to a nonzero complex coefficient;
+    an atom is (name, argument Poly, multiplicity).  Build one with
+    ``canonical`` or ``collect``; treat it as immutable."""
+
+    __slots__ = ("dim", "terms", "_hash", "_sorted", "_key", "_derivatives")
+
+    def __init__(self, dim: int, terms: dict):
+        self.dim = dim
+        self.terms = terms
+        self._hash = self._sorted = self._key = None
+        self._derivatives: dict[int, Poly] = {}
+
+    def __eq__(self, other):
+        return (isinstance(other, Poly) and self.dim == other.dim
+                and self.terms == other.terms)
+
+    def __hash__(self):
+        if self._hash is None:
+            self._hash = hash((self.dim, frozenset(self.terms.items())))
+        return self._hash
+
+    def __repr__(self):
+        return f"Poly({to_string(self)!r})"
+
+    def sorted_items(self) -> list:
+        """Terms in print and summation order: exponents descending, then
+        atoms; independent of insertion order and hash seed."""
+        if self._sorted is None:
+            self._sorted = sorted(self.terms.items(), key=lambda mc: _mono_key(mc[0]))
+        return self._sorted
+
+    def sort_key(self) -> tuple:
+        if self._key is None:
+            self._key = tuple((_mono_key(m), c.real, c.imag)
+                              for m, c in self.sorted_items())
+        return self._key
+
+    def constant(self) -> complex | None:
+        """The value of a constant Poly, None otherwise."""
+        if not self.terms:
+            return 0j
+        if len(self.terms) == 1:
+            ((e, atoms), c), = self.terms.items()
+            if not atoms and not any(e):
+                return c
+        return None
+
+    def derivative(self, axis: int) -> "Poly":
+        """d/dtheta_{axis+1}, by the product and chain rules on each term;
+        kept with the Poly, so chains of derivatives are built once."""
+        if axis not in self._derivatives:
+            self._derivatives[axis] = self._derivative(axis)
+        return self._derivatives[axis]
+
+    def _derivative(self, axis: int) -> "Poly":
+        pairs = []
+        for (e, atoms), c in self.terms.items():
+            if e[axis]:
+                pairs.append(((e[:axis] + (e[axis] - 1,) + e[axis + 1:], atoms),
+                              c * e[axis]))
+            for i, (name, arg, m) in enumerate(atoms):
+                darg = arg.derivative(axis)
+                if not darg.terms:
+                    continue
+                lower = ((name, arg, m - 1),) if m > 1 else ()
+                kept = atoms[:i] + lower + atoms[i + 1:]
+                if name == "exp":
+                    extra, factor = ((name, arg, 1),), c * m
+                else:
+                    other = "cos" if name == "sin" else "sin"
+                    extra, factor = ((other, arg, 1),), c * (m if name == "sin" else -m)
+                base = _mono_mul((e, kept), ((0,) * self.dim, extra))
+                pairs.extend((_mono_mul(base, dm), factor * dc)
+                             for dm, dc in darg.terms.items())
+        return collect(self.dim, pairs)
+
+    def embed(self, dim: int, offset: int = 0) -> "Poly":
+        """Re-index theta_k as theta_{k+offset} in a dim-dimensional space
+        (coordinates cut off at the end must be unused)."""
+        def shift(e):
+            e = (0,) * offset + e
+            return e[:dim] + (0,) * (dim - len(e))
+        return Poly(dim, {(shift(e), tuple((n, a.embed(dim, offset), m)
+                                           for n, a, m in atoms)): c
+                          for (e, atoms), c in self.terms.items()})
+
+
+Expr = Union[Const, Var, Add, Mul, Pow, Neg, Sin, Cos, Exp, Poly]
 
 ZERO = Const(0j)
 ONE = Const(1 + 0j)
@@ -106,10 +207,6 @@ _THETA_RE = re.compile(r"theta_([1-9][0-9]*)$")
 
 def _is_zero(e: Expr) -> bool:
     return isinstance(e, Const) and e.value == 0
-
-
-def _is_one(e: Expr) -> bool:
-    return isinstance(e, Const) and e.value == 1
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +220,7 @@ def as_expr(value) -> Expr:
     """Coerce a number into a Const; pass expressions through."""
     if isinstance(value, (int, float, complex)):
         return const(value)
-    if isinstance(value, (Const, Var, Add, Mul, Pow, Neg, Sin, Cos, Exp)):
+    if isinstance(value, (Const, Var, Add, Mul, Pow, Neg, Sin, Cos, Exp, Poly)):
         return value
     raise ExprError(f"cannot interpret {value!r} as an expression")
 
@@ -250,7 +347,7 @@ def exp(e) -> Expr:
 def simplify(e: Expr) -> Expr:
     """Rebuild the tree through the smart constructors."""
     match e:
-        case Const() | Var():
+        case Const() | Var() | Poly():
             return e
         case Add(terms):
             return add(*(simplify(t) for t in terms))
@@ -301,6 +398,9 @@ def _d(e: Expr, v: str) -> Expr:
             return neg(mul(sin(arg), _d(arg, v)))
         case Exp(arg):
             return mul(exp(arg), _d(arg, v))
+        case Poly():
+            axis = int(v[6:]) - 1 if v != "t" else e.dim
+            return e.derivative(axis) if axis < e.dim else ZERO
     raise ExprError(f"unknown node {e!r}")
 
 
@@ -326,13 +426,7 @@ def evaluate(e: Expr, bindings: Mapping[str, object]):
         case Const(value):
             return value
         case Var(name):
-            try:
-                v = bindings[name]
-            except KeyError:
-                raise EvalError(f"unbound variable {name!r}") from None
-            if isinstance(v, np.ndarray):
-                return v.astype(np.complex128, copy=False)
-            return complex(v)
+            return _lookup(bindings, name)
         case Add(terms):
             out = evaluate(terms[0], bindings)
             for term in terms[1:]:
@@ -344,32 +438,71 @@ def evaluate(e: Expr, bindings: Mapping[str, object]):
                 out = out * evaluate(factor, bindings)
             return out
         case Pow(base, exponent):
-            b = evaluate(base, bindings)
-            if exponent < 0 and np.any(b == 0):
-                raise PoleError("zero raised to a negative power")
-            if isinstance(b, np.ndarray):
-                return b ** exponent
-            out = 1 + 0j
-            k = abs(exponent)
-            p = b
-            while k:
-                if k & 1:
-                    out *= p
-                p *= p
-                k >>= 1
-            return out if exponent >= 0 else 1 / out
+            return _int_power(evaluate(base, bindings), exponent)
         case Neg(arg):
             return -evaluate(arg, bindings)
-        case Sin(arg):
-            v = evaluate(arg, bindings)
-            return np.sin(v) if isinstance(v, np.ndarray) else cmath.sin(v)
-        case Cos(arg):
-            v = evaluate(arg, bindings)
-            return np.cos(v) if isinstance(v, np.ndarray) else cmath.cos(v)
-        case Exp(arg):
-            v = evaluate(arg, bindings)
-            return np.exp(v) if isinstance(v, np.ndarray) else cmath.exp(v)
+        case Sin(arg) | Cos(arg) | Exp(arg):
+            return _func_value(type(e).__name__.lower(), evaluate(arg, bindings))
+        case Poly():
+            return _poly_evaluate(e, bindings)
     raise ExprError(f"unknown node {e!r}")
+
+
+def _lookup(bindings: Mapping[str, object], name: str):
+    try:
+        v = bindings[name]
+    except KeyError:
+        raise EvalError(f"unbound variable {name!r}") from None
+    if isinstance(v, np.ndarray):
+        return v.astype(np.complex128, copy=False)
+    return complex(v)
+
+
+def _int_power(b, k: int):
+    """b**k for an integer k; binary powering for scalars."""
+    if k < 0 and np.any(b == 0):
+        raise PoleError("zero raised to a negative power")
+    if isinstance(b, np.ndarray):
+        return b ** k
+    out = 1 + 0j
+    n = abs(k)
+    while n:
+        if n & 1:
+            out *= b
+        b *= b
+        n >>= 1
+    return out if k >= 0 else 1 / out
+
+
+_FUNCS_NUMERIC = {"sin": (np.sin, cmath.sin), "cos": (np.cos, cmath.cos),
+                  "exp": (np.exp, cmath.exp)}
+
+
+def _func_value(name: str, v):
+    array_fn, scalar_fn = _FUNCS_NUMERIC[name]
+    return array_fn(v) if isinstance(v, np.ndarray) else scalar_fn(v)
+
+
+def _poly_evaluate(p: Poly, bindings):
+    """Sum the terms in sorted order; powers and atoms are computed once."""
+    values: dict = {}
+    out = 0j
+    for (e, atoms), c in p.sorted_items():
+        v = c
+        for axis, k in enumerate(e):
+            if k:
+                if (axis, k) not in values:
+                    values[axis, k] = _int_power(
+                        _lookup(bindings, f"theta_{axis + 1}"), k)
+                v = v * values[axis, k]
+        for atom in atoms:
+            if atom not in values:
+                name, arg, m = atom
+                values[atom] = _int_power(
+                    _func_value(name, _poly_evaluate(arg, bindings)), m)
+            v = v * values[atom]
+        out = out + v
+    return out
 
 
 def variables(e: Expr) -> set[str]:
@@ -392,6 +525,13 @@ def variables(e: Expr) -> set[str]:
             return variables(base)
         case Neg(arg) | Sin(arg) | Cos(arg) | Exp(arg):
             return variables(arg)
+        case Poly():
+            out = set()
+            for exps, atoms in e.terms:
+                out |= {f"theta_{i + 1}" for i, k in enumerate(exps) if k}
+                for _, arg, _ in atoms:
+                    out |= variables(arg)
+            return out
     raise ExprError(f"unknown node {e!r}")
 
 
@@ -406,6 +546,124 @@ def theta_indices(e: Expr) -> set[int]:
 
 def depends_on(e: Expr, v: str) -> bool:
     return v in variables(e)
+
+
+# ---------------------------------------------------------------------------
+# canonical sparse form
+
+def _mono_key(m) -> tuple:
+    e, atoms = m
+    return (tuple(-k for k in e), tuple((n, a.sort_key(), k) for n, a, k in atoms))
+
+
+def _mono_mul(a, b):
+    (ea, aa), (eb, ab) = a, b
+    e = tuple([x + y for x, y in zip(ea, eb)])
+    if not ab:
+        return e, aa
+    if not aa:
+        return e, ab
+    merged: dict = {}
+    for n, arg, k in aa + ab:
+        merged[n, arg] = merged.get((n, arg), 0) + k
+    return e, tuple(sorted(((n, arg, k) for (n, arg), k in merged.items()),
+                           key=lambda atom: (atom[0], atom[1].sort_key())))
+
+
+def collect(dim: int, pairs) -> Poly:
+    """Sum (monomial, value) pairs into a Poly.  A monomial's sum is
+    dropped when it is exactly 0 or no larger than 8 eps times the sum of
+    the magnitudes of its contributions (roundoff of a cancellation)."""
+    acc: dict = {}
+    mag: dict = {}
+    for m, c in pairs:
+        if m in acc:
+            acc[m] += c
+            mag[m] += abs(c)
+        else:
+            acc[m] = c
+            mag[m] = abs(c)
+    return Poly(dim, {m: c for m, c in acc.items()
+                      if not (c == 0 or abs(c) <= _ROUNDOFF * mag[m] < float("inf"))})
+
+
+def product_terms(p: Poly, q: Poly, weight=1) -> list:
+    """The (monomial, value) pairs of weight * p * q, uncollected."""
+    return [(_mono_mul(mp, mq), cp * cq * weight)
+            for mp, cp in p.terms.items() for mq, cq in q.terms.items()]
+
+
+def _const_poly(value, dim: int) -> Poly:
+    return collect(dim, [(((0,) * dim, ()), complex(value))])
+
+
+def canonical(e, dim: int) -> Poly:
+    """Convert an expression in theta_1..theta_dim (not t) into its
+    canonical sparse form."""
+    match e:
+        case Poly():
+            if e.dim == dim:
+                return e
+            if any(k > dim for k in theta_indices(e)):
+                raise ExprError(f"coefficient references theta beyond dim {dim}")
+            return e.embed(dim)
+        case Const(value):
+            return _const_poly(value, dim)
+        case Var(name):
+            m = _THETA_RE.match(name)
+            if m is None or int(m.group(1)) > dim:
+                raise ExprError(f"{name} is not a parameter of dim {dim}")
+            k = int(m.group(1)) - 1
+            return Poly(dim, {(tuple(int(i == k) for i in range(dim)), ()): 1 + 0j})
+        case Add(terms):
+            return collect(dim, [mc for t in terms
+                                 for mc in canonical(t, dim).terms.items()])
+        case Mul(factors):
+            out = canonical(factors[0], dim)
+            for f in factors[1:]:
+                out = collect(dim, product_terms(out, canonical(f, dim)))
+            return out
+        case Neg(arg):
+            return Poly(dim, {m: -c for m, c in canonical(arg, dim).terms.items()})
+        case Pow(base, exponent):
+            return _poly_power(canonical(base, dim), exponent)
+        case Sin(arg) | Cos(arg) | Exp(arg):
+            p = canonical(arg, dim)
+            name = type(e).__name__.lower()
+            value = p.constant()
+            if value is not None:
+                return _const_poly(_FUNCS_NUMERIC[name][1](value), dim)
+            return Poly(dim, {((0,) * dim, ((name, p, 1),)): 1 + 0j})
+    raise ExprError(f"unknown node {e!r}")
+
+
+def _poly_power(p: Poly, k: int) -> Poly:
+    if k == 0:
+        return _const_poly(1, p.dim)
+    if len(p.terms) == 1:
+        ((e, atoms), c), = p.terms.items()
+        if k < 0 and atoms:
+            raise ExprError("negative exponents require a variable or constant base")
+        return collect(p.dim, [((tuple(x * k for x in e),
+                                 tuple((n, a, m * k) for n, a, m in atoms)),
+                                _int_power(c, k))])
+    if k < 0:
+        raise ExprError("negative exponents require a variable or constant base")
+    if k > MAX_EXPANDED_POWER:
+        raise ExprError(
+            f"a power of a sum is expanded up to {MAX_EXPANDED_POWER}, not {k}")
+    out = p
+    for _ in range(k - 1):
+        out = collect(p.dim, product_terms(out, p))
+    return out
+
+
+def to_expr(p: Poly) -> Expr:
+    """The tree of a canonical form, terms in sorted order."""
+    return add(*(mul(Const(c), *(intpow(Var(f"theta_{i + 1}"), k)
+                                 for i, k in enumerate(e) if k),
+                     *(intpow(_FUNCS[n](to_expr(a)), m) for n, a, m in atoms))
+                 for (e, atoms), c in p.sorted_items()))
 
 
 # ---------------------------------------------------------------------------
@@ -578,19 +836,23 @@ def _fmt_real(x: float) -> str:
     return repr(x)
 
 
-def _fmt_const(c: complex) -> str:
+def _fmt_const(c: complex, eps: float = _IMAG_DISPLAY_EPS) -> str:
     re_, im = c.real, c.imag
-    if abs(im) < _IMAG_DISPLAY_EPS:
+    if abs(im) < eps or im == 0:
         return _fmt_real(re_)
-    if abs(re_) < _IMAG_DISPLAY_EPS:
+    if abs(re_) < eps or re_ == 0:
         return _fmt_real(im) + "i"
     op = "+" if im >= 0 else "-"
     return f"({_fmt_real(re_)}{op}{_fmt_real(abs(im))}i)"
 
 
+def _is_sum(e: Expr) -> bool:
+    return isinstance(e, Add) or (isinstance(e, Poly) and len(e.terms) > 1)
+
+
 def _product_factor_str(f: Expr, first: bool) -> str:
     s = to_string(f)
-    if isinstance(f, Add) or (s.startswith("-") and not first):
+    if _is_sum(f) or (s.startswith("-") and not first):
         return f"({s})"
     return s
 
@@ -623,7 +885,7 @@ def to_string(e: Expr) -> str:
                 s = to_string(body)
                 if s.startswith("-"):
                     negative, s = not negative, s[1:]
-                if isinstance(body, Add):
+                if _is_sum(body):
                     s = f"({s})"
                 if i == 0:
                     out.append(("-" if negative else "") + s)
@@ -637,7 +899,7 @@ def to_string(e: Expr) -> str:
             return f"{_atom_str(base)}^{exponent}"
         case Neg(arg):
             s = to_string(arg)
-            if isinstance(arg, Add) or s.startswith("-"):
+            if _is_sum(arg) or s.startswith("-"):
                 return f"-({s})"
             return f"-{s}"
         case Sin(arg):
@@ -646,4 +908,26 @@ def to_string(e: Expr) -> str:
             return f"cos({to_string(arg)})"
         case Exp(arg):
             return f"exp({to_string(arg)})"
+        case Poly():
+            return _poly_str(e)
     raise ExprError(f"unknown node {e!r}")
+
+
+def _poly_str(p: Poly) -> str:
+    """Terms in sorted order, coefficients exact so that parsing and
+    converting the text gives back an equal Poly."""
+    if not p.terms:
+        return "0"
+    out = []
+    for (e, atoms), c in p.sorted_items():
+        factors = [f"theta_{i + 1}" + ("" if k == 1 else f"^{k}")
+                   for i, k in enumerate(e) if k]
+        factors += [f"{n}({_poly_str(a)})" + ("" if m == 1 else f"^{m}")
+                    for n, a, m in atoms]
+        negative = c.real < 0 if c.imag == 0 else (c.real == 0 and c.imag < 0)
+        c = -c if negative else c
+        if c != 1 or not factors:
+            factors.insert(0, _fmt_const(c, 0.0))
+        sign = (" - " if negative else " + ") if out else ("-" if negative else "")
+        out.append(sign + "*".join(factors))
+    return "".join(out)

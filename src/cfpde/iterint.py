@@ -159,10 +159,11 @@ class InputSignal:
     Symbolic signals support exact theta-derivatives of any order; sampled
     signals fall back to second-order central differences, capped at total
     derivative order 4 beyond which finite differences of samples are
-    numerically meaningless.
+    numerically meaningless.  Derivative samples are not cached here; a
+    caller that reuses one holds it itself.
     """
 
-    __slots__ = ("expr", "field", "_deriv_cache")
+    __slots__ = ("expr", "field")
 
     def __init__(self, expr: ex.Expr | None = None,
                  field: GridField | None = None):
@@ -170,7 +171,6 @@ class InputSignal:
             raise EvaluationError("pass exactly one of expr= or field=")
         self.expr = expr
         self.field = field
-        self._deriv_cache: dict = {}
 
     @classmethod
     def symbolic(cls, e) -> "InputSignal":
@@ -190,10 +190,6 @@ class InputSignal:
 
     def derivative_values(self, grid: Grid, order: MultiIndex) -> np.ndarray:
         """Samples of the order-th theta-derivative, broadcast to grid shape."""
-        key = (grid, tuple(order))
-        cached = self._deriv_cache.get(key)
-        if cached is not None:
-            return cached
         if self.is_symbolic:
             e = self.expr
             for axis, k in enumerate(order):
@@ -213,7 +209,6 @@ class InputSignal:
                 h = grid.theta_spacing(axis)
                 for _ in range(k):
                     values = np.gradient(values, h, axis=axis, edge_order=2)
-        self._deriv_cache[key] = values
         return values
 
 
@@ -323,7 +318,9 @@ def _integral_from_cache(dw: DecoratedWord, binding: Binding, grid: Grid,
         except KeyError:
             raise EvaluationError(
                 f"input letter {letter.text()} is not bound to a signal") from None
-        integrand = signal.derivative_values(grid, order) * inner
+        if (signal, order) not in cache:
+            cache[signal, order] = signal.derivative_values(grid, order)
+        integrand = cache[signal, order] * inner
     value = cumulative_trapezoid(integrand, grid.dt)
     cache[key] = value
     return value
@@ -333,7 +330,9 @@ def iterated_integral(w: Union[Word, DecoratedWord],
                       u: Union[InputSignal, Binding], grid: Grid,
                       cache: dict | None = None) -> GridField:
     """E_w[u] on the grid: the time recursion integrates the leftmost
-    letter's signal against the integral of the remainder."""
+    letter's signal against the integral of the remainder.  A cache passed
+    in keeps the integrals of decorated suffixes and the signal samples
+    they used, for reuse across calls."""
     if isinstance(w, Word):
         dw = undecorated(w, grid.dim)
         letters = set(w.letters)
@@ -370,16 +369,41 @@ def _accumulate(total: np.ndarray | None, part: np.ndarray) -> np.ndarray:
     return total + part
 
 
-def _node_sum(node: _TrieNode, binding: Binding, grid: Grid) -> np.ndarray | None:
+class _Derivatives:
+    """Derivative samples of the bound signals, each computed once and
+    held only while an unvisited trie edge still needs it."""
+
+    def __init__(self, binding: Binding, grid: Grid):
+        self.binding, self.grid = binding, grid
+        self.uses: dict = {}
+        self.held: dict = {}
+
+    def count(self, letter: Letter, order: MultiIndex) -> None:
+        key = (self.binding[letter.index], order)
+        self.uses[key] = self.uses.get(key, 0) + 1
+
+    def take(self, letter: Letter, order: MultiIndex) -> np.ndarray:
+        key = (self.binding[letter.index], order)
+        values = self.held.pop(key, None)
+        if values is None:
+            values = key[0].derivative_values(self.grid, order)
+        self.uses[key] -= 1
+        if self.uses[key]:
+            self.held[key] = values
+        return values
+
+
+def _node_sum(node: _TrieNode, derivatives: _Derivatives,
+              grid: Grid) -> np.ndarray | None:
     """sum_w a_{p w} E_w for the node's prefix p: its coefficient plus one
     integration pass per child."""
     total = node.coef
     for (letter, order), child in node.children.items():
-        inner = _node_sum(child, binding, grid)
+        inner = _node_sum(child, derivatives, grid)
         if letter.is_drift:
             integrand = np.broadcast_to(inner, inner.shape[:-1] + (grid.n_t,))
         else:
-            integrand = binding[letter.index].derivative_values(grid, order) * inner
+            integrand = derivatives.take(letter, order) * inner
         total = _accumulate(total, cumulative_trapezoid(integrand, grid.dt))
     return total
 
@@ -392,7 +416,8 @@ def evaluate_series(c: GenSeries, u: Union[InputSignal, Binding],
     The coefficients are free of t and the cumulative integral is linear,
     so sum_w a_w E_{l w} = I[u_l sum_w a_w E_w]: the terms are gathered in
     a trie of decorated words and integrated once per trie edge, holding
-    one grid array per level of the depth-first walk."""
+    one grid array per level of the depth-first walk.  A signal derivative
+    is computed once and released after the last edge that uses it."""
     if grid.dim != c.dim:
         raise EvaluationError(
             f"grid dim {grid.dim} does not match series dim {c.dim}")
@@ -404,6 +429,7 @@ def evaluate_series(c: GenSeries, u: Union[InputSignal, Binding],
             f"unbound input letters: {sorted('x%d' % i for i in missing)}")
     theta_meshes = grid.meshes(with_t=False)
     coef_shape = (1,) * (grid.dim + 1)
+    derivatives = _Derivatives(binding, grid)
     root = _TrieNode()
     for w in sorted(c.coeffs, key=Word.sort_key):
         for alpha, coeff in c.coeffs[w].sorted_terms():
@@ -415,9 +441,13 @@ def evaluate_series(c: GenSeries, u: Union[InputSignal, Binding],
             for weight, dw in terms:
                 node = root
                 for step in dw:
-                    node = node.children.setdefault(step, _TrieNode())
+                    if step not in node.children:
+                        node.children[step] = _TrieNode()
+                        if not step[0].is_drift:
+                            derivatives.count(*step)
+                    node = node.children[step]
                 node.coef = _accumulate(node.coef, a * weight)
-    total = _node_sum(root, binding, grid)
+    total = _node_sum(root, derivatives, grid)
     if total is None or total.shape != grid.shape:
         total = np.broadcast_to(0j if total is None else total, grid.shape).copy()
     return GridField(grid, total)

@@ -53,6 +53,11 @@ def _theta_only(e, what: str) -> ex.Expr:
     return e
 
 
+def _step(beta) -> DiffOp:
+    """The first-order factor -beta d/dtheta."""
+    return do.op_scale(ex.neg(ex.as_expr(beta)), do.partial(1))
+
+
 @dataclass(frozen=True)
 class TransportSpec:
     V: object
@@ -75,7 +80,7 @@ def transport_series(spec: TransportSpec) -> GenSeries:
     rule, which reproduces the two-term normal-ordered recurrence between
     consecutive coefficients.
     """
-    step = do.op_scale(ex.neg(spec.V), do.partial(1))
+    step = _step(spec.V)
     coeffs: dict[Word, DiffOp] = {}
     power = do.identity(1)
     for k in range(spec.N + 1):
@@ -94,8 +99,7 @@ def first_order_inverse(beta, n: int) -> GenSeries:
     The empty-word term is the identity part: composing with the forward
     series under the unital product cancels to 1*empty-word.
     """
-    beta = _theta_only(beta, "beta")
-    step = do.op_scale(ex.neg(beta), do.partial(1))
+    step = _step(_theta_only(beta, "beta"))
     coeffs: dict[Word, DiffOp] = {Word(): do.identity(1)}
     power = do.identity(1)
     for k in range(1, n + 1):
@@ -171,16 +175,24 @@ def _triangular_truncate(c: GenSeries, n: int) -> GenSeries:
                      min(c.exact_len, n))
 
 
-def _beta_ops(beta1, beta2):
-    b1 = do.op_scale(ex.neg(ex.as_expr(beta1)), do.partial(1))
-    b2 = do.op_scale(ex.neg(ex.as_expr(beta2)), do.partial(1))
-    return b1, b2
+def _add_applied(coeffs: dict, k: int, op: DiffOp, rhs: GenSeries) -> None:
+    """Add op times every right-hand-side coefficient, on its word prefixed
+    by k drift letters; pure-drift words keep op applied to the function."""
+    for w, rhs_op in rhs.coeffs.items():
+        target = Word((DRIFT,) * k + w.letters)
+        if target.input_letter_count() == 0:
+            piece = do.from_expr(do.op_apply(op, rhs_op.constant_part()), 1)
+        else:
+            piece = do.op_mul(op, rhs_op)
+        if not piece.is_zero():
+            coeffs[target] = (do.op_add(coeffs[target], piece)
+                              if target in coeffs else piece)
 
 
 def _cascade_series(beta1, beta2, rhs: GenSeries, n: int) -> GenSeries:
     """sum over k, l of (-b2 d)^k (-b1 d)^l prefixed by k+l drift letters,
     applied to the doubly-integrated right-hand side."""
-    b1, b2 = _beta_ops(beta1, beta2)
+    b1, b2 = _step(beta1), _step(beta2)
     pow1 = [do.identity(1)]
     pow2 = [do.identity(1)]
     for _ in range(n):
@@ -191,36 +203,18 @@ def _cascade_series(beta1, beta2, rhs: GenSeries, n: int) -> GenSeries:
         op_m = do.zero(1)
         for k in range(m + 1):
             op_m = do.op_add(op_m, do.op_mul(pow2[k], pow1[m - k]))
-        for w, rhs_op in rhs.coeffs.items():
-            target = Word((DRIFT,) * m + w.letters)
-            if target.input_letter_count() == 0:
-                piece = do.from_expr(do.op_apply(op_m, rhs_op.constant_part()), 1)
-            else:
-                piece = do.op_mul(op_m, rhs_op)
-            if piece.is_zero():
-                continue
-            coeffs[target] = (do.op_add(coeffs[target], piece)
-                              if target in coeffs else piece)
+        _add_applied(coeffs, m, op_m, rhs)
     return GenSeries(1, coeffs, n + 2, {DRIFT, X1}, exact_len=n)
 
 
 def _branch_series(beta, rhs: GenSeries, n: int) -> GenSeries:
     """One partial-fraction branch: sum of (-beta d)^k over k words of
     drift prefix, applied to the right-hand side."""
-    b = do.op_scale(ex.neg(ex.as_expr(beta)), do.partial(1))
+    b = _step(beta)
     coeffs: dict[Word, DiffOp] = {}
     power = do.identity(1)
     for k in range(n + 1):
-        for w, rhs_op in rhs.coeffs.items():
-            target = Word((DRIFT,) * k + w.letters)
-            if target.input_letter_count() == 0:
-                piece = do.from_expr(do.op_apply(power, rhs_op.constant_part()), 1)
-            else:
-                piece = do.op_mul(power, rhs_op)
-            if piece.is_zero():
-                continue
-            coeffs[target] = (do.op_add(coeffs[target], piece)
-                              if target in coeffs else piece)
+        _add_applied(coeffs, k, power, rhs)
         power = do.op_mul(b, power)
     return GenSeries(1, coeffs, n + 2, {DRIFT, X1}, exact_len=n)
 
@@ -237,14 +231,16 @@ def _direct_series(alpha1, alpha2, rhs: GenSeries, n: int) -> GenSeries:
     out = rhs
     if a_coeffs:
         neg_a = se.series_scale(-1, GenSeries(1, a_coeffs, 2, {DRIFT, X1}))
-        power = neg_a
-        terms = []
-        while power.min_word_len() <= n + 1 and not power.is_zero():
-            terms.append(power)
+        # compose is linear in its left factor: sum the powers, then
+        # compose the sum with the right-hand side once
+        power = total = neg_a
+        while True:
             power = se.compose(neg_a, power)
             power = se.truncate(power, min(power.max_len, n + 2))
-        for p in terms:
-            out = se.parallel_sum(out, se.compose(p, rhs))
+            if power.min_word_len() > n + 1 or power.is_zero():
+                break
+            total = se.parallel_sum(total, power)
+        out = se.parallel_sum(out, se.compose(total, rhs))
     return out
 
 
@@ -281,17 +277,8 @@ def second_order_series_factored(beta1, beta2, y0=0, y1=0, n: int = 8,
     if form is SecondOrderForm.PARTIAL_FRACTION:
         raise NonConstantCoefficients(
             "partial fractions require constant coefficients")
-    alpha1 = ex.simplify(ex.add(beta1, beta2))
-    y0 = _theta_only(y0, "y0")
-    y1 = _theta_only(y1, "y1")
-    drift_coeff = ex.add(y1, ex.mul(alpha1, ex.differentiate(y0, "theta_1")))
-    rhs_coeffs = {
-        Word(): do.from_expr(y0, 1),
-        Word((DRIFT,)): do.from_expr(drift_coeff, 1),
-        Word((DRIFT, X1)): do.identity(1),
-    }
-    rhs = GenSeries(1, {w: op for w, op in rhs_coeffs.items() if not op.is_zero()},
-                    2, {DRIFT, X1})
+    rhs = _rhs_series(_theta_only(y0, "y0"), _theta_only(y1, "y1"),
+                      ex.add(beta1, beta2))
     out = _cascade_series(beta1, beta2, rhs, n)
     return _triangular_truncate(out, n)
 

@@ -167,38 +167,10 @@ def embed(c: GenSeries, dim: int, offset: int = 0) -> GenSeries:
     parameter space (theta_k of c becomes theta_{k+offset})."""
     if dim < c.dim + offset:
         raise SeriesError("target dim too small for the requested offset")
-    subst = {f"theta_{k + 1}": ex.var(f"theta_{k + 1 + offset}")
-             for k in range(c.dim)}
-
-    def embed_expr(e: ex.Expr) -> ex.Expr:
-        match e:
-            case ex.Const():
-                return e
-            case ex.Var(name):
-                return subst.get(name, e)
-            case ex.Add(terms):
-                return ex.Add(tuple(embed_expr(t) for t in terms))
-            case ex.Mul(factors):
-                return ex.Mul(tuple(embed_expr(f) for f in factors))
-            case ex.Pow(base, k):
-                return ex.Pow(embed_expr(base), k)
-            case ex.Neg(arg):
-                return ex.Neg(embed_expr(arg))
-            case ex.Sin(arg):
-                return ex.Sin(embed_expr(arg))
-            case ex.Cos(arg):
-                return ex.Cos(embed_expr(arg))
-            case ex.Exp(arg):
-                return ex.Exp(embed_expr(arg))
-        raise ex.ExprError(f"unknown node {e!r}")
-
-    coeffs = {}
-    for w, op in c.coeffs.items():
-        terms = {}
-        for alpha, coeff in op.terms.items():
-            new_alpha = (0,) * offset + alpha + (0,) * (dim - offset - c.dim)
-            terms[new_alpha] = embed_expr(coeff)
-        coeffs[w] = DiffOp(dim, terms)
+    pad = (0,) * (dim - offset - c.dim)
+    coeffs = {w: DiffOp(dim, {(0,) * offset + alpha + pad: coeff.embed(dim, offset)
+                              for alpha, coeff in op.terms.items()}, _trusted=True)
+              for w, op in c.coeffs.items()}
     support = frozenset(k + offset for k in c.param_support)
     return GenSeries(dim, coeffs, c.max_len, c.alphabet, support, c.exact_len)
 
@@ -361,7 +333,7 @@ def _scalar_empty_coefficient(c: GenSeries, role: str) -> complex:
     if not op.is_scalar_constant():
         raise SeriesError(
             f"unital composition needs a constant empty-word coefficient on the {role} factor")
-    return op.constant_part().value
+    return op.constant_part().constant()
 
 
 def compose(c: GenSeries, d: GenSeries, unital: bool = False) -> GenSeries:
@@ -415,7 +387,9 @@ def compose(c: GenSeries, d: GenSeries, unital: bool = False) -> GenSeries:
             continue
         for w, op in _psi_expand(wc, d, limit, unital,
                                  unital_letter, d_empty).items():
-            put(w, do.op_mul(a, op))
+            # a pure-drift word keeps only "operator applied to 1" (below)
+            put(w, do.op_mul(a, op) if w.input_letter_count()
+                else do.from_expr(do.op_apply(a, op.constant_part()), c.dim))
 
     # On a pure-drift word only the multiplicative part of the coefficient
     # can ever act (the attached iterated integral is theta-free), so the
@@ -468,7 +442,10 @@ def _parse_diffop(text: str, dim: int) -> DiffOp:
         if " * D[" not in part or not part.endswith("]"):
             raise SeriesError(f"bad operator term {part!r}")
         coeff_text, alpha_text = part.rsplit(" * D[", 1)
-        alpha = tuple(int(a) for a in alpha_text[:-1].split(","))
+        try:
+            alpha = tuple(int(a) for a in alpha_text[:-1].split(","))
+        except ValueError:
+            raise SeriesError(f"bad multi-index in operator term {part!r}") from None
         if len(alpha) != dim:
             raise SeriesError(f"multi-index {alpha} does not match dim {dim}")
         coeff = ex.parse(coeff_text.strip(), dim)

@@ -253,3 +253,27 @@ class TestArgumentValidation:
     def test_missing_required_flag_exits_one(self, capsys):
         assert run(["solve", "transport", "--u", "t", "--N", "4",
                     "--grid", GRID]) == 1
+
+
+class TestInputFaults:
+    def test_non_integer_multi_index_is_load_error(self, tmp_path, capsys):
+        path = tmp_path / "bad.series"
+        path.write_text("dim=1 maxlen=1 alphabet=x0,x1\nx1 :: 1 * D[a]\n")
+        assert run(["eval", "--series", str(path), "--u", "t",
+                    "--grid", "0:1:5,0:1:5", "--out", str(tmp_path / "z.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot load series") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("flag, value", [("--u", "-t"), ("--y0", "-sin(theta_1)")])
+    def test_value_starting_with_dash_and_letter(self, tmp_path, flag, value):
+        def solve(out, *extra):
+            args = {"--u": "t", "--y0": "0"}
+            argv = ["solve", "transport", "--V", "1", "--N", "2",
+                    "--grid", "0:1:5,0:0.1:5", "--out", str(out)]
+            for name, default in args.items():
+                if name != flag:
+                    argv += [name, default]
+            return run(argv + list(extra))
+        assert solve(tmp_path / "a.csv", flag, value) == 0
+        assert solve(tmp_path / "b.csv", f"{flag}={value}") == 0
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()

@@ -1,5 +1,6 @@
 import io
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -337,3 +338,46 @@ class TestGridAndCsv:
         buf = io.StringIO()
         ii.write_csv(f, buf)
         assert "0.33333333333333331" in buf.getvalue()
+
+
+class TestDerivativeHolding:
+    """evaluate_series holds a signal derivative only while an unvisited
+    trie edge still needs it, and computes each one once."""
+
+    @staticmethod
+    def spy(monkeypatch):
+        made = []  # (signal, order, arrays alive before this call, weakref)
+        original = ii.InputSignal.derivative_values
+
+        def derivative_values(self, grid, order):
+            alive = sum(ref() is not None for *_, ref in made)
+            values = original(self, grid, order)
+            made.append((self, tuple(order), alive, weakref.ref(values)))
+            return values
+
+        monkeypatch.setattr(ii.InputSignal, "derivative_values", derivative_values)
+        return made
+
+    def test_released_after_last_use(self, monkeypatch):
+        made = self.spy(monkeypatch)
+        c = pde.transport_series(pde.TransportSpec(V=1.0, y0=0, N=8))
+        u = ii.InputSignal.symbolic(ex.parse("t*sin(theta_1)", 1))
+        field = ii.evaluate_series(c, u, small_grid())
+        assert sorted(order for _, order, _, _ in made) == [(k,) for k in range(9)]
+        assert max(alive for _, _, alive, _ in made) == 0
+        assert all(ref() is None for *_, ref in made)
+        assert np.all(np.isfinite(field.values))
+
+    def test_each_order_computed_once(self, monkeypatch):
+        made = self.spy(monkeypatch)
+        c = se.embed(pde.transport_series(pde.TransportSpec(V=1.0, y0=0, N=3)), 2, 0)
+        d = se.relabel_letters(
+            se.embed(pde.transport_series(pde.TransportSpec(V=0.5, y0=0, N=3)), 2, 1),
+            {X1: Letter(2)})
+        p = se.shuffle_series(c, d)
+        binding = {1: ii.InputSignal.symbolic(ex.parse("t*sin(theta_1)", 2)),
+                   2: ii.InputSignal.symbolic(ex.parse("t*cos(theta_2)", 2))}
+        ii.evaluate_series(p, binding, GRID_2D)
+        keys = [(id(signal), order) for signal, order, _, _ in made]
+        assert len(keys) == len(set(keys)) > 4
+        assert all(ref() is None for *_, ref in made)
