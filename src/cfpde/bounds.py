@@ -203,25 +203,28 @@ class GrowthFit:
     theta_independent: bool = False
 
 
+def _time_integrals(u: InputSignal, grid: Grid, order: int) -> np.ndarray:
+    """Per-theta trapezoid integral over [0, T] of the magnitude of the
+    order-th theta-derivative."""
+    values = np.abs(u.derivative_values(grid, (order,)))
+    return cumulative_trapezoid(values.astype(np.complex128), grid.dt)[..., -1].real
+
+
 def input_l1_norm(u: InputSignal, grid: Grid, order: int = 0) -> float:
     """Tensor-trapezoid L1 norm of the order-th theta-derivative over the
     full (theta, t) domain (one-parameter grids)."""
     if grid.dim != 1:
         raise ValueError("L1 norms are defined for one-parameter grids here")
-    values = np.abs(u.derivative_values(grid, (order,)))
-    in_t = cumulative_trapezoid(values.astype(np.complex128), grid.dt)[..., -1].real
-    h = grid.theta_spacing(0)
-    return float(np.trapezoid(in_t, dx=h))
+    return float(np.trapezoid(_time_integrals(u, grid, order),
+                              dx=grid.theta_spacing(0)))
 
 
 def _input_norm_surrogate(u: InputSignal, grid: Grid, order: int) -> float:
     """Conservative stand-in for the L1 norm: interval length times the
     largest per-theta time integral.  Always >= the tensor-trapezoid L1
     norm, so certificates computed from it remain valid."""
-    values = np.abs(u.derivative_values(grid, (order,)))
-    in_t = cumulative_trapezoid(values.astype(np.complex128), grid.dt)[..., -1].real
     a, b, _ = grid.theta_axes[0]
-    return float((b - a) * np.max(in_t))
+    return float((b - a) * np.max(_time_integrals(u, grid, order)))
 
 
 def _fit_input(u: InputSignal, grid: Grid, k_max: int) -> GrowthFit:

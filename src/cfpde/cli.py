@@ -194,7 +194,9 @@ def _cmd_solve(args, command: str, started: float) -> int:
         raise CliError(str(e)) from e
     _check_finite(field)
     _write_atomic(args.out, _field_to_csv(field))
-    bound = _transport_bound(series_obj, u, grid, args.N)
+    # the growth fit reads D^k on x0^k x1, a transport shape
+    bound = (_transport_bound(series_obj, u, grid, args.N)
+             if args.kind == "transport" else None)
     _report(args.report or args.out + ".report.json", command, params,
             args.N, bound, started)
     return 0

@@ -77,7 +77,8 @@ class GenSeries:
             if op.is_zero():
                 continue
             letters |= set(w.letters)
-            support |= op.theta_indices()
+            if len(support) < dim:  # an operator's indices lie in 1..dim
+                support |= op.theta_indices()
             kept[w] = op
         bad = [k for k in support if k > dim]
         if bad:
@@ -288,44 +289,6 @@ def _single_input_letter(c: GenSeries) -> Letter:
     raise SeriesError("cannot infer the input letter of the right factor")
 
 
-def _psi_expand(w: Word, d: GenSeries, limit: int, unital: bool,
-                unital_letter: Letter | None, d_empty: complex) -> dict[Word, DiffOp]:
-    """Expand psi_d(w)(1) into a word -> coefficient map, truncated at
-    limit.  Letters act right to left: the drift letter prepends itself,
-    an input letter maps e to x0 (d shuffled with e); in the unital case
-    an extra d_empty * (input-letter e) term carries the identity part."""
-    current: dict[Word, DiffOp] = {EMPTY_WORD: do.identity(d.dim)}
-    for letter in reversed(w.letters):
-        nxt: dict[Word, DiffOp] = {}
-
-        def put(word: Word, op: DiffOp):
-            if len(word) > limit or op.is_zero():
-                return
-            nxt[word] = do.op_add(nxt[word], op) if word in nxt else op
-
-        if letter.is_drift:
-            for we, op in current.items():
-                put(Word((DRIFT,) + we.letters), op)
-        else:
-            for we, op_e in current.items():
-                if unital and d_empty != 0:
-                    scaled = op_e if d_empty == 1 else do.op_scale(d_empty, op_e)
-                    put(Word((unital_letter,) + we.letters), scaled)
-                for wd, op_d in d.coeffs.items():
-                    if unital and wd == EMPTY_WORD:
-                        continue  # handled as the identity part above
-                    op = do.op_mul(op_d, op_e)
-                    if op.is_zero():
-                        continue
-                    for shuffled, mult in shuffle_words(wd, we).sorted_items():
-                        if len(shuffled) + 1 > limit:
-                            continue
-                        piece = op if mult == 1 else do.op_scale(mult, op)
-                        put(Word((DRIFT,) + shuffled.letters), piece)
-        current = nxt
-    return current
-
-
 def _scalar_empty_coefficient(c: GenSeries, role: str) -> complex:
     op = c.coefficient(EMPTY_WORD)
     if op.is_zero():
@@ -343,7 +306,9 @@ def compose(c: GenSeries, d: GenSeries, unital: bool = False) -> GenSeries:
     treated as reading d's output; drift letters pass through.  By default
     the empty word of c composes to itself (it contributes a constant to
     the output, and the expansion of the empty word is the identity map on
-    series).
+    series).  A word x0^a x_i x0^b of c with coefficient A expands in closed
+    form to x0^(a+1) (w shuffle x0^b) with coefficient A o d_w for every
+    word w of d.
 
     With unital=True both factors are read as "identity-plus-series": the
     empty-word coefficients (which must be scalar constants) multiply like
@@ -355,10 +320,14 @@ def compose(c: GenSeries, d: GenSeries, unital: bool = False) -> GenSeries:
     if c.dim != d.dim:
         raise do.DimensionMismatch(
             f"series dims differ: {c.dim} vs {d.dim}")
-    limit = c.max_len + d.max_len + 1
     coeffs: dict[Word, DiffOp] = {}
 
     def put(word: Word, op: DiffOp):
+        # On a pure-drift word only the multiplicative part of a coefficient
+        # can ever act (the attached iterated integral is theta-free), so the
+        # coefficient collapses to "operator applied to 1".
+        if op.max_order() and not word.input_letter_count():
+            op = do.from_expr(op.constant_part(), c.dim)
         if op.is_zero():
             return
         coeffs[word] = do.op_add(coeffs[word], op) if word in coeffs else op
@@ -370,39 +339,36 @@ def compose(c: GenSeries, d: GenSeries, unital: bool = False) -> GenSeries:
         d_empty = _scalar_empty_coefficient(d, "right")
         if any(w.input_letter_count() for w in c.coeffs):
             unital_letter = _single_input_letter(d)
-        if c_empty * d_empty != 0:
-            put(EMPTY_WORD, do.from_expr(ex.const(c_empty * d_empty), c.dim))
-        if c_empty != 0:
-            for wd, op_d in d.coeffs.items():
-                if wd == EMPTY_WORD:
-                    continue
+        put(EMPTY_WORD, do.from_expr(ex.const(c_empty * d_empty), c.dim))
+        for wd, op_d in d.coeffs.items():
+            if wd != EMPTY_WORD:
                 put(wd, op_d if c_empty == 1 else do.op_scale(c_empty, op_d))
+    # in the unital case the empty word of d is the identity part, above
+    d_items = [(wd, op_d) for wd, op_d in d.coeffs.items()
+               if not (unital and wd == EMPTY_WORD)]
 
     for wc in sorted(c.coeffs, key=Word.sort_key):
-        if unital and wc == EMPTY_WORD:
-            continue
         a = c.coeffs[wc]
-        if not unital and wc == EMPTY_WORD:
-            put(EMPTY_WORD, a)
+        at = next((i for i, l in enumerate(wc.letters) if not l.is_drift), None)
+        if at is None:
+            # drift letters pass through; the unital empty word is above
+            if wc or not unital:
+                put(wc, a)
             continue
-        for w, op in _psi_expand(wc, d, limit, unital,
-                                 unital_letter, d_empty).items():
-            # a pure-drift word keeps only "operator applied to 1" (below)
-            put(w, do.op_mul(a, op) if w.input_letter_count()
-                else do.from_expr(do.op_apply(a, op.constant_part()), c.dim))
-
-    # On a pure-drift word only the multiplicative part of the coefficient
-    # can ever act (the attached iterated integral is theta-free), so the
-    # coefficient collapses to "operator applied to 1".
-    collapsed: dict[Word, DiffOp] = {}
-    for w, op in coeffs.items():
-        if w.input_letter_count() == 0 and not op.is_scalar_constant():
-            op = do.from_expr(op.constant_part(), c.dim)
-        if not op.is_zero():
-            collapsed[w] = op
+        if unital and d_empty != 0:
+            put(Word(wc.letters[:at] + (unital_letter,) + wc.letters[at + 1:]),
+                a if d_empty == 1 else do.op_scale(d_empty, a))
+        prefix = (DRIFT,) * (at + 1)
+        tail = wc[at + 1:]
+        for wd, op_d in d_items:
+            op = (do.op_mul(a, op_d) if wd.input_letter_count()
+                  else do.from_expr(do.op_apply(a, op_d.constant_part()), c.dim))
+            for w, mult in shuffle_words(wd, tail).sorted_items():
+                put(Word(prefix + w.letters),
+                    op if mult == 1 else do.op_scale(mult, op))
 
     exact = min(c.exact_len, d.exact_len + 1)
-    return GenSeries(c.dim, collapsed, limit, d.alphabet,
+    return GenSeries(c.dim, coeffs, c.max_len + d.max_len, d.alphabet,
                      c.param_support | d.param_support, exact)
 
 

@@ -10,13 +10,12 @@ serialization order of every series file.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
 __all__ = [
     "Letter", "Word", "WordPoly", "DRIFT", "EMPTY_WORD",
-    "x0", "x", "word", "parse_word", "shuffle_words", "count_letter",
+    "x", "word", "parse_word", "shuffle_words",
 ]
 
 
@@ -45,12 +44,12 @@ class Letter:
     def __lt__(self, other: "Letter"):
         return self.sort_key() < other.sort_key()
 
+    def __hash__(self):
+        # the generated hash would build a tuple per call
+        return hash(self.index)
+
 
 DRIFT = Letter(None)
-
-
-def x0() -> Letter:
-    return DRIFT
 
 
 def x(k: int) -> Letter:
@@ -107,9 +106,6 @@ class Word:
     def __lt__(self, other: "Word"):
         return self.sort_key() < other.sort_key()
 
-    def count(self, letter: Letter) -> int:
-        return self.letters.count(letter)
-
     def input_letter_count(self) -> int:
         return sum(1 for l in self.letters if not l.is_drift)
 
@@ -141,14 +137,6 @@ def parse_word(text: str) -> Word:
     if text == "e" or not text:
         return EMPTY_WORD
     return Word(_parse_letter(tok) for tok in text.split())
-
-
-def concat(w1: Word, w2: Word) -> Word:
-    return w1 + w2
-
-
-def count_letter(w: Word, letter: Letter) -> int:
-    return w.count(letter)
 
 
 class WordPoly(dict):
@@ -225,7 +213,3 @@ def shuffle_words(w1: Word, w2: Word) -> WordPoly:
     The total multiplicity is binomial(|w1|+|w2|, |w1|).
     """
     return WordPoly(_shuffle(w1, w2))
-
-
-def expected_shuffle_multiplicity(w1: Word, w2: Word) -> int:
-    return math.comb(len(w1) + len(w2), len(w1))

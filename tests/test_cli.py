@@ -277,3 +277,25 @@ class TestInputFaults:
         assert solve(tmp_path / "a.csv", flag, value) == 0
         assert solve(tmp_path / "b.csv", f"{flag}={value}") == 0
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
+class TestTailBoundScope:
+    @pytest.mark.parametrize("argv", [
+        ["wave"],
+        ["second-order", "--alpha1", "0", "--alpha2", "-1", "--form", "cascade"],
+    ])
+    def test_no_growth_fit_outside_transport(self, tmp_path, monkeypatch, argv):
+        from cfpde import bounds
+        calls = []
+        fit = bounds.estimate_growth
+        monkeypatch.setattr(bounds, "estimate_growth",
+                            lambda *a, **kw: calls.append(a) or fit(*a, **kw))
+        out = tmp_path / "y.csv"
+        assert run(["solve", *argv, "--u", "sin(theta_1)", "--N", "6",
+                    "--grid", "0:3:17,0:1:17", "--out", str(out)]) == 0
+        assert calls == []
+        assert read_report(str(out) + ".report.json")["bound"] is None
+        # the same spy sees the transport fit
+        assert run(["solve", "transport", "--V", "1", "--u", "t*sin(theta_1)",
+                    "--N", "6", "--grid", "0:3:17,0:1:17", "--out", str(out)]) == 0
+        assert len(calls) == 2

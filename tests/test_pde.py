@@ -209,3 +209,38 @@ class TestWaveEvaluation:
         th = grid.theta_points(0)[:, None]
         t = grid.t_points[None, :]
         assert np.max(np.abs(y.values - np.sin(th) * (1 - np.cos(t)))) <= 1e-5
+
+
+class TestSolveKernel:
+    @pytest.mark.parametrize("n", [1, 6])
+    @pytest.mark.parametrize("form", list(pde.SecondOrderForm))
+    def test_every_form_is_exact_through_n(self, form, n):
+        c = pde.second_order_series(pde.SecondOrderSpec(3, 2, ex.sin(THETA), 1, n, form))
+        assert (c.exact_len, c.max_len) == (n, n + 1)
+
+    @pytest.mark.parametrize("n", [1, 7])
+    def test_wave_and_factored_entry_are_exact_through_n(self, n):
+        assert pde.wave_series(n).exact_len == n
+        fact = pde.second_order_series_factored(ex.add(1, THETA), ex.const(1), 0, 0, n)
+        assert fact.exact_len == n
+
+    def test_tiny_distinct_roots_take_partial_fractions(self):
+        # roots +-1e-13: the x0^3 x1 coefficient is (beta1^2 + beta1 beta2
+        # + beta2^2) d^2 = 1e-26 d^2 in both forms
+        built = [pde.second_order_series(pde.SecondOrderSpec(0, -1e-26, 0, 0, 4, f))
+                 for f in (pde.SecondOrderForm.PARTIAL_FRACTION,
+                           pde.SecondOrderForm.CASCADE)]
+        for c in built:
+            got = c.coefficient(word("x0", "x0", "x0", "x1")).terms[(2,)].constant()
+            assert got == pytest.approx(1e-26, rel=1e-12)
+
+    def test_rounded_double_root_rejected(self):
+        # (mu - 0.1)^2: the discriminant 0.2^2 - 4*0.01 rounds to 6.9e-18
+        with pytest.raises(pde.RepeatedRoot):
+            pde.second_order_series(pde.SecondOrderSpec(
+                0.2, 0.01, 0, 0, 4, pde.SecondOrderForm.PARTIAL_FRACTION))
+
+    def test_factored_entry_rejects_direct_form(self):
+        with pytest.raises(pde.NonConstantCoefficients):
+            pde.second_order_series_factored(
+                ex.const(2), ex.const(1), 0, 0, 4, form=pde.SecondOrderForm.DIRECT)

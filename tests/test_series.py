@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cfpde import diffop as do
 from cfpde import expr as ex
@@ -254,3 +256,43 @@ class TestSerialization:
         c = simple_series(1, {word("x1"): op})
         _, back = self.roundtrip(c)
         assert ops_agree(back.coefficient(word("x1")), op, rng, tol=1e-12)
+
+
+# operators of order <= 1 with bounded theta-dependent coefficients
+FIRST_ORDER_OPS = st.dictionaries(
+    st.sampled_from([(0,), (1,)]),
+    st.tuples(st.sampled_from(["{a}", "{a}*theta_1", "{a}*sin(theta_1)",
+                               "{a}*cos(theta_1)"]),
+              st.floats(-1, 1).map(lambda a: round(a, 3))),
+    min_size=1, max_size=2).map(lambda terms: do.DiffOp(1, {
+        alpha: ex.parse(form.format(a=a), 1) for alpha, (form, a) in terms.items()}))
+LINEAR_LEFT_WORDS = st.tuples(st.integers(0, 2), st.integers(0, 2)).map(
+    lambda ab: Word((DRIFT,) * ab[0] + (X1,) + (DRIFT,) * ab[1]))
+RIGHT_WORDS = st.sampled_from([Word(), word("x0"), word("x2"), word("x0", "x2"),
+                               word("x2", "x0")])
+CASCADE_GRID = ii.Grid(((0.2, 1.2, 161),), 1.0, 161)
+CASCADE_INPUT = ii.InputSignal.symbolic(ex.parse("t*cos(theta_1)", 1))
+
+
+class TestComposeClosedForm:
+    def test_trailing_drift_shuffles_into_the_input_word(self):
+        A = do.monomial(THETA, (1,))
+        B = do.monomial(ex.sin(THETA), (1,))
+        cd = se.compose(simple_series(1, {word("x1", "x0"): A}),
+                        simple_series(1, {word("x2"): B}))
+        assert cd.coeffs == {word("x0", "x2", "x0"): do.op_mul(A, B),
+                             word("x0", "x0", "x2"): do.op_mul(A, B)}
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.dictionaries(LINEAR_LEFT_WORDS, FIRST_ORDER_OPS, min_size=1, max_size=3),
+           st.dictionaries(RIGHT_WORDS, FIRST_ORDER_OPS, min_size=1, max_size=3))
+    def test_matches_numeric_cascade(self, left, right):
+        # evaluate d, then evaluate c with d's sampled output as its input
+        c = simple_series(1, left)
+        d = simple_series(1, right)
+        binding = {2: CASCADE_INPUT}
+        direct = ii.evaluate_series(se.compose(c, d), binding, CASCADE_GRID)
+        inner = ii.evaluate_series(d, binding, CASCADE_GRID)
+        outer = ii.evaluate_series(c, {1: ii.InputSignal.sampled(inner)},
+                                   CASCADE_GRID)
+        assert np.max(np.abs(direct.values - outer.values)) <= 1e-4

@@ -21,12 +21,6 @@ class TestWordBasics:
         assert Word() + word("x0", "x1") == word("x0", "x1")
         assert word("x0", "x1") + word("x0") == word("x0", "x1", "x0")
 
-    def test_count_letter(self):
-        w = word("x0", "x1", "x0")
-        assert wd.count_letter(w, Letter(1)) == 1
-        assert wd.count_letter(word("x0", "x0"), Letter(1)) == 0
-        assert wd.count_letter(word("x1", "x1", "x0"), Letter(1)) == 2
-
     def test_words_are_hashable_map_keys(self):
         m = {word("x0", "x1"): 1, Word(): 2}
         assert m[word("x0", "x1")] == 1
