@@ -4,7 +4,16 @@
 The generating series carries (-V d/dtheta)^k y0 on the drift words and
 the composed operators (-V d/dtheta)^k on the input words.  For V = 1 and
 u = t sin(2 theta) the evaluated map has a closed form to compare with.
+
+    python demos/04_transport_equation.py [OUT_DIR]
+
+writes transport_solution.csv and transport.series into OUT_DIR, or into
+a temporary directory that is removed on exit when none is given.
 """
+
+import os
+import sys
+import tempfile
 
 import numpy as np
 
@@ -14,7 +23,7 @@ from cfpde import pde
 from cfpde import series as se
 
 
-def main():
+def main(out_dir=None):
     spec = pde.TransportSpec(V=1.0, y0=ex.parse("sin(theta_1)", 1), N=14)
     c = pde.transport_series(spec)
     print("series:", c)
@@ -35,11 +44,13 @@ def main():
     err = np.max(np.abs((y.values - exact)[interior]))
     print(f"max error against the closed form: {err:.2e}")
 
-    with open("transport_solution.csv", "w") as fh:
-        ii.write_csv(y, fh)
-    se.save_series(c, "transport.series")
-    print("wrote transport_solution.csv and transport.series")
+    with tempfile.TemporaryDirectory() as tmp:
+        out_dir = out_dir or tmp
+        with open(os.path.join(out_dir, "transport_solution.csv"), "w") as fh:
+            ii.write_csv(y, fh)
+        se.save_series(c, os.path.join(out_dir, "transport.series"))
+        print(f"wrote transport_solution.csv and transport.series to {out_dir}")
 
 
 if __name__ == "__main__":
-    main()
+    main(sys.argv[1] if len(sys.argv) > 1 else None)

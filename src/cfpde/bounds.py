@@ -206,8 +206,8 @@ class GrowthFit:
 def _time_integrals(u: InputSignal, grid: Grid, order: int) -> np.ndarray:
     """Per-theta trapezoid integral over [0, T] of the magnitude of the
     order-th theta-derivative."""
-    values = np.abs(u.derivative_values(grid, (order,)))
-    return cumulative_trapezoid(values.astype(np.complex128), grid.dt)[..., -1].real
+    values = np.abs(np.moveaxis(u.derivative_values(grid, (order,)), -1, 0))
+    return cumulative_trapezoid(values, grid.dt)[-1].real
 
 
 def input_l1_norm(u: InputSignal, grid: Grid, order: int = 0) -> float:

@@ -40,7 +40,10 @@ __all__ = [
 MAX_EXPONENT = 2 ** 31
 MAX_EXPANDED_POWER = 64
 _ROUNDOFF = 8 * sys.float_info.epsilon
-_IMAG_DISPLAY_EPS = 1e-12
+# A printed constant leaves out its real or imaginary part when that part
+# is at most this multiple of the other part's magnitude (rounding noise
+# of the other part), whatever the scale of the constant.
+_DISPLAY_REL = 8 * sys.float_info.epsilon
 
 
 class ExprError(Exception):
@@ -836,11 +839,13 @@ def _fmt_real(x: float) -> str:
     return repr(x)
 
 
-def _fmt_const(c: complex, eps: float = _IMAG_DISPLAY_EPS) -> str:
+def _fmt_const(c: complex, rel: float = _DISPLAY_REL) -> str:
+    """c as text; a part at most rel times the other part's magnitude is
+    left out (rel = 0 leaves out exact zeros only)."""
     re_, im = c.real, c.imag
-    if abs(im) < eps or im == 0:
+    if abs(im) <= rel * abs(re_):
         return _fmt_real(re_)
-    if abs(re_) < eps or re_ == 0:
+    if abs(re_) <= rel * abs(im):
         return _fmt_real(im) + "i"
     op = "+" if im >= 0 else "-"
     return f"({_fmt_real(re_)}{op}{_fmt_real(abs(im))}i)"

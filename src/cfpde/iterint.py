@@ -10,11 +10,19 @@ decorations, since the drift signal is constant and absorbs none.
 
 A series is evaluated over a trie of decorated words: each node holds the
 coefficient of the word ending there, and a node's sum is its coefficient
-plus, per child step (letter, order), the cumulative integral of the
-letter's signal times the child's sum.  Summation order is fixed - a
-depth-first walk with children in first-insertion order, inserted in
-canonical word order, then lexicographic operator terms, then
-``expand_derivative`` order - so repeated runs are bit-identical.
+plus one cumulative integral of the sum over its child steps (letter,
+order) of the letter's signal times the child's sum.  The integral is
+linear, so this is one integration pass per node with children rather
+than one per child.  Summation order is fixed - a depth-first walk with
+children in first-insertion order, inserted in canonical word order, then
+lexicographic operator terms, then ``expand_derivative`` order - so
+repeated runs are bit-identical.
+
+Grids and fields are laid out (theta..., t), time last.  The iterated
+integral code works time-leading, (t, theta...): ``cumulative_trapezoid``
+integrates along axis 0, so each of its steps runs over contiguous rows.
+Signal samples enter as moved-axis views and coefficients with shape
+(1, theta...); a result is moved back to grid layout once.
 """
 
 from __future__ import annotations
@@ -144,9 +152,19 @@ class GridField:
 
 
 def cumulative_trapezoid(f: np.ndarray, dt: float) -> np.ndarray:
-    """Running integral along the last axis; entry 0 is 0."""
-    out = np.zeros_like(f, dtype=np.complex128)
-    np.cumsum((f[..., :-1] + f[..., 1:]) * (0.5 * dt), axis=-1, out=out[..., 1:])
+    """Running integral along axis 0, the time axis; entry 0 is 0.
+
+    The result is a new C-contiguous complex array.  The interval sums,
+    their scaling by dt/2 and the running sum are all formed in place in
+    it, so the outer time axis makes every step one pass over contiguous
+    rows.  Per element the arithmetic is (f_k + f_{k+1}) * (dt/2) summed
+    in time order."""
+    out = np.empty(f.shape, dtype=np.complex128)
+    out[0] = 0
+    steps = out[1:]
+    np.add(f[:-1], f[1:], out=steps)
+    steps *= 0.5 * dt
+    np.cumsum(steps, axis=0, out=steps)
     return out
 
 
@@ -297,12 +315,18 @@ def expand_derivative(w: Word, alpha: MultiIndex) -> list[tuple[int, DecoratedWo
 
 
 # ---------------------------------------------------------------------------
-# iterated integrals
+# iterated integrals, time-leading: (t, theta...)
+
+def _to_grid(values: np.ndarray | complex, grid: Grid) -> GridField:
+    """A time-leading result as an owned, C-contiguous grid-shaped field."""
+    full = np.broadcast_to(values, (grid.n_t,) + grid.shape[:-1])
+    return GridField(grid, np.moveaxis(full, 0, -1).copy())
+
 
 def _integral_from_cache(dw: DecoratedWord, binding: Binding, grid: Grid,
                          cache: dict) -> np.ndarray:
     if not dw:
-        return np.ones((1,) * grid.dim + (grid.n_t,), dtype=np.complex128)
+        return np.ones((grid.n_t,) + (1,) * grid.dim, dtype=np.complex128)
     key = dw
     hit = cache.get(key)
     if hit is not None:
@@ -319,7 +343,8 @@ def _integral_from_cache(dw: DecoratedWord, binding: Binding, grid: Grid,
             raise EvaluationError(
                 f"input letter {letter.text()} is not bound to a signal") from None
         if (signal, order) not in cache:
-            cache[signal, order] = signal.derivative_values(grid, order)
+            cache[signal, order] = np.moveaxis(
+                signal.derivative_values(grid, order), -1, 0)
         integrand = cache[signal, order] * inner
     value = cumulative_trapezoid(integrand, grid.dt)
     cache[key] = value
@@ -342,8 +367,7 @@ def iterated_integral(w: Union[Word, DecoratedWord],
     binding = _as_binding(u, letters | {DRIFT})
     if cache is None:
         cache = {}
-    values = _integral_from_cache(dw, binding, grid, cache)
-    return GridField(grid, np.broadcast_to(values, grid.shape).copy())
+    return _to_grid(_integral_from_cache(dw, binding, grid, cache), grid)
 
 
 class _TrieNode:
@@ -358,11 +382,14 @@ class _TrieNode:
         self.children: dict[tuple[Letter, Optional[MultiIndex]], _TrieNode] = {}
 
 
-def _accumulate(total: np.ndarray | None, part: np.ndarray) -> np.ndarray:
+def _accumulate(total: np.ndarray | None,
+                part: np.ndarray | None) -> np.ndarray | None:
     """total + part, in place when total (owned) already has the result
-    shape."""
+    shape; None is the empty sum."""
     if total is None:
         return part
+    if part is None:
+        return total
     if total.shape == np.broadcast_shapes(total.shape, part.shape):
         total += part
         return total
@@ -383,10 +410,12 @@ class _Derivatives:
         self.uses[key] = self.uses.get(key, 0) + 1
 
     def take(self, letter: Letter, order: MultiIndex) -> np.ndarray:
+        """The (t, theta...) samples of the letter's order-th derivative, a
+        view that keeps the zero strides of a broadcast signal."""
         key = (self.binding[letter.index], order)
         values = self.held.pop(key, None)
         if values is None:
-            values = key[0].derivative_values(self.grid, order)
+            values = np.moveaxis(key[0].derivative_values(self.grid, order), -1, 0)
         self.uses[key] -= 1
         if self.uses[key]:
             self.held[key] = values
@@ -395,17 +424,20 @@ class _Derivatives:
 
 def _node_sum(node: _TrieNode, derivatives: _Derivatives,
               grid: Grid) -> np.ndarray | None:
-    """sum_w a_{p w} E_w for the node's prefix p: its coefficient plus one
-    integration pass per child."""
-    total = node.coef
+    """sum_w a_{p w} E_w for the node's prefix p, time-leading: its
+    coefficient plus one integration pass over the summed integrands of
+    its children (the drift child's sum, u_l^(o) times an input child's
+    sum)."""
+    integrand = None
     for (letter, order), child in node.children.items():
         inner = _node_sum(child, derivatives, grid)
-        if letter.is_drift:
-            integrand = np.broadcast_to(inner, inner.shape[:-1] + (grid.n_t,))
-        else:
-            integrand = derivatives.take(letter, order) * inner
-        total = _accumulate(total, cumulative_trapezoid(integrand, grid.dt))
-    return total
+        if not letter.is_drift:
+            inner = derivatives.take(letter, order) * inner
+        integrand = _accumulate(integrand, inner)
+    if integrand is None:
+        return node.coef
+    integrand = np.broadcast_to(integrand, (grid.n_t,) + integrand.shape[1:])
+    return _accumulate(cumulative_trapezoid(integrand, grid.dt), node.coef)
 
 
 def evaluate_series(c: GenSeries, u: Union[InputSignal, Binding],
@@ -414,10 +446,12 @@ def evaluate_series(c: GenSeries, u: Union[InputSignal, Binding],
     terms of coefficient(theta) times the decorated iterated integrals.
 
     The coefficients are free of t and the cumulative integral is linear,
-    so sum_w a_w E_{l w} = I[u_l sum_w a_w E_w]: the terms are gathered in
-    a trie of decorated words and integrated once per trie edge, holding
-    one grid array per level of the depth-first walk.  A signal derivative
-    is computed once and released after the last edge that uses it."""
+    so sum_w a_w E_{l w} = I[u_l sum_w a_w E_w] and I[f] + I[g] = I[f + g]:
+    the terms are gathered in a trie of decorated words, and each node
+    with children sums their integrands and integrates once, holding one
+    time-leading grid array per level of the depth-first walk.  A signal
+    derivative is computed once and released after the last edge that
+    uses it.  The result is an owned array in grid layout."""
     if grid.dim != c.dim:
         raise EvaluationError(
             f"grid dim {grid.dim} does not match series dim {c.dim}")
@@ -428,7 +462,7 @@ def evaluate_series(c: GenSeries, u: Union[InputSignal, Binding],
         raise EvaluationError(
             f"unbound input letters: {sorted('x%d' % i for i in missing)}")
     theta_meshes = grid.meshes(with_t=False)
-    coef_shape = (1,) * (grid.dim + 1)
+    coef_shape = (1,) * (grid.dim + 1)  # (t, theta...) of a constant
     derivatives = _Derivatives(binding, grid)
     root = _TrieNode()
     for w in sorted(c.coeffs, key=Word.sort_key):
@@ -437,7 +471,7 @@ def evaluate_series(c: GenSeries, u: Union[InputSignal, Binding],
             if not terms:
                 continue
             a = np.asarray(ex.evaluate(coeff, theta_meshes), dtype=np.complex128)
-            a = a[..., np.newaxis] if a.ndim else a.reshape(coef_shape)
+            a = a[np.newaxis] if a.ndim else a.reshape(coef_shape)
             for weight, dw in terms:
                 node = root
                 for step in dw:
@@ -448,9 +482,7 @@ def evaluate_series(c: GenSeries, u: Union[InputSignal, Binding],
                     node = node.children[step]
                 node.coef = _accumulate(node.coef, a * weight)
     total = _node_sum(root, derivatives, grid)
-    if total is None or total.shape != grid.shape:
-        total = np.broadcast_to(0j if total is None else total, grid.shape).copy()
-    return GridField(grid, total)
+    return _to_grid(0j if total is None else total, grid)
 
 
 def chen_coefficients(n: int, u: Union[InputSignal, Binding], grid: Grid,

@@ -163,6 +163,43 @@ class TestAlgebraLaws:
         y1 = y1[:, None, :] if offset == 0 else y1[None, :, :]
         assert_close(y2, np.broadcast_to(y1, y2.shape), tol=1e-12)
 
+    @staticmethod
+    def disjoint_series(data, k):
+        """A random series in theta_k and the input letter x_k, dim 3."""
+        words = st.lists(st.sampled_from([DRIFT, X1]), max_size=2).map(
+            lambda ls: Word(tuple(ls)))
+        coeffs = data.draw(st.dictionaries(words, operators(1), min_size=1, max_size=3))
+        c = se.embed(se.series_from_coeffs(1, coeffs), 3, k - 1)
+        return se.relabel_letters(c, {X1: Letter(k)})
+
+    @staticmethod
+    def assert_series_close(c, d, tol=1e-12):
+        """Coefficient by coefficient: the same words, operator terms and
+        monomials, with values equal up to rounding."""
+        assert set(c.coeffs) == set(d.coeffs)
+        for w in c.coeffs:
+            a, b = c.coeffs[w].terms, d.coeffs[w].terms
+            assert set(a) == set(b)
+            for alpha in a:
+                x, y = a[alpha].terms, b[alpha].terms
+                assert set(x) == set(y)
+                for key in x:
+                    assert abs(x[key] - y[key]) <= tol * (1 + abs(x[key]))
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.data())
+    def test_shuffle_is_commutative(self, data):
+        c, d = self.disjoint_series(data, 1), self.disjoint_series(data, 2)
+        self.assert_series_close(se.shuffle_series(c, d), se.shuffle_series(d, c))
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.data())
+    def test_shuffle_is_associative(self, data):
+        a, b, c = (self.disjoint_series(data, k) for k in (1, 2, 3))
+        self.assert_series_close(
+            se.shuffle_series(se.shuffle_series(a, b), c),
+            se.shuffle_series(a, se.shuffle_series(b, c)))
+
 
 @pytest.mark.parametrize("k, pairs", [(7, 44), (16, 208)])
 def test_variable_velocity_power_matches_sympy(k, pairs):

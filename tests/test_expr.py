@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from cfpde import diffop as do
 from cfpde import expr as ex
 from conftest import exprs_equal, random_expr, theta_points
 
@@ -189,3 +190,18 @@ class TestInvariants:
 
     def test_display_suppresses_tiny_imaginary_parts(self):
         assert ex.to_string(ex.const(complex(2.0, 1e-15))) == "2"
+
+    @pytest.mark.parametrize("value, text", [
+        (1e-13j, "1e-13i"),
+        (complex(1e-20, 3e-20), "(1e-20+3e-20i)"),
+        (complex(1e-30, 1.0), "1i"),
+        (complex(-4e-300, 0.0), "-4e-300"),
+        (0j, "0"),
+    ])
+    def test_display_rule_is_relative(self, value, text):
+        assert ex.to_string(ex.const(value)) == text
+
+    def test_display_keeps_small_applied_coefficient(self):
+        applied = do.op_apply(do.monomial(ex.const(1e-13j), (1,)),
+                              ex.parse("theta_1^2", 1))
+        assert ex.to_string(applied) == "2e-13i*theta_1"
