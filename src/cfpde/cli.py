@@ -24,8 +24,8 @@ infinity in an output).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
-import io
 import json
 import math
 import os
@@ -63,12 +63,15 @@ def _umask() -> int:
     return mask
 
 
-def _write_atomic(path: str, data: str) -> None:
+@contextlib.contextmanager
+def _atomic_file(path: str):
+    """A text file to write path's new contents into; it replaces path
+    when the block ends normally and is removed when it raises."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".cf-tmp-")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(data)
+            yield fh
             # mkstemp creates the file 0600; give it the mode open() would
             os.fchmod(fh.fileno(), 0o666 & ~_umask())
         os.replace(tmp, path)
@@ -76,6 +79,18 @@ def _write_atomic(path: str, data: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _write_atomic(path: str, data: str) -> None:
+    with _atomic_file(path) as fh:
+        fh.write(data)
+
+
+def _write_csv_atomic(path: str, field: ii.GridField) -> None:
+    """Stream the CSV rows into the temporary file, never the whole text
+    in memory."""
+    with _atomic_file(path) as fh:
+        ii.write_csv(field, fh)
 
 
 def _report(path: str, command: str, params: dict, truncation, bound,
@@ -88,12 +103,6 @@ def _report(path: str, command: str, params: dict, truncation, bound,
         "runtime_ms": int((time.monotonic() - started) * 1000),
     }
     _write_atomic(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
-def _field_to_csv(field: ii.GridField) -> str:
-    buf = io.StringIO()
-    ii.write_csv(field, buf)
-    return buf.getvalue()
 
 
 def _check_finite(field: ii.GridField) -> None:
@@ -193,7 +202,7 @@ def _cmd_solve(args, command: str, started: float) -> int:
     except ii.EvaluationError as e:
         raise CliError(str(e)) from e
     _check_finite(field)
-    _write_atomic(args.out, _field_to_csv(field))
+    _write_csv_atomic(args.out, field)
     # the growth fit reads D^k on x0^k x1, a transport shape
     bound = (_transport_bound(series_obj, u, grid, args.N)
              if args.kind == "transport" else None)
@@ -217,7 +226,7 @@ def _cmd_eval(args, command: str, started: float) -> int:
     except ii.EvaluationError as e:
         raise CliError(str(e)) from e
     _check_finite(field)
-    _write_atomic(args.out, _field_to_csv(field))
+    _write_csv_atomic(args.out, field)
     _report(args.report or args.out + ".report.json", command,
             {"series": args.series, "grid": args.grid},
             series_obj.max_len, None, started)

@@ -600,38 +600,43 @@ def _const_poly(value, dim: int) -> Poly:
     return collect(dim, [(((0,) * dim, ()), complex(value))])
 
 
-def canonical(e, dim: int) -> Poly:
-    """Convert an expression in theta_1..theta_dim (not t) into its
-    canonical sparse form."""
+def canonical(e, dim: int, t: bool = False) -> Poly:
+    """Convert an expression in theta_1..theta_dim into its canonical
+    sparse form.  With t=True the variable t is the last of the dim axes
+    and theta_k ranges over the first dim - 1; otherwise t is refused."""
+    n_theta = dim - t
     match e:
         case Poly():
-            if e.dim == dim:
+            if e.dim == dim and not t:
                 return e
-            if any(k > dim for k in theta_indices(e)):
-                raise ExprError(f"coefficient references theta beyond dim {dim}")
+            if any(k > n_theta for k in theta_indices(e)):
+                raise ExprError(f"coefficient references theta beyond dim {n_theta}")
             return e.embed(dim)
         case Const(value):
             return _const_poly(value, dim)
         case Var(name):
             m = _THETA_RE.match(name)
-            if m is None or int(m.group(1)) > dim:
-                raise ExprError(f"{name} is not a parameter of dim {dim}")
-            k = int(m.group(1)) - 1
+            if t and name == "t":
+                k = dim - 1
+            elif m is None or int(m.group(1)) > n_theta:
+                raise ExprError(f"{name} is not a parameter of dim {n_theta}")
+            else:
+                k = int(m.group(1)) - 1
             return Poly(dim, {(tuple(int(i == k) for i in range(dim)), ()): 1 + 0j})
         case Add(terms):
-            return collect(dim, [mc for t in terms
-                                 for mc in canonical(t, dim).terms.items()])
+            return collect(dim, [mc for term in terms
+                                 for mc in canonical(term, dim, t).terms.items()])
         case Mul(factors):
-            out = canonical(factors[0], dim)
+            out = canonical(factors[0], dim, t)
             for f in factors[1:]:
-                out = collect(dim, product_terms(out, canonical(f, dim)))
+                out = collect(dim, product_terms(out, canonical(f, dim, t)))
             return out
         case Neg(arg):
-            return Poly(dim, {m: -c for m, c in canonical(arg, dim).terms.items()})
+            return Poly(dim, {m: -c for m, c in canonical(arg, dim, t).terms.items()})
         case Pow(base, exponent):
-            return _poly_power(canonical(base, dim), exponent)
+            return _poly_power(canonical(base, dim, t), exponent)
         case Sin(arg) | Cos(arg) | Exp(arg):
-            p = canonical(arg, dim)
+            p = canonical(arg, dim, t)
             name = type(e).__name__.lower()
             value = p.constant()
             if value is not None:

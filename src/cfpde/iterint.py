@@ -8,21 +8,35 @@ are distributed over the input-letter occurrences of each word
 (``expand_derivative``); derivative orders attach to those occurrences as
 decorations, since the drift signal is constant and absorbs none.
 
-A series is evaluated over a trie of decorated words: each node holds the
-coefficient of the word ending there, and a node's sum is its coefficient
-plus one cumulative integral of the sum over its child steps (letter,
-order) of the letter's signal times the child's sum.  The integral is
-linear, so this is one integration pass per node with children rather
-than one per child.  Summation order is fixed - a depth-first walk with
-children in first-insertion order, inserted in canonical word order, then
-lexicographic operator terms, then ``expand_derivative`` order - so
-repeated runs are bit-identical.
+A series is evaluated over a trie of decorated words, each node holding
+the coefficient of the word ending there, walked depth first with
+children in first-insertion order (canonical word order, then
+lexicographic operator terms, then ``expand_derivative`` order), so
+repeated runs are bit-identical.  The walk takes one of two paths, and
+the input alone decides which:
 
-Grids and fields are laid out (theta..., t), time last.  The iterated
-integral code works time-leading, (t, theta...): ``cumulative_trapezoid``
-integrates along axis 0, so each of its steps runs over contiguous rows.
-Signal samples enter as moved-axis views and coefficients with shape
-(1, theta...); a result is moved back to grid layout once.
+* Separable.  When every input letter the series uses is bound to a
+  symbolic signal whose canonical form over (theta, t) has no atom mixing
+  theta and t, each signal splits once as u = sum_g F_g(theta) G_g(t),
+  grouped by time monomial g, unless the time words would outnumber the
+  trie's edges by far (see ``_MAX_VISITS_PER_EDGE``).  The coefficients are free of t and the
+  trapezoid rule is linear, I[a(theta) b(t)] = a(theta) I[b](t), so
+  y = sum_tau A_tau(theta) E_tau(t) over time words tau: the walk sums
+  A_tau on the theta axes, each E_tau is one trapezoid pass on a 1-D
+  time array shared along suffixes, and one matrix product contracts
+  the two into grid layout.
+* Grid.  Sampled signals and mixed ones such as sin(theta_1 - t): a
+  node's sum is its coefficient plus one cumulative integral of the sum
+  over its child steps (letter, order) of the letter's signal times the
+  child's sum, one pass per node with children.  These arrays are
+  time-leading, (t, theta...): ``cumulative_trapezoid`` integrates along
+  axis 0, so each of its steps runs over contiguous rows.  Signal
+  samples enter as moved-axis views and coefficients with shape
+  (1, theta...); a result is moved back to grid layout once.
+
+Both paths apply the same trapezoid rule to the same integrands, so
+they agree up to rounding.  Grids and fields are laid out (theta..., t),
+time last.
 """
 
 from __future__ import annotations
@@ -400,14 +414,18 @@ class _Derivatives:
     """Derivative samples of the bound signals, each computed once and
     held only while an unvisited trie edge still needs it."""
 
-    def __init__(self, binding: Binding, grid: Grid):
+    def __init__(self, binding: Binding, grid: Grid, root: _TrieNode):
         self.binding, self.grid = binding, grid
         self.uses: dict = {}
         self.held: dict = {}
+        self._count(root)
 
-    def count(self, letter: Letter, order: MultiIndex) -> None:
-        key = (self.binding[letter.index], order)
-        self.uses[key] = self.uses.get(key, 0) + 1
+    def _count(self, node: _TrieNode) -> None:
+        for (letter, order), child in node.children.items():
+            if not letter.is_drift:
+                key = (self.binding[letter.index], order)
+                self.uses[key] = self.uses.get(key, 0) + 1
+            self._count(child)
 
     def take(self, letter: Letter, order: MultiIndex) -> np.ndarray:
         """The (t, theta...) samples of the letter's order-th derivative, a
@@ -440,30 +458,11 @@ def _node_sum(node: _TrieNode, derivatives: _Derivatives,
     return _accumulate(cumulative_trapezoid(integrand, grid.dt), node.coef)
 
 
-def evaluate_series(c: GenSeries, u: Union[InputSignal, Binding],
-                    grid: Grid) -> GridField:
-    """Evaluate the input-output map of c: sum over words and operator
-    terms of coefficient(theta) times the decorated iterated integrals.
-
-    The coefficients are free of t and the cumulative integral is linear,
-    so sum_w a_w E_{l w} = I[u_l sum_w a_w E_w] and I[f] + I[g] = I[f + g]:
-    the terms are gathered in a trie of decorated words, and each node
-    with children sums their integrands and integrates once, holding one
-    time-leading grid array per level of the depth-first walk.  A signal
-    derivative is computed once and released after the last edge that
-    uses it.  The result is an owned array in grid layout."""
-    if grid.dim != c.dim:
-        raise EvaluationError(
-            f"grid dim {grid.dim} does not match series dim {c.dim}")
-    binding = _as_binding(u, c.alphabet)
-    needed = {l.index for w in c.coeffs for l in w.input_letters()}
-    missing = needed - set(binding)
-    if missing:
-        raise EvaluationError(
-            f"unbound input letters: {sorted('x%d' % i for i in missing)}")
+def _build_trie(c: GenSeries, grid: Grid) -> _TrieNode:
+    """The trie of decorated words of c, each node's coefficient summed
+    with shape (1, theta...)."""
     theta_meshes = grid.meshes(with_t=False)
     coef_shape = (1,) * (grid.dim + 1)  # (t, theta...) of a constant
-    derivatives = _Derivatives(binding, grid)
     root = _TrieNode()
     for w in sorted(c.coeffs, key=Word.sort_key):
         for alpha, coeff in c.coeffs[w].sorted_terms():
@@ -477,10 +476,178 @@ def evaluate_series(c: GenSeries, u: Union[InputSignal, Binding],
                 for step in dw:
                     if step not in node.children:
                         node.children[step] = _TrieNode()
-                        if not step[0].is_drift:
-                            derivatives.count(*step)
                     node = node.children[step]
                 node.coef = _accumulate(node.coef, a * weight)
+    return root
+
+
+# ---------------------------------------------------------------------------
+# separable inputs: u_l(theta, t) = sum_g F_{l,g}(theta) G_g(t)
+
+def _split(signal: InputSignal, dim: int) -> list | None:
+    """[(g, F_g)] with u = sum_g F_g(theta) G_g(t): g is a time monomial
+    (t exponent, atoms in t alone) and F_g a Poly in theta_1..theta_dim.
+    None for a sampled signal, one canonical does not take, or one with
+    an atom whose argument mixes theta and t."""
+    if not signal.is_symbolic:
+        return None
+    try:
+        p = ex.canonical(signal.expr, dim + 1, t=True)
+    except ex.ExprError:
+        return None
+    t_name = f"theta_{dim + 1}"
+    groups: dict = {}
+    for (e, atoms), c in p.sorted_items():
+        in_t, in_theta = [], []
+        for atom in atoms:
+            names = ex.variables(atom[1])
+            if t_name not in names:
+                in_theta.append(atom)
+            elif len(names) == 1:
+                in_t.append(atom)
+            else:
+                return None
+        g = (e[dim], tuple(in_t))
+        groups.setdefault(g, {})[e[:dim] + (0,), tuple(in_theta)] = c
+    return [(g, ex.Poly(dim + 1, terms).embed(dim)) for g, terms in groups.items()]
+
+
+class _Separable:
+    """A separable evaluation, y = sum_tau A_tau(theta) E_tau(t).  Time
+    monomials are interned as time letters, 0 being the drift's 1;
+    A_tau sums, per time word tau, weight * coefficient * the product of
+    the input steps' theta factors."""
+
+    def __init__(self, binding: Binding, splits: dict, grid: Grid):
+        self.binding, self.splits, self.grid = binding, splits, grid
+        self.meshes = grid.meshes(with_t=False)
+        self.letters: dict = {(0, ()): 0}
+        self.factors: dict = {}  # (signal, order) -> [(time letter, samples)]
+        self.sums: dict = {}  # tau -> A_tau
+        self.integrals: dict = {}  # tau -> E_tau
+
+    def steps(self, letter: Letter, order: MultiIndex) -> list:
+        """(time letter, theta samples of d^order F_g) per nonzero group
+        of the letter's signal, each derivative chain built once."""
+        signal = self.binding[letter.index]
+        key = (signal, order)
+        if key not in self.factors:
+            out = []
+            for g, f in self.splits[signal]:
+                for axis, k in enumerate(order):
+                    for _ in range(k):
+                        f = f.derivative(axis)
+                if f.terms:
+                    out.append((self.letters.setdefault(g, len(self.letters)),
+                                np.asarray(ex.evaluate(f, self.meshes),
+                                           dtype=np.complex128)))
+            self.factors[key] = out
+        return self.factors[key]
+
+    def walk(self, node: _TrieNode, product, tau: tuple) -> None:
+        if node.coef is not None:
+            part = node.coef[0] if product is None else node.coef[0] * product
+            if tau in self.sums:
+                self.sums[tau] += part
+            else:
+                self.sums[tau] = np.array(np.broadcast_to(part, self.grid.shape[:-1]))
+        for (letter, order), child in node.children.items():
+            if letter.is_drift:
+                self.walk(child, product, tau + (0,))
+                continue
+            for g, factor in self.steps(letter, order):
+                self.walk(child, factor if product is None else product * factor,
+                          tau + (g,))
+
+    def integral(self, tau: tuple, g_values: list) -> np.ndarray:
+        """E_tau(t) = I[G_{tau_0} E_{tau[1:]}] on (n_t,) arrays: one
+        cumulative_trapezoid pass per distinct nonempty suffix."""
+        if not tau:
+            return np.ones(self.grid.n_t, dtype=np.complex128)
+        hit = self.integrals.get(tau)
+        if hit is None:
+            inner = self.integral(tau[1:], g_values)
+            g = g_values[tau[0]]
+            hit = self.integrals[tau] = cumulative_trapezoid(
+                inner if g is None else g * inner, self.grid.dt)
+        return hit
+
+    def field(self, root: _TrieNode) -> GridField:
+        """Walk the trie, then contract A and E by one matrix product
+        straight into grid layout."""
+        self.walk(root, None, ())
+        grid = self.grid
+        out = np.zeros(grid.shape, dtype=np.complex128)
+        if self.sums:
+            t_axis = (0,) * grid.dim
+            t = {f"theta_{grid.dim + 1}": grid.t_points}
+            g_values = [None] + [np.asarray(ex.evaluate(
+                ex.Poly(grid.dim + 1, {(t_axis + (e_t,), atoms): 1 + 0j}), t),
+                dtype=np.complex128) for e_t, atoms in list(self.letters)[1:]]
+            times = np.stack([self.integral(tau, g_values) for tau in self.sums])
+            weights = np.stack([a.reshape(-1) for a in self.sums.values()])
+            np.matmul(weights.T, times, out=out.reshape(-1, grid.n_t))
+        return GridField(grid, out)
+
+
+# The separable walk visits a trie edge once per choice of time monomial
+# along its prefix, and the contraction takes at most one matrix row per
+# visit, where the grid walk makes about one full-grid pass per edge.  A
+# matrix-product row costs a few percent of such a pass, so past this
+# many visits per edge (inputs with many time monomials on words with
+# several input letters: the visits grow as their power) the grid walk
+# is the cheaper one.
+_MAX_VISITS_PER_EDGE = 32
+
+
+def _visits(node: _TrieNode, groups) -> int:
+    """Edges a walk visits when each step is taken groups(step) ways."""
+    return sum(groups(step) * (1 + _visits(child, groups))
+               for step, child in node.children.items())
+
+
+def evaluate_series(c: GenSeries, u: Union[InputSignal, Binding],
+                    grid: Grid) -> GridField:
+    """Evaluate the input-output map of c: sum over words and operator
+    terms of coefficient(theta) times the decorated iterated integrals.
+
+    The terms are gathered in a trie of decorated words.  When every
+    input letter the series uses is bound to a symbolic signal with no
+    atom mixing theta and t, each signal is split once as
+    sum_g F_g(theta) G_g(t), and the walk carries the product of the
+    theta factors d^o F_g and the time word tau of the G_g (1 for drift):
+    y = sum_tau A_tau(theta) E_tau(t), with every E_tau a trapezoid pass
+    on a 1-D time array, shared along suffixes.  That walk takes an input
+    edge once per time monomial g of the prefix's choices, so it is used
+    only while it visits at most _MAX_VISITS_PER_EDGE times as many
+    edges as the trie has.  Otherwise (sampled or mixed signals, or that
+    many time words) each trie node with children sums its children's
+    time-leading integrands and integrates once, since
+    sum_w a_w E_{l w} = I[u_l sum_w a_w E_w] and I[f] + I[g] = I[f + g];
+    a signal derivative is computed once and released after its last
+    edge.  The coefficients are free of t and the trapezoid rule is
+    linear, so I[a(theta) b(t)] = a(theta) I[b](t) and both paths give
+    the same values up to rounding.  The result is an owned array in grid
+    layout."""
+    if grid.dim != c.dim:
+        raise EvaluationError(
+            f"grid dim {grid.dim} does not match series dim {c.dim}")
+    binding = _as_binding(u, c.alphabet)
+    needed = {l.index for w in c.coeffs for l in w.input_letters()}
+    missing = needed - set(binding)
+    if missing:
+        raise EvaluationError(
+            f"unbound input letters: {sorted('x%d' % i for i in missing)}")
+    root = _build_trie(c, grid)
+    splits = {binding[i]: _split(binding[i], grid.dim) for i in needed}
+    if all(split is not None for split in splits.values()):
+        def groups(step):
+            letter = step[0]
+            return 1 if letter.is_drift else len(splits[binding[letter.index]])
+
+        if _visits(root, groups) <= _MAX_VISITS_PER_EDGE * _visits(root, lambda _: 1):
+            return _Separable(binding, splits, grid).field(root)
+    derivatives = _Derivatives(binding, grid, root)
     total = _node_sum(root, derivatives, grid)
     return _to_grid(0j if total is None else total, grid)
 

@@ -110,6 +110,19 @@ def assert_ops_close(a, b, dim):
         assert_close(va, vb)
 
 
+class TestTimeAxis:
+    def test_t_is_the_last_axis(self):
+        with_t = ex.canonical(ex.parse("t^2*sin(theta_1) + cos(3*t)", 1), 2, t=True)
+        assert with_t == ex.canonical(
+            ex.parse("theta_2^2*sin(theta_1) + cos(3*theta_2)", 2), 2)
+
+    def test_theta_on_the_time_axis_is_refused(self):
+        with pytest.raises(ex.ExprError, match="not a parameter of dim 1"):
+            ex.canonical(ex.parse("theta_2*t", 2), 2, t=True)
+        with pytest.raises(ex.ExprError, match="not a parameter of dim 1"):
+            ex.canonical(ex.parse("t", 1), 1)
+
+
 class TestAlgebraLaws:
     @settings(max_examples=40, deadline=None)
     @given(st.data(), st.sampled_from([1, 2]))

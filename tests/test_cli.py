@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import os
@@ -9,6 +10,7 @@ import pytest
 from cfpde import cli
 from cfpde import diffop as do
 from cfpde import expr as ex
+from cfpde import iterint as ii
 from cfpde import pde
 from cfpde import series as se
 from cfpde.words import word
@@ -299,3 +301,66 @@ class TestTailBoundScope:
         assert run(["solve", "transport", "--V", "1", "--u", "t*sin(theta_1)",
                     "--N", "6", "--grid", "0:3:17,0:1:17", "--out", str(out)]) == 0
         assert len(calls) == 2
+
+
+class TestSeparableFallback:
+    def test_pole_in_time_factor_is_numeric_failure(self, tmp_path, capsys):
+        code = run(["solve", "transport", "--V", "1", "--u", "t^-1*sin(theta_1)",
+                    "--N", "4", "--grid", "0:1:9,0:1:9",
+                    "--out", str(tmp_path / "y.csv")])
+        assert code == 2
+        assert "zero raised to a negative power" in capsys.readouterr().err
+        assert not (tmp_path / "y.csv").exists()
+
+    def test_mixed_input_keeps_grid_trie_bytes(self, tmp_path):
+        """sin(theta_1 - t) mixes theta and t, so it takes the grid trie;
+        with multiplication-only coefficients that trie sees the same
+        samples whether the signal is symbolic or sampled, so the bytes
+        must match those of the sampled signal."""
+        theta = ex.var("theta_1")
+        c = se.series_from_coeffs(1, {
+            word("x1"): do.from_expr(ex.cos(theta), 1),
+            word("x0", "x1"): do.from_expr(theta, 1),
+            word("x1", "x0", "x1"): do.identity(1)})
+        path = write_series(tmp_path / "c.series", c)
+        out = tmp_path / "y.csv"
+        assert run(["eval", "--series", path, "--u", "sin(theta_1-t)",
+                    "--grid", "0:3:9,0:1:17", "--out", str(out)]) == 0
+        grid = ii.Grid.from_spec("0:3:9,0:1:17")
+        m = grid.meshes()
+        samples = np.broadcast_to(np.sin(m["theta_1"] - m["t"]), grid.shape)
+        field = ii.evaluate_series(
+            c, ii.InputSignal.sampled(ii.GridField(grid, samples)), grid)
+        buf = io.StringIO()
+        ii.write_csv(field, buf)
+        assert out.read_bytes() == buf.getvalue().encode()
+
+
+class TestCsvStreaming:
+    def field(self):
+        grid = ii.Grid(((-1.0, 0.5, 4), (0.0, 2.0, 3)), 0.7, 6)
+        rng = np.random.default_rng(11)
+        return ii.GridField(grid, rng.standard_normal(grid.shape)
+                            - 1j * rng.standard_normal(grid.shape))
+
+    def test_bytes_match_write_csv(self, tmp_path):
+        field = self.field()
+        cli._write_csv_atomic(str(tmp_path / "y.csv"), field)
+        buf = io.StringIO()
+        ii.write_csv(field, buf)
+        assert (tmp_path / "y.csv").read_bytes() == buf.getvalue().encode()
+
+    def test_failure_leaves_no_temporary_file(self, tmp_path, monkeypatch):
+        target = tmp_path / "y.csv"
+        target.write_text("old\n")
+        write_csv = ii.write_csv
+
+        def failing(field, fh):
+            write_csv(field, fh)
+            raise OSError("disk full")
+
+        monkeypatch.setattr(ii, "write_csv", failing)
+        with pytest.raises(OSError, match="disk full"):
+            cli._write_csv_atomic(str(target), self.field())
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["y.csv"]
+        assert target.read_text() == "old\n"

@@ -1,6 +1,7 @@
 import io
 import math
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -263,7 +264,7 @@ class TestEvaluateSeries:
             return integrate(f, dt)
 
         monkeypatch.setattr(ii, "cumulative_trapezoid", counted)
-        u = ii.InputSignal.symbolic(ex.parse("t*sin(2*theta_1)", 1))
+        u = ii.InputSignal.symbolic(ex.parse("t*sin(2*theta_1 + t)", 1))
         ii.evaluate_series(c, u, small_grid(n_theta=9, n_t=17))
         assert len(passes) == len(prefixes) == 25
         assert set(passes) == {(17, 9)}  # time-leading
@@ -383,7 +384,7 @@ class TestDerivativeHolding:
     def test_released_after_last_use(self, monkeypatch):
         made = self.spy(monkeypatch)
         c = pde.transport_series(pde.TransportSpec(V=1.0, y0=0, N=8))
-        u = ii.InputSignal.symbolic(ex.parse("t*sin(theta_1)", 1))
+        u = ii.InputSignal.symbolic(ex.parse("t*sin(theta_1 + t)", 1))
         field = ii.evaluate_series(c, u, small_grid())
         assert sorted(order for _, order, _, _ in made) == [(k,) for k in range(9)]
         assert max(alive for _, _, alive, _ in made) == 0
@@ -398,8 +399,93 @@ class TestDerivativeHolding:
             {X1: Letter(2)})
         p = se.shuffle_series(c, d)
         binding = {1: ii.InputSignal.symbolic(ex.parse("t*sin(theta_1)", 2)),
-                   2: ii.InputSignal.symbolic(ex.parse("t*cos(theta_2)", 2))}
+                   2: ii.InputSignal.symbolic(ex.parse("t*cos(theta_2 + t)", 2))}
         ii.evaluate_series(p, binding, GRID_2D)
         keys = [(id(signal), order) for signal, order, _, _ in made]
         assert len(keys) == len(set(keys)) > 4
         assert all(ref() is None for *_, ref in made)
+
+
+class TestSeparablePath:
+    """Inputs that are sums of theta-factor times t-factor terms integrate
+    on 1-D time arrays; mixed and sampled inputs take the grid trie."""
+
+    @staticmethod
+    def record_passes(passes):
+        integrate = ii.cumulative_trapezoid
+
+        def counted(f, dt):
+            passes.append(f.shape)
+            return integrate(f, dt)
+
+        return mock.patch.object(ii, "cumulative_trapezoid", counted)
+
+    def test_one_time_pass_per_time_word_suffix(self):
+        c = pde.transport_series(pde.TransportSpec(1.0, ex.parse("sin(theta_1)", 1), 24))
+        # u = t * sin(2 theta_1) has one time monomial, t; drift is 1
+        time_words = {tuple("1" if l.is_drift else "t" for l, _ in dw)
+                      for w, op in c.coeffs.items() for alpha, _ in op.sorted_terms()
+                      for _, dw in ii.expand_derivative(w, alpha)}
+        suffixes = {tau[k:] for tau in time_words for k in range(len(tau))}
+        passes = []
+        u = ii.InputSignal.symbolic(ex.parse("t*sin(2*theta_1)", 1))
+        with self.record_passes(passes):
+            ii.evaluate_series(c, u, small_grid(n_theta=9, n_t=17))
+        assert len(passes) == len(suffixes) == 49
+        assert set(passes) == {(17,)}
+
+    def test_no_grid_derivatives(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("grid derivative on the separable path")
+
+        monkeypatch.setattr(ii.InputSignal, "derivative_values", refuse)
+        monkeypatch.setattr(ex, "differentiate", refuse)
+        c = se.embed(pde.transport_series(pde.TransportSpec(V=1.0, y0=0, N=3)), 2, 0)
+        d = se.relabel_letters(
+            se.embed(pde.transport_series(pde.TransportSpec(V=0.5, y0=0, N=3)), 2, 1),
+            {X1: Letter(2)})
+        binding = {1: ii.InputSignal.symbolic(ex.parse("t*sin(theta_1)", 2)),
+                   2: ii.InputSignal.symbolic(ex.parse("t*cos(theta_2)", 2))}
+        out = ii.evaluate_series(se.shuffle_series(c, d), binding, GRID_2D)
+        assert np.all(np.isfinite(out.values)) and out.values.flags.owndata
+
+    @settings(max_examples=60, deadline=None)
+    @given(random_series_2d, st.floats(0.5, 3).map(lambda w: round(w, 3)))
+    def test_separable_matches_grid_path(self, c, w):
+        second = ii.InputSignal.symbolic(ex.parse("t*cos(theta_2) + theta_1", 2))
+        split = {1: ii.InputSignal.symbolic(ex.parse(
+                     f"sin({w}*theta_1)*cos(t) + cos({w}*theta_1)*sin(t)", 2)),
+                 2: second}
+        mixed = {1: ii.InputSignal.symbolic(ex.parse(f"sin({w}*theta_1 + t)", 2)),
+                 2: second}
+        sep_passes, grid_passes = [], []
+        with self.record_passes(sep_passes):
+            got = ii.evaluate_series(c, split, GRID_2D)
+        with self.record_passes(grid_passes):
+            want = ii.evaluate_series(c, mixed, GRID_2D)
+        assert all(shape == (GRID_2D.n_t,) for shape in sep_passes)
+        if any(l == X1 for w in c.coeffs for l in w.input_letters()):
+            assert all(len(shape) == 3 for shape in grid_passes)
+        _, scale = per_word_sum(c, mixed, GRID_2D)
+        assert np.max(np.abs(got.values - want.values)) <= 1e-13 * (1 + scale)
+
+    @pytest.mark.parametrize("text", ["sin(theta_1 - t)", "exp(theta_1*cos(t))"])
+    def test_mixed_atom_takes_grid_path(self, text):
+        passes = []
+        c = pde.transport_series(pde.TransportSpec(1.0, 0, 4))
+        with self.record_passes(passes):
+            ii.evaluate_series(c, ii.InputSignal.symbolic(ex.parse(text, 1)),
+                               small_grid(n_theta=9, n_t=17))
+        assert passes and set(passes) == {(17, 9)}
+
+    @pytest.mark.parametrize("k, ndim", [(1, 1), (4, 2)])
+    def test_walk_size_decides_for_many_time_monomials(self, k, ndim):
+        """(1+t)^8 has nine time monomials, so the separable walk over
+        x1^k visits 9 + 81 + ... + 9^k edges: fine for k = 1, but past
+        the grid walk's cost for k = 4 (6,560 visits for 4 edges)."""
+        c = se.series_from_coeffs(1, {Word((X1,) * k): do.identity(1)})
+        u = ii.InputSignal.symbolic(ex.parse("(1 + t)^8*sin(theta_1)", 1))
+        passes = []
+        with self.record_passes(passes):
+            ii.evaluate_series(c, u, small_grid(n_theta=9, n_t=17))
+        assert passes and {len(shape) for shape in passes} == {ndim}
