@@ -41,9 +41,10 @@ time last.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence, Union
+from typing import Mapping, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -63,6 +64,15 @@ class EvaluationError(Exception):
     pass
 
 
+def _check_spacing(length: float, n: int) -> None:
+    try:
+        spacing = length / (n - 1)
+    except OverflowError:  # n itself is beyond a float
+        spacing = 0.0
+    if not 0 < spacing < math.inf:
+        raise EvaluationError("grid spacing must be a positive finite float")
+
+
 @dataclass(frozen=True)
 class Grid:
     """Uniform rectangular grid on [a_k, b_k] x ... x [0, T]."""
@@ -77,10 +87,14 @@ class Grid:
                 raise EvaluationError("each theta axis needs at least 2 points")
             if not b > a:
                 raise EvaluationError("theta interval must have positive length")
+            if not math.isfinite(b - a):
+                raise EvaluationError("theta interval is too long for a float")
+            _check_spacing(b - a, n)
         if self.n_t < 2:
             raise EvaluationError("time axis needs at least 2 points")
         if not self.t_end > 0:
             raise EvaluationError("time horizon must be positive")
+        _check_spacing(self.t_end, self.n_t)
 
     @property
     def dim(self) -> int:
@@ -681,20 +695,224 @@ def chen_coefficients(n: int, u: Union[InputSignal, Binding], grid: Grid,
 
 # ---------------------------------------------------------------------------
 # export
+#
+# write_csv prints every value as format(x, ".17g") does.  For zeros and
+# for 2^-19 <= |x| < 2^53 it computes the digits in numpy, one block of
+# whole theta rows at a time: x = D * 10^(k-16) with k = floor(log10 |x|)
+# and D the 17-digit integer nearest to |x| * 10^(16-k), ties to even.
+#
+# * k comes exactly from the exponent bits: a binade [2^e, 2^(e+1)) holds
+#   at most one power of ten 10^j, and x steps to decade j when it is at
+#   least the double nearest 10^j.  That double is not below 10^j for
+#   j = -5..16 (1e-6 is, and stays out of the range).  p = 16 - k lies
+#   in [1, 22], so 10^p is an exact double.
+# * Dekker's two-product gives |x| * 10^p = prod + err exactly.  prod is
+#   an even integer (it is >= 10^16 > 2^53), so prod + rint(err) rounds
+#   the exact product half to even.  D never reaches 10^17: 17 digits
+#   tell adjacent doubles apart, so no double below 10^(k+1) rounds up
+#   to it.
+# * Each value gets a 48-byte cell that holds every character its text
+#   could need, and a mask, looked up by re/im, sign, decade and number
+#   of significant digits, keeps the ones it does need.  One boolean
+#   index over a block of lines then packs them.  Cell columns: 0-6 the
+#   separator, the sign and "0.", "0.0", ... right-justified; 7 the
+#   first digit; 8-23 the other sixteen; 27 '.'; 28-43 the sixteen
+#   again, for the digits after a '.'; 44-47 "e-05" or "e-06".  For the
+#   common |x| < 1 each value is one unbroken run of kept bytes, which
+#   is what keeps the packing fast.
+
+_K_MIN = -6  # decades k = -6..15 cover [2^-19, 2^53)
+_ZERO, _OTHER, _CODES = 22, 23, 24  # codes: k - _K_MIN, zero, format()
+_CELL, _FIRST, _DOT = 48, 7, 27
+_CSV_BLOCK = 2048  # values per block, rounded down to whole theta rows
+
+
+def _two_split(a):
+    """Veltkamp's split a = hi + lo into halves of 26 bits."""
+    c = 134217729.0 * a
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+class _CsvTables(NamedTuple):
+    binade_code: np.ndarray  # by sign and exponent bits: the binade's code
+    binade_step: np.ndarray  # double nearest a power of ten inside it, or nan
+    scale: np.ndarray  # by code: 10^(16-k) and its two halves
+    scale_hi: np.ndarray
+    scale_lo: np.ndarray
+    is_other: np.ndarray
+    lead: np.ndarray  # by code and re/im: cell bytes 0-7 (uint64)
+    exponent: np.ndarray  # cell bytes 44-47 (uint32)
+    mask: np.ndarray  # by code, re/im and significant digits: a V48 mask
+    digits4: np.ndarray  # "0000".."9999" as uint32
+    zeros4: np.ndarray  # trailing zeros of 0..9999, 4 for 0
+
+
+@functools.cache
+def _csv_tables() -> _CsvTables:
+    """Built on first use, so that a process that writes no CSV never
+    holds them."""
+    code = np.full(2048, _OTHER, dtype=np.intp)
+    step = np.full(2048, np.nan)  # nan never compares true
+    code[0], step[0] = _ZERO, 5e-324  # zero; subnormals step to _OTHER
+    decades = {k: float(f"1e{k}") for k in range(_K_MIN, 17)}
+    for e in range(1023 - 19, 1023 + 53):
+        low = 2.0 ** (e - 1023)
+        k = max(j for j, d in decades.items() if d <= low)
+        code[e] = k - _K_MIN
+        if decades[k + 1] < 2 * low:
+            step[e] = decades[k + 1]
+    scale = np.tile([float(10 ** (16 - k)) for k in range(_K_MIN, 16)] + [1.0, 1.0], 2)
+
+    heads, masks = bytearray(), bytearray()
+    for im, neg, c in np.ndindex(2, 2, _CODES):
+        k = c + _K_MIN
+        lead = b"," * im + b"-" * neg
+        if c == _ZERO:
+            lead += b"0"
+        elif -4 <= k < 0:
+            lead += b"0." + b"0" * (-k - 1)
+        heads += lead.rjust(_FIRST, b"\0") + b"\0"
+        for s in range(18):
+            runs = [(_FIRST - len(lead), _FIRST)]
+            if -4 <= k < 0:  # 0.00ddd
+                runs.append((_FIRST, _FIRST + s))
+            elif k < -4:  # d.ddde-0k
+                runs += [(_FIRST, _FIRST + 1), (_DOT, _DOT + s * (s > 1)), (44, 48)]
+            elif c < _ZERO:  # ddd.ddd
+                runs.append((_FIRST, _FIRST + k + 1))
+                if s > k + 1:
+                    runs += [(_DOT, _DOT + 1), (_DOT + k + 1, _DOT + s)]
+            row = bytearray(_CELL)
+            for lo, hi in runs:
+                row[lo:hi] = b"\1" * (hi - lo)
+            masks += row
+    exponents = [b"e-06" if c % _CODES == 0 else b"e-05" for c in range(4 * _CODES)]
+    q = np.arange(10000)
+    digits4 = np.empty((10000, 4), dtype=np.uint8)
+    zeros4 = np.zeros(10000, dtype=np.intp)
+    for j in range(4):
+        q, digit = np.divmod(q, 10)
+        digits4[:, 3 - j] = digit + ord("0")
+        zeros4 += (zeros4 == j) & (digit == 0)
+    return _CsvTables(
+        np.concatenate([code, code + _CODES]), np.concatenate([step, step]),
+        scale, *_two_split(scale), np.arange(2 * _CODES) % _CODES == _OTHER,
+        np.frombuffer(heads, dtype=np.uint64),
+        np.frombuffer(b"".join(exponents), dtype=np.uint32),
+        np.frombuffer(masks, dtype=f"V{_CELL}"),
+        digits4.view(np.uint32)[:, 0], zeros4)
+
+
+_IM = np.array([0, 2 * _CODES])
+
+
+def _format_block(x: np.ndarray, cells: np.ndarray, mask: np.ndarray,
+                  groups: np.ndarray) -> None:
+    """Fill the (n, 2, 48) cells and masks of the (n, 2) re/im values x;
+    groups is a work buffer for 8n integers."""
+    t = _csv_tables()
+    ax = np.abs(x)
+    top = x.view(np.uint64) >> 52
+    code = t.binade_code.take(top)
+    code += ax >= t.binade_step.take(top)
+    other = t.is_other.take(code)
+    if other.any():
+        ax[other] = 1.0
+    prod = ax * t.scale.take(code)
+    a_hi, a_lo = _two_split(ax)
+    s_hi, s_lo = t.scale_hi.take(code), t.scale_lo.take(code)
+    err = ((a_hi * s_hi - prod) + a_hi * s_lo + a_lo * s_hi) + a_lo * s_lo
+    big = prod.astype(np.int64)
+    big += np.rint(err).astype(np.int64)
+    first, rest = np.divmod(big, 10 ** 16)
+    hi, lo = np.divmod(rest, 10 ** 8)
+    g = groups[:4 * x.size].reshape(x.shape + (4,))
+    np.divmod(hi, 10 ** 4, out=(g[..., 0], g[..., 1]))
+    np.divmod(lo, 10 ** 4, out=(g[..., 2], g[..., 3]))
+    rest16 = t.digits4.take(g).view("V16")[..., 0]
+    cells[..., _FIRST + 1:_FIRST + 17].view("V16")[..., 0] = rest16
+    cells[..., _DOT + 1:_DOT + 17].view("V16")[..., 0] = rest16
+    code += _IM
+    cells[..., :8].view(np.uint64)[..., 0] = t.lead.take(code)
+    np.add(first, ord("0"), out=cells[..., _FIRST], casting="unsafe")
+    cells[..., 44:].view(np.uint32)[..., 0] = t.exponent.take(code)
+    zeros = t.zeros4.take(g)
+    trailing = zeros[..., 0]
+    for j in (1, 2, 3):  # a group of four zeros passes the count on
+        trailing = zeros[..., j] + (zeros[..., j] >> 2) * trailing
+    code *= 18
+    code += 17 - trailing
+    mask.view(f"V{_CELL}")[..., 0] = t.mask.take(code)
+    if other.any():
+        for i, j in zip(*np.nonzero(other)):
+            text = b"," * j + format(float(x[i, j]), ".17g").encode()
+            cells[i, j, :len(text)] = np.frombuffer(text, dtype=np.uint8)
+            mask[i, j] = False
+            mask[i, j, :len(text)] = True
+
+
+def _text_columns(strings: list[str], lead: bytes, right: bool,
+                  width: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """lead + s + ',' for each string, justified in a common width of at
+    least width, with its mask."""
+    texts = [lead + s.encode() + b"," for s in strings]
+    width = max(width, *map(len, texts))
+    padded = [t.rjust(width, b"\0") if right else t.ljust(width, b"\0")
+              for t in texts]
+    chars = np.frombuffer(b"".join(padded), dtype=np.uint8).reshape(-1, width)
+    return chars, chars != 0
+
 
 def write_csv(field: GridField, fh) -> None:
-    """theta coordinates, t, re, im; theta-outer / t-inner row order,
-    17 significant digits."""
+    """theta coordinates, t, re, im; theta-outer / t-inner row order.
+
+    Every number is printed as format(x, ".17g") prints it, byte for
+    byte: the correctly rounded 17-significant-digit decimal (exact ties
+    to even) without trailing zeros, in exponent form below 1e-4.  Zeros
+    and values with 2^-19 <= |x| < 2^53 are formatted in numpy; all
+    others (smaller or larger magnitudes, subnormals, inf, nan) and the
+    coordinates go through format() one at a time."""
     grid = field.grid
-    names = [f"theta_{k + 1}" for k in range(grid.dim)]
-    fh.write(",".join(names + ["t", "re", "im"]) + "\n")
-    axes = [[f"{x:.17g}" for x in grid.theta_points(k).tolist()]
-            for k in range(grid.dim)]
-    t = [f"{x:.17g}" for x in grid.t_points.tolist()]
-    flat = field.values.reshape(-1, grid.n_t)
+    nt = grid.n_t
     theta_shape = tuple(n for _, _, n in grid.theta_axes)
-    for row, idx in enumerate(np.ndindex(theta_shape)):
-        prefix = ",".join([axes[k][i] for k, i in enumerate(idx)])
-        values = flat[row]
-        fh.write("".join([f"{prefix},{tj},{re:.17g},{im:.17g}\n" for tj, re, im
-                          in zip(t, values.real.tolist(), values.imag.tolist())]))
+    n_rows = math.prod(theta_shape)
+    # each line starts with the newline that ends the one before it
+    fh.write(",".join([f"theta_{k + 1}" for k in range(grid.dim)] + ["t", "re", "im"]))
+    columns = [_text_columns([f"{x:.17g}" for x in grid.theta_points(k).tolist()],
+                             b"" if k else b"\n", right=not k)
+               for k in range(grid.dim)]
+    t_width = 25  # the longest ".17g" text of a double, and ','
+    edges = np.cumsum([0] + [chars.shape[1] for chars, _ in columns] + [t_width]).tolist()
+    head = -(-edges[-1] // 8) * 8  # cells start on 8-byte boundaries
+    # a block is `rows` whole theta rows, or `span` time points of one
+    # row when a row alone holds more than a block
+    span = min(nt, _CSV_BLOCK // 2)
+    rows = max(1, _CSV_BLOCK // (2 * nt))
+    text = np.zeros((rows, span, head + 2 * _CELL), dtype=np.uint8)
+    keep = np.zeros(text.shape, dtype=bool)
+    cells = text[:, :, head:].reshape(rows * span, 2, _CELL)
+    cells[..., _DOT] = ord(".")
+    cell_keep = keep[:, :, head:].reshape(rows * span, 2, _CELL)
+    groups = np.empty(8 * rows * span, dtype=np.int64)
+    values = field.values.reshape(n_rows, nt)
+    t_points = grid.t_points
+    t_cols = slice(edges[-2], edges[-1])
+    for r0 in range(0, n_rows, rows):
+        m = min(rows, n_rows - r0)
+        index = np.unravel_index(np.arange(r0, r0 + m), theta_shape)
+        for k, (chars, chars_keep) in enumerate(columns):
+            text[:m, :, edges[k]:edges[k + 1]] = chars[index[k]][:, None]
+            keep[:m, :, edges[k]:edges[k + 1]] = chars_keep[index[k]][:, None]
+        for c0 in range(0, nt, span):
+            n = min(span, nt - c0)
+            if r0 == 0 or span < nt:  # the time column changes only between spans
+                text[:m, :n, t_cols], keep[:m, :n, t_cols] = _text_columns(
+                    [f"{x:.17g}" for x in t_points[c0:c0 + n].tolist()], b"",
+                    right=False, width=t_width)
+            x = np.ascontiguousarray(values[r0:r0 + m, c0:c0 + n])
+            _format_block(x.view(np.float64).reshape(m * n, 2), cells[:m * n],
+                          cell_keep[:m * n], groups)
+            packed = text[:m, :n].reshape(-1)[keep[:m, :n].reshape(-1)]
+            fh.write(packed.tobytes().decode("ascii"))
+    fh.write("\n")

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import stat
+import warnings
 
 import numpy as np
 import pytest
@@ -248,6 +249,18 @@ class TestArgumentValidation:
         err = capsys.readouterr().err
         assert err.startswith("error: bad --grid") and err.count("\n") == 1
 
+    def test_overflowing_grid_length_exits_one(self, tmp_path, capsys):
+        """Both bounds are finite but b - a is inf: one line, no numpy
+        warnings, no numeric failure."""
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run(["solve", "transport", "--V", "1", "--u", "t", "--N", "2",
+                        "--grid=-1e308:1e308:5,0:1:5", "--out", str(tmp_path / "y.csv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad --grid") and err.count("\n") == 1
+        assert caught == []
+        assert not (tmp_path / "y.csv").exists()
 
     def test_unknown_subcommand_exits_one(self, capsys):
         assert run(["frobnicate"]) == 1

@@ -1,11 +1,13 @@
 import io
 import math
+import tracemalloc
 import weakref
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cfpde import diffop as do
@@ -326,6 +328,44 @@ class TestGridAndCsv:
         with pytest.raises(ii.EvaluationError, match="start at 0"):
             ii.Grid.from_spec("0:1:9,1:2:9")
 
+    @pytest.mark.parametrize("spec", ["-1e308:1e308:5,0:1:5", "0:1:5,-1e308:1e308:5,0:1:5"])
+    def test_grid_spec_overflowing_length(self, spec):
+        with pytest.raises(ii.EvaluationError, match="too long for a float"):
+            ii.Grid.from_spec(spec)
+
+    @pytest.mark.parametrize("spec", ["0:5e-324:3,0:1:5", "0:1:5,0:5e-324:3",
+                                      "0:1:5,0:1:1" + "0" * 400])
+    def test_grid_spec_spacing_must_be_positive_float(self, spec):
+        with pytest.raises(ii.EvaluationError, match="spacing"):
+            ii.Grid.from_spec(spec)
+
+    bound = st.one_of(
+        st.sampled_from(["0", "-0", "1", "-1", "0.25", "1e308", "-1e308", "5e-324", "nan",
+                         "-inf", "1_0", " 2 ", "0x1"]),
+        st.floats().map(repr), st.text(max_size=3))
+    count = st.one_of(
+        st.sampled_from(["2", "5", "1", "0", "-3", "2.5", "1e3", "", "9" * 400]),
+        st.integers(-3, 10 ** 30).map(str), st.text(max_size=3))
+    axis = st.tuples(bound, bound, count).map(":".join)
+    spec = st.one_of(st.lists(axis, min_size=1, max_size=4).map(",".join), st.text(max_size=30))
+
+    @settings(max_examples=400, deadline=None)
+    @given(spec)
+    @example("-1e308:1e308:5,0:1:5")
+    @example("0:1:5,0:1:" + "9" * 400)
+    @example("0:5e-324:3,0:1:5")
+    @example("0:1:5,0:1:99999999999999999999")  # parses; no array may be built
+    def test_grid_spec_fuzz(self, spec):
+        """Any text gives a grid with finite positive spacings or an
+        EvaluationError.  No array is built: n may be huge."""
+        try:
+            g = ii.Grid.from_spec(spec)
+        except ii.EvaluationError:
+            return
+        for k in range(g.dim):
+            assert 0 < g.theta_spacing(k) < math.inf
+        assert 0 < g.dt < math.inf
+
     def test_csv_layout(self):
         g = ii.Grid(((0.0, 1.0, 2),), 1.0, 2)
         f = ii.GridField(g, np.array([[1 + 2j, 3.0], [0.25, -1.5]]))
@@ -363,19 +403,155 @@ class TestGridAndCsv:
         assert "0.33333333333333331" in buf.getvalue()
 
 
+def per_cell_csv(field):
+    """The CSV with every number printed by format(x, ".17g") one at a
+    time: the reference for write_csv."""
+    grid = field.grid
+    lines = [",".join([f"theta_{k + 1}" for k in range(grid.dim)] + ["t", "re", "im"])]
+    axes = [grid.theta_points(k).tolist() for k in range(grid.dim)]
+    t = grid.t_points.tolist()
+    rows = field.values.reshape(-1, grid.n_t)
+    for row, idx in enumerate(np.ndindex(tuple(map(len, axes)))):
+        prefix = ",".join(f"{axes[k][i]:.17g}" for k, i in enumerate(idx))
+        for tj, v in zip(t, rows[row].tolist()):
+            lines.append(f"{prefix},{tj:.17g},{v.real:.17g},{v.imag:.17g}")
+    return "\n".join(lines) + "\n"
+
+
+def assert_printed_as_format(floats):
+    """write_csv prints each of the floats, placed in the re and im
+    columns of a small field, exactly as format() does."""
+    floats = np.asarray(floats, dtype=np.float64).ravel()
+    n_t = max(2, -(-floats.size // 4))
+    parts = np.zeros(4 * n_t)
+    parts[:floats.size] = floats
+    field = ii.GridField(ii.Grid(((0.0, 1.0, 2),), 1.0, n_t),
+                         parts.view(np.complex128).reshape(2, n_t))
+    buf = io.StringIO()
+    ii.write_csv(field, buf)
+    got, want = buf.getvalue().splitlines(), per_cell_csv(field).splitlines()
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g == w
+
+
+def exact_ties():
+    """Doubles x with x * 10^p = D + 1/2 for a 17-digit D, for every p the
+    fast path uses: x = q / 2^(p+1) with q odd and 5^p q = 2D + 1."""
+    out = [131073 / 131072]
+    for p in range(1, 23):
+        low = -(-(2 * 10 ** 16 + 1) // 5 ** p) | 1
+        high = min((2 * 10 ** 17 - 1) // 5 ** p, 2 ** 53 - 1)
+        for q in {low, low + 2, (low + high) // 2 | 1, high - 1 + high % 2}:
+            x = q / 2 ** (p + 1)
+            scaled = Fraction(x) * 10 ** p
+            assert scaled.denominator == 2 and 10 ** 16 <= scaled < 10 ** 17
+            out += [x, -x]
+    return out
+
+
+def boundary_values():
+    """Powers of ten and the doubles next to them, the ends of the fast
+    path's range, and the values left to format()."""
+    out = []
+    for v in [float(f"1e{j}") for j in range(-8, 18)] + [2.0 ** -19, 2.0 ** 53]:
+        below = math.nextafter(v, 0)
+        above = math.nextafter(v, math.inf)
+        for x in (v, below, math.nextafter(below, 0), above, math.nextafter(above, math.inf)):
+            out += [x, -x]
+    tiny = np.finfo(np.float64).smallest_subnormal
+    out += [0.0, -0.0, tiny, -tiny, 2.2250738585072009e-308, 2.2250738585072014e-308,
+            np.finfo(np.float64).max, -np.finfo(np.float64).max, math.inf, -math.inf,
+            math.nan, math.copysign(math.nan, -1.0), 1 / 3, 2 / 3, 0.1, 0.5, 1e-5, 123456.789]
+    return out
+
+
+def float_bits(sign, exponent, mantissa):
+    return np.array(sign << 63 | exponent << 52 | mantissa, dtype=np.uint64).view(np.float64)
+
+
+class TestCsvDigits:
+    """write_csv computes 17-digit decimals in numpy; they must be the
+    bytes format(x, ".17g") gives."""
+
+    def test_exact_ties_round_half_to_even(self):
+        assert_printed_as_format(exact_ties())
+
+    def test_boundaries_and_special_values(self):
+        assert_printed_as_format(boundary_values())
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=40))
+    def test_any_bit_pattern(self, bits):
+        assert_printed_as_format(np.array(bits, dtype=np.uint64).view(np.float64))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 1), st.integers(1000, 1080),
+                              st.integers(0, 2 ** 52 - 1)), min_size=1, max_size=40))
+    def test_bit_patterns_near_the_fast_range(self, parts):
+        """Exponents of 2^-23 to 2^57: the range the numpy digits cover and
+        a few binades either side."""
+        assert_printed_as_format([float_bits(*p) for p in parts])
+
+    @pytest.mark.parametrize("theta_axes, n_t", [
+        (((-1.0, 0.3, 7), (-0.7, -0.1, 9)), 65),  # several theta rows per block
+        (((0.0, 2.0, 3),), 1500),                 # each row split in two blocks
+    ])
+    def test_blocks_match_per_cell_formatting(self, theta_axes, n_t):
+        g = ii.Grid(theta_axes, 0.9, n_t)
+        n_rows = math.prod(n for *_, n in theta_axes)
+        assert n_rows * n_t > ii._CSV_BLOCK  # more than one block
+        rng = np.random.default_rng(5)
+        scale = 10.0 ** rng.uniform(-9, 18, g.shape)
+        values = (rng.standard_normal(g.shape) * scale
+                  + 1j * rng.standard_normal(g.shape) / scale)
+        flat = values.reshape(-1)
+        flat[::97] = 0.0
+        flat[5::89] = complex(-0.0, math.nan)
+        flat[11::83] = complex(math.inf, -0.0)
+        buf = io.StringIO()
+        ii.write_csv(ii.GridField(g, values), buf)
+        assert buf.getvalue() == per_cell_csv(ii.GridField(g, values))
+
+    def test_long_time_axis_is_written_in_spans(self):
+        """A row longer than a block is cut into spans of time points, so
+        the memory the writer holds does not grow with n_t."""
+        class Sink:
+            size = 0
+
+            def write(self, text):
+                self.size += len(text)
+
+        ii.write_csv(ii.GridField(small_grid(3, 3), np.ones((3, 3))), Sink())  # tables
+        g = ii.Grid(((0.0, 1.0, 2),), 1.0, 100_001)
+        field = ii.GridField(g, np.broadcast_to(np.sin(np.arange(g.n_t)), g.shape))
+        sink = Sink()
+        tracemalloc.start()
+        try:
+            ii.write_csv(field, sink)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sink.size > 8_000_000 and peak < sink.size / 4
+
+
 class TestDerivativeHolding:
     """evaluate_series holds a signal derivative only while an unvisited
     trie edge still needs it, and computes each one once."""
 
     @staticmethod
     def spy(monkeypatch):
-        made = []  # (signal, order, arrays alive before this call, weakref)
+        made = []  # (signal, order, arrays alive before this call, weakref
+        #           to the array that owns the samples' memory)
         original = ii.InputSignal.derivative_values
 
         def derivative_values(self, grid, order):
             alive = sum(ref() is not None for *_, ref in made)
             values = original(self, grid, order)
-            made.append((self, tuple(order), alive, weakref.ref(values)))
+            owner = values  # views of it keep this alive, not values itself
+            while owner.base is not None:
+                owner = owner.base
+            made.append((self, tuple(order), alive, weakref.ref(owner)))
             return values
 
         monkeypatch.setattr(ii.InputSignal, "derivative_values", derivative_values)
