@@ -18,7 +18,10 @@ bound when one is available.  Files are written atomically and with a
 fixed serialization order, so identical jobs produce identical bytes.
 
 Exit codes: 1 for validation failures, 2 for numeric failures (NaN or
-infinity in an output).
+infinity in an output, or memory exhausted).
+
+Each subcommand imports only the modules it runs: ``algebra`` never
+loads numpy, ``iterint``, ``bounds`` or ``pde``.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -33,13 +37,8 @@ import sys
 import tempfile
 import time
 
-import numpy as np
-
-from . import bounds as bd
 from . import diffop as do
 from . import expr as ex
-from . import iterint as ii
-from . import pde
 from . import series as se
 from .words import parse_word
 
@@ -89,6 +88,7 @@ def _write_atomic(path: str, data: str) -> None:
 def _write_csv_atomic(path: str, field: ii.GridField) -> None:
     """Stream the CSV rows into the temporary file, never the whole text
     in memory."""
+    from . import iterint as ii
     with _atomic_file(path) as fh:
         ii.write_csv(field, fh)
 
@@ -106,6 +106,7 @@ def _report(path: str, command: str, params: dict, truncation, bound,
 
 
 def _check_finite(field: ii.GridField) -> None:
+    import numpy as np
     if not np.all(np.isfinite(field.values)):
         raise NumericFailure("output field contains NaN or infinity")
 
@@ -118,6 +119,7 @@ def _parse_expr_arg(text: str, dim: int, what: str) -> ex.Expr:
 
 
 def _binding_from_args(args, dim: int):
+    from . import iterint as ii
     binding = {}
     if args.u is not None:
         return ii.InputSignal.symbolic(_parse_expr_arg(args.u, dim, "input"))
@@ -136,6 +138,7 @@ def _binding_from_args(args, dim: int):
 
 
 def _grid_from_arg(text: str) -> ii.Grid:
+    from . import iterint as ii
     try:
         return ii.Grid.from_spec(text)
     except ii.EvaluationError as e:
@@ -145,6 +148,8 @@ def _grid_from_arg(text: str) -> ii.Grid:
 def _transport_bound(series_obj, u_signal, grid, n):
     """Gevrey tail certificate from fitted constants, when the fit lands
     in the sub-factorial regime; null otherwise."""
+    from . import bounds as bd
+    from . import iterint as ii
     if grid.dim != 1 or not isinstance(u_signal, ii.InputSignal) \
             or not u_signal.is_symbolic:
         return None
@@ -173,7 +178,24 @@ def _transport_bound(series_obj, u_signal, grid, n):
         return None
 
 
+def _evaluation_errors(handler):
+    """Wrap a handler that imports iterint: an EvaluationError that
+    reaches it exits 1 with the message main() gives the other model
+    errors, so that main() itself need not import iterint."""
+    @functools.wraps(handler)
+    def run(args, command: str, started: float) -> int:
+        from . import iterint as ii
+        try:
+            return handler(args, command, started)
+        except ii.EvaluationError as e:
+            raise CliError(f"{type(e).__name__}: {e}") from e
+    return run
+
+
+@_evaluation_errors
 def _cmd_solve(args, command: str, started: float) -> int:
+    from . import iterint as ii
+    from . import pde
     grid = _grid_from_arg(args.grid)
     if grid.dim != 1:
         raise CliError("solvers are one-parameter; pass one theta axis")
@@ -211,7 +233,9 @@ def _cmd_solve(args, command: str, started: float) -> int:
     return 0
 
 
+@_evaluation_errors
 def _cmd_eval(args, command: str, started: float) -> int:
+    from . import iterint as ii
     grid = _grid_from_arg(args.grid)
     try:
         series_obj = se.load_series(args.series)
@@ -277,7 +301,10 @@ def _cmd_algebra(args, command: str, started: float) -> int:
     return 0
 
 
+@_evaluation_errors
 def _cmd_bounds(args, command: str, started: float) -> int:
+    from . import bounds as bd
+    from . import iterint as ii
     if args.kind == "check":
         try:
             g = bd.GrowthData(args.K_alpha, args.M, args.K_u, args.R,
@@ -370,8 +397,10 @@ def build_parser() -> _Parser:
             sp.add_argument("--alpha2", required=True)
             sp.add_argument("--y0", default="0")
             sp.add_argument("--y1", default="0")
+            # the values of pde.SecondOrderForm, spelled out so that
+            # building the parser does not import pde
             sp.add_argument("--form", default="direct",
-                            choices=[f.value for f in pde.SecondOrderForm])
+                            choices=("direct", "cascade", "partial-fraction"))
         sp.add_argument("--u", default=None)
         sp.add_argument("--bind", action="append", default=None,
                         metavar="K=EXPR")
@@ -463,8 +492,11 @@ def main(argv=None) -> int:
     except (NumericFailure, ex.PoleError) as e:
         print(f"numeric failure: {e}", file=sys.stderr)
         return 2
-    except (se.SeriesError, do.DiffOpError, ex.ExprError,
-            ii.EvaluationError) as e:
+    except MemoryError as e:
+        detail = f": {e}" if str(e) else ""
+        print(f"numeric failure: out of memory{detail}", file=sys.stderr)
+        return 2
+    except (se.SeriesError, do.DiffOpError, ex.ExprError) as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 1
 

@@ -26,8 +26,6 @@ import sys
 from dataclasses import dataclass
 from typing import Mapping, Union
 
-import numpy as np
-
 __all__ = [
     "Expr", "Const", "Var", "Add", "Mul", "Pow", "Neg", "Sin", "Cos", "Exp",
     "ExprError", "ParseError", "EvalError", "PoleError",
@@ -44,6 +42,9 @@ _ROUNDOFF = 8 * sys.float_info.epsilon
 # is at most this multiple of the other part's magnitude (rounding noise
 # of the other part), whatever the scale of the constant.
 _DISPLAY_REL = 8 * sys.float_info.epsilon
+# Values that evaluate without numpy; anything else may be an array.
+_SCALARS = (int, float, complex)
+_CMATH = {"sin": cmath.sin, "cos": cmath.cos, "exp": cmath.exp}
 
 
 class ExprError(Exception):
@@ -322,28 +323,39 @@ def intpow(base, exponent: int) -> Expr:
     if isinstance(base, Const):
         if base.value == 0 and exponent < 0:
             raise PoleError("zero raised to a negative power")
-        return Const(base.value ** exponent)
+        return _fold(pow, base.value, exponent)
     return Pow(base, exponent)
+
+
+def _fold(fn, *args) -> Const:
+    """Const(fn(*args)) for constant folding; a value out of the range of
+    a complex double (OverflowError, or cmath's ValueError at infinity)
+    is an ExprError."""
+    try:
+        return Const(fn(*args))
+    except (OverflowError, ValueError) as e:
+        text = ", ".join(_fmt_const(complex(a)) for a in args)
+        raise ExprError(f"constant {fn.__name__}({text}) is out of range: {e}") from None
 
 
 def sin(e) -> Expr:
     e = as_expr(e)
     if isinstance(e, Const):
-        return Const(cmath.sin(e.value))
+        return _fold(cmath.sin, e.value)
     return Sin(e)
 
 
 def cos(e) -> Expr:
     e = as_expr(e)
     if isinstance(e, Const):
-        return Const(cmath.cos(e.value))
+        return _fold(cmath.cos, e.value)
     return Cos(e)
 
 
 def exp(e) -> Expr:
     e = as_expr(e)
     if isinstance(e, Const):
-        return Const(cmath.exp(e.value))
+        return _fold(cmath.exp, e.value)
     return Exp(e)
 
 
@@ -456,17 +468,23 @@ def _lookup(bindings: Mapping[str, object], name: str):
         v = bindings[name]
     except KeyError:
         raise EvalError(f"unbound variable {name!r}") from None
-    if isinstance(v, np.ndarray):
-        return v.astype(np.complex128, copy=False)
+    if not isinstance(v, _SCALARS):
+        import numpy as np
+        if isinstance(v, np.ndarray):
+            return v.astype(np.complex128, copy=False)
     return complex(v)
 
 
 def _int_power(b, k: int):
     """b**k for an integer k; binary powering for scalars."""
-    if k < 0 and np.any(b == 0):
+    if not isinstance(b, _SCALARS):
+        import numpy as np
+        if isinstance(b, np.ndarray):
+            if k < 0 and np.any(b == 0):
+                raise PoleError("zero raised to a negative power")
+            return b ** k
+    if k < 0 and b == 0:
         raise PoleError("zero raised to a negative power")
-    if isinstance(b, np.ndarray):
-        return b ** k
     out = 1 + 0j
     n = abs(k)
     while n:
@@ -477,13 +495,12 @@ def _int_power(b, k: int):
     return out if k >= 0 else 1 / out
 
 
-_FUNCS_NUMERIC = {"sin": (np.sin, cmath.sin), "cos": (np.cos, cmath.cos),
-                  "exp": (np.exp, cmath.exp)}
-
-
 def _func_value(name: str, v):
-    array_fn, scalar_fn = _FUNCS_NUMERIC[name]
-    return array_fn(v) if isinstance(v, np.ndarray) else scalar_fn(v)
+    if not isinstance(v, _SCALARS):
+        import numpy as np
+        if isinstance(v, np.ndarray):
+            return getattr(np, name)(v)
+    return _CMATH[name](v)
 
 
 def _poly_evaluate(p: Poly, bindings):
@@ -640,7 +657,7 @@ def canonical(e, dim: int, t: bool = False) -> Poly:
             name = type(e).__name__.lower()
             value = p.constant()
             if value is not None:
-                return _const_poly(_FUNCS_NUMERIC[name][1](value), dim)
+                return _const_poly(_fold(_CMATH[name], value).value, dim)
             return Poly(dim, {((0,) * dim, ((name, p, 1),)): 1 + 0j})
     raise ExprError(f"unknown node {e!r}")
 
@@ -797,14 +814,18 @@ class _Parser:
             kind, value, pos = self.next()
         if kind != "number" or not re.fullmatch(r"\d+", value):
             raise ParseError("expected an integer exponent", pos)
-        return sign * int(value)
+        try:
+            return sign * int(value)
+        except ValueError:  # past sys.get_int_max_str_digits()
+            raise ParseError("exponent exceeds the supported range", pos) from None
 
     def atom(self) -> Expr:
         kind, value, pos = self.next()
         if kind == "number":
-            if value.endswith("i"):
-                return Const(complex(0, float(value[:-1])))
-            return Const(complex(float(value)))
+            x = float(value.rstrip("i"))
+            if cmath.isinf(x):
+                raise ParseError(f"number {value} is out of range", pos)
+            return Const(complex(0, x) if value.endswith("i") else complex(x))
         if kind == "ident":
             if value in _FUNCS:
                 self.expect_op("(")
@@ -832,14 +853,17 @@ def parse(text: str, dim: int) -> Expr:
     """Parse an expression over t and theta_1..theta_dim."""
     if dim < 1:
         raise ExprError("dim must be a positive integer")
-    return _Parser(text, dim).parse()
+    try:
+        return _Parser(text, dim).parse()
+    except RecursionError:
+        raise ExprError("expression nests too deeply") from None
 
 
 # ---------------------------------------------------------------------------
 # printing
 
 def _fmt_real(x: float) -> str:
-    if x == int(x) and abs(x) < 1e15:
+    if abs(x) < 1e15 and x == int(x):  # int() refuses inf and nan
         return str(int(x))
     return repr(x)
 

@@ -95,6 +95,12 @@ class Grid:
         if not self.t_end > 0:
             raise EvaluationError("time horizon must be positive")
         _check_spacing(self.t_end, self.n_t)
+        # numpy's own ceiling on one array: its byte count must fit in intp
+        points = math.prod(self.shape)
+        if points * np.dtype(np.complex128).itemsize > np.iinfo(np.intp).max:
+            raise EvaluationError(
+                f"grid has {points} points, more complex values than one "
+                "numpy array can hold")
 
     @property
     def dim(self) -> int:

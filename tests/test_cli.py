@@ -1,8 +1,11 @@
+import argparse
 import io
 import json
 import math
 import os
 import stat
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -268,6 +271,128 @@ class TestArgumentValidation:
     def test_missing_required_flag_exits_one(self, capsys):
         assert run(["solve", "transport", "--u", "t", "--N", "4",
                     "--grid", GRID]) == 1
+
+
+class TestNumericLimits:
+    @pytest.mark.parametrize("flag, value, what", [
+        ("--u", "2^99999999", "input"), ("--y0", "1e999*theta_1", "--y0")])
+    def test_constant_overflow_exits_one(self, tmp_path, capsys, flag, value, what):
+        argv = {"--V": "1", "--u": "t", "--y0": "0", flag: value}
+        code = run(["solve", "transport", *(x for kv in argv.items() for x in kv),
+                    "--N", "2", "--grid", "0:1:5,0:1:5", "--out", str(tmp_path / "y.csv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: bad {what} expression") and err.count("\n") == 1
+
+    def test_grid_past_numpy_array_limit_exits_one(self, tmp_path, capsys):
+        code = run(["solve", "transport", "--V", "1", "--u", "t", "--N", "2",
+                    "--grid", "0:1:5,0:1:99999999999999999999",
+                    "--out", str(tmp_path / "y.csv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad --grid") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("error, text", [
+        (MemoryError("Unable to allocate 8.00 TiB for an array"),
+         "numeric failure: out of memory: Unable to allocate 8.00 TiB for an array\n"),
+        (MemoryError(), "numeric failure: out of memory\n"),
+    ])
+    def test_memory_error_exits_two(self, tmp_path, monkeypatch, capsys, error, text):
+        def exhausted(*args):
+            raise error
+        monkeypatch.setattr(ii, "evaluate_series", exhausted)
+        code = run(["solve", "transport", "--V", "1", "--u", "t", "--N", "2",
+                    "--grid", "0:1:5,0:1:5", "--out", str(tmp_path / "y.csv")])
+        assert code == 2
+        assert capsys.readouterr().err == text
+        assert not (tmp_path / "y.csv").exists()
+
+    def test_evaluation_error_in_handler_exits_one(self, monkeypatch, capsys):
+        """An EvaluationError no handler catches itself keeps main()'s
+        message for model errors."""
+        from cfpde import bounds
+        def failing(*args):
+            raise ii.EvaluationError("no fit")
+        monkeypatch.setattr(bounds, "estimate_growth", failing)
+        assert run(["bounds", "estimate", "--u", "t", "--grid", "0:1:5,0:1:5"]) == 1
+        assert capsys.readouterr().err == "error: EvaluationError: no fit\n"
+
+
+# the directory holding the cfpde package under test
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+
+
+def _loaded_after(argvs, cwd):
+    """The modules a fresh interpreter holds after cli.main(argv) for each
+    argv in turn."""
+    code = ("import json, sys\n"
+            "from cfpde import cli\n"
+            f"rc = max(cli.main(argv) for argv in {argvs!r})\n"
+            "print(json.dumps([rc, sorted(sys.modules)]))\n")
+    proc = subprocess.run([sys.executable, "-c", code], cwd=cwd,
+                          env=dict(os.environ, PYTHONPATH=SRC),
+                          capture_output=True, text=True, check=True)
+    rc, modules = json.loads(proc.stdout.splitlines()[-1])
+    assert rc == 0, proc.stderr
+    return set(modules)
+
+
+class TestStartup:
+    """Each subcommand imports only the modules it runs."""
+
+    def test_algebra_loads_no_numpy(self, tmp_path):
+        """All five algebra subcommands, on the parallel product's inputs:
+        transport series on theta_1 and on theta_2."""
+        def transport(v, y0):
+            return pde.transport_series(pde.TransportSpec(v, ex.parse(y0, 1), 3))
+        c = write_series(tmp_path / "c.series",
+                         se.embed(transport(1.0, "sin(theta_1)"), 2, 0))
+        d = write_series(tmp_path / "d.series", se.relabel_letters(
+            se.embed(transport(2.0, "cos(theta_1)"), 2, 1), {word("x1")[0]: word("x2")[0]}))
+        out = str(tmp_path / "out.series")
+        argvs = [["algebra", kind, "--left", c, "--right", d, "--out", out]
+                 for kind in ("shuffle", "sum", "compose")]
+        argvs += [["algebra", "shift", "--letter", "x1", "--series", c, "--out", out],
+                  ["algebra", "truncate", "--series", c, "--N", "1", "--out", out]]
+        loaded = _loaded_after(argvs, tmp_path)
+        assert not loaded & {"numpy", "cfpde.iterint", "cfpde.bounds", "cfpde.pde"}
+        assert "cfpde.series" in loaded
+
+    def test_eval_loads_no_bounds_or_pde(self, tmp_path, transport_files):
+        loaded = _loaded_after([["eval", "--series", transport_files[0], "--u", "t",
+                                 "--grid", "0:1:5,0:1:5", "--out", str(tmp_path / "z.csv")]],
+                               tmp_path)
+        assert "cfpde.iterint" in loaded
+        assert not loaded & {"cfpde.bounds", "cfpde.pde"}
+
+    def test_second_order_solve_loads_no_bounds(self, tmp_path):
+        loaded = _loaded_after([["solve", "second-order", "--alpha1", "0", "--alpha2", "-1",
+                                 "--u", "sin(theta_1)", "--N", "2", "--grid", "0:1:5,0:1:5",
+                                 "--out", str(tmp_path / "y.csv")]], tmp_path)
+        assert "cfpde.pde" in loaded
+        assert "cfpde.bounds" not in loaded
+
+    def test_package_import_is_lazy(self, tmp_path):
+        code = ("import sys\n"
+                "import cfpde\n"
+                "assert not [m for m in sys.modules if m.startswith('cfpde.')]\n"
+                "assert 'numpy' not in sys.modules\n"
+                "from cfpde import iterint\n"
+                "assert cfpde.Grid is iterint.Grid\n"
+                "names = {}\n"
+                "exec('from cfpde import *', names)\n"
+                "assert set(cfpde.__all__) <= set(names)\n")
+        subprocess.run([sys.executable, "-c", code], cwd=tmp_path, check=True,
+                       env=dict(os.environ, PYTHONPATH=SRC))
+
+    def test_form_choices_are_the_solver_forms(self):
+        parser = cli.build_parser()
+        for name in ("solve", "second-order"):
+            sub = next(a for a in parser._actions
+                       if isinstance(a, argparse._SubParsersAction))
+            parser = sub.choices[name]
+        form = next(a for a in parser._actions if a.dest == "form")
+        assert list(form.choices) == [f.value for f in pde.SecondOrderForm]
 
 
 class TestInputFaults:

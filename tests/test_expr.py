@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cfpde import diffop as do
 from cfpde import expr as ex
@@ -205,3 +207,60 @@ class TestInvariants:
         applied = do.op_apply(do.monomial(ex.const(1e-13j), (1,)),
                               ex.parse("theta_1^2", 1))
         assert ex.to_string(applied) == "2e-13i*theta_1"
+
+
+class TestConstantFolding:
+    @pytest.mark.parametrize("fn, value", [(ex.exp, 1000), (ex.sin, 1e308j),
+                                           (ex.cos, math.inf)])
+    def test_overflowing_function_is_expr_error(self, fn, value):
+        with pytest.raises(ex.ExprError, match="out of range"):
+            fn(ex.const(value))
+
+    def test_canonical_fold_is_expr_error(self):
+        with pytest.raises(ex.ExprError, match="out of range"):
+            ex.canonical(ex.parse("exp(1000)*theta_1", 1), 1)
+
+    @pytest.mark.parametrize("text", ["1e999*theta_1", "t + 2e400i"])
+    def test_overflowing_literal_is_parse_error(self, text):
+        with pytest.raises(ex.ParseError, match="out of range"):
+            ex.parse(text, 1)
+
+    def test_exponent_with_too_many_digits_is_parse_error(self):
+        with pytest.raises(ex.ParseError, match="exponent"):
+            ex.parse("theta_1^" + "9" * 5000, 1)
+
+    def test_deep_nesting_is_expr_error(self):
+        with pytest.raises(ex.ExprError, match="nests too deeply"):
+            ex.parse("(" * 2000 + "t" + ")" * 2000, 1)
+
+    @pytest.mark.parametrize("value, text", [(math.inf, "inf"), (-math.inf, "-inf"),
+                                             (math.nan, "(nan+0i)")])
+    def test_non_finite_constant_prints(self, value, text):
+        assert ex.to_string(ex.Const(complex(value, 0))) == text
+
+
+EXPR_TYPES = (ex.Const, ex.Var, ex.Add, ex.Mul, ex.Pow, ex.Neg, ex.Sin, ex.Cos, ex.Exp)
+
+
+class TestParseFuzz:
+    token = st.sampled_from([
+        "0", "1", "2", "2.5", ".5", "3i", "1e308", "1e999", "5e-324", "99999999",
+        "t", "theta_1", "theta_2", "theta_0", "sin", "cos", "exp", "x",
+        "+", "-", "*", "/", "^", "(", ")", " ", "$",
+    ])
+    text = st.lists(token, max_size=24).map("".join)
+
+    @settings(max_examples=500, deadline=None)
+    @given(text)
+    @example("2^99999999")
+    @example("1e308^2")
+    @example("(1e308)^2*theta_1")
+    @example("t^" + "9" * 5000)
+    def test_parse_gives_expr_or_expr_error(self, text):
+        """Any text of parser tokens parses to an expression or raises
+        ExprError; never another exception."""
+        try:
+            e = ex.parse(text, 1)
+        except ex.ExprError:
+            return
+        assert isinstance(e, EXPR_TYPES)

@@ -339,6 +339,13 @@ class TestGridAndCsv:
         with pytest.raises(ii.EvaluationError, match="spacing"):
             ii.Grid.from_spec(spec)
 
+    @pytest.mark.parametrize("spec", ["0:1:5,0:1:99999999999999999999",
+                                      "0:1:4294967296,0:1:4294967296,0:1:5"])
+    def test_grid_past_numpy_array_limit(self, spec):
+        """Rejected from the point count alone, before any allocation."""
+        with pytest.raises(ii.EvaluationError, match="numpy array"):
+            ii.Grid.from_spec(spec)
+
     bound = st.one_of(
         st.sampled_from(["0", "-0", "1", "-1", "0.25", "1e308", "-1e308", "5e-324", "nan",
                          "-inf", "1_0", " 2 ", "0x1"]),
@@ -354,7 +361,7 @@ class TestGridAndCsv:
     @example("-1e308:1e308:5,0:1:5")
     @example("0:1:5,0:1:" + "9" * 400)
     @example("0:5e-324:3,0:1:5")
-    @example("0:1:5,0:1:99999999999999999999")  # parses; no array may be built
+    @example("0:1:5,0:1:99999999999999999999")  # past numpy's array limit
     def test_grid_spec_fuzz(self, spec):
         """Any text gives a grid with finite positive spacings or an
         EvaluationError.  No array is built: n may be huge."""
