@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -18,12 +17,13 @@ from . import iterint as ii
 from . import pde
 from . import series as se
 from . import words as wd
+from ._record import record
 from .words import DRIFT, Letter, Word, word
 
 X1, X2 = Letter(1), Letter(2)
 
 
-@dataclass
+@record
 class CriterionResult:
     number: int
     description: str
@@ -133,7 +133,7 @@ def criterion_4() -> CriterionResult:
 
     coeff_fit = bd.estimate_growth(c16, grid, k_max=8)
     input_fit = bd.estimate_growth(u, grid, k_max=8)
-    g = replace(coeff_fit.data, K_u=input_fit.data.K_u, R=input_fit.data.R)
+    g = coeff_fit.data.replace(K_u=input_fit.data.K_u, R=input_fit.data.R)
     expected = {"K_alpha": 1.0, "M": 1.0, "K_u": math.pi, "R": 2.0, "s": 0.0}
     fit_ok = (abs(g.K_alpha - expected["K_alpha"]) <= 0.05
               and abs(g.M - expected["M"]) <= 0.05

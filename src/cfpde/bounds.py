@@ -24,13 +24,15 @@ evaluation of nonlinear series carries no certificate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from typing import Sequence, Union
 
 import numpy as np
 
 from . import expr as ex
-from .iterint import Grid, InputSignal, cumulative_trapezoid
+from ._record import record
+# cumulative_trapezoid is not called here; perfbench/tracing.py wraps it
+# under this module's name too
+from .iterint import Grid, InputSignal, cumulative_trapezoid  # noqa: F401
 from .series import GenSeries
 
 __all__ = [
@@ -42,7 +44,7 @@ __all__ = [
 _TINY_TERM = 1e-300
 
 
-@dataclass(frozen=True)
+@record
 class GrowthData:
     """Growth constants: sup-norm of the degree-k coefficient bounded by
     K_alpha * M^k * (k!)^s and the L1 norm of the k-th input derivative by
@@ -97,7 +99,7 @@ def _log_prefactor(i: int, j: int) -> float:
     return out
 
 
-@dataclass(frozen=True)
+@record
 class StirlingConstant:
     value: float
     argmax: tuple[int, int]
@@ -108,9 +110,23 @@ class StirlingConstant:
         return self.value
 
 
-def _ke_maximand(i: int, j: int) -> float:
-    """i^i j^j (i+j)! / (i! j! (i+j)^(i+j)); the least K_E must dominate it."""
-    return math.exp(_log_prefactor(i, j) + math.lgamma(i + j + 1))
+def _ke_degree_maxima(last: int) -> list[tuple[float, int]]:
+    """For each degree n <= last, the largest maximand
+    i^i j^j n! / (i! j! n^n) over i + j = n, and the first i attaining it.
+
+    The log of a maximand is the sum _log_prefactor forms, in the same
+    order, plus lgamma(n + 1); k log k - lgamma(k + 1) comes from one table
+    (0 for k = 0, the 0^0 = 1 convention), one lgamma per integer."""
+    part = [0.0] + [k * math.log(k) - math.lgamma(k + 1) for k in range(1, last + 1)]
+    out = []
+    for n in range(last + 1):
+        log_nn = n * math.log(n) if n > 0 else 0.0
+        log_fact = math.lgamma(n + 1)
+        values = [math.exp(((part[i] + part[n - i]) - log_nn) + log_fact)
+                  for i in range(n + 1)]
+        best = max(values)
+        out.append((best, values.index(best)))
+    return out
 
 
 def stirling_KE(max_degree: int, detail: bool = False
@@ -120,33 +136,23 @@ def stirling_KE(max_degree: int, detail: bool = False
     non-increasing over a 2x window past the argmax."""
     if max_degree < 0:
         raise ValueError("max_degree must be nonnegative")
-    best, arg = -math.inf, (0, 0)
-    per_degree = []
-    for n in range(max_degree + 1):
-        m = max(_ke_maximand(i, n - i) for i in range(n + 1))
-        per_degree.append(m)
-        if m > best:
-            best, arg = m, n
-    if max_degree == 0:
-        arg_pair = (0, 0)
-    else:
-        n = arg
-        i_best = max(range(n + 1), key=lambda i: _ke_maximand(i, n - i))
-        arg_pair = (i_best, n - i_best)
+    # the certificate window ends at most at max(2 max_degree, argmax + 2)
+    maxima = _ke_degree_maxima(max(2 * max_degree, max_degree + 2))
+    arg = max(range(max_degree + 1), key=lambda n: maxima[n][0])  # the first
+    best, i_best = maxima[arg]
     window_end = max(2 * max_degree, arg + 2, 2)
-    prev = per_degree[arg]
+    prev = best
     for n in range(arg + 1, window_end + 1):
-        m = (per_degree[n] if n <= max_degree
-             else max(_ke_maximand(i, n - i) for i in range(n + 1)))
+        m = maxima[n][0]
         if m > prev * (1 + 1e-12):
             raise ArithmeticError(
                 f"maximand increased at degree {n}; boundedness certificate failed")
         prev = m
-    result = StirlingConstant(best, arg_pair, max_degree, window_end)
+    result = StirlingConstant(best, (i_best, arg - i_best), max_degree, window_end)
     return result if detail else result.value
 
 
-@dataclass(frozen=True)
+@record
 class GeometricBound:
     converges: bool
     bound: float
@@ -195,7 +201,7 @@ def gevrey_tail(g: GrowthData, n: int, K_E: float | None = None) -> float:
 # ---------------------------------------------------------------------------
 # numeric estimation of growth constants
 
-@dataclass(frozen=True)
+@record
 class GrowthFit:
     data: GrowthData
     log_norms: tuple[float, ...]
@@ -207,7 +213,11 @@ def _time_integrals(u: InputSignal, grid: Grid, order: int) -> np.ndarray:
     """Per-theta trapezoid integral over [0, T] of the magnitude of the
     order-th theta-derivative."""
     values = np.abs(np.moveaxis(u.derivative_values(grid, (order,)), -1, 0))
-    return cumulative_trapezoid(values, grid.dt)[-1].real
+    # the steps and running sum of cumulative_trapezoid, on real numbers;
+    # cumsum adds in time order, where np.sum would add pairwise
+    steps = values[:-1] + values[1:]
+    steps *= 0.5 * grid.dt
+    return np.cumsum(steps, axis=0)[-1]
 
 
 def input_l1_norm(u: InputSignal, grid: Grid, order: int = 0) -> float:
@@ -241,7 +251,7 @@ def _fit_input(u: InputSignal, grid: Grid, k_max: int) -> GrowthFit:
     sol, *_ = np.linalg.lstsq(design, logs, rcond=None)
     fitted = design @ sol
     residual = float(np.sqrt(np.mean((logs - fitted) ** 2)))
-    data = replace(base, K_u=math.exp(sol[0]), R=math.exp(sol[1]))
+    data = base.replace(K_u=math.exp(sol[0]), R=math.exp(sol[1]))
     return GrowthFit(data, tuple(logs), residual)
 
 

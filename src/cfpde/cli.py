@@ -21,15 +21,18 @@ Exit codes: 1 for validation failures, 2 for numeric failures (NaN or
 infinity in an output, or memory exhausted).
 
 Each subcommand imports only the modules it runs: ``algebra`` never
-loads numpy, ``iterint``, ``bounds`` or ``pde``.
+loads numpy, ``iterint``, ``bounds`` or ``pde``.  ``cf`` and ``python -m
+cfpde.cli`` run through ``entry``, which keeps the cyclic garbage
+collector off for the life of the process; ``main`` called as a library
+function leaves it as it is.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import functools
+import gc
 import json
 import math
 import os
@@ -80,8 +83,28 @@ def _atomic_file(path: str):
         raise
 
 
+def _check_writable(*paths: str) -> None:
+    """Fail before any work starts when an output cannot be created
+    because its directory is missing or the path names a directory."""
+    for path in paths:
+        if os.path.isdir(path):
+            raise CliError(f"cannot write {path}: it is a directory")
+        directory = os.path.dirname(os.path.abspath(path))
+        if not os.path.isdir(directory):
+            raise CliError(f"cannot write {path}: no directory {directory}")
+
+
+@contextlib.contextmanager
+def _write_errors(path: str):
+    """An OSError while writing path is a one-line validation failure."""
+    try:
+        yield
+    except OSError as e:
+        raise CliError(f"cannot write {path}: {e.strerror or e}") from e
+
+
 def _write_atomic(path: str, data: str) -> None:
-    with _atomic_file(path) as fh:
+    with _write_errors(path), _atomic_file(path) as fh:
         fh.write(data)
 
 
@@ -156,7 +179,7 @@ def _transport_bound(series_obj, u_signal, grid, n):
     try:
         coeff_fit = bd.estimate_growth(series_obj, grid, k_max=min(n, 8))
         input_fit = bd.estimate_growth(u_signal, grid, k_max=min(n, 8))
-        g = dataclasses.replace(coeff_fit.data, K_u=input_fit.data.K_u, R=input_fit.data.R)
+        g = coeff_fit.data.replace(K_u=input_fit.data.K_u, R=input_fit.data.R)
         if g.s < 1 and g.R > 0:
             tail = bd.gevrey_tail(g, n)
         elif g.R == 0:
@@ -196,6 +219,8 @@ def _evaluation_errors(handler):
 def _cmd_solve(args, command: str, started: float) -> int:
     from . import iterint as ii
     from . import pde
+    report = args.report or args.out + ".report.json"
+    _check_writable(args.out, report)
     grid = _grid_from_arg(args.grid)
     if grid.dim != 1:
         raise CliError("solvers are one-parameter; pass one theta axis")
@@ -224,18 +249,20 @@ def _cmd_solve(args, command: str, started: float) -> int:
     except ii.EvaluationError as e:
         raise CliError(str(e)) from e
     _check_finite(field)
-    _write_csv_atomic(args.out, field)
+    with _write_errors(args.out):
+        _write_csv_atomic(args.out, field)
     # the growth fit reads D^k on x0^k x1, a transport shape
     bound = (_transport_bound(series_obj, u, grid, args.N)
              if args.kind == "transport" else None)
-    _report(args.report or args.out + ".report.json", command, params,
-            args.N, bound, started)
+    _report(report, command, params, args.N, bound, started)
     return 0
 
 
 @_evaluation_errors
 def _cmd_eval(args, command: str, started: float) -> int:
     from . import iterint as ii
+    report = args.report or args.out + ".report.json"
+    _check_writable(args.out, report)
     grid = _grid_from_arg(args.grid)
     try:
         series_obj = se.load_series(args.series)
@@ -250,9 +277,9 @@ def _cmd_eval(args, command: str, started: float) -> int:
     except ii.EvaluationError as e:
         raise CliError(str(e)) from e
     _check_finite(field)
-    _write_csv_atomic(args.out, field)
-    _report(args.report or args.out + ".report.json", command,
-            {"series": args.series, "grid": args.grid},
+    with _write_errors(args.out):
+        _write_csv_atomic(args.out, field)
+    _report(report, command, {"series": args.series, "grid": args.grid},
             series_obj.max_len, None, started)
     return 0
 
@@ -267,6 +294,7 @@ def _load_two(args):
 
 
 def _cmd_algebra(args, command: str, started: float) -> int:
+    _check_writable(args.out, args.out + ".report.json")
     if args.kind in ("shuffle", "sum", "compose"):
         left, right = _load_two(args)
         try:
@@ -501,5 +529,20 @@ def main(argv=None) -> int:
         return 1
 
 
+def entry() -> int:
+    """The process entry of ``cf`` and ``python -m cfpde.cli``.
+
+    A ``cf`` process is short and its work path makes no reference
+    cycles, so the cyclic collector would only spend time: it is off
+    before the subcommand imports its modules.  ``gc.freeze()`` at the
+    end moves every object to the permanent generation, which the
+    collections at interpreter shutdown do not traverse."""
+    gc.disable()
+    try:
+        return main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

@@ -23,8 +23,9 @@ from __future__ import annotations
 import cmath
 import re
 import sys
-from dataclasses import dataclass
 from typing import Mapping, Union
+
+from ._record import record
 
 __all__ = [
     "Expr", "Const", "Var", "Add", "Mul", "Pow", "Neg", "Sin", "Cos", "Exp",
@@ -65,48 +66,48 @@ class PoleError(EvalError):
     """Zero raised to a negative power."""
 
 
-@dataclass(frozen=True)
+@record
 class Const:
     value: complex
 
 
-@dataclass(frozen=True)
+@record
 class Var:
     name: str
 
 
-@dataclass(frozen=True)
+@record
 class Add:
     terms: tuple["Expr", ...]
 
 
-@dataclass(frozen=True)
+@record
 class Mul:
     factors: tuple["Expr", ...]
 
 
-@dataclass(frozen=True)
+@record
 class Pow:
     base: "Expr"
     exponent: int
 
 
-@dataclass(frozen=True)
+@record
 class Neg:
     arg: "Expr"
 
 
-@dataclass(frozen=True)
+@record
 class Sin:
     arg: "Expr"
 
 
-@dataclass(frozen=True)
+@record
 class Cos:
     arg: "Expr"
 
 
-@dataclass(frozen=True)
+@record
 class Exp:
     arg: "Expr"
 
@@ -253,6 +254,8 @@ def add(*terms) -> Expr:
         else:
             flat.append(term)
     if acc != 0:
+        if not cmath.isfinite(acc):
+            raise ExprError("constant sum is out of range")
         flat.append(Const(acc))
     if not flat:
         return ZERO
@@ -281,6 +284,10 @@ def mul(*factors) -> Expr:
         else:
             flat.append(factor)
     acc *= sign
+    # a real product past the range of a double would carry on as a
+    # complex NaN (inf * 0 in the imaginary part)
+    if not cmath.isfinite(acc):
+        raise ExprError("constant product is out of range")
     if acc == 0:
         return ZERO
     if acc == -1 and flat:
@@ -620,7 +627,19 @@ def _const_poly(value, dim: int) -> Poly:
 def canonical(e, dim: int, t: bool = False) -> Poly:
     """Convert an expression in theta_1..theta_dim into its canonical
     sparse form.  With t=True the variable t is the last of the dim axes
-    and theta_k ranges over the first dim - 1; otherwise t is refused."""
+    and theta_k ranges over the first dim - 1; otherwise t is refused.
+    Constant arithmetic that leaves the range of a complex double is an
+    ExprError.  Sums and products carry a non-finite coefficient through
+    to the result (unless a zero factor or a zeroth power drops the
+    term), so one check of the result covers them; each sin/cos/exp
+    argument is checked when it is converted."""
+    p = _canonical(e, dim, t)
+    if p is e or all(map(cmath.isfinite, p.terms.values())):
+        return p
+    raise ExprError(f"constant arithmetic in {to_string(e)} is out of range")
+
+
+def _canonical(e, dim: int, t: bool) -> Poly:
     n_theta = dim - t
     match e:
         case Poly():
@@ -642,16 +661,16 @@ def canonical(e, dim: int, t: bool = False) -> Poly:
             return Poly(dim, {(tuple(int(i == k) for i in range(dim)), ()): 1 + 0j})
         case Add(terms):
             return collect(dim, [mc for term in terms
-                                 for mc in canonical(term, dim, t).terms.items()])
+                                 for mc in _canonical(term, dim, t).terms.items()])
         case Mul(factors):
-            out = canonical(factors[0], dim, t)
+            out = _canonical(factors[0], dim, t)
             for f in factors[1:]:
-                out = collect(dim, product_terms(out, canonical(f, dim, t)))
+                out = collect(dim, product_terms(out, _canonical(f, dim, t)))
             return out
         case Neg(arg):
-            return Poly(dim, {m: -c for m, c in canonical(arg, dim, t).terms.items()})
+            return Poly(dim, {m: -c for m, c in _canonical(arg, dim, t).terms.items()})
         case Pow(base, exponent):
-            return _poly_power(canonical(base, dim, t), exponent)
+            return _poly_power(_canonical(base, dim, t), exponent)
         case Sin(arg) | Cos(arg) | Exp(arg):
             p = canonical(arg, dim, t)
             name = type(e).__name__.lower()

@@ -42,13 +42,14 @@ time last.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
-from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
 from . import expr as ex
+from ._record import record
 from .diffop import MultiIndex, mi_abs, mi_zero
 from .series import GenSeries
 from .words import DRIFT, Letter, Word
@@ -73,7 +74,7 @@ def _check_spacing(length: float, n: int) -> None:
         raise EvaluationError("grid spacing must be a positive finite float")
 
 
-@dataclass(frozen=True)
+@record
 class Grid:
     """Uniform rectangular grid on [a_k, b_k] x ... x [0, T]."""
 
@@ -328,23 +329,13 @@ def expand_derivative(w: Word, alpha: MultiIndex) -> list[tuple[int, DecoratedWo
         per_axis.append(axis_terms)
 
     out: list[tuple[int, DecoratedWord]] = []
-
-    def build(axis: int, weight: int, orders: list[list[int]]):
-        if axis == dim:
-            decorated = []
-            slot = 0
-            for l in w.letters:
-                if l.is_drift:
-                    decorated.append((l, None))
-                else:
-                    decorated.append((l, tuple(orders[a][slot] for a in range(dim))))
-                    slot += 1
-            out.append((weight, tuple(decorated)))
-            return
-        for wgt, comp in per_axis[axis]:
-            build(axis + 1, weight * wgt, orders + [list(comp)])
-
-    build(0, 1, [])
+    # axis 0 varies slowest; a loop, not a self-referencing closure, so
+    # that a call leaves no reference cycle for the collector
+    for choice in itertools.product(*per_axis):
+        weight = math.prod(wgt for wgt, _ in choice)
+        orders = iter(zip(*(comp for _, comp in choice)))
+        out.append((weight, tuple((l, None) if l.is_drift else (l, next(orders))
+                                  for l in w.letters)))
     return out
 
 
@@ -761,39 +752,34 @@ def _csv_tables() -> _CsvTables:
     code = np.full(2048, _OTHER, dtype=np.intp)
     step = np.full(2048, np.nan)  # nan never compares true
     code[0], step[0] = _ZERO, 5e-324  # zero; subnormals step to _OTHER
-    decades = {k: float(f"1e{k}") for k in range(_K_MIN, 17)}
-    for e in range(1023 - 19, 1023 + 53):
-        low = 2.0 ** (e - 1023)
-        k = max(j for j, d in decades.items() if d <= low)
-        code[e] = k - _K_MIN
-        if decades[k + 1] < 2 * low:
-            step[e] = decades[k + 1]
+    decades = np.array([float(f"1e{k}") for k in range(_K_MIN, 17)])
+    e = np.arange(1023 - 19, 1023 + 53)
+    low = np.ldexp(1.0, e - 1023)
+    d = np.searchsorted(decades, low, side="right") - 1  # last decade <= low
+    code[e] = d
+    step[e] = np.where(decades[d + 1] < 2 * low, decades[d + 1], np.nan)
     scale = np.tile([float(10 ** (16 - k)) for k in range(_K_MIN, 16)] + [1.0, 1.0], 2)
 
-    heads, masks = bytearray(), bytearray()
-    for im, neg, c in np.ndindex(2, 2, _CODES):
-        k = c + _K_MIN
-        lead = b"," * im + b"-" * neg
-        if c == _ZERO:
-            lead += b"0"
-        elif -4 <= k < 0:
-            lead += b"0." + b"0" * (-k - 1)
-        heads += lead.rjust(_FIRST, b"\0") + b"\0"
-        for s in range(18):
-            runs = [(_FIRST - len(lead), _FIRST)]
-            if -4 <= k < 0:  # 0.00ddd
-                runs.append((_FIRST, _FIRST + s))
-            elif k < -4:  # d.ddde-0k
-                runs += [(_FIRST, _FIRST + 1), (_DOT, _DOT + s * (s > 1)), (44, 48)]
-            elif c < _ZERO:  # ddd.ddd
-                runs.append((_FIRST, _FIRST + k + 1))
-                if s > k + 1:
-                    runs += [(_DOT, _DOT + 1), (_DOT + k + 1, _DOT + s)]
-            row = bytearray(_CELL)
-            for lo, hi in runs:
-                row[lo:hi] = b"\1" * (hi - lo)
-            masks += row
-    exponents = [b"e-06" if c % _CODES == 0 else b"e-05" for c in range(4 * _CODES)]
+    # every (re/im, sign, code, significant digits) at once, in that
+    # index order; p is the byte position in a cell
+    im, neg, c, s, p = np.ix_(range(2), range(2), range(_CODES), range(18), range(_CELL))
+    k = c + _K_MIN
+    fraction = (-4 <= k) & (k < 0)  # 0.00ddd
+    small = k < -4  # d.ddde-0k
+    whole = (0 <= k) & (c < _ZERO)  # ddd.ddd
+    lead = im + neg + (c == _ZERO) + np.where(fraction, 1 - k, 0)  # ",-0.00"
+    mask = ((_FIRST - lead <= p) & (p < _FIRST)
+            | fraction & (_FIRST <= p) & (p < _FIRST + s)
+            | small & ((p == _FIRST) | (_DOT <= p) & (p < _DOT + s * (s > 1)) | (44 <= p))
+            | whole & ((_FIRST <= p) & (p < _FIRST + k + 1)
+                       | (s > k + 1) & ((p == _DOT) | (_DOT + k + 1 <= p) & (p < _DOT + s))))
+    # the lead right-justified in bytes 0-6: its separator, sign, then
+    # "0" and for a fraction ".00..."
+    at = p[..., :8] - (_FIRST - lead)
+    heads = np.where(at < im, ord(","), np.where(
+        at < im + neg, ord("-"), np.where(at == im + neg + 1, ord("."), ord("0"))))
+    heads = np.where((0 <= at) & (p[..., :8] < _FIRST), heads, 0).astype(np.uint8)
+    exponents = np.tile(np.where(np.arange(_CODES) == 0, b"e-06", b"e-05"), 4)
     q = np.arange(10000)
     digits4 = np.empty((10000, 4), dtype=np.uint8)
     zeros4 = np.zeros(10000, dtype=np.intp)
@@ -804,9 +790,9 @@ def _csv_tables() -> _CsvTables:
     return _CsvTables(
         np.concatenate([code, code + _CODES]), np.concatenate([step, step]),
         scale, *_two_split(scale), np.arange(2 * _CODES) % _CODES == _OTHER,
-        np.frombuffer(heads, dtype=np.uint64),
-        np.frombuffer(b"".join(exponents), dtype=np.uint32),
-        np.frombuffer(masks, dtype=f"V{_CELL}"),
+        heads.reshape(-1, 8).view(np.uint64)[:, 0],
+        exponents.view(np.uint32),
+        mask.astype(np.uint8).reshape(-1, _CELL).view(f"V{_CELL}")[:, 0],
         digits4.view(np.uint32)[:, 0], zeros4)
 
 

@@ -23,11 +23,11 @@ from __future__ import annotations
 import cmath
 import enum
 import sys
-from dataclasses import dataclass
 
 from . import diffop as do
 from . import expr as ex
 from . import series as se
+from ._record import record
 from .diffop import DiffOp
 from .series import GenSeries
 from .words import DRIFT, EMPTY_WORD, Letter, Word
@@ -57,7 +57,7 @@ def _theta_only(e, what: str) -> ex.Expr:
     return e
 
 
-@dataclass(frozen=True)
+@record
 class TransportSpec:
     V: object
     y0: object = 0
@@ -116,7 +116,7 @@ class SecondOrderForm(enum.Enum):
     PARTIAL_FRACTION = "partial-fraction"
 
 
-@dataclass(frozen=True)
+@record
 class SecondOrderSpec:
     alpha1: complex
     alpha2: complex

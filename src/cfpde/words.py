@@ -10,8 +10,9 @@ serialization order of every series file.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
+
+from ._record import record
 
 __all__ = [
     "Letter", "Word", "WordPoly", "DRIFT", "EMPTY_WORD",
@@ -19,7 +20,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@record
 class Letter:
     index: Optional[int] = None  # None marks the drift letter x0
 
@@ -44,8 +45,14 @@ class Letter:
     def __lt__(self, other: "Letter"):
         return self.sort_key() < other.sort_key()
 
+    # Word keys compare and hash their letters on every dict lookup, so
+    # these two are written out rather than the record's generic ones
+    def __eq__(self, other):
+        if other.__class__ is Letter:
+            return self.index == other.index
+        return NotImplemented
+
     def __hash__(self):
-        # the generated hash would build a tuple per call
         return hash(self.index)
 
 

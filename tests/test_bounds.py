@@ -78,6 +78,32 @@ class TestStirlingConstant:
         assert detail.certified_through >= 100
         assert float(detail) == detail.value
 
+    def test_matches_per_pair_reference(self):
+        """The k log k - lgamma(k + 1) table gives the floats of one
+        _log_prefactor and lgamma per (i, j) pair, bit for bit."""
+        def maximand(i, j):
+            return math.exp(bd._log_prefactor(i, j) + math.lgamma(i + j + 1))
+
+        per_degree = [[maximand(i, n - i) for i in range(n + 1)] for n in range(83)]
+        for d in range(41):
+            best = max(max(row) for row in per_degree[:d + 1])
+            arg = next(n for n, row in enumerate(per_degree) if max(row) == best)
+            i_best = per_degree[arg].index(best)
+            detail = bd.stirling_KE(d, detail=True)
+            assert (detail.value, detail.argmax) == (best, (i_best, arg - i_best))
+            assert detail.certified_through == max(2 * d, arg + 2, 2)
+
+
+class TestTimeIntegrals:
+    def test_match_cumulative_trapezoid(self):
+        """A real running sum of the same trapezoid steps, bit for bit."""
+        grid = ii.Grid(((0.0, 1.0, 33),), 0.7, 129)
+        u = ii.InputSignal.symbolic(ex.parse("t*cos(3*theta_1) + exp(theta_1*t)", 1))
+        for order in range(4):
+            values = np.abs(np.moveaxis(u.derivative_values(grid, (order,)), -1, 0))
+            reference = ii.cumulative_trapezoid(values, grid.dt)[-1].real
+            assert np.array_equal(bd._time_integrals(u, grid, order), reference)
+
 
 class TestGeometricBound:
     def test_half_rate_gives_four(self):

@@ -1,4 +1,6 @@
 import argparse
+import errno
+import gc
 import io
 import json
 import math
@@ -20,6 +22,9 @@ from cfpde import series as se
 from cfpde.words import word
 
 GRID = "0:6.283185307179586:65,0:1:129"
+SOLVE = ["solve", "transport", "--V", "1", "--u", "t", "--N", "2", "--grid", "0:1:5,0:1:5"]
+CHECK = ["bounds", "check", "--K-alpha", "1", "--M", "1", "--K-u", "1", "--R", "0.5",
+         "--s", "1", "--T", "1", "--length", "1"]
 
 
 def run(argv):
@@ -237,6 +242,58 @@ class TestOutputFiles:
         for path in (out, tmp_path / "y.csv.report.json"):
             assert stat.S_IMODE(path.stat().st_mode) == 0o640
 
+    @pytest.mark.parametrize("kind", ["solve", "eval", "algebra"])
+    @pytest.mark.parametrize("where", ["missing directory", "a directory"])
+    def test_unwritable_out_fails_before_work(self, tmp_path, transport_files,
+                                              monkeypatch, capsys, kind, where):
+        def no_work(*args):
+            raise AssertionError("work started")
+        monkeypatch.setattr(ii, "evaluate_series", no_work)
+        monkeypatch.setattr(se, "load_series", no_work)
+        out = str(tmp_path / "missing" / "y.out") if where == "missing directory" \
+            else str(tmp_path)
+        argv = {"solve": SOLVE,
+                "eval": ["eval", "--series", transport_files[0], "--u", "t",
+                         "--grid", "0:1:5,0:1:5"],
+                "algebra": ["algebra", "sum", "--left", transport_files[0],
+                            "--right", transport_files[1]]}[kind]
+        assert run(argv + ["--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {out}: ") and err.count("\n") == 1
+
+    def test_unwritable_report_fails_before_work(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(ii, "evaluate_series", None)
+        report = tmp_path / "missing" / "r.json"
+        assert run(SOLVE + ["--out", str(tmp_path / "y.csv"), "--report", str(report)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: cannot write {report}: ")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_csv_write_is_one_line(self, tmp_path, monkeypatch, capsys):
+        def disk_full(field, fh):
+            raise OSError(errno.ENOSPC, "No space left on device")
+        monkeypatch.setattr(ii, "write_csv", disk_full)
+        out = tmp_path / "y.csv"
+        assert run(SOLVE + ["--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: cannot write {out}: No space left on device\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_report_write_is_one_line(self, tmp_path, transport_files,
+                                             monkeypatch, capsys):
+        replace = os.replace
+
+        def refuse_report(src, dst):
+            if dst.endswith(".report.json"):
+                raise PermissionError(errno.EACCES, "Permission denied")
+            replace(src, dst)
+        monkeypatch.setattr(os, "replace", refuse_report)
+        (tmp_path / "o").mkdir()
+        out = tmp_path / "o" / "p.series"
+        assert run(["algebra", "sum", "--left", transport_files[0],
+                    "--right", transport_files[1], "--out", str(out)]) == 1
+        assert capsys.readouterr().err == \
+            f"error: cannot write {out}.report.json: Permission denied\n"
+        assert [p.name for p in (tmp_path / "o").iterdir()] == ["p.series"]
+
 
 class TestArgumentValidation:
     def test_negative_grid_bound_as_separate_argument(self, tmp_path):
@@ -355,8 +412,44 @@ class TestStartup:
         argvs += [["algebra", "shift", "--letter", "x1", "--series", c, "--out", out],
                   ["algebra", "truncate", "--series", c, "--N", "1", "--out", out]]
         loaded = _loaded_after(argvs, tmp_path)
-        assert not loaded & {"numpy", "cfpde.iterint", "cfpde.bounds", "cfpde.pde"}
+        assert not loaded & {"numpy", "cfpde.iterint", "cfpde.bounds", "cfpde.pde",
+                             "inspect"}
         assert "cfpde.series" in loaded
+
+    def test_no_subcommand_loads_dataclasses(self, tmp_path, transport_files):
+        grid = ["--grid", "0:1:5,0:1:5"]
+        out = str(tmp_path / "z.out")
+        loaded = _loaded_after([
+            ["algebra", "sum", "--left", transport_files[0], "--right", transport_files[1],
+             "--out", out],
+            ["eval", "--series", transport_files[0], "--u", "t", *grid, "--out", out],
+            SOLVE + ["--out", out],
+            ["solve", "second-order", "--alpha1", "0", "--alpha2", "-1", "--u", "t",
+             "--N", "2", *grid, "--out", out],
+            CHECK,
+            ["bounds", "estimate", "--u", "t*sin(theta_1)", *grid],
+            ["verify", "--only", "8"]], tmp_path)
+        assert {"cfpde.acceptance", "cfpde.bounds", "cfpde.pde"} <= loaded
+        assert "dataclasses" not in loaded
+
+    @pytest.mark.parametrize("start", [
+        "from cfpde import cli\nsys.exit(cli.entry())",  # the cf console script
+        "import runpy\nrunpy.run_module('cfpde.cli', run_name='__main__')",  # python -m
+    ])
+    def test_process_entry_leaves_collector_off_and_frozen(self, tmp_path, start):
+        code = ("import atexit, gc, sys\n"
+                "atexit.register(lambda: print(gc.isenabled(), gc.get_freeze_count() > 0))\n"
+                f"sys.argv = {['cf'] + CHECK!r}\n" + start + "\n")
+        proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path,
+                              env=dict(os.environ, PYTHONPATH=SRC),
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "False True"
+
+    def test_library_call_keeps_default_collector(self, capsys):
+        assert gc.isenabled() and gc.get_freeze_count() == 0
+        assert run(CHECK) == 0
+        assert gc.isenabled() and gc.get_freeze_count() == 0
 
     def test_eval_loads_no_bounds_or_pde(self, tmp_path, transport_files):
         loaded = _loaded_after([["eval", "--series", transport_files[0], "--u", "t",

@@ -220,6 +220,30 @@ class TestConstantFolding:
         with pytest.raises(ex.ExprError, match="out of range"):
             ex.canonical(ex.parse("exp(1000)*theta_1", 1), 1)
 
+    @pytest.mark.parametrize("build", [
+        lambda: ex.mul(ex.const(1e200), ex.const(1e200), ex.var("theta_1")),
+        lambda: ex.mul(ex.const(-1e200), ex.const(1e200)),
+        lambda: ex.add(ex.const(1e308), ex.const(1e308), ex.var("t")),
+        lambda: ex.simplify(ex.parse("1e200*1e200*theta_1", 1)),
+    ])
+    def test_overflowing_fold_is_expr_error(self, build):
+        """A real product past the range of a double is not folded into
+        a complex NaN (inf * 0 in the imaginary part)."""
+        with pytest.raises(ex.ExprError, match="out of range"):
+            build()
+
+    @pytest.mark.parametrize("text", ["1e200*1e200*theta_1", "sin(1e200*1e200*theta_1)",
+                                      "1e308*theta_1 + 1e308*theta_1",
+                                      "(1e200*theta_1)^2", "(1e200*theta_1 + 1)^2"])
+    def test_overflowing_canonical_is_expr_error(self, text):
+        with pytest.raises(ex.ExprError, match="out of range"):
+            ex.canonical(ex.parse(text, 1), 1)
+
+    def test_largest_finite_product_folds(self):
+        assert ex.mul(ex.const(1e154), ex.const(1e154)) == ex.const(1e308)
+        assert ex.canonical(ex.parse("1e154*1e154*theta_1", 1), 1) == \
+            ex.canonical(ex.parse("1e308*theta_1", 1), 1)
+
     @pytest.mark.parametrize("text", ["1e999*theta_1", "t + 2e400i"])
     def test_overflowing_literal_is_parse_error(self, text):
         with pytest.raises(ex.ParseError, match="out of range"):

@@ -1,3 +1,4 @@
+import gc
 import io
 import math
 import tracemalloc
@@ -187,6 +188,14 @@ class TestExpandDerivative:
         terms = ii.expand_derivative(word("x1", "x1"), (2,))
         weights = sorted(w for w, _ in terms)
         assert weights == [1, 1, 2]  # (2,0), (0,2) and the cross term
+
+    def test_order_is_axis_zero_outermost(self):
+        """Terms come as nested loops over the axes, axis 0 outermost:
+        evaluation adds them in this order."""
+        terms = ii.expand_derivative(word("x1", "x0", "x2"), (1, 1))
+        orders = [tuple(o for _, o in dw if o is not None) for _, dw in terms]
+        assert orders == [((0, 0), (1, 1)), ((0, 1), (1, 0)),
+                          ((1, 0), (0, 1)), ((1, 1), (0, 0))]
 
 
 class TestCumulativeTrapezoid:
@@ -481,6 +490,51 @@ class TestCsvDigits:
     """write_csv computes 17-digit decimals in numpy; they must be the
     bytes format(x, ".17g") gives."""
 
+    def test_tables_match_loop_reference(self):
+        """The broadcast tables against a loop over every (re/im, sign,
+        code, significant digits) and every binade, byte for byte."""
+        t = ii._csv_tables()
+        code = np.full(2048, ii._OTHER)
+        step = np.full(2048, np.nan)
+        code[0], step[0] = ii._ZERO, 5e-324
+        decades = {k: float(f"1e{k}") for k in range(ii._K_MIN, 17)}
+        for e in range(1023 - 19, 1023 + 53):
+            low = 2.0 ** (e - 1023)
+            k = max(j for j, d in decades.items() if d <= low)
+            code[e] = k - ii._K_MIN
+            if decades[k + 1] < 2 * low:
+                step[e] = decades[k + 1]
+        assert np.array_equal(t.binade_code, np.concatenate([code, code + ii._CODES]))
+        assert np.array_equal(t.binade_step, np.concatenate([step, step]), equal_nan=True)
+        heads, masks = bytearray(), bytearray()
+        first, dot = ii._FIRST, ii._DOT
+        for im, neg, c in np.ndindex(2, 2, ii._CODES):
+            k = c + ii._K_MIN
+            lead = b"," * im + b"-" * neg
+            if c == ii._ZERO:
+                lead += b"0"
+            elif -4 <= k < 0:
+                lead += b"0." + b"0" * (-k - 1)
+            heads += lead.rjust(first, b"\0") + b"\0"
+            for s in range(18):
+                runs = [(first - len(lead), first)]
+                if -4 <= k < 0:
+                    runs.append((first, first + s))
+                elif k < -4:
+                    runs += [(first, first + 1), (dot, dot + s * (s > 1)), (44, 48)]
+                elif c < ii._ZERO:
+                    runs.append((first, first + k + 1))
+                    if s > k + 1:
+                        runs += [(dot, dot + 1), (dot + k + 1, dot + s)]
+                row = bytearray(ii._CELL)
+                for lo, hi in runs:
+                    row[lo:hi] = b"\1" * (hi - lo)
+                masks += row
+        assert t.lead.tobytes() == bytes(heads)
+        assert t.mask.tobytes() == bytes(masks)
+        assert t.exponent.tobytes() == b"".join(
+            b"e-06" if c % ii._CODES == 0 else b"e-05" for c in range(4 * ii._CODES))
+
     def test_exact_ties_round_half_to_even(self):
         assert_printed_as_format(exact_ties())
 
@@ -672,3 +726,36 @@ class TestSeparablePath:
         with self.record_passes(passes):
             ii.evaluate_series(c, u, small_grid(n_theta=9, n_t=17))
         assert passes and {len(shape) for shape in passes} == {ndim}
+
+
+class TestNoReferenceCycles:
+    """The evaluation path leaves nothing for the cyclic collector, which
+    a `cf` process keeps switched off."""
+
+    @pytest.fixture(autouse=True)
+    def collector_off(self):
+        gc.collect()
+        gc.disable()
+        try:
+            yield
+        finally:
+            gc.enable()
+
+    def test_expand_derivative(self):
+        terms = ii.expand_derivative(word("x1", "x0", "x2", "x1"), (2, 1))
+        assert len(terms) == 18  # 6 ways on axis 1, 3 on axis 2
+        assert gc.collect() == 0
+
+    @pytest.mark.parametrize("text", ["t*cos(theta_2)", "t*cos(theta_2 + t)"])
+    def test_evaluate_shuffle_product(self, text):
+        """Both walks: a separable input, and one that mixes theta and t."""
+        c = se.embed(pde.transport_series(pde.TransportSpec(V=1.0, y0=0, N=2)), 2, 0)
+        d = se.relabel_letters(
+            se.embed(pde.transport_series(pde.TransportSpec(V=0.5, y0=0, N=2)), 2, 1),
+            {X1: Letter(2)})
+        p = se.shuffle_series(c, d)
+        binding = {1: ii.InputSignal.symbolic(ex.parse("t*sin(theta_1)", 2)),
+                   2: ii.InputSignal.symbolic(ex.parse(text, 2))}
+        assert gc.collect() == 0
+        ii.evaluate_series(p, binding, GRID_2D)
+        assert gc.collect() == 0
