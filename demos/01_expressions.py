@@ -1,7 +1,9 @@
 """The symbolic expression layer: parsing, differentiation, evaluation.
 
-Coefficient functions and symbolic input signals are tiny expression
-trees over t and theta_1..theta_d, closed under differentiation.
+Coefficient functions and symbolic input signals are canonical sparse
+polynomials (``Poly``) in t, theta_1..theta_d and sin/cos/exp atoms:
+``parse`` builds one directly, and the form is closed under
+differentiation.
 """
 
 import math

@@ -197,7 +197,7 @@ def criterion_5() -> CriterionResult:
                            detail="runtime limit 5s")
 
 
-def _random_gentle_input(rng: np.random.Generator, axis: int) -> ex.Expr:
+def _random_gentle_input(rng: np.random.Generator, axis: int) -> ex.Poly:
     amp = rng.uniform(0.1, 0.2)
     freq = rng.uniform(0.3, 0.6)
     base = rng.uniform(0.4, 0.8)

@@ -18,7 +18,7 @@ bound when one is available.  Files are written atomically and with a
 fixed serialization order, so identical jobs produce identical bytes.
 
 Exit codes: 1 for validation failures, 2 for numeric failures (NaN or
-infinity in an output, or memory exhausted).
+infinity in an output field or series, or memory exhausted).
 
 Each subcommand imports only the modules it runs: ``algebra`` never
 loads numpy, ``iterint``, ``bounds`` or ``pde``.  ``cf`` and ``python -m
@@ -134,7 +134,7 @@ def _check_finite(field: ii.GridField) -> None:
         raise NumericFailure("output field contains NaN or infinity")
 
 
-def _parse_expr_arg(text: str, dim: int, what: str) -> ex.Expr:
+def _parse_expr_arg(text: str, dim: int, what: str) -> ex.Poly:
     try:
         return ex.parse(text, dim)
     except ex.ExprError as e:
@@ -517,7 +517,7 @@ def main(argv=None) -> int:
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except (NumericFailure, ex.PoleError) as e:
+    except (NumericFailure, ex.PoleError, se.NonFinite) as e:
         print(f"numeric failure: {e}", file=sys.stderr)
         return 2
     except MemoryError as e:

@@ -7,10 +7,10 @@ through a coefficient with the Leibniz rule, so
 op_apply(op_mul(A, B), f) == op_apply(A, op_apply(B, f)).
 
 Coefficients depend on the theta variables only, never on t.  They are
-held in the canonical sparse form ``expr.Poly``: an expression is
-converted once when it enters a DiffOp, every operation below works on
-the monomial dicts, and a term is zero exactly when its coefficient's
-dict is empty.
+``expr.Poly`` values without a t slot: an expression is converted once
+when it enters a DiffOp (a t slot it carries is dropped, and t itself is
+refused), every operation below works on the monomial dicts, and a term
+is zero exactly when its coefficient's dict is empty.
 """
 
 from __future__ import annotations
@@ -82,7 +82,7 @@ class DiffOp:
 
     ``terms`` maps a multi-index to a nonzero ``expr.Poly`` coefficient.
     Any expression or number is accepted on construction and converted
-    once; ``_trusted`` skips that for coefficients already canonical."""
+    once; ``_trusted`` skips that for coefficients already converted."""
 
     __slots__ = ("dim", "terms")
 
@@ -138,7 +138,7 @@ class DiffOp:
             return "0 * D[" + ",".join("0" for _ in range(self.dim)) + "]"
         parts = []
         for alpha, coeff in self.sorted_terms():
-            c = ex.to_string(coeff)
+            c = ex.to_string(coeff, exact=True)
             if "+" in c[1:] or " - " in c:
                 c = f"({c})"
             parts.append(f"{c} * D[{','.join(str(a) for a in alpha)}]")
@@ -154,20 +154,22 @@ class DiffOp:
     def __hash__(self):
         return hash((self.dim, frozenset(self.terms.items())))
 
-    def apply(self, f: ex.Expr) -> ex.Expr:
+    def apply(self, f) -> ex.Poly:
         return op_apply(self, f)
 
 
 def _to_poly(value, dim: int, what: str, error) -> ex.Poly:
-    """Check that an expression lives on theta_1..theta_dim and convert it."""
-    e = ex.as_expr(value)
-    names = ex.variables(e)
-    if "t" in names:
-        raise DiffOpError(f"operator {what} may not depend on t")
-    bad = [k for k in ex.theta_indices(e) if k > dim]
-    if bad:
-        raise error(f"{what} references theta_{max(bad)} beyond dim {dim}")
-    return ex.canonical(e, dim)
+    """Check that an expression lives on theta_1..theta_dim and give it
+    the coefficient layout: dim theta axes, no t slot."""
+    p = ex.simplify(value)
+    if p.t or p.dim > dim:
+        names = ex.variables(p)
+        if "t" in names:
+            raise DiffOpError(f"operator {what} may not depend on t")
+        bad = [int(name[6:]) for name in names if int(name[6:]) > dim]
+        if bad:
+            raise error(f"{what} references theta_{max(bad)} beyond dim {dim}")
+    return p.embed(dim)
 
 
 def identity(dim: int) -> DiffOp:
@@ -212,14 +214,14 @@ def _derivative(delta: MultiIndex, memo: dict) -> ex.Poly:
     return memo[delta]
 
 
-def op_apply(op: DiffOp, f) -> ex.Expr:
+def op_apply(op: DiffOp, f) -> ex.Poly:
     """Apply the operator to a function of theta: sum of a_alpha * d^alpha f,
-    returned as an expression tree."""
+    a Poly in the coefficient layout."""
     memo = {mi_zero(op.dim): _to_poly(f, op.dim, "function", DimensionMismatch)}
     pairs = []
     for alpha, coeff in op.sorted_terms():
         pairs += ex.product_terms(coeff, _derivative(alpha, memo))
-    return ex.to_expr(ex.collect(op.dim, pairs))
+    return ex.collect(op.dim, pairs)
 
 
 def op_add(a: DiffOp, b: DiffOp) -> DiffOp:

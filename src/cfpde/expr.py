@@ -3,19 +3,18 @@
 The expression language is deliberately tiny: complex constants, the
 variables ``t`` and ``theta_k``, sums, products, integer powers, negation,
 and the unary functions sin/cos/exp.  It is closed under differentiation.
-Trees are the language of user input and of time-dependent signals; their
-simplification is local rewriting only (constant folding, 0/1 identities,
-flattening of nested sums/products).
 
-Operator coefficients live in a canonical sparse form instead, ``Poly``: a
-dict from monomial key to complex coefficient, where a key is the theta
-exponent tuple (negative entries allowed) and a sorted tuple of atoms
-(sin|cos|exp, canonical argument, multiplicity).  ``canonical`` converts
-a tree once; like terms collect when a Poly is built, so zero is the
-empty dict and equality is dict equality.  A collected sum is zero when
-it is exactly 0 or within 8 eps of the summed magnitudes of its
-contributions, never by an absolute cut.  Trig identities are not
-applied: sin^2 + cos^2 - 1 stays three terms and evaluates to about 0.
+Every expression is held in one canonical sparse form, ``Poly``: a dict
+from monomial key to complex coefficient, where a key is the exponent
+tuple (negative entries allowed) and a sorted tuple of atoms
+(sin|cos|exp, canonical argument, multiplicity).  The exponent tuple has
+one entry per theta axis and, in a Poly with a t slot, one more for t,
+last.  ``parse`` gives its result a t slot; operator coefficients have
+none.  Like terms collect when a Poly is built, so zero is the empty
+dict and equality is dict equality.  A collected sum is zero when it is
+exactly 0 or within 8 eps of the summed magnitudes of its contributions,
+never by an absolute cut.  Trig identities are not applied:
+sin^2 + cos^2 - 1 stays three terms and evaluates to about 0.
 """
 
 from __future__ import annotations
@@ -23,17 +22,14 @@ from __future__ import annotations
 import cmath
 import re
 import sys
-from typing import Mapping, Union
-
-from ._record import record
+from typing import Mapping
 
 __all__ = [
-    "Expr", "Const", "Var", "Add", "Mul", "Pow", "Neg", "Sin", "Cos", "Exp",
-    "ExprError", "ParseError", "EvalError", "PoleError",
+    "Poly", "ExprError", "ParseError", "EvalError", "PoleError",
     "const", "var", "add", "mul", "neg", "sub", "intpow", "sin", "cos", "exp",
     "parse", "to_string", "simplify", "differentiate", "evaluate",
-    "variables", "theta_indices", "depends_on", "as_expr",
-    "Poly", "canonical", "to_expr", "collect", "product_terms",
+    "variables", "theta_indices", "depends_on",
+    "canonical", "collect", "product_terms",
 ]
 
 MAX_EXPONENT = 2 ** 31
@@ -66,70 +62,27 @@ class PoleError(EvalError):
     """Zero raised to a negative power."""
 
 
-@record
-class Const:
-    value: complex
-
-
-@record
-class Var:
-    name: str
-
-
-@record
-class Add:
-    terms: tuple["Expr", ...]
-
-
-@record
-class Mul:
-    factors: tuple["Expr", ...]
-
-
-@record
-class Pow:
-    base: "Expr"
-    exponent: int
-
-
-@record
-class Neg:
-    arg: "Expr"
-
-
-@record
-class Sin:
-    arg: "Expr"
-
-
-@record
-class Cos:
-    arg: "Expr"
-
-
-@record
-class Exp:
-    arg: "Expr"
-
-
 class Poly:
-    """Canonical sparse sum of monomials over theta_1..theta_dim.
+    """Canonical sparse sum of monomials.
 
-    ``terms`` maps (exponents, atoms) to a nonzero complex coefficient;
-    an atom is (name, argument Poly, multiplicity).  Build one with
-    ``canonical`` or ``collect``; treat it as immutable."""
+    ``dim`` is the length of an exponent tuple: the theta axes, then t
+    when ``t`` is set.  ``terms`` maps (exponents, atoms) to a nonzero
+    complex coefficient; an atom is (name, argument Poly of the same
+    layout, multiplicity).  Build one with the constructors below,
+    ``parse`` or ``collect``; treat it as immutable."""
 
-    __slots__ = ("dim", "terms", "_hash", "_sorted", "_key", "_derivatives")
+    __slots__ = ("dim", "t", "terms", "_hash", "_sorted", "_key", "_derivatives")
 
-    def __init__(self, dim: int, terms: dict):
+    def __init__(self, dim: int, terms: dict, t: bool = False):
         self.dim = dim
+        self.t = t
         self.terms = terms
         self._hash = self._sorted = self._key = None
         self._derivatives: dict[int, Poly] = {}
 
     def __eq__(self, other):
         return (isinstance(other, Poly) and self.dim == other.dim
-                and self.terms == other.terms)
+                and self.t == other.t and self.terms == other.terms)
 
     def __hash__(self):
         if self._hash is None:
@@ -137,7 +90,7 @@ class Poly:
         return self._hash
 
     def __repr__(self):
-        return f"Poly({to_string(self)!r})"
+        return f"Poly({to_string(self, exact=True)!r})"
 
     def sorted_items(self) -> list:
         """Terms in print and summation order: exponents descending, then
@@ -163,8 +116,9 @@ class Poly:
         return None
 
     def derivative(self, axis: int) -> "Poly":
-        """d/dtheta_{axis+1}, by the product and chain rules on each term;
-        kept with the Poly, so chains of derivatives are built once."""
+        """The derivative along an axis of the exponent tuple, by the
+        product and chain rules on each term; kept with the Poly, so
+        chains of derivatives are built once."""
         if axis not in self._derivatives:
             self._derivatives[axis] = self._derivative(axis)
         return self._derivatives[axis]
@@ -189,285 +143,296 @@ class Poly:
                 base = _mono_mul((e, kept), ((0,) * self.dim, extra))
                 pairs.extend((_mono_mul(base, dm), factor * dc)
                              for dm, dc in darg.terms.items())
-        return collect(self.dim, pairs)
+        return collect(self.dim, pairs, self.t)
 
-    def embed(self, dim: int, offset: int = 0) -> "Poly":
-        """Re-index theta_k as theta_{k+offset} in a dim-dimensional space
-        (coordinates cut off at the end must be unused)."""
+    def embed(self, dim: int, offset: int = 0, t: bool = False) -> "Poly":
+        """This Poly with dim axes: theta_k becomes theta_{k+offset} among
+        the first dim - t, and t is the last when t is set.  Axes cut off
+        at the end, and a t axis dropped, must be unused."""
+        if (dim, offset, t) == (self.dim, 0, self.t):
+            return self
+        n, m = dim - t, self.dim - self.t
+
         def shift(e):
-            e = (0,) * offset + e
-            return e[:dim] + (0,) * (dim - len(e))
-        return Poly(dim, {(shift(e), tuple((n, a.embed(dim, offset), m)
-                                           for n, a, m in atoms)): c
-                          for (e, atoms), c in self.terms.items()})
+            theta = ((0,) * offset + e[:m])[:n]
+            return theta + (0,) * (n - len(theta)) + ((e[m:] or (0,)) if t else ())
+        return Poly(dim, {(shift(e), tuple((name, a.embed(dim, offset, t), k)
+                                           for name, a, k in atoms)): c
+                          for (e, atoms), c in self.terms.items()}, t)
 
-
-Expr = Union[Const, Var, Add, Mul, Pow, Neg, Sin, Cos, Exp, Poly]
-
-ZERO = Const(0j)
-ONE = Const(1 + 0j)
 
 _THETA_RE = re.compile(r"theta_([1-9][0-9]*)$")
 
 
-def _is_zero(e: Expr) -> bool:
-    return isinstance(e, Const) and e.value == 0
+def _axis_name(p: Poly, axis: int) -> str:
+    return "t" if p.t and axis == p.dim - 1 else f"theta_{axis + 1}"
 
 
 # ---------------------------------------------------------------------------
-# smart constructors (these do the local simplification)
+# canonical sparse form
 
-def const(value) -> Const:
-    return Const(complex(value))
-
-
-def as_expr(value) -> Expr:
-    """Coerce a number into a Const; pass expressions through."""
-    if isinstance(value, (int, float, complex)):
-        return const(value)
-    if isinstance(value, (Const, Var, Add, Mul, Pow, Neg, Sin, Cos, Exp, Poly)):
-        return value
-    raise ExprError(f"cannot interpret {value!r} as an expression")
+def _mono_key(m) -> tuple:
+    e, atoms = m
+    return (tuple(-k for k in e), tuple((n, a.sort_key(), k) for n, a, k in atoms))
 
 
-def var(name: str) -> Var:
-    if name != "t" and not _THETA_RE.match(name):
-        raise ExprError(f"invalid variable name {name!r}")
-    return Var(name)
+def _mono_mul(a, b):
+    (ea, aa), (eb, ab) = a, b
+    e = tuple([x + y for x, y in zip(ea, eb)])
+    if not ab:
+        return e, aa
+    if not aa:
+        return e, ab
+    merged: dict = {}
+    for n, arg, k in aa + ab:
+        merged[n, arg] = merged.get((n, arg), 0) + k
+    return e, tuple(sorted(((n, arg, k) for (n, arg), k in merged.items()),
+                           key=lambda atom: (atom[0], atom[1].sort_key())))
 
 
-def add(*terms) -> Expr:
-    flat: list[Expr] = []
-    acc = 0j
-    for term in terms:
-        term = as_expr(term)
-        if isinstance(term, Add):
-            inner_const = 0j
-            for sub_t in term.terms:
-                if isinstance(sub_t, Const):
-                    inner_const += sub_t.value
-                else:
-                    flat.append(sub_t)
-            acc += inner_const
-        elif isinstance(term, Const):
-            acc += term.value
+def collect(dim: int, pairs, t: bool = False) -> Poly:
+    """Sum (monomial, value) pairs into a Poly.  A monomial's sum is
+    dropped when it is exactly 0 or no larger than 8 eps times the sum of
+    the magnitudes of its contributions (roundoff of a cancellation)."""
+    acc: dict = {}
+    mag: dict = {}
+    for m, c in pairs:
+        if m in acc:
+            acc[m] += c
+            mag[m] += abs(c)
         else:
-            flat.append(term)
-    if acc != 0:
-        if not cmath.isfinite(acc):
-            raise ExprError("constant sum is out of range")
-        flat.append(Const(acc))
-    if not flat:
-        return ZERO
-    if len(flat) == 1:
-        return flat[0]
-    return Add(tuple(flat))
+            acc[m] = c
+            mag[m] = abs(c)
+    return Poly(dim, {m: c for m, c in acc.items()
+                      if not (c == 0 or abs(c) <= _ROUNDOFF * mag[m] < float("inf"))}, t)
 
 
-def mul(*factors) -> Expr:
-    flat: list[Expr] = []
-    acc = 1 + 0j
-    sign = 1
-    for factor in factors:
-        factor = as_expr(factor)
-        while isinstance(factor, Neg):
-            sign = -sign
-            factor = factor.arg
-        if isinstance(factor, Mul):
-            for sub_f in factor.factors:
-                if isinstance(sub_f, Const):
-                    acc *= sub_f.value
-                else:
-                    flat.append(sub_f)
-        elif isinstance(factor, Const):
-            acc *= factor.value
-        else:
-            flat.append(factor)
-    acc *= sign
-    # a real product past the range of a double would carry on as a
-    # complex NaN (inf * 0 in the imaginary part)
-    if not cmath.isfinite(acc):
-        raise ExprError("constant product is out of range")
-    if acc == 0:
-        return ZERO
-    if acc == -1 and flat:
-        body = flat[0] if len(flat) == 1 else Mul(tuple(flat))
-        return Neg(body)
-    if acc != 1:
-        flat.insert(0, Const(acc))
-    if not flat:
-        return ONE
-    if len(flat) == 1:
-        return flat[0]
-    return Mul(tuple(flat))
+def product_terms(p: Poly, q: Poly, weight=1) -> list:
+    """The (monomial, value) pairs of weight * p * q, uncollected."""
+    return [(_mono_mul(mp, mq), cp * cq * weight)
+            for mp, cp in p.terms.items() for mq, cq in q.terms.items()]
 
 
-def neg(e) -> Expr:
-    e = as_expr(e)
-    if isinstance(e, Const):
-        return Const(-e.value)
-    if isinstance(e, Neg):
-        return e.arg
-    return Neg(e)
+def _const_poly(value, dim: int, t: bool = False) -> Poly:
+    return collect(dim, [(((0,) * dim, ()), complex(value))], t)
 
 
-def sub(a, b) -> Expr:
-    return add(a, neg(b))
+def _var_poly(axis: int, dim: int, t: bool) -> Poly:
+    return Poly(dim, {(tuple(int(i == axis) for i in range(dim)), ()): 1 + 0j}, t)
 
 
-def intpow(base, exponent: int) -> Expr:
-    base = as_expr(base)
-    if not isinstance(exponent, int):
-        raise ExprError("exponents must be integers")
-    if abs(exponent) > MAX_EXPONENT:
-        raise ExprError(f"exponent {exponent} exceeds the supported range")
-    if exponent == 0:
-        return ONE
-    if exponent == 1:
-        return base
-    if exponent < 0 and not isinstance(base, (Var, Const)):
-        raise ExprError("negative exponents require a variable or constant base")
-    if isinstance(base, Const):
-        if base.value == 0 and exponent < 0:
-            raise PoleError("zero raised to a negative power")
-        return _fold(pow, base.value, exponent)
-    return Pow(base, exponent)
+def _finite(p: Poly, what: str) -> Poly:
+    """p, when constant arithmetic left every coefficient in the range of
+    a complex double; a non-finite coefficient carries through sums and
+    products, so one check of a result covers its parts."""
+    if all(map(cmath.isfinite, p.terms.values())):
+        return p
+    raise ExprError(f"constant {what} is out of range")
 
 
-def _fold(fn, *args) -> Const:
-    """Const(fn(*args)) for constant folding; a value out of the range of
-    a complex double (OverflowError, or cmath's ValueError at infinity)
-    is an ExprError."""
+def _fold(fn, *args) -> complex:
+    """fn(*args) for constant folding; a value out of the range of a
+    complex double (OverflowError, or cmath's ValueError at infinity) is
+    an ExprError."""
     try:
-        return Const(fn(*args))
+        return fn(*args)
     except (OverflowError, ValueError) as e:
         text = ", ".join(_fmt_const(complex(a)) for a in args)
         raise ExprError(f"constant {fn.__name__}({text}) is out of range: {e}") from None
 
 
-def sin(e) -> Expr:
-    e = as_expr(e)
-    if isinstance(e, Const):
-        return _fold(cmath.sin, e.value)
-    return Sin(e)
+# Sums, products, powers and functions of Polys of one layout.  A sum
+# stores its terms in print order, so that the order in which collections
+# later add contributions does not depend on how the input was written.
+
+def _sum(ps: list) -> Poly:
+    p = collect(ps[0].dim, [mc for q in ps for mc in q.terms.items()], ps[0].t)
+    return _finite(Poly(p.dim, dict(p.sorted_items()), p.t), "sum")
 
 
-def cos(e) -> Expr:
-    e = as_expr(e)
-    if isinstance(e, Const):
-        return _fold(cmath.cos, e.value)
-    return Cos(e)
+def _product(ps: list) -> Poly:
+    out = ps[0]
+    for p in ps[1:]:
+        out = collect(out.dim, product_terms(out, p), out.t)
+    return _finite(out, "product")
 
 
-def exp(e) -> Expr:
-    e = as_expr(e)
-    if isinstance(e, Const):
-        return _fold(cmath.exp, e.value)
-    return Exp(e)
+def _neg(p: Poly) -> Poly:
+    return Poly(p.dim, {m: -c for m, c in p.terms.items()}, p.t)
 
 
-def simplify(e: Expr) -> Expr:
-    """Rebuild the tree through the smart constructors."""
-    match e:
-        case Const() | Var() | Poly():
-            return e
-        case Add(terms):
-            return add(*(simplify(t) for t in terms))
-        case Mul(factors):
-            return mul(*(simplify(f) for f in factors))
-        case Pow(base, exponent):
-            return intpow(simplify(base), exponent)
-        case Neg(arg):
-            return neg(simplify(arg))
-        case Sin(arg):
-            return sin(simplify(arg))
-        case Cos(arg):
-            return cos(simplify(arg))
-        case Exp(arg):
-            return exp(simplify(arg))
-    raise ExprError(f"unknown node {e!r}")
+_NEGATIVE_POWER = "negative exponents require a monomial in t and theta as base"
+
+
+def _power(p: Poly, k: int) -> Poly:
+    if abs(k) > MAX_EXPONENT:
+        raise ExprError(f"exponent {k} exceeds the supported range")
+    if k == 0:
+        return _const_poly(1, p.dim, p.t)
+    if k == 1:
+        return p
+    value = p.constant()
+    if value is not None:
+        if value == 0 and k < 0:
+            raise PoleError("zero raised to a negative power")
+        return _const_poly(_fold(pow, value, k), p.dim, p.t)
+    if len(p.terms) == 1:
+        ((e, atoms), c), = p.terms.items()
+        if k < 0 and atoms:
+            raise ExprError(_NEGATIVE_POWER)
+        return _finite(collect(p.dim, [((tuple(x * k for x in e),
+                                         tuple((n, a, m * k) for n, a, m in atoms)),
+                                        _int_power(c, k))], p.t), "power")
+    if k < 0:
+        raise ExprError(_NEGATIVE_POWER)
+    if k > MAX_EXPANDED_POWER:
+        raise ExprError(
+            f"a power of a sum is expanded up to {MAX_EXPANDED_POWER}, not {k}")
+    return _product([p] * k)
+
+
+def _func(name: str, p: Poly) -> Poly:
+    value = p.constant()
+    if value is not None:
+        return _const_poly(_fold(_CMATH[name], value), p.dim, p.t)
+    return Poly(p.dim, {((0,) * p.dim, ((name, p, 1),)): 1 + 0j}, p.t)
 
 
 # ---------------------------------------------------------------------------
-# differentiation
+# constructors: any mix of numbers and Polys; operands are brought to one
+# layout, the most theta axes among them and a t slot when any has one
 
-def _d(e: Expr, v: str) -> Expr:
-    match e:
-        case Const():
-            return ZERO
-        case Var(name):
-            return ONE if name == v else ZERO
-        case Add(terms):
-            return add(*(_d(t, v) for t in terms))
-        case Neg(arg):
-            return neg(_d(arg, v))
-        case Mul(factors):
-            parts = []
-            for i, f in enumerate(factors):
-                df = _d(f, v)
-                if _is_zero(df):
-                    continue
-                parts.append(mul(*factors[:i], df, *factors[i + 1:]))
-            return add(*parts)
-        case Pow(base, exponent):
-            db = _d(base, v)
-            if _is_zero(db):
-                return ZERO
-            return mul(const(exponent), intpow(base, exponent - 1), db)
-        case Sin(arg):
-            return mul(cos(arg), _d(arg, v))
-        case Cos(arg):
-            return neg(mul(sin(arg), _d(arg, v)))
-        case Exp(arg):
-            return mul(exp(arg), _d(arg, v))
-        case Poly():
-            axis = int(v[6:]) - 1 if v != "t" else e.dim
-            return e.derivative(axis) if axis < e.dim else ZERO
-    raise ExprError(f"unknown node {e!r}")
+def simplify(e) -> Poly:
+    """Coerce a number into a constant Poly; pass a Poly through."""
+    if isinstance(e, Poly):
+        return e
+    if isinstance(e, _SCALARS):
+        return const(e)
+    raise ExprError(f"cannot interpret {e!r} as an expression")
 
 
-def differentiate(e: Expr, v: str, order: int = 1) -> Expr:
-    """Return the order-th partial derivative of e with respect to v."""
+def _aligned(values) -> list[Poly]:
+    ps = [simplify(v) for v in values]
+    t = any(p.t for p in ps)
+    dim = max((p.dim - p.t for p in ps), default=0) + t
+    return [p.embed(dim, 0, t) for p in ps]
+
+
+def const(value) -> Poly:
+    return _const_poly(value, 0)
+
+
+ZERO = Poly(0, {})
+ONE = const(1)
+
+
+def var(name: str) -> Poly:
+    if name == "t":
+        return _var_poly(0, 1, True)
+    m = _THETA_RE.match(name)
+    if m is None:
+        raise ExprError(f"invalid variable name {name!r}")
+    k = int(m.group(1))
+    return _var_poly(k - 1, k, False)
+
+
+def add(*terms) -> Poly:
+    ps = _aligned(terms)
+    return _sum(ps) if ps else ZERO
+
+
+def mul(*factors) -> Poly:
+    ps = _aligned(factors)
+    return _product(ps) if ps else ONE
+
+
+def neg(e) -> Poly:
+    return _neg(simplify(e))
+
+
+def sub(a, b) -> Poly:
+    return add(a, neg(b))
+
+
+def intpow(base, exponent: int) -> Poly:
+    if not isinstance(exponent, int):
+        raise ExprError("exponents must be integers")
+    return _power(simplify(base), exponent)
+
+
+def sin(e) -> Poly:
+    return _func("sin", simplify(e))
+
+
+def cos(e) -> Poly:
+    return _func("cos", simplify(e))
+
+
+def exp(e) -> Poly:
+    return _func("exp", simplify(e))
+
+
+def canonical(e, dim: int, t: bool = False) -> Poly:
+    """e as a Poly with dim axes: theta_1..theta_dim, or with t=True
+    theta_1..theta_{dim-1} and then t.  Any other variable in e is an
+    ExprError."""
+    p = simplify(e)
+    n = dim - t
+    for name in sorted(variables(p)):
+        if name == "t" and not t or name != "t" and int(name[6:]) > n:
+            raise ExprError(f"{name} is not a parameter of dim {n}")
+    return p.embed(dim, 0, t)
+
+
+# ---------------------------------------------------------------------------
+# differentiation and evaluation
+
+def differentiate(e, v: str, order: int = 1) -> Poly:
+    """The order-th partial derivative of e with respect to v, from the
+    memoized Poly.derivative chain."""
     if v != "t" and not _THETA_RE.match(v):
         raise ExprError(f"invalid variable name {v!r}")
     if order < 0:
         raise ExprError("derivative order must be nonnegative")
-    out = simplify(e)
+    p = simplify(e)
+    n = p.dim - p.t
+    if v == "t":
+        axis = n if p.t else None
+    else:
+        axis = int(v[6:]) - 1 if int(v[6:]) <= n else None
+    if axis is None:
+        return p if order == 0 else Poly(p.dim, {}, p.t)
     for _ in range(order):
-        out = _d(out, v)
+        p = p.derivative(axis)
+    return p
+
+
+def evaluate(p: Poly, bindings: Mapping[str, object]):
+    """Evaluate at the bindings of theta_k and t.  Values may be scalars
+    or numpy arrays (which broadcast); the result is complex-valued
+    either way.  Terms are summed in sorted order; powers and atoms are
+    computed once."""
+    values: dict = {}
+    out = 0j
+    for (e, atoms), c in p.sorted_items():
+        v = c
+        for axis, k in enumerate(e):
+            if k:
+                if (axis, k) not in values:
+                    values[axis, k] = _int_power(
+                        _lookup(bindings, _axis_name(p, axis)), k)
+                v = v * values[axis, k]
+        for atom in atoms:
+            if atom not in values:
+                name, arg, m = atom
+                values[atom] = _int_power(_func_value(name, evaluate(arg, bindings)), m)
+            v = v * values[atom]
+        if isinstance(v, _SCALARS) or not isinstance(out, _SCALARS):
+            out = out + v
+        else:  # v is a new array: add the scalar sum so far in place
+            v += out
+            out = v
     return out
-
-
-# ---------------------------------------------------------------------------
-# evaluation
-
-def evaluate(e: Expr, bindings: Mapping[str, object]):
-    """Evaluate at the bindings.  Values may be scalars or numpy arrays
-    (which broadcast); the result is complex-valued either way."""
-    match e:
-        case Const(value):
-            return value
-        case Var(name):
-            return _lookup(bindings, name)
-        case Add(terms):
-            out = evaluate(terms[0], bindings)
-            for term in terms[1:]:
-                out = out + evaluate(term, bindings)
-            return out
-        case Mul(factors):
-            out = evaluate(factors[0], bindings)
-            for factor in factors[1:]:
-                out = out * evaluate(factor, bindings)
-            return out
-        case Pow(base, exponent):
-            return _int_power(evaluate(base, bindings), exponent)
-        case Neg(arg):
-            return -evaluate(arg, bindings)
-        case Sin(arg) | Cos(arg) | Exp(arg):
-            return _func_value(type(e).__name__.lower(), evaluate(arg, bindings))
-        case Poly():
-            return _poly_evaluate(e, bindings)
-    raise ExprError(f"unknown node {e!r}")
 
 
 def _lookup(bindings: Mapping[str, object], name: str):
@@ -510,204 +475,21 @@ def _func_value(name: str, v):
     return _CMATH[name](v)
 
 
-def _poly_evaluate(p: Poly, bindings):
-    """Sum the terms in sorted order; powers and atoms are computed once."""
-    values: dict = {}
-    out = 0j
-    for (e, atoms), c in p.sorted_items():
-        v = c
-        for axis, k in enumerate(e):
-            if k:
-                if (axis, k) not in values:
-                    values[axis, k] = _int_power(
-                        _lookup(bindings, f"theta_{axis + 1}"), k)
-                v = v * values[axis, k]
-        for atom in atoms:
-            if atom not in values:
-                name, arg, m = atom
-                values[atom] = _int_power(
-                    _func_value(name, _poly_evaluate(arg, bindings)), m)
-            v = v * values[atom]
-        out = out + v
+def variables(p: Poly) -> set[str]:
+    out: set[str] = set()
+    for e, atoms in p.terms:
+        out.update(_axis_name(p, i) for i, k in enumerate(e) if k)
+        for _, arg, _ in atoms:
+            out |= variables(arg)
     return out
 
 
-def variables(e: Expr) -> set[str]:
-    match e:
-        case Const():
-            return set()
-        case Var(name):
-            return {name}
-        case Add(terms):
-            out: set[str] = set()
-            for t in terms:
-                out |= variables(t)
-            return out
-        case Mul(factors):
-            out = set()
-            for f in factors:
-                out |= variables(f)
-            return out
-        case Pow(base, _):
-            return variables(base)
-        case Neg(arg) | Sin(arg) | Cos(arg) | Exp(arg):
-            return variables(arg)
-        case Poly():
-            out = set()
-            for exps, atoms in e.terms:
-                out |= {f"theta_{i + 1}" for i, k in enumerate(exps) if k}
-                for _, arg, _ in atoms:
-                    out |= variables(arg)
-            return out
-    raise ExprError(f"unknown node {e!r}")
+def theta_indices(p: Poly) -> set[int]:
+    return {int(name[6:]) for name in variables(p) if name != "t"}
 
 
-def theta_indices(e: Expr) -> set[int]:
-    out = set()
-    for name in variables(e):
-        m = _THETA_RE.match(name)
-        if m:
-            out.add(int(m.group(1)))
-    return out
-
-
-def depends_on(e: Expr, v: str) -> bool:
-    return v in variables(e)
-
-
-# ---------------------------------------------------------------------------
-# canonical sparse form
-
-def _mono_key(m) -> tuple:
-    e, atoms = m
-    return (tuple(-k for k in e), tuple((n, a.sort_key(), k) for n, a, k in atoms))
-
-
-def _mono_mul(a, b):
-    (ea, aa), (eb, ab) = a, b
-    e = tuple([x + y for x, y in zip(ea, eb)])
-    if not ab:
-        return e, aa
-    if not aa:
-        return e, ab
-    merged: dict = {}
-    for n, arg, k in aa + ab:
-        merged[n, arg] = merged.get((n, arg), 0) + k
-    return e, tuple(sorted(((n, arg, k) for (n, arg), k in merged.items()),
-                           key=lambda atom: (atom[0], atom[1].sort_key())))
-
-
-def collect(dim: int, pairs) -> Poly:
-    """Sum (monomial, value) pairs into a Poly.  A monomial's sum is
-    dropped when it is exactly 0 or no larger than 8 eps times the sum of
-    the magnitudes of its contributions (roundoff of a cancellation)."""
-    acc: dict = {}
-    mag: dict = {}
-    for m, c in pairs:
-        if m in acc:
-            acc[m] += c
-            mag[m] += abs(c)
-        else:
-            acc[m] = c
-            mag[m] = abs(c)
-    return Poly(dim, {m: c for m, c in acc.items()
-                      if not (c == 0 or abs(c) <= _ROUNDOFF * mag[m] < float("inf"))})
-
-
-def product_terms(p: Poly, q: Poly, weight=1) -> list:
-    """The (monomial, value) pairs of weight * p * q, uncollected."""
-    return [(_mono_mul(mp, mq), cp * cq * weight)
-            for mp, cp in p.terms.items() for mq, cq in q.terms.items()]
-
-
-def _const_poly(value, dim: int) -> Poly:
-    return collect(dim, [(((0,) * dim, ()), complex(value))])
-
-
-def canonical(e, dim: int, t: bool = False) -> Poly:
-    """Convert an expression in theta_1..theta_dim into its canonical
-    sparse form.  With t=True the variable t is the last of the dim axes
-    and theta_k ranges over the first dim - 1; otherwise t is refused.
-    Constant arithmetic that leaves the range of a complex double is an
-    ExprError.  Sums and products carry a non-finite coefficient through
-    to the result (unless a zero factor or a zeroth power drops the
-    term), so one check of the result covers them; each sin/cos/exp
-    argument is checked when it is converted."""
-    p = _canonical(e, dim, t)
-    if p is e or all(map(cmath.isfinite, p.terms.values())):
-        return p
-    raise ExprError(f"constant arithmetic in {to_string(e)} is out of range")
-
-
-def _canonical(e, dim: int, t: bool) -> Poly:
-    n_theta = dim - t
-    match e:
-        case Poly():
-            if e.dim == dim and not t:
-                return e
-            if any(k > n_theta for k in theta_indices(e)):
-                raise ExprError(f"coefficient references theta beyond dim {n_theta}")
-            return e.embed(dim)
-        case Const(value):
-            return _const_poly(value, dim)
-        case Var(name):
-            m = _THETA_RE.match(name)
-            if t and name == "t":
-                k = dim - 1
-            elif m is None or int(m.group(1)) > n_theta:
-                raise ExprError(f"{name} is not a parameter of dim {n_theta}")
-            else:
-                k = int(m.group(1)) - 1
-            return Poly(dim, {(tuple(int(i == k) for i in range(dim)), ()): 1 + 0j})
-        case Add(terms):
-            return collect(dim, [mc for term in terms
-                                 for mc in _canonical(term, dim, t).terms.items()])
-        case Mul(factors):
-            out = _canonical(factors[0], dim, t)
-            for f in factors[1:]:
-                out = collect(dim, product_terms(out, _canonical(f, dim, t)))
-            return out
-        case Neg(arg):
-            return Poly(dim, {m: -c for m, c in _canonical(arg, dim, t).terms.items()})
-        case Pow(base, exponent):
-            return _poly_power(_canonical(base, dim, t), exponent)
-        case Sin(arg) | Cos(arg) | Exp(arg):
-            p = canonical(arg, dim, t)
-            name = type(e).__name__.lower()
-            value = p.constant()
-            if value is not None:
-                return _const_poly(_fold(_CMATH[name], value).value, dim)
-            return Poly(dim, {((0,) * dim, ((name, p, 1),)): 1 + 0j})
-    raise ExprError(f"unknown node {e!r}")
-
-
-def _poly_power(p: Poly, k: int) -> Poly:
-    if k == 0:
-        return _const_poly(1, p.dim)
-    if len(p.terms) == 1:
-        ((e, atoms), c), = p.terms.items()
-        if k < 0 and atoms:
-            raise ExprError("negative exponents require a variable or constant base")
-        return collect(p.dim, [((tuple(x * k for x in e),
-                                 tuple((n, a, m * k) for n, a, m in atoms)),
-                                _int_power(c, k))])
-    if k < 0:
-        raise ExprError("negative exponents require a variable or constant base")
-    if k > MAX_EXPANDED_POWER:
-        raise ExprError(
-            f"a power of a sum is expanded up to {MAX_EXPANDED_POWER}, not {k}")
-    out = p
-    for _ in range(k - 1):
-        out = collect(p.dim, product_terms(out, p))
-    return out
-
-
-def to_expr(p: Poly) -> Expr:
-    """The tree of a canonical form, terms in sorted order."""
-    return add(*(mul(Const(c), *(intpow(Var(f"theta_{i + 1}"), k)
-                                 for i, k in enumerate(e) if k),
-                     *(intpow(_FUNCS[n](to_expr(a)), m) for n, a, m in atoms))
-                 for (e, atoms), c in p.sorted_items()))
+def depends_on(p: Poly, v: str) -> bool:
+    return v in variables(p)
 
 
 # ---------------------------------------------------------------------------
@@ -722,15 +504,14 @@ def to_expr(p: Poly) -> Expr:
 #
 # Numbers are decimals with an optional exponent and an optional trailing
 # 'i' marking an imaginary constant.  A leading '-' on a term is accepted
-# so that printed derivatives round-trip.
+# so that printed derivatives round-trip.  A denominator is a monomial in
+# t and theta (a constant, or a product of their powers).
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<number>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?i?)"
     r"|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
     r"|(?P<op>[-+*/^()]))"
 )
-
-_FUNCS = {"sin": Sin, "cos": Cos, "exp": Exp}
 
 
 class _Parser:
@@ -767,62 +548,50 @@ class _Parser:
         if kind != "op" or value != op:
             raise ParseError(f"expected {op!r}", pos)
 
-    def parse(self) -> Expr:
+    def parse(self) -> Poly:
         e = self.expr()
         kind, value, pos = self.peek()
         if kind != "end":
             raise ParseError(f"unexpected token {value!r}", pos)
         return e
 
-    def expr(self) -> Expr:
+    def expr(self) -> Poly:
         terms = [self.term()]
         while True:
             kind, value, _ = self.peek()
-            if kind == "op" and value in "+-":
-                self.next()
-                t = self.term()
-                terms.append(Neg(t) if value == "-" else t)
-            else:
-                break
-        return terms[0] if len(terms) == 1 else Add(tuple(terms))
+            if kind != "op" or value not in "+-":
+                return terms[0] if len(terms) == 1 else _sum(terms)
+            self.next()
+            t = self.term()
+            terms.append(_neg(t) if value == "-" else t)
 
-    def term(self) -> Expr:
+    def term(self) -> Poly:
         kind, value, _ = self.peek()
         if kind == "op" and value == "-":
             self.next()
-            return Neg(self.unit())
+            return _neg(self.unit())
         return self.unit()
 
-    def unit(self) -> Expr:
-        factors = [self.factor()]
-        invert = [False]
+    def unit(self) -> Poly:
+        out = self.factor()
         while True:
-            kind, value, _ = self.peek()
-            if kind == "op" and value in "*/":
-                self.next()
-                factors.append(self.factor())
-                invert.append(value == "/")
-            else:
-                break
-        out: list[Expr] = []
-        for f, inv in zip(factors, invert):
-            if inv:
-                kind, _, pos = self.tokens[self.i - 1] if self.i else ("", "", 0)
-                if not isinstance(f, (Var, Const)):
-                    raise ParseError(
-                        "denominator must be a variable or constant", pos)
-                out.append(intpow(f, -1))
-            else:
-                out.append(f)
-        return out[0] if len(out) == 1 else Mul(tuple(out))
+            kind, value, pos = self.peek()
+            if kind != "op" or value not in "*/":
+                return out
+            self.next()
+            f = self.factor()
+            if value == "/":
+                if len(f.terms) > 1 or any(atoms for _, atoms in f.terms):
+                    raise ParseError("denominator must be a monomial in t and theta", pos)
+                f = _power(f, -1)
+            out = _product([out, f])
 
-    def factor(self) -> Expr:
+    def factor(self) -> Poly:
         base = self.atom()
         kind, value, _ = self.peek()
         if kind == "op" and value == "^":
             self.next()
-            exponent = self.integer()
-            return intpow(base, exponent)
+            return _power(base, self.integer())
         return base
 
     def integer(self) -> int:
@@ -838,28 +607,30 @@ class _Parser:
         except ValueError:  # past sys.get_int_max_str_digits()
             raise ParseError("exponent exceeds the supported range", pos) from None
 
-    def atom(self) -> Expr:
+    def atom(self) -> Poly:
         kind, value, pos = self.next()
+        n = self.dim + 1  # theta_1..theta_dim, then t
         if kind == "number":
             x = float(value.rstrip("i"))
             if cmath.isinf(x):
                 raise ParseError(f"number {value} is out of range", pos)
-            return Const(complex(0, x) if value.endswith("i") else complex(x))
+            return _const_poly(complex(0, x) if value.endswith("i") else complex(x),
+                               n, True)
         if kind == "ident":
-            if value in _FUNCS:
+            if value in _CMATH:
                 self.expect_op("(")
                 arg = self.expr()
                 self.expect_op(")")
-                return _FUNCS[value](arg)
+                return _func(value, arg)
             if value == "t":
-                return Var("t")
+                return _var_poly(self.dim, n, True)
             m = _THETA_RE.match(value)
             if m:
                 k = int(m.group(1))
                 if not 1 <= k <= self.dim:
                     raise ParseError(
                         f"theta index out of range: {value} with dim={self.dim}", pos)
-                return Var(value)
+                return _var_poly(k - 1, n, True)
             raise ParseError(f"unknown identifier {value!r}", pos)
         if kind == "op" and value == "(":
             e = self.expr()
@@ -868,8 +639,9 @@ class _Parser:
         raise ParseError(f"unexpected token {value!r}", pos)
 
 
-def parse(text: str, dim: int) -> Expr:
-    """Parse an expression over t and theta_1..theta_dim."""
+def parse(text: str, dim: int) -> Poly:
+    """Parse an expression over t and theta_1..theta_dim into a Poly with
+    dim theta axes and a t slot."""
     if dim < 1:
         raise ExprError("dim must be a positive integer")
     try:
@@ -899,88 +671,26 @@ def _fmt_const(c: complex, rel: float = _DISPLAY_REL) -> str:
     return f"({_fmt_real(re_)}{op}{_fmt_real(abs(im))}i)"
 
 
-def _is_sum(e: Expr) -> bool:
-    return isinstance(e, Add) or (isinstance(e, Poly) and len(e.terms) > 1)
-
-
-def _product_factor_str(f: Expr, first: bool) -> str:
-    s = to_string(f)
-    if _is_sum(f) or (s.startswith("-") and not first):
-        return f"({s})"
-    return s
-
-
-def _atom_str(e: Expr) -> str:
-    """Render e as a power base (parenthesize anything non-atomic)."""
-    if isinstance(e, Var):
-        return e.name
-    if isinstance(e, (Sin, Cos, Exp)):
-        return to_string(e)
-    if isinstance(e, Const):
-        s = _fmt_const(e.value)
-        return s if not s.startswith("-") else f"({s})"
-    return f"({to_string(e)})"
-
-
-def to_string(e: Expr) -> str:
-    match e:
-        case Const(value):
-            return _fmt_const(value)
-        case Var(name):
-            return name
-        case Add(terms):
-            out = []
-            for i, term in enumerate(terms):
-                body = term
-                negative = False
-                if isinstance(term, Neg):
-                    negative, body = True, term.arg
-                s = to_string(body)
-                if s.startswith("-"):
-                    negative, s = not negative, s[1:]
-                if _is_sum(body):
-                    s = f"({s})"
-                if i == 0:
-                    out.append(("-" if negative else "") + s)
-                else:
-                    out.append((" - " if negative else " + ") + s)
-            return "".join(out)
-        case Mul(factors):
-            return "*".join(_product_factor_str(f, i == 0)
-                            for i, f in enumerate(factors))
-        case Pow(base, exponent):
-            return f"{_atom_str(base)}^{exponent}"
-        case Neg(arg):
-            s = to_string(arg)
-            if _is_sum(arg) or s.startswith("-"):
-                return f"-({s})"
-            return f"-{s}"
-        case Sin(arg):
-            return f"sin({to_string(arg)})"
-        case Cos(arg):
-            return f"cos({to_string(arg)})"
-        case Exp(arg):
-            return f"exp({to_string(arg)})"
-        case Poly():
-            return _poly_str(e)
-    raise ExprError(f"unknown node {e!r}")
-
-
-def _poly_str(p: Poly) -> str:
-    """Terms in sorted order, coefficients exact so that parsing and
-    converting the text gives back an equal Poly."""
+def to_string(p: Poly, exact: bool = False) -> str:
+    """p as text, terms in sorted order.  With exact=True every
+    coefficient is printed in full, so that parsing the text gives back
+    an equal Poly; otherwise a coefficient leaves out a real or
+    imaginary part that is rounding noise of the other part."""
     if not p.terms:
         return "0"
+    rel = 0.0 if exact else _DISPLAY_REL
     out = []
     for (e, atoms), c in p.sorted_items():
-        factors = [f"theta_{i + 1}" + ("" if k == 1 else f"^{k}")
+        factors = [_axis_name(p, i) + ("" if k == 1 else f"^{k}")
                    for i, k in enumerate(e) if k]
-        factors += [f"{n}({_poly_str(a)})" + ("" if m == 1 else f"^{m}")
+        factors += [f"{n}({to_string(a, exact)})" + ("" if m == 1 else f"^{m}")
                     for n, a, m in atoms]
-        negative = c.real < 0 if c.imag == 0 else (c.real == 0 and c.imag < 0)
-        c = -c if negative else c
-        if c != 1 or not factors:
-            factors.insert(0, _fmt_const(c, 0.0))
+        text = _fmt_const(c, rel)
+        negative = text.startswith("-")
+        if negative:
+            text = text[1:]
+        if text != "1" or not factors:
+            factors.insert(0, text)
         sign = (" - " if negative else " + ") if out else ("-" if negative else "")
         out.append(sign + "*".join(factors))
     return "".join(out)

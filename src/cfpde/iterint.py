@@ -16,10 +16,10 @@ repeated runs are bit-identical.  The walk takes one of two paths, and
 the input alone decides which:
 
 * Separable.  When every input letter the series uses is bound to a
-  symbolic signal whose canonical form over (theta, t) has no atom mixing
-  theta and t, each signal splits once as u = sum_g F_g(theta) G_g(t),
-  grouped by time monomial g, unless the time words would outnumber the
-  trie's edges by far (see ``_MAX_VISITS_PER_EDGE``).  The coefficients are free of t and the
+  symbolic signal with no atom mixing theta and t, each signal splits
+  once as u = sum_g F_g(theta) G_g(t), grouped by time monomial g,
+  unless the time words would outnumber the trie's edges by far (see
+  ``_MAX_VISITS_PER_EDGE``).  The coefficients are free of t and the
   trapezoid rule is linear, I[a(theta) b(t)] = a(theta) I[b](t), so
   y = sum_tau A_tau(theta) E_tau(t) over time words tau: the walk sums
   A_tau on the theta axes, each E_tau is one trapezoid pass on a 1-D
@@ -218,7 +218,7 @@ class InputSignal:
 
     __slots__ = ("expr", "field")
 
-    def __init__(self, expr: ex.Expr | None = None,
+    def __init__(self, expr: ex.Poly | None = None,
                  field: GridField | None = None):
         if (expr is None) == (field is None):
             raise EvaluationError("pass exactly one of expr= or field=")
@@ -227,7 +227,7 @@ class InputSignal:
 
     @classmethod
     def symbolic(cls, e) -> "InputSignal":
-        return cls(expr=ex.simplify(ex.as_expr(e)))
+        return cls(expr=ex.simplify(e))
 
     @classmethod
     def sampled(cls, field: GridField) -> "InputSignal":
@@ -497,22 +497,19 @@ def _build_trie(c: GenSeries, grid: Grid) -> _TrieNode:
 
 def _split(signal: InputSignal, dim: int) -> list | None:
     """[(g, F_g)] with u = sum_g F_g(theta) G_g(t): g is a time monomial
-    (t exponent, atoms in t alone) and F_g a Poly in theta_1..theta_dim.
-    None for a sampled signal, one canonical does not take, or one with
-    an atom whose argument mixes theta and t."""
-    if not signal.is_symbolic:
+    (t exponent, atoms in t alone) and F_g a Poly in theta_1..theta_dim,
+    read off the t exponents of the signal's Poly.  None for a sampled
+    signal, one with theta beyond dim, or one with an atom whose argument
+    mixes theta and t."""
+    if not signal.is_symbolic or any(k > dim for k in ex.theta_indices(signal.expr)):
         return None
-    try:
-        p = ex.canonical(signal.expr, dim + 1, t=True)
-    except ex.ExprError:
-        return None
-    t_name = f"theta_{dim + 1}"
+    p = signal.expr.embed(dim + 1, 0, True)
     groups: dict = {}
     for (e, atoms), c in p.sorted_items():
         in_t, in_theta = [], []
         for atom in atoms:
             names = ex.variables(atom[1])
-            if t_name not in names:
+            if "t" not in names:
                 in_theta.append(atom)
             elif len(names) == 1:
                 in_t.append(atom)
@@ -520,7 +517,7 @@ def _split(signal: InputSignal, dim: int) -> list | None:
                 return None
         g = (e[dim], tuple(in_t))
         groups.setdefault(g, {})[e[:dim] + (0,), tuple(in_theta)] = c
-    return [(g, ex.Poly(dim + 1, terms).embed(dim)) for g, terms in groups.items()]
+    return [(g, ex.Poly(dim + 1, terms, True)) for g, terms in groups.items()]
 
 
 class _Separable:
@@ -591,9 +588,9 @@ class _Separable:
         out = np.zeros(grid.shape, dtype=np.complex128)
         if self.sums:
             t_axis = (0,) * grid.dim
-            t = {f"theta_{grid.dim + 1}": grid.t_points}
+            t = {"t": grid.t_points}
             g_values = [None] + [np.asarray(ex.evaluate(
-                ex.Poly(grid.dim + 1, {(t_axis + (e_t,), atoms): 1 + 0j}), t),
+                ex.Poly(grid.dim + 1, {(t_axis + (e_t,), atoms): 1 + 0j}, True), t),
                 dtype=np.complex128) for e_t, atoms in list(self.letters)[1:]]
             times = np.stack([self.integral(tau, g_values) for tau in self.sums])
             weights = np.stack([a.reshape(-1) for a in self.sums.values()])

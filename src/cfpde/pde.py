@@ -50,8 +50,8 @@ class NonConstantCoefficients(se.SeriesError):
     pass
 
 
-def _theta_only(e, what: str) -> ex.Expr:
-    e = ex.simplify(ex.as_expr(e))
+def _theta_only(e, what: str) -> ex.Poly:
+    e = ex.simplify(e)
     if ex.depends_on(e, "t"):
         raise se.SeriesError(f"{what} may depend on theta only, not on t")
     return e
@@ -158,7 +158,7 @@ def _repeated_root(alpha1: complex, alpha2: complex) -> bool:
             <= 8 * eps * (abs(alpha1) ** 2 + 4 * abs(alpha2)))
 
 
-def _rhs_series(y0: ex.Expr, y1: ex.Expr, alpha1) -> GenSeries:
+def _rhs_series(y0: ex.Poly, y1: ex.Poly, alpha1) -> GenSeries:
     """The doubly-integrated right-hand side: y0 on the empty word,
     y1 + alpha1*y0' on x0, and 1 on x0 x1."""
     drift_coeff = ex.add(y1, ex.mul(alpha1, ex.differentiate(y0, "theta_1")))

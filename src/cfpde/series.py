@@ -19,6 +19,7 @@ at most one input letter.
 
 from __future__ import annotations
 
+import cmath
 from typing import Iterable, Mapping
 
 from . import diffop as do
@@ -27,7 +28,7 @@ from .diffop import DiffOp
 from .words import EMPTY_WORD, Letter, Word, parse_word, shuffle_words
 
 __all__ = [
-    "GenSeries", "SeriesError", "OverlappingSupport", "NotLinear",
+    "GenSeries", "SeriesError", "OverlappingSupport", "NotLinear", "NonFinite",
     "zero_series", "one_series", "series_from_coeffs",
     "parallel_sum", "series_scale", "shuffle_series", "compose",
     "left_shift", "truncate", "linear_part", "is_linear",
@@ -48,6 +49,10 @@ class OverlappingSupport(SeriesError):
 
 class NotLinear(SeriesError):
     """Series product attempted with a nonlinear left factor."""
+
+
+class NonFinite(SeriesError):
+    """A coefficient is infinite or NaN, so the series has no text form."""
 
 
 class GenSeries:
@@ -156,8 +161,8 @@ def truncate(c: GenSeries, n: int) -> GenSeries:
 
 
 def series_scale(factor, c: GenSeries) -> GenSeries:
-    """Scalar (or theta-dependent Expr) multiple of every coefficient."""
-    factor_op = do.from_expr(ex.as_expr(factor), c.dim)
+    """Scalar (or theta-dependent Poly) multiple of every coefficient."""
+    factor_op = do.from_expr(factor, c.dim)
     coeffs = {w: do.op_mul(factor_op, op) for w, op in c.coeffs.items()}
     return GenSeries(c.dim, coeffs, c.max_len, c.alphabet, c.param_support,
                      c.exact_len)
@@ -376,10 +381,16 @@ def compose(c: GenSeries, d: GenSeries, unital: bool = False) -> GenSeries:
 # serialization (line oriented, deterministic)
 
 def series_to_text(c: GenSeries) -> str:
+    """The text form of c; a coefficient that left the range of a complex
+    double on the way (an overflowing product) is a NonFinite error."""
     letters = ",".join(l.text() for l in sorted(c.alphabet, key=Letter.sort_key))
     lines = [f"dim={c.dim} maxlen={c.max_len} alphabet={letters}"]
     for w in c.sorted_words():
-        lines.append(f"{w.text()} :: {c.coeffs[w].text()}")
+        op = c.coeffs[w]
+        if not all(cmath.isfinite(v) for coeff in op.terms.values()
+                   for v in coeff.terms.values()):
+            raise NonFinite(f"the coefficient of {w.text()} is infinite or NaN")
+        lines.append(f"{w.text()} :: {op.text()}")
     return "\n".join(lines) + "\n"
 
 
@@ -423,20 +434,23 @@ def series_from_text(text: str) -> GenSeries:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise SeriesError("empty series file")
-    header = dict(item.split("=", 1) for item in lines[0].split())
     try:
+        header = dict(item.split("=", 1) for item in lines[0].split())
         dim = int(header["dim"])
         max_len = int(header["maxlen"])
-        alphabet_text = header["alphabet"]
-    except (KeyError, ValueError) as e:
+        alphabet = [parse_word(tok)[0] for tok in header["alphabet"].split(",") if tok]
+    except (KeyError, ValueError, IndexError) as e:
         raise SeriesError(f"bad series header {lines[0]!r}") from e
-    alphabet = [parse_word(tok)[0] for tok in alphabet_text.split(",") if tok]
     coeffs = {}
     for ln in lines[1:]:
         if " :: " not in ln:
             raise SeriesError(f"bad series line {ln!r}")
         word_text, op_text = ln.split(" :: ", 1)
-        coeffs[parse_word(word_text)] = _parse_diffop(op_text, dim)
+        try:
+            w = parse_word(word_text)
+        except ValueError as e:
+            raise SeriesError(f"bad word in series line {ln!r}: {e}") from None
+        coeffs[w] = _parse_diffop(op_text, dim)
     return GenSeries(dim, coeffs, max_len, alphabet)
 
 

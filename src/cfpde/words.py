@@ -67,7 +67,7 @@ def x(k: int) -> Letter:
 def _parse_letter(token: str) -> Letter:
     if token == "x0":
         return DRIFT
-    if token.startswith("x") and token[1:].isdigit():
+    if token.startswith("x") and token[1:].isdigit() and int(token[1:]) > 0:
         return Letter(int(token[1:]))
     raise ValueError(f"bad letter token {token!r}")
 

@@ -67,7 +67,7 @@ class TestFormat:
             "x1 :: (-3i*sin(2*theta_1)^2 + (0.5-2i)*theta_1^-1) * D[0]")
         assert se.series_from_text(text) == c
 
-    def test_op_apply_returns_a_tree(self):
+    def test_op_apply_returns_a_poly(self):
         got = do.op_apply(do.monomial(THETA, (1,)), ex.intpow(THETA, 2))
         assert got == ex.mul(2, ex.intpow(THETA, 2))
 
@@ -112,9 +112,14 @@ def assert_ops_close(a, b, dim):
 
 class TestTimeAxis:
     def test_t_is_the_last_axis(self):
-        with_t = ex.canonical(ex.parse("t^2*sin(theta_1) + cos(3*t)", 1), 2, t=True)
-        assert with_t == ex.canonical(
-            ex.parse("theta_2^2*sin(theta_1) + cos(3*theta_2)", 2), 2)
+        with_t = ex.parse("t^2*sin(theta_1) + cos(3*t)", 1)
+        theta_2 = ex.parse("theta_2^2*sin(theta_1) + cos(3*theta_2)", 2)
+        assert (with_t.dim, with_t.t) == (2, True)
+        assert ex.canonical(with_t, 2, t=True) is with_t
+        # exponents of (theta_1, t) and of (theta_1, theta_2, t)
+        assert sorted(e for e, _ in with_t.terms) == [(0, 0), (0, 2)]
+        assert sorted(e for e, _ in theta_2.terms) == [(0, 0, 0), (0, 2, 0)]
+        assert ex.to_string(with_t) == "t^2*sin(theta_1) + cos(3*t)"
 
     def test_theta_on_the_time_axis_is_refused(self):
         with pytest.raises(ex.ExprError, match="not a parameter of dim 1"):

@@ -341,6 +341,19 @@ class TestNumericLimits:
         err = capsys.readouterr().err
         assert err.startswith(f"error: bad {what} expression") and err.count("\n") == 1
 
+    def test_non_finite_series_coefficient_exits_two(self, tmp_path, capsys):
+        """1e200 * 1e200 overflows in the operator product; the result has
+        no text form, so nothing is written."""
+        left, right = tmp_path / "c.series", tmp_path / "d.series"
+        left.write_text("dim=1 maxlen=1 alphabet=x0,x1\nx1 :: 1e200 * D[0]\n")
+        right.write_text("dim=1 maxlen=1 alphabet=x0,x2\nx2 :: 1e200*theta_1 * D[0]\n")
+        out = tmp_path / "p.series"
+        assert run(["algebra", "shuffle", "--left", str(left), "--right", str(right),
+                    "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure: ") and err.count("\n") == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.series", "d.series"]
+
     def test_grid_past_numpy_array_limit_exits_one(self, tmp_path, capsys):
         code = run(["solve", "transport", "--V", "1", "--u", "t", "--N", "2",
                     "--grid", "0:1:5,0:1:99999999999999999999",
@@ -489,6 +502,35 @@ class TestStartup:
 
 
 class TestInputFaults:
+    @pytest.mark.parametrize("text", [
+        "dim=1 maxlen=2 alphabet=x0,x1 extra\n",
+        "dim=1 maxlen=1 alphabet=x0,x1,y\n",
+        "dim=1 maxlen=1 alphabet=x0,x1\nx9q :: 1 * D[0]\n",
+        "dim=1 maxlen=1 alphabet=x0,x1\nx00 :: 1 * D[0]\n",
+    ])
+    def test_malformed_series_text_exits_one(self, tmp_path, capsys, text):
+        path = tmp_path / "bad.series"
+        path.write_text(text)
+        out = tmp_path / "out.series"
+        assert run(["algebra", "truncate", "--series", str(path), "--N", "1",
+                    "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad ") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_power_of_a_sum_past_the_expansion_cap_exits_one(self, tmp_path, capsys):
+        """Inputs are expanded into canonical form when they are parsed, so
+        a power of a sum past MAX_EXPANDED_POWER is refused up front."""
+        out = tmp_path / "y.csv"
+        assert run(["solve", "transport", "--V", "1", "--u", "(1+theta_1)^100*t",
+                    "--N", "2", "--grid", "0:1:5,0:1:5", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == ("error: bad input expression: a power of a sum is expanded "
+                       "up to 64, not 100\n")
+        assert not out.exists()
+        assert run(["solve", "transport", "--V", "1", "--u", "(1+theta_1)^64*t",
+                    "--N", "2", "--grid", "0:1:5,0:1:5", "--out", str(out)]) == 0
+
     def test_non_integer_multi_index_is_load_error(self, tmp_path, capsys):
         path = tmp_path / "bad.series"
         path.write_text("dim=1 maxlen=1 alphabet=x0,x1\nx1 :: 1 * D[a]\n")

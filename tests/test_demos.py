@@ -1,6 +1,8 @@
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
 
@@ -25,3 +27,10 @@ def test_transport_demo_writes_into_given_directory(tmp_path, monkeypatch):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
     assert sorted(p.name for p in out.iterdir()) == ["transport.series",
                                                      "transport_solution.csv"]
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in DEMOS.glob("*.py")))
+def test_demo_runs(name, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    load_demo(name).main()
+    assert capsys.readouterr().out

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cfpde import diffop as do
@@ -296,3 +296,41 @@ class TestComposeClosedForm:
         outer = ii.evaluate_series(c, {1: ii.InputSignal.sampled(inner)},
                                    CASCADE_GRID)
         assert np.max(np.abs(direct.values - outer.values)) <= 1e-4
+
+
+class TestSeriesTextFuzz:
+    header = st.lists(st.sampled_from([
+        "dim=1", "dim=2", "dim=0", "dim=-1", "dim=x", "maxlen=2", "maxlen=0", "maxlen=-1",
+        "maxlen=", "alphabet=x0,x1", "alphabet=x0,x2", "alphabet=x1,y", "alphabet=",
+        "alphabet=e", "alphabet=x00", "extra", "=",
+    ]), max_size=5).map(" ".join)
+    word = st.lists(st.sampled_from(["x0", "x1", "x2", "x9q", "e", "x00", "y"]),
+                    max_size=3).map(" ".join)
+    coeff = st.sampled_from([
+        "1", "-2.5", "theta_1", "theta_2", "t", "1e200", "1e200*1e200", "sin(theta_1)",
+        "(1 + theta_1)", "(1 + theta_1)^99", "2^99999999", "1/0", "theta_1^-1",
+        "(0.5-2i)", "", "x", "(", "1 +",
+    ])
+    alpha = st.sampled_from(["0", "1", "2", "0,0", "0,1", "-1", "a", "", "99"])
+    term = st.one_of(st.builds("{} * D[{}]".format, coeff, alpha),
+                     st.sampled_from(["", "1", "D[0]", "1 * D[0", "(1 * D[0]"]))
+    op = st.lists(term, min_size=1, max_size=3).map(" + ".join)
+    line = st.one_of(st.builds("{} :: {}".format, word, op),
+                     st.sampled_from(["", "junk", " :: ", "x1 ::"]))
+    text = st.one_of(
+        st.builds(lambda h, ls: "\n".join([h, *ls]), header, st.lists(line, max_size=4)),
+        st.text(max_size=40))
+
+    @settings(max_examples=400, deadline=None)
+    @given(text)
+    @example("dim=1 maxlen=2 alphabet=x0,x1 extra")
+    @example("dim=1 maxlen=1 alphabet=x0,x1,y")
+    @example("dim=1 maxlen=1 alphabet=x0,x1\nx9q :: 1 * D[0]")
+    def test_text_gives_series_or_model_error(self, text):
+        """Any text reads as a series or raises one of the model errors
+        that cf reports in one line; never another exception."""
+        try:
+            c = se.series_from_text(text)
+        except (se.SeriesError, ex.ExprError, do.DiffOpError):
+            return
+        assert isinstance(c, se.GenSeries)
