@@ -59,6 +59,9 @@ class GrowthData:
     length: float
 
     def __post_init__(self):
+        values = (self.K_alpha, self.M, self.K_u, self.R, self.s, self.T, self.length)
+        if not all(map(math.isfinite, values)):  # nan passes every comparison below
+            raise ValueError("growth constants must be finite")
         if min(self.K_alpha, self.M, self.K_u, self.T, self.length) <= 0:
             raise ValueError("growth constants must be positive")
         if self.R < 0:
@@ -174,12 +177,14 @@ def geometric_bound(g: GrowthData, K_E: float | None = None) -> GeometricBound:
 def gevrey_tail(g: GrowthData, n: int, K_E: float | None = None) -> float:
     """Tail bound past truncation n for sub-factorial growth (s < 1):
     K_alpha K_E K_u * sum_{k>n} (k+1) (MRT)^k (k!)^(s-1).  n = -1 gives
-    the full-series bound."""
+    the full-series bound.  A sum past the largest float is math.inf."""
     if not 0 <= g.s < 1:
         raise ValueError("gevrey_tail applies to the 0 <= s < 1 regime")
     if K_E is None:
         K_E = stirling_KE(50)
     mrt = g.mrt
+    if mrt == math.inf:  # M*R*T itself is past the largest float
+        return math.inf
     total = 0.0
     k = n + 1 if n >= 0 else 0
     log_mrt = math.log(mrt) if mrt > 0 else -math.inf
@@ -187,9 +192,14 @@ def gevrey_tail(g: GrowthData, n: int, K_E: float | None = None) -> float:
         if mrt == 0:
             term = (k + 1.0) if k == 0 else 0.0
         else:
-            term = math.exp(math.log(k + 1.0) + k * log_mrt
-                            + (g.s - 1) * math.lgamma(k + 1))
+            try:
+                term = math.exp(math.log(k + 1.0) + k * log_mrt
+                                + (g.s - 1) * math.lgamma(k + 1))
+            except OverflowError:
+                return math.inf
         total += term
+        if total == math.inf:
+            return math.inf
         if term < _TINY_TERM and k > n + 2:
             break
         k += 1
@@ -209,14 +219,43 @@ class GrowthFit:
     theta_independent: bool = False
 
 
+_FIT_BLOCK = 16384  # grid points per block of the growth fit
+
+
 def _time_integrals(u: InputSignal, grid: Grid, order: int) -> np.ndarray:
     """Per-theta trapezoid integral over [0, T] of the magnitude of the
-    order-th theta-derivative."""
-    values = np.abs(np.moveaxis(u.derivative_values(grid, (order,)), -1, 0))
+    order-th theta-derivative.
+
+    A symbolic input is evaluated on blocks of theta_1 rows, each a slice
+    of grid.meshes(), so every sample goes through the arithmetic of a
+    full-grid evaluation.  A block holds _FIT_BLOCK grid points, or one
+    row when a row alone holds more, and is reduced to its time integrals
+    before the next one is formed: the fit never holds a full-grid array,
+    only a few arrays of one block.  A sampled input is differentiated on
+    the full grid."""
+    if not u.is_symbolic:
+        return _row_integrals(u.derivative_values(grid, (order,)), grid.dt)
+    e = ex.differentiate(u.expr, "theta_1", order) if order else u.expr
+    meshes = grid.meshes()
+    theta_1 = meshes["theta_1"]
+    n = len(theta_1)
+    rows = max(1, _FIT_BLOCK // math.prod(grid.shape[1:]))
+    out = np.empty(grid.shape[:-1])
+    for r0 in range(0, n, rows):
+        meshes["theta_1"] = theta_1[r0:r0 + rows]
+        values = np.asarray(ex.evaluate(e, meshes), dtype=np.complex128)
+        shape = (min(rows, n - r0),) + grid.shape[1:]
+        out[r0:r0 + rows] = _row_integrals(np.broadcast_to(values, shape), grid.dt)
+    return out
+
+
+def _row_integrals(values: np.ndarray, dt: float) -> np.ndarray:
+    """Trapezoid integral of |values| over the time axis, the last one."""
+    values = np.abs(np.moveaxis(values, -1, 0))
     # the steps and running sum of cumulative_trapezoid, on real numbers;
     # cumsum adds in time order, where np.sum would add pairwise
     steps = values[:-1] + values[1:]
-    steps *= 0.5 * grid.dt
+    steps *= 0.5 * dt
     return np.cumsum(steps, axis=0)[-1]
 
 

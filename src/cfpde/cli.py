@@ -18,7 +18,8 @@ bound when one is available.  Files are written atomically and with a
 fixed serialization order, so identical jobs produce identical bytes.
 
 Exit codes: 1 for validation failures, 2 for numeric failures (NaN or
-infinity in an output field or series, or memory exhausted).
+infinity in an output field or series, a float overflow, or memory
+exhausted).
 
 Each subcommand imports only the modules it runs: ``algebra`` never
 loads numpy, ``iterint``, ``bounds`` or ``pde``.  ``cf`` and ``python -m
@@ -141,6 +142,14 @@ def _parse_expr_arg(text: str, dim: int, what: str) -> ex.Poly:
         raise CliError(f"bad {what} expression: {e}") from e
 
 
+def _complex_arg(text: str, what: str) -> complex:
+    try:
+        return complex(text)
+    except ValueError:
+        raise CliError(f"bad {what} {text!r}; expected a number such as "
+                       "-1.5 or 1+2j") from None
+
+
 def _binding_from_args(args, dim: int):
     from . import iterint as ii
     binding = {}
@@ -204,12 +213,20 @@ def _transport_bound(series_obj, u_signal, grid, n):
 def _evaluation_errors(handler):
     """Wrap a handler that imports iterint: an EvaluationError that
     reaches it exits 1 with the message main() gives the other model
-    errors, so that main() itself need not import iterint."""
+    errors, so that main() itself need not import iterint.
+
+    numpy's floating-point warnings are off inside it: an overflow or an
+    invalid operation leaves an inf or nan, which the handler's own checks
+    report in one line, and each warning would add lines to stderr."""
     @functools.wraps(handler)
     def run(args, command: str, started: float) -> int:
+        # iterint, and the cfpde modules it imports, before numpy: the
+        # other order left about 2 MB more resident at the start of a solve
         from . import iterint as ii
+        import numpy as np
         try:
-            return handler(args, command, started)
+            with np.errstate(all="ignore"):
+                return handler(args, command, started)
         except ii.EvaluationError as e:
             raise CliError(f"{type(e).__name__}: {e}") from e
     return run
@@ -236,7 +253,8 @@ def _cmd_solve(args, command: str, started: float) -> int:
         form = pde.SecondOrderForm(args.form)
         y0 = _parse_expr_arg(args.y0, 1, "--y0")
         y1 = _parse_expr_arg(args.y1, 1, "--y1")
-        spec = pde.SecondOrderSpec(complex(args.alpha1), complex(args.alpha2),
+        spec = pde.SecondOrderSpec(_complex_arg(args.alpha1, "--alpha1"),
+                                   _complex_arg(args.alpha2, "--alpha2"),
                                    y0, y1, args.N, form)
         series_obj = pde.second_order_series(spec)
         params.update({"alpha1": args.alpha1, "alpha2": args.alpha2,
@@ -251,6 +269,9 @@ def _cmd_solve(args, command: str, started: float) -> int:
     _check_finite(field)
     with _write_errors(args.out):
         _write_csv_atomic(args.out, field)
+    # the field is written; holding it through the growth fit would add
+    # its size to the fit's peak memory
+    del field
     # the growth fit reads D^k on x0^k x1, a transport shape
     bound = (_transport_bound(series_obj, u, grid, args.N)
              if args.kind == "transport" else None)
@@ -341,15 +362,17 @@ def _cmd_bounds(args, command: str, started: float) -> int:
             raise CliError(str(e)) from e
         out: dict = {"constants": {
             "K_alpha": g.K_alpha, "M": g.M, "K_u": g.K_u, "R": g.R,
-            "s": g.s, "T": g.T, "length": g.length}, "MRT": g.mrt}
+            "s": g.s, "T": g.T, "length": g.length},
+            "MRT": g.mrt if math.isfinite(g.mrt) else None}
         if g.s == 1:
             res = bd.geometric_bound(g)
             out.update({"converges": res.converges,
                         "bound": res.bound if math.isfinite(res.bound) else None})
         else:
+            tails = {str(n): bd.gevrey_tail(g, n) for n in (args.N, -1) if n is not None}
             out.update({"converges": True,
-                        "tail_at_N": {str(n): bd.gevrey_tail(g, n)
-                                      for n in (args.N, -1) if n is not None}})
+                        "tail_at_N": {n: tail if math.isfinite(tail) else None
+                                      for n, tail in tails.items()}})
         print(json.dumps(out, indent=2, sort_keys=True))
         return 0
     grid = _grid_from_arg(args.grid)
@@ -519,6 +542,10 @@ def main(argv=None) -> int:
         return 1
     except (NumericFailure, ex.PoleError, se.NonFinite) as e:
         print(f"numeric failure: {e}", file=sys.stderr)
+        return 2
+    except ArithmeticError as e:  # a float overflow, or a sum that never settles
+        detail = e.args[-1] if e.args else type(e).__name__
+        print(f"numeric failure: {detail}", file=sys.stderr)
         return 2
     except MemoryError as e:
         detail = f": {e}" if str(e) else ""

@@ -798,8 +798,9 @@ _IM = np.array([0, 2 * _CODES])
 
 def _format_block(x: np.ndarray, cells: np.ndarray, mask: np.ndarray,
                   groups: np.ndarray) -> None:
-    """Fill the (n, 2, 48) cells and masks of the (n, 2) re/im values x;
-    groups is a work buffer for 8n integers."""
+    """Fill the (n, m, 48) cells and masks of the (n, m) values x, whose
+    columns are re and, when m = 2, im; groups is a work buffer for 4nm
+    integers."""
     t = _csv_tables()
     ax = np.abs(x)
     top = x.view(np.uint64) >> 52
@@ -822,7 +823,7 @@ def _format_block(x: np.ndarray, cells: np.ndarray, mask: np.ndarray,
     rest16 = t.digits4.take(g).view("V16")[..., 0]
     cells[..., _FIRST + 1:_FIRST + 17].view("V16")[..., 0] = rest16
     cells[..., _DOT + 1:_DOT + 17].view("V16")[..., 0] = rest16
-    code += _IM
+    code += _IM[:x.shape[1]]
     cells[..., :8].view(np.uint64)[..., 0] = t.lead.take(code)
     np.add(first, ord("0"), out=cells[..., _FIRST], casting="unsafe")
     cells[..., 44:].view(np.uint32)[..., 0] = t.exponent.take(code)
@@ -861,11 +862,16 @@ def write_csv(field: GridField, fh) -> None:
     to even) without trailing zeros, in exponent form below 1e-4.  Zeros
     and values with 2^-19 <= |x| < 2^53 are formatted in numpy; all
     others (smaller or larger magnitudes, subnormals, inf, nan) and the
-    coordinates go through format() one at a time."""
+    coordinates go through format() one at a time.  When every imaginary
+    part is +0.0, the im column is the constant text "0" and only the
+    real parts are formatted."""
     grid = field.grid
     nt = grid.n_t
     theta_shape = tuple(n for _, _, n in grid.theta_axes)
     n_rows = math.prod(theta_shape)
+    values = field.values.reshape(n_rows, nt)
+    # no imaginary part is nonzero, -0.0 or nan
+    real = not values.imag.view(np.uint64).any()
     # each line starts with the newline that ends the one before it
     fh.write(",".join([f"theta_{k + 1}" for k in range(grid.dim)] + ["t", "re", "im"]))
     columns = [_text_columns([f"{x:.17g}" for x in grid.theta_points(k).tolist()],
@@ -875,16 +881,26 @@ def write_csv(field: GridField, fh) -> None:
     edges = np.cumsum([0] + [chars.shape[1] for chars, _ in columns] + [t_width]).tolist()
     head = -(-edges[-1] // 8) * 8  # cells start on 8-byte boundaries
     # a block is `rows` whole theta rows, or `span` time points of one
-    # row when a row alone holds more than a block
-    span = min(nt, _CSV_BLOCK // 2)
-    rows = max(1, _CSV_BLOCK // (2 * nt))
-    text = np.zeros((rows, span, head + 2 * _CELL), dtype=np.uint8)
+    # row when a row alone holds more; its text buffer holds the lines of
+    # _CSV_BLOCK values with an im cell each, and a real field's lines,
+    # with an 8-byte slot for ",0" in place of the im cell, fill as many
+    # of those bytes as fit
+    budget = max(1, _CSV_BLOCK // (2 * nt)) * min(nt, _CSV_BLOCK // 2) * (head + 2 * _CELL)
+    n_cells, slot = (1, 8) if real else (2, 0)
+    width = head + n_cells * _CELL + slot
+    lines = budget // width
+    span = min(nt, lines)
+    rows = max(1, lines // nt)
+    text = np.zeros((rows, span, width), dtype=np.uint8)
     keep = np.zeros(text.shape, dtype=bool)
-    cells = text[:, :, head:].reshape(rows * span, 2, _CELL)
+    cell_cols = slice(head, head + n_cells * _CELL)
+    cells = text[:, :, cell_cols].reshape(rows * span, n_cells, _CELL)
     cells[..., _DOT] = ord(".")
-    cell_keep = keep[:, :, head:].reshape(rows * span, 2, _CELL)
-    groups = np.empty(8 * rows * span, dtype=np.int64)
-    values = field.values.reshape(n_rows, nt)
+    cell_keep = keep[:, :, cell_cols].reshape(rows * span, n_cells, _CELL)
+    if real:
+        text[:, :, -slot:-slot + 2] = np.frombuffer(b",0", dtype=np.uint8)
+        keep[:, :, -slot:-slot + 2] = True
+    groups = np.empty(4 * n_cells * rows * span, dtype=np.int64)
     t_points = grid.t_points
     t_cols = slice(edges[-2], edges[-1])
     for r0 in range(0, n_rows, rows):
@@ -899,8 +915,9 @@ def write_csv(field: GridField, fh) -> None:
                 text[:m, :n, t_cols], keep[:m, :n, t_cols] = _text_columns(
                     [f"{x:.17g}" for x in t_points[c0:c0 + n].tolist()], b"",
                     right=False, width=t_width)
-            x = np.ascontiguousarray(values[r0:r0 + m, c0:c0 + n])
-            _format_block(x.view(np.float64).reshape(m * n, 2), cells[:m * n],
+            block = values[r0:r0 + m, c0:c0 + n]
+            x = np.ascontiguousarray(block.real if real else block).view(np.float64)
+            _format_block(x.reshape(m * n, n_cells), cells[:m * n],
                           cell_keep[:m * n], groups)
             packed = text[:m, :n].reshape(-1)[keep[:m, :n].reshape(-1)]
             fh.write(packed.tobytes().decode("ascii"))

@@ -132,6 +132,8 @@ class SecondOrderSpec:
                 raise NonConstantCoefficients(
                     "symbolic coefficients need an explicit factorization; "
                     "use second_order_series_factored")
+            if not cmath.isfinite(v):
+                raise se.SeriesError(f"{name} must be finite, not {v}")
             object.__setattr__(self, name, complex(v))
         object.__setattr__(self, "y0", _theta_only(self.y0, "y0"))
         object.__setattr__(self, "y1", _theta_only(self.y1, "y1"))
@@ -179,8 +181,8 @@ def _triangular_truncate(c: GenSeries, n: int) -> GenSeries:
 def _cascade_inverse(beta1, beta2, n: int) -> GenSeries:
     """The inverse of (I + beta1 d E_{x1})(I + beta2 d E_{x1}) as the series
     interconnection of the two first-order inverses, cut at length n."""
-    return se.truncate(se.compose(first_order_inverse(beta2, n),
-                                  first_order_inverse(beta1, n), unital=True), n)
+    return se.compose(first_order_inverse(beta2, n), first_order_inverse(beta1, n),
+                      unital=True, max_len=n)
 
 
 def _direct_inverse(alpha1, alpha2, n: int) -> GenSeries:
@@ -192,7 +194,7 @@ def _direct_inverse(alpha1, alpha2, n: int) -> GenSeries:
     total, power = se.one_series(1, {DRIFT, X1}), neg_a
     while not power.is_zero():
         total = se.parallel_sum(total, power)
-        power = se.truncate(se.compose(neg_a, power), n)
+        power = se.compose(neg_a, power, max_len=n)
     return total
 
 

@@ -304,7 +304,8 @@ def _scalar_empty_coefficient(c: GenSeries, role: str) -> complex:
     return op.constant_part().constant()
 
 
-def compose(c: GenSeries, d: GenSeries, unital: bool = False) -> GenSeries:
+def compose(c: GenSeries, d: GenSeries, unital: bool = False,
+            max_len: int | None = None) -> GenSeries:
     """Series (cascade) product: the generating series of F_c after F_d.
 
     Requires the left factor to be linear.  Every input letter of c is
@@ -319,6 +320,11 @@ def compose(c: GenSeries, d: GenSeries, unital: bool = False) -> GenSeries:
     empty-word coefficients (which must be scalar constants) multiply like
     identity operators, so geometric inverses cancel exactly.  This is the
     algebra in which (I + A)^(-1) compositions telescope.
+
+    With max_len, the result is truncate(compose(c, d, unital), max_len),
+    except that its max_len is the smaller of the two: every output word
+    of a pair (wc, wd) has length len(wc) + len(wd), so a pair past the
+    cut is skipped before its operator product is formed.
     """
     if not is_linear(c):
         raise NotLinear("left factor of a series product must be linear")
@@ -326,8 +332,13 @@ def compose(c: GenSeries, d: GenSeries, unital: bool = False) -> GenSeries:
         raise do.DimensionMismatch(
             f"series dims differ: {c.dim} vs {d.dim}")
     coeffs: dict[Word, DiffOp] = {}
+    cut = c.max_len + d.max_len
+    if max_len is not None:
+        cut = min(cut, max_len)
 
     def put(word: Word, op: DiffOp):
+        if len(word) > cut:
+            return
         # On a pure-drift word only the multiplicative part of a coefficient
         # can ever act (the attached iterated integral is theta-free), so the
         # coefficient collapses to "operator applied to 1".
@@ -366,6 +377,8 @@ def compose(c: GenSeries, d: GenSeries, unital: bool = False) -> GenSeries:
         prefix = (DRIFT,) * (at + 1)
         tail = wc[at + 1:]
         for wd, op_d in d_items:
+            if len(wc) + len(wd) > cut:
+                continue
             op = (do.op_mul(a, op_d) if wd.input_letter_count()
                   else do.from_expr(do.op_apply(a, op_d.constant_part()), c.dim))
             for w, mult in shuffle_words(wd, tail).sorted_items():
@@ -373,7 +386,7 @@ def compose(c: GenSeries, d: GenSeries, unital: bool = False) -> GenSeries:
                     op if mult == 1 else do.op_scale(mult, op))
 
     exact = min(c.exact_len, d.exact_len + 1)
-    return GenSeries(c.dim, coeffs, c.max_len + d.max_len, d.alphabet,
+    return GenSeries(c.dim, coeffs, cut, d.alphabet,
                      c.param_support | d.param_support, exact)
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -96,13 +97,45 @@ class TestStirlingConstant:
 
 class TestTimeIntegrals:
     def test_match_cumulative_trapezoid(self):
-        """A real running sum of the same trapezoid steps, bit for bit."""
-        grid = ii.Grid(((0.0, 1.0, 33),), 0.7, 129)
-        u = ii.InputSignal.symbolic(ex.parse("t*cos(3*theta_1) + exp(theta_1*t)", 1))
-        for order in range(4):
+        """A real running sum of the same trapezoid steps over the full-grid
+        derivative samples, bit for bit, whether the symbolic input is
+        evaluated in one block of theta rows or in several."""
+        for theta_axes, n_t, text in [
+            (((0.0, 1.0, 33),), 129, "t*cos(3*theta_1) + exp(theta_1*t)"),  # one block
+            (((0.0, 1.0, 300),), 129, "t*cos(3*theta_1) + exp(theta_1*t)"),  # three
+            (((0.0, 1.0, 5),), 40_000, "t*cos(3*theta_1) + exp(theta_1*t)"),  # a row each
+            (((0.0, 1.0, 150), (-1.0, 0.5, 3)), 65, "t*sin(theta_1)*theta_2 + 2"),
+        ]:
+            grid = ii.Grid(theta_axes, 0.7, n_t)
+            u = ii.InputSignal.symbolic(ex.parse(text, grid.dim))
+            for order in range(4):
+                values = np.abs(np.moveaxis(u.derivative_values(grid, (order,)), -1, 0))
+                reference = ii.cumulative_trapezoid(values, grid.dt)[-1].real
+                assert np.array_equal(bd._time_integrals(u, grid, order), reference)
+
+    def test_sampled_input_matches_cumulative_trapezoid(self):
+        grid = ii.Grid(((0.0, 1.0, 300),), 0.7, 129)
+        symbolic = ii.InputSignal.symbolic(ex.parse("t*cos(3*theta_1)", 1))
+        u = ii.InputSignal.sampled(ii.GridField(grid, symbolic.derivative_values(grid, (0,))))
+        for order in range(3):
             values = np.abs(np.moveaxis(u.derivative_values(grid, (order,)), -1, 0))
             reference = ii.cumulative_trapezoid(values, grid.dt)[-1].real
             assert np.array_equal(bd._time_integrals(u, grid, order), reference)
+
+    def test_fit_holds_less_than_half_a_full_grid_array(self):
+        """The growth fit of a symbolic input evaluates it in blocks of
+        theta rows, so its peak allocation stays below half of one complex
+        array on the full grid."""
+        grid = ii.Grid(((0.0, 2 * math.pi, 257),), 1.0, 513)
+        u = ii.InputSignal.symbolic(ex.parse("t*sin(2.027661*theta_1)", 1))
+        bd.estimate_growth(u, grid, 8)  # memoized derivatives
+        tracemalloc.start()
+        try:
+            bd.estimate_growth(u, grid, 8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < math.prod(grid.shape) * 16 / 2
 
 
 class TestGeometricBound:

@@ -12,6 +12,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from cfpde import cli
 from cfpde import diffop as do
@@ -341,6 +343,22 @@ class TestNumericLimits:
         err = capsys.readouterr().err
         assert err.startswith(f"error: bad {what} expression") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv, code", [
+        (["solve", "transport", "--V", "1", "--u", "exp(800*theta_1)*t", "--N", "2",
+          "--grid", "0:6.28:9,0:1:5", "--out", "y.csv"], 2),
+        (["bounds", "estimate", "--u", "exp(800*theta_1)*t", "--grid", "0:6.28:9,0:1:5"], 1),
+    ])
+    def test_overflow_in_evaluation_is_one_line(self, tmp_path, monkeypatch, capsys,
+                                                argv, code):
+        """numpy's overflow warnings would print lines of their own in a cf
+        process; the inf they leave is reported once."""
+        monkeypatch.chdir(tmp_path)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(argv) == code
+        assert caught == []
+        assert capsys.readouterr().err.count("\n") == 1
+
     def test_non_finite_series_coefficient_exits_two(self, tmp_path, capsys):
         """1e200 * 1e200 overflows in the operator product; the result has
         no text form, so nothing is written."""
@@ -637,3 +655,95 @@ class TestCsvStreaming:
             cli._write_csv_atomic(str(target), self.field())
         assert sorted(p.name for p in tmp_path.iterdir()) == ["y.csv"]
         assert target.read_text() == "old\n"
+
+
+def _mostly(valid, invalid):
+    """One of the valid values four times in five, else an invalid one."""
+    return st.integers(0, 4).flatmap(
+        lambda k: st.sampled_from(invalid if k == 0 else valid))
+
+
+class TestArgvFuzz:
+    """Random argv for every subcommand but verify: cf exits 0, 1 or 2, no
+    exception escapes main, no warning is issued, and a failure prints
+    exactly one line.  Grids stay at 9 points per axis and truncations at
+    N <= 4, so a run that gets through does little work."""
+
+    bad_numbers = ["1e308", "-1e308", "1e-320", "nan", "inf", "-inf", "abc", "", "0", "-1"]
+    numbers = _mostly(["0", "1", "-1", "0.5", "0.25", "2", "-0.75", "1+2j"], bad_numbers)
+    positive = _mostly(["1", "0.5", "0.25", "2", "3"], bad_numbers)
+    grids = _mostly(["0:1:5,0:1:5", "0:6.283185307179586:9,0:1:9", "-0.5:0.5:9,0:0.1:4",
+                     "0:1:2,0:1:2", "1:1.5:3,0:2:7"],
+                    ["0:1:3,0:1:3,0:1:4", "0:1", "0:1:5", "1:0:5,0:1:5", "0:1:5,1:2:5",
+                     "0:nan:5,0:1:5", "0:1:1,0:1:5", "a:b:c,0:1:5", "0:1:5,0:1:1",
+                     "0:1e308:5,0:1:5", "-1e308:1e308:5,0:1:5", "0:1:5,0:1e-320:5",
+                     "0:1:5,,0:1:5", ""])
+    exprs = _mostly(["t", "sin(theta_1)*t", "theta_1^2", "-t", "2i*t", "0", "exp(t)^3",
+                     "cos(theta_1)/2", "t*exp(-theta_1)", "1.5"],
+                    ["t*theta_2", "1/theta_1", "1/t", "exp(1e308*t)", "exp(800*theta_1)*t",
+                     "(1+theta_1)^100", "1e308*1e308", "nan", "sin(", "", "t^-1",
+                     "theta_1^-2", "exp(exp(exp(10*theta_1)))"])
+    thetas = _mostly(["1", "0.5", "-1", "0", "sin(theta_1)", "1+theta_1^2", "cos(2*theta_1)/4"],
+                     ["t", "theta_2", "1/theta_1", "nan", "1e308*1e308", "sin(", "",
+                      "exp(800*theta_1)", "(1+theta_1)^100"])
+    binds = _mostly(["1=t", "1=sin(theta_1)*t", "2=t", "1=-t"],
+                    ["x=t", "1", "1=", "99=t", "1=sin("])
+    orders = _mostly(["0", "1", "2", "3", "4"], ["-1", "x", "1.5", ""])
+    series = _mostly(["good.series", "other.series"], ["bad.series", "missing.series", "."])
+    outs = _mostly(["out.file"], ["none/out.file", "."])
+
+    # the option strings of each subcommand and the values each can take
+    two = {"--left": series, "--right": series, "--out": outs}
+    solve = {"--u": exprs, "--bind": binds, "--N": orders, "--grid": grids,
+             "--out": outs, "--report": outs}
+    OPTIONS = {
+        ("algebra", "shuffle"): two, ("algebra", "sum"): two,
+        ("algebra", "compose"): {**two, "--unital": None},
+        ("algebra", "shift"): {"--letter": _mostly(["x1", "x0", "x2"], ["y", "", "x"]),
+                               "--series": series, "--out": outs},
+        ("algebra", "truncate"): {"--series": series, "--N": orders, "--out": outs},
+        ("solve", "transport"): {"--V": thetas, "--y0": thetas, **solve},
+        ("solve", "wave"): solve,
+        ("solve", "second-order"): {
+            "--alpha1": numbers, "--alpha2": numbers, "--y0": thetas, "--y1": thetas,
+            "--form": _mostly(["direct", "cascade", "partial-fraction"], ["x", ""]),
+            **solve},
+        ("eval",): {"--series": series, "--u": exprs, "--bind": binds, "--grid": grids,
+                    "--out": outs, "--report": outs},
+        ("bounds", "check"): {
+            **dict.fromkeys(["--K-alpha", "--M", "--K-u", "--R", "--T", "--length"], positive),
+            "--s": _mostly(["0", "0.25", "0.5", "1"], bad_numbers), "--N": orders},
+        ("bounds", "estimate"): {"--u": exprs, "--series": series, "--grid": grids,
+                                 "--k-max": _mostly(["2", "3", "8"], ["1", "-1", "x"])},
+    }
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data(), command=st.sampled_from(list(OPTIONS)))
+    def test_exit_codes_and_one_line_errors(self, tmp_path, monkeypatch, capsys,
+                                            data, command):
+        monkeypatch.chdir(tmp_path)
+        if not os.path.exists("good.series"):
+            se.save_series(pde.transport_series(pde.TransportSpec(V=1.0, y0=0, N=2)),
+                           "good.series")
+            texts = {  # other.series has no theta support, so it shuffles with good
+                "other.series": "alphabet=x0,x2\nx2 :: 1 * D[0]\nx0 x2 :: 0.5 * D[0]\n",
+                "bad.series": "alphabet=x0,x1\nx1 :: 1 * D[\n"}
+            for name, text in texts.items():
+                with open(name, "w") as fh:
+                    fh.write("dim=1 maxlen=2 " + text)
+        argv = list(command)
+        for option, values in self.OPTIONS[command].items():
+            if data.draw(st.integers(0, 9)) == 0:  # leave it out, now and then
+                continue
+            argv += [option] if values is None else [option, data.draw(values)]
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.main(argv)
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2)
+        # a cf process prints each warning on stderr too
+        assert [str(w.message) for w in caught] == []
+        if code:
+            assert err.endswith("\n") and err.count("\n") == 1, err

@@ -574,6 +574,41 @@ class TestCsvDigits:
         ii.write_csv(ii.GridField(g, values), buf)
         assert buf.getvalue() == per_cell_csv(ii.GridField(g, values))
 
+    @pytest.mark.parametrize("theta_axes, n_t", [
+        (((-1.0, 0.3, 7), (-0.7, -0.1, 9)), 65),  # several theta rows per block
+        (((0.0, 2.0, 3),), 1500),                 # each row split in two blocks
+    ])
+    @pytest.mark.parametrize("imag, columns", [
+        (None, 1),         # every imaginary part +0.0: the constant im cell
+        (-0.0, 2),         # one -0.0 or nan imaginary part: both columns
+        (math.nan, 2),
+    ])
+    def test_real_fields_match_per_cell_formatting(self, monkeypatch, theta_axes,
+                                                   n_t, imag, columns):
+        g = ii.Grid(theta_axes, 0.9, n_t)
+        rng = np.random.default_rng(6)
+        values = (rng.standard_normal(g.shape)
+                  * 10.0 ** rng.uniform(-9, 18, g.shape)).astype(np.complex128)
+        flat = values.reshape(-1)
+        flat[::97] = 0.0
+        flat[3::89] = -0.0
+        flat[5::83] = math.nan
+        flat[11::79] = -math.inf
+        if imag is not None:
+            flat[-1] = complex(flat[-1].real, imag)
+        formatted = []
+        format_block = ii._format_block
+
+        def spy(x, *args):
+            formatted.append(x.shape[1])
+            format_block(x, *args)
+
+        monkeypatch.setattr(ii, "_format_block", spy)
+        buf = io.StringIO()
+        ii.write_csv(ii.GridField(g, values), buf)
+        assert buf.getvalue() == per_cell_csv(ii.GridField(g, values))
+        assert len(formatted) > 1 and set(formatted) == {columns}
+
     def test_long_time_axis_is_written_in_spans(self):
         """A row longer than a block is cut into spans of time points, so
         the memory the writer holds does not grow with n_t."""

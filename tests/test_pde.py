@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cfpde import diffop as do
 from cfpde import expr as ex
@@ -13,6 +15,8 @@ from conftest import ops_agree
 
 THETA = ex.var("theta_1")
 X1, X2 = Letter(1), Letter(2)
+DYADIC = st.integers(-16, 16).map(lambda k: k / 8)  # multiples of 1/8
+THETA_TERMS = st.sampled_from(["sin({}*theta_1)", "cos({}*theta_1)", "exp({}*theta_1)"])
 
 
 class TestTransportSeries:
@@ -95,14 +99,35 @@ class TestFirstOrderInverse:
         assert got.coeffs == se.one_series(1).coeffs
 
     def test_geometric_cancellation_symbolic_beta(self):
-        # cancellation survives a theta-dependent factor: term-by-term
-        # cancellation is by evaluation-based pruning
+        # cancellation survives a theta-dependent factor: the canonical
+        # Poly form collects equal monomials, so the terms cancel exactly
         beta = ex.add(1, ex.mul(0.25, ex.sin(THETA)))
         inv = pde.first_order_inverse(beta, 5)
         fwd = se.series_from_coeffs(1, {
             Word(): do.identity(1),
             word("x1"): do.monomial(beta, (1,))})
         got = se.truncate(se.compose(inv, fwd, unital=True), 5)
+        assert got.coeffs == se.one_series(1).coeffs
+
+
+    @settings(max_examples=40, deadline=None)
+    @given(DYADIC, st.lists(st.tuples(DYADIC.filter(bool), THETA_TERMS, DYADIC.filter(bool)),
+                            min_size=1, max_size=3), st.integers(1, 5))
+    def test_geometric_cancellation_property(self, constant, terms, n):
+        """The unital product of the inverse with the forward series is
+        exactly 1*empty-word for beta = constant + sum c*f(a*theta_1).
+
+        Coefficients and arguments are multiples of 1/8, so every product
+        and sum formed on the way is a dyadic rational that a double holds
+        exactly, and the cancellation is exact.  With other coefficients,
+        rounding can leave residues of about 1e-17 that do not cancel."""
+        beta = ex.parse(" + ".join([repr(constant)] + [
+            f"{c!r}*{form.format(repr(a))}" for c, form, a in terms]), 1)
+        fwd = se.series_from_coeffs(1, {
+            Word(): do.identity(1),
+            word("x1"): do.monomial(beta, (1,))})
+        got = se.truncate(se.compose(pde.first_order_inverse(beta, n), fwd,
+                                     unital=True), n)
         assert got.coeffs == se.one_series(1).coeffs
 
 
