@@ -26,14 +26,15 @@ from __future__ import annotations
 import math
 from typing import Sequence, Union
 
-import numpy as np
-
 from . import expr as ex
 from ._record import record
-# cumulative_trapezoid is not called here; perfbench/tracing.py wraps it
-# under this module's name too
-from .iterint import Grid, InputSignal, cumulative_trapezoid  # noqa: F401
+# iterint before numpy, so that it is compiled before numpy is imported
+# (see cli._evaluation_errors); cumulative_trapezoid is not called here,
+# perfbench/tracing.py wraps it under this module's name too
+from .iterint import _BLOCK, Grid, InputSignal, cumulative_trapezoid  # noqa: F401
 from .series import GenSeries
+
+import numpy as np  # noqa: E402
 
 __all__ = [
     "GrowthData", "GeometricBound", "StirlingConstant", "GrowthFit",
@@ -219,16 +220,13 @@ class GrowthFit:
     theta_independent: bool = False
 
 
-_FIT_BLOCK = 16384  # grid points per block of the growth fit
-
-
 def _time_integrals(u: InputSignal, grid: Grid, order: int) -> np.ndarray:
     """Per-theta trapezoid integral over [0, T] of the magnitude of the
     order-th theta-derivative.
 
     A symbolic input is evaluated on blocks of theta_1 rows, each a slice
     of grid.meshes(), so every sample goes through the arithmetic of a
-    full-grid evaluation.  A block holds _FIT_BLOCK grid points, or one
+    full-grid evaluation.  A block holds _BLOCK grid points, or one
     row when a row alone holds more, and is reduced to its time integrals
     before the next one is formed: the fit never holds a full-grid array,
     only a few arrays of one block.  A sampled input is differentiated on
@@ -239,7 +237,7 @@ def _time_integrals(u: InputSignal, grid: Grid, order: int) -> np.ndarray:
     meshes = grid.meshes()
     theta_1 = meshes["theta_1"]
     n = len(theta_1)
-    rows = max(1, _FIT_BLOCK // math.prod(grid.shape[1:]))
+    rows = max(1, _BLOCK // math.prod(grid.shape[1:]))
     out = np.empty(grid.shape[:-1])
     for r0 in range(0, n, rows):
         meshes["theta_1"] = theta_1[r0:r0 + rows]
@@ -276,21 +274,50 @@ def _input_norm_surrogate(u: InputSignal, grid: Grid, order: int) -> float:
     return float((b - a) * np.max(_time_integrals(u, grid, order)))
 
 
+def _least_squares(columns: Sequence[Sequence[float]], y: Sequence[float]
+                   ) -> tuple[list[float], float]:
+    """Least-squares fit y ~ c_0 + sum_i c_i columns[i], in plain Python
+    for the few points and columns of a growth fit: [c_0, c_1, ...] and
+    the rms residual.  Centring the columns and y takes c_0 out; the
+    centred columns are orthogonalised in turn (modified Gram-Schmidt),
+    each taken out of y as it is formed, and c_1.. follow by back
+    substitution.  Every sum is math.fsum, correctly rounded."""
+    n = len(y)
+    means = [math.fsum(c) / n for c in columns]
+    y_mean = math.fsum(y) / n
+    q = [[v - m for v in c] for c, m in zip(columns, means)]
+    rest = [v - y_mean for v in y]
+    k = len(q)
+    r = [[0.0] * k for _ in range(k)]  # q_j = sum_i r[i][j] Q_i, r[j][j] = 1
+    z = [0.0] * k
+    for i in range(k):
+        norm2 = math.fsum(a * a for a in q[i])
+        for j in range(i + 1, k):
+            r[i][j] = math.fsum(a * b for a, b in zip(q[i], q[j])) / norm2
+            q[j] = [b - r[i][j] * a for a, b in zip(q[i], q[j])]
+        z[i] = math.fsum(a * b for a, b in zip(q[i], rest)) / norm2
+        rest = [b - z[i] * a for a, b in zip(q[i], rest)]
+    coef = [0.0] * k
+    for i in reversed(range(k)):
+        coef[i] = z[i] - math.fsum(r[i][j] * coef[j] for j in range(i + 1, k))
+    c0 = y_mean - math.fsum(c * m for c, m in zip(coef, means))
+    return [c0] + coef, math.sqrt(math.fsum(v * v for v in rest) / n)
+
+
 def _fit_input(u: InputSignal, grid: Grid, k_max: int) -> GrowthFit:
+    """Fit log ||d^k u|| ~ log K_u + k log R over k = 0..k_max.  The input
+    is theta-independent (R = 0, K_u its norm) when every derivative norm
+    is at most 1e-14 of the norm of u itself, a test that does not depend
+    on the scale of u."""
     norms = [_input_norm_surrogate(u, grid, k) for k in range(k_max + 1)]
     a, b, _ = grid.theta_axes[0]
     base = GrowthData(K_alpha=1.0, M=1.0, K_u=max(norms[0], _TINY_TERM),
                       R=0.0, s=0.0, T=grid.t_end, length=b - a)
-    if all(n < 1e-14 * max(norms[0], 1.0) for n in norms[1:]):
-        return GrowthFit(base, tuple(math.log(max(n, _TINY_TERM)) for n in norms),
-                         0.0, theta_independent=True)
-    ks = np.arange(k_max + 1, dtype=float)
-    logs = np.log(np.maximum(norms, _TINY_TERM))
-    design = np.stack([np.ones_like(ks), ks], axis=1)
-    sol, *_ = np.linalg.lstsq(design, logs, rcond=None)
-    fitted = design @ sol
-    residual = float(np.sqrt(np.mean((logs - fitted) ** 2)))
-    data = base.replace(K_u=math.exp(sol[0]), R=math.exp(sol[1]))
+    logs = [math.log(max(n, _TINY_TERM)) for n in norms]
+    if all(n <= 1e-14 * norms[0] for n in norms[1:]):
+        return GrowthFit(base, tuple(logs), 0.0, theta_independent=True)
+    (log_k, log_r), residual = _least_squares([range(k_max + 1)], logs)
+    data = base.replace(K_u=math.exp(log_k), R=math.exp(log_r))
     return GrowthFit(data, tuple(logs), residual)
 
 
@@ -318,19 +345,17 @@ def _coefficient_sup_norms(c: GenSeries, grid: Grid) -> list[float]:
 
 
 def _fit_coefficients(norms: Sequence[float], T: float, length: float) -> GrowthFit:
+    """Fit log ||alpha_k|| ~ log K_alpha + k log M + s log k! over the
+    nonzero norms; s is clipped to [0, 1]."""
     usable = [(k, n) for k, n in enumerate(norms) if n > 0]
     if len(usable) < 3:
         raise ValueError("need at least 3 nonzero norms to fit growth constants")
-    ks = np.array([k for k, _ in usable], dtype=float)
-    logs = np.log([n for _, n in usable])
-    log_fact = np.array([math.lgamma(k + 1) for k in ks])
-    design = np.stack([np.ones_like(ks), ks, log_fact], axis=1)
-    sol, *_ = np.linalg.lstsq(design, logs, rcond=None)
-    fitted = design @ sol
-    residual = float(np.sqrt(np.mean((logs - fitted) ** 2)))
-    s = min(max(sol[2], 0.0), 1.0)
-    data = GrowthData(K_alpha=math.exp(sol[0]), M=math.exp(sol[1]),
-                      K_u=1.0, R=1.0, s=s, T=T, length=length)
+    ks = [k for k, _ in usable]
+    logs = [math.log(n) for _, n in usable]
+    (log_k, log_m, s), residual = _least_squares(
+        [ks, [math.lgamma(k + 1) for k in ks]], logs)
+    data = GrowthData(K_alpha=math.exp(log_k), M=math.exp(log_m),
+                      K_u=1.0, R=1.0, s=min(max(s, 0.0), 1.0), T=T, length=length)
     return GrowthFit(data, tuple(logs), residual)
 
 

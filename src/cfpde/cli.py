@@ -86,13 +86,19 @@ def _atomic_file(path: str):
 
 def _check_writable(*paths: str) -> None:
     """Fail before any work starts when an output cannot be created
-    because its directory is missing or the path names a directory."""
+    because its directory is missing or the path names a directory, or
+    when two outputs are one file, so that one would replace the other."""
+    seen: dict[str, str] = {}  # resolved path -> path as given
     for path in paths:
         if os.path.isdir(path):
             raise CliError(f"cannot write {path}: it is a directory")
         directory = os.path.dirname(os.path.abspath(path))
         if not os.path.isdir(directory):
             raise CliError(f"cannot write {path}: no directory {directory}")
+        resolved = os.path.realpath(path)
+        if resolved in seen:
+            raise CliError(f"cannot write {path}: it is also the output {seen[resolved]}")
+        seen[resolved] = path
 
 
 @contextlib.contextmanager
@@ -111,10 +117,12 @@ def _write_atomic(path: str, data: str) -> None:
 
 def _write_csv_atomic(path: str, field: ii.GridField) -> None:
     """Stream the CSV rows into the temporary file, never the whole text
-    in memory."""
+    in memory.  A NaN or infinity in the field is a numeric failure,
+    raised before the file is put in place, so no file is left."""
     from . import iterint as ii
     with _atomic_file(path) as fh:
-        ii.write_csv(field, fh)
+        if not ii.write_csv(field, fh):
+            raise NumericFailure("output field contains NaN or infinity")
 
 
 def _report(path: str, command: str, params: dict, truncation, bound,
@@ -127,12 +135,6 @@ def _report(path: str, command: str, params: dict, truncation, bound,
         "runtime_ms": int((time.monotonic() - started) * 1000),
     }
     _write_atomic(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
-def _check_finite(field: ii.GridField) -> None:
-    import numpy as np
-    if not np.all(np.isfinite(field.values)):
-        raise NumericFailure("output field contains NaN or infinity")
 
 
 def _parse_expr_arg(text: str, dim: int, what: str) -> ex.Poly:
@@ -220,8 +222,13 @@ def _evaluation_errors(handler):
     report in one line, and each warning would add lines to stderr."""
     @functools.wraps(handler)
     def run(args, command: str, started: float) -> int:
-        # iterint, and the cfpde modules it imports, before numpy: the
-        # other order left about 2 MB more resident at the start of a solve
+        # every cfpde module the handler runs is compiled before numpy is
+        # imported, so that numpy's import reuses the memory the compiler
+        # freed: about 2 MB less resident at the start of a solve
+        if args.command == "solve":
+            from . import pde  # noqa: F401
+        if args.command == "bounds" or getattr(args, "kind", None) == "transport":
+            from . import bounds  # noqa: F401  (it imports iterint first)
         from . import iterint as ii
         import numpy as np
         try:
@@ -266,7 +273,6 @@ def _cmd_solve(args, command: str, started: float) -> int:
         field = ii.evaluate_series(series_obj, u, grid)
     except ii.EvaluationError as e:
         raise CliError(str(e)) from e
-    _check_finite(field)
     with _write_errors(args.out):
         _write_csv_atomic(args.out, field)
     # the field is written; holding it through the growth fit would add
@@ -297,7 +303,6 @@ def _cmd_eval(args, command: str, started: float) -> int:
         field = ii.evaluate_series(series_obj, u, grid)
     except ii.EvaluationError as e:
         raise CliError(str(e)) from e
-    _check_finite(field)
     with _write_errors(args.out):
         _write_csv_atomic(args.out, field)
     _report(report, command, {"series": args.series, "grid": args.grid},

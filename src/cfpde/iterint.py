@@ -23,8 +23,9 @@ the input alone decides which:
   trapezoid rule is linear, I[a(theta) b(t)] = a(theta) I[b](t), so
   y = sum_tau A_tau(theta) E_tau(t) over time words tau: the walk sums
   A_tau on the theta axes, each E_tau is one trapezoid pass on a 1-D
-  time array shared along suffixes, and one matrix product contracts
-  the two into grid layout.
+  time array shared along suffixes, and the field keeps A and E as its
+  factors, contracted a block of theta rows at a time when it is
+  written or read.
 * Grid.  Sampled signals and mixed ones such as sin(theta_1 - t): a
   node's sum is its coefficient plus one cumulative integral of the sum
   over its child steps (letter, order) of the letter's signal times the
@@ -166,10 +167,27 @@ class Grid:
         return cls(tuple(axes[:-1]), t1, nt)
 
 
-class GridField:
-    """Complex samples of a scalar field on a grid."""
+# Grid points per block of a field's theta rows: a factored field is
+# formed, and every field exported, this many points at a time, and the
+# growth fit (bounds) reduces an input's samples in blocks of this size.
+_BLOCK = 16384
 
-    __slots__ = ("grid", "values")
+
+class GridField:
+    """Complex samples of a scalar field on a grid.
+
+    A field holds either its samples or, from a separable evaluation, the
+    two factors of y = sum_tau A_tau(theta) E_tau(t): weights, one column
+    per time word tau over the theta points in grid order (one row per
+    theta row of the field), and times, one row per tau over the time
+    points.  ``blocks`` yields the field's theta rows in blocks of _BLOCK
+    grid points, a factored field's formed block by block, so that
+    ``write_csv`` never holds all of it.  ``values`` is the full array:
+    for a factored field it is built once, from the same blocks, and kept
+    in place of the factors, so a library caller's samples and the CSV's
+    agree bit for bit."""
+
+    __slots__ = ("grid", "_values", "_factors")
 
     def __init__(self, grid: Grid, values: np.ndarray):
         values = np.asarray(values, dtype=np.complex128)
@@ -177,7 +195,56 @@ class GridField:
             raise EvaluationError(
                 f"field shape {values.shape} does not match grid {grid.shape}")
         self.grid = grid
-        self.values = values
+        self._values = values
+        self._factors = None
+
+    @classmethod
+    def factored(cls, grid: Grid, weights: np.ndarray, times: np.ndarray) -> "GridField":
+        """The field weights @ times, from complex (theta points, k) weights
+        and (k, n_t) times.  When every imaginary part of both is zero
+        (+0.0 or -0.0) their real parts are kept instead: the product is
+        then real, its imaginary parts +0.0, at half the size and a quarter
+        of the arithmetic."""
+        if not (weights.imag.any() or times.imag.any()):
+            weights, times = weights.real.copy(), times.real.copy()
+        field = cls.__new__(cls)
+        field.grid = grid
+        field._values = None
+        field._factors = (weights, times)
+        return field
+
+    @property
+    def values(self) -> np.ndarray:
+        if self._values is None:
+            out = np.empty(self.grid.shape, dtype=np.complex128)
+            rows = out.reshape(-1, self.grid.n_t)
+            for r0, block in self.blocks():
+                rows[r0:r0 + len(block)] = block
+            self._values, self._factors = out, None
+        return self._values
+
+    def blocks(self):
+        """(r0, rows) over the field's theta rows in grid order: rows holds
+        the samples of rows r0..r0+m-1, m rows of _BLOCK grid points or one
+        row when a row alone holds more.  Held samples give views.  A
+        factored field's block, complex or real as its factors are, is
+        formed in one buffer that the next block overwrites, a
+        vector-matrix product per row: a first matrix-matrix product would
+        start BLAS's level-3 buffers, about 0.6 MB more resident memory."""
+        n_t = self.grid.n_t
+        step = max(1, _BLOCK // n_t)
+        if self._factors is None:
+            rows = self._values.reshape(-1, n_t)
+            for r0 in range(0, len(rows), step):
+                yield r0, rows[r0:r0 + step]
+            return
+        weights, times = self._factors
+        out = np.empty((min(step, len(weights)), n_t), dtype=times.dtype)
+        for r0 in range(0, len(weights), step):
+            block = out[:len(weights) - r0]
+            for i, w in enumerate(weights[r0:r0 + step]):
+                np.matmul(w, times, out=block[i])
+            yield r0, block
 
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.values)))
@@ -415,7 +482,8 @@ def _accumulate(total: np.ndarray | None,
         return part
     if part is None:
         return total
-    if total.shape == np.broadcast_shapes(total.shape, part.shape):
+    # the shapes are sub-shapes of one grid's, with equal lengths
+    if total.shape == tuple(map(max, total.shape, part.shape)):
         total += part
         return total
     return total + part
@@ -581,21 +649,25 @@ class _Separable:
         return hit
 
     def field(self, root: _TrieNode) -> GridField:
-        """Walk the trie, then contract A and E by one matrix product
-        straight into grid layout."""
+        """Walk the trie, and return A and E as the factors of the field:
+        their product is formed a block of theta rows at a time, when the
+        field is written or its values are asked for."""
         self.walk(root, None, ())
         grid = self.grid
-        out = np.zeros(grid.shape, dtype=np.complex128)
-        if self.sums:
-            t_axis = (0,) * grid.dim
-            t = {"t": grid.t_points}
-            g_values = [None] + [np.asarray(ex.evaluate(
-                ex.Poly(grid.dim + 1, {(t_axis + (e_t,), atoms): 1 + 0j}, True), t),
-                dtype=np.complex128) for e_t, atoms in list(self.letters)[1:]]
-            times = np.stack([self.integral(tau, g_values) for tau in self.sums])
-            weights = np.stack([a.reshape(-1) for a in self.sums.values()])
-            np.matmul(weights.T, times, out=out.reshape(-1, grid.n_t))
-        return GridField(grid, out)
+        t_axis = (0,) * grid.dim
+        t = {"t": grid.t_points}
+        g_values = [None] + [np.asarray(ex.evaluate(
+            ex.Poly(grid.dim + 1, {(t_axis + (e_t,), atoms): 1 + 0j}, True), t),
+            dtype=np.complex128) for e_t, atoms in list(self.letters)[1:]]
+        k = len(self.sums)
+        times = np.empty((k, grid.n_t), dtype=np.complex128)
+        weights = np.empty((math.prod(grid.shape[:-1]), k), dtype=np.complex128)
+        for j, tau in enumerate(list(self.sums)):
+            times[j] = self.integral(tau, g_values)
+            # longer words reuse the row, and the integral's own array goes
+            self.integrals[tau] = times[j]
+            weights[:, j] = self.sums.pop(tau).reshape(-1)
+        return GridField.factored(grid, weights, times)
 
 
 # The separable walk visits a trie edge once per choice of time monomial
@@ -635,7 +707,8 @@ def evaluate_series(c: GenSeries, u: Union[InputSignal, Binding],
     a signal derivative is computed once and released after its last
     edge.  The coefficients are free of t and the trapezoid rule is
     linear, so I[a(theta) b(t)] = a(theta) I[b](t) and both paths give
-    the same values up to rounding.  The result is an owned array in grid
+    the same values up to rounding.  The separable path returns the
+    factored field (see GridField), the grid walk an owned array in grid
     layout."""
     if grid.dim != c.dim:
         raise EvaluationError(
@@ -845,80 +918,133 @@ def _format_block(x: np.ndarray, cells: np.ndarray, mask: np.ndarray,
 def _text_columns(strings: list[str], lead: bytes, right: bool,
                   width: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """lead + s + ',' for each string, justified in a common width of at
-    least width, with its mask."""
+    least width, with its mask; both as one void item per string."""
     texts = [lead + s.encode() + b"," for s in strings]
     width = max(width, *map(len, texts))
     padded = [t.rjust(width, b"\0") if right else t.ljust(width, b"\0")
               for t in texts]
     chars = np.frombuffer(b"".join(padded), dtype=np.uint8).reshape(-1, width)
-    return chars, chars != 0
+    return chars.view(f"V{width}")[:, 0], (chars != 0).view(f"V{width}")[:, 0]
 
 
-def write_csv(field: GridField, fh) -> None:
+class _CsvLines:
+    """Text buffers for the lines of one layout: a re and an im cell per
+    line, or for a real block the re cell and an 8-byte slot holding
+    ",0".  They hold `rows` whole theta rows, or `span` time points of
+    one row when a row alone holds more, within `budget` bytes.  The
+    coordinate columns lie between `edges`, each filled as one void item
+    per line, and the cells start at `head`."""
+
+    __slots__ = ("real", "rows", "span", "text", "keep", "columns", "cells",
+                 "cell_keep", "groups", "t_filled")
+
+    def __init__(self, real: bool, edges: list, head: int, budget: int, nt: int):
+        n_cells, slot = (1, 8) if real else (2, 0)
+        width = head + n_cells * _CELL + slot
+        lines = budget // width
+        self.real = real
+        self.span = span = min(nt, lines)
+        self.rows = rows = max(1, lines // nt)
+        self.text = np.zeros((rows, span, width), dtype=np.uint8)
+        self.keep = np.zeros(self.text.shape, dtype=bool)
+        self.columns = [(self.text[:, :, a:b].view(f"V{b - a}")[..., 0],
+                         self.keep[:, :, a:b].view(f"V{b - a}")[..., 0])
+                        for a, b in zip(edges, edges[1:])]
+        cell_cols = slice(head, head + n_cells * _CELL)
+        self.cells = self.text[:, :, cell_cols].reshape(rows * span, n_cells, _CELL)
+        self.cells[..., _DOT] = ord(".")
+        self.cell_keep = self.keep[:, :, cell_cols].reshape(rows * span, n_cells, _CELL)
+        if real:
+            self.text[:, :, -slot:-slot + 2] = np.frombuffer(b",0", dtype=np.uint8)
+            self.keep[:, :, -slot:-slot + 2] = True
+        self.groups = np.empty(4 * n_cells * rows * span, dtype=np.int64)
+        self.t_filled = False  # with span = nt the time column never changes
+
+    def write(self, fh, block: np.ndarray, r0: int, theta_texts: list,
+              theta_shape: tuple, t_column) -> None:
+        """Print the (m, nt) samples of theta rows r0..r0+m-1.  theta_texts
+        holds each theta column's texts and masks, by point, and
+        t_column(c0, n) the time column's at points c0..c0+n-1."""
+        rows, span = self.rows, self.span
+        n_cells = 1 if self.real else 2
+        m_block, nt = block.shape
+        index = np.unravel_index(np.arange(r0, r0 + m_block), theta_shape)
+        for i0 in range(0, m_block, rows):
+            m = min(rows, m_block - i0)
+            for (text, keep), at, (chars, chars_keep) in zip(self.columns[:-1], index,
+                                                             theta_texts):
+                text[:m] = chars[at[i0:i0 + m], None]
+                keep[:m] = chars_keep[at[i0:i0 + m], None]
+            for c0 in range(0, nt, span):
+                n = min(span, nt - c0)
+                if span < nt or not self.t_filled:
+                    text, keep = self.columns[-1]
+                    text[:, :n], keep[:, :n] = t_column(c0, n)
+                    self.t_filled = True
+                part = block[i0:i0 + m, c0:c0 + n]
+                x = np.ascontiguousarray(part.real if self.real else part).view(np.float64)
+                _format_block(x.reshape(m * n, n_cells), self.cells[:m * n],
+                              self.cell_keep[:m * n], self.groups)
+                packed = self.text[:m, :n].reshape(-1)[self.keep[:m, :n].reshape(-1)]
+                fh.write(packed.tobytes().decode("ascii"))
+
+
+def write_csv(field: GridField, fh) -> bool:
     """theta coordinates, t, re, im; theta-outer / t-inner row order.
+    Returns whether every value written was finite.
 
     Every number is printed as format(x, ".17g") prints it, byte for
     byte: the correctly rounded 17-significant-digit decimal (exact ties
     to even) without trailing zeros, in exponent form below 1e-4.  Zeros
     and values with 2^-19 <= |x| < 2^53 are formatted in numpy; all
     others (smaller or larger magnitudes, subnormals, inf, nan) and the
-    coordinates go through format() one at a time.  When every imaginary
-    part is +0.0, the im column is the constant text "0" and only the
-    real parts are formatted."""
+    coordinates go through format() one at a time.
+
+    The field is taken in the blocks of GridField.blocks, a factored
+    field's formed one block at a time and dropped once printed, and
+    each block is printed in lines of at most _CSV_BLOCK values.  When
+    every imaginary part of a block is +0.0, its im column is the
+    constant text "0" and only the real parts are formatted; "0" is how
+    +0.0 prints, so the bytes are the same whichever blocks take that
+    path."""
     grid = field.grid
     nt = grid.n_t
-    theta_shape = tuple(n for _, _, n in grid.theta_axes)
-    n_rows = math.prod(theta_shape)
-    values = field.values.reshape(n_rows, nt)
-    # no imaginary part is nonzero, -0.0 or nan
-    real = not values.imag.view(np.uint64).any()
+    theta_shape = grid.shape[:-1]
     # each line starts with the newline that ends the one before it
     fh.write(",".join([f"theta_{k + 1}" for k in range(grid.dim)] + ["t", "re", "im"]))
     columns = [_text_columns([f"{x:.17g}" for x in grid.theta_points(k).tolist()],
                              b"" if k else b"\n", right=not k)
                for k in range(grid.dim)]
     t_width = 25  # the longest ".17g" text of a double, and ','
-    edges = np.cumsum([0] + [chars.shape[1] for chars, _ in columns] + [t_width]).tolist()
+    edges = np.cumsum([0] + [chars.itemsize for chars, _ in columns] + [t_width]).tolist()
     head = -(-edges[-1] // 8) * 8  # cells start on 8-byte boundaries
-    # a block is `rows` whole theta rows, or `span` time points of one
-    # row when a row alone holds more; its text buffer holds the lines of
-    # _CSV_BLOCK values with an im cell each, and a real field's lines,
-    # with an 8-byte slot for ",0" in place of the im cell, fill as many
-    # of those bytes as fit
+    # the text buffer of either layout holds the bytes of the lines of
+    # _CSV_BLOCK values with an im cell each; a real block's narrower
+    # lines fill as many of those bytes as fit
     budget = max(1, _CSV_BLOCK // (2 * nt)) * min(nt, _CSV_BLOCK // 2) * (head + 2 * _CELL)
-    n_cells, slot = (1, 8) if real else (2, 0)
-    width = head + n_cells * _CELL + slot
-    lines = budget // width
-    span = min(nt, lines)
-    rows = max(1, lines // nt)
-    text = np.zeros((rows, span, width), dtype=np.uint8)
-    keep = np.zeros(text.shape, dtype=bool)
-    cell_cols = slice(head, head + n_cells * _CELL)
-    cells = text[:, :, cell_cols].reshape(rows * span, n_cells, _CELL)
-    cells[..., _DOT] = ord(".")
-    cell_keep = keep[:, :, cell_cols].reshape(rows * span, n_cells, _CELL)
-    if real:
-        text[:, :, -slot:-slot + 2] = np.frombuffer(b",0", dtype=np.uint8)
-        keep[:, :, -slot:-slot + 2] = True
-    groups = np.empty(4 * n_cells * rows * span, dtype=np.int64)
     t_points = grid.t_points
-    t_cols = slice(edges[-2], edges[-1])
-    for r0 in range(0, n_rows, rows):
-        m = min(rows, n_rows - r0)
-        index = np.unravel_index(np.arange(r0, r0 + m), theta_shape)
-        for k, (chars, chars_keep) in enumerate(columns):
-            text[:m, :, edges[k]:edges[k + 1]] = chars[index[k]][:, None]
-            keep[:m, :, edges[k]:edges[k + 1]] = chars_keep[index[k]][:, None]
-        for c0 in range(0, nt, span):
-            n = min(span, nt - c0)
-            if r0 == 0 or span < nt:  # the time column changes only between spans
-                text[:m, :n, t_cols], keep[:m, :n, t_cols] = _text_columns(
-                    [f"{x:.17g}" for x in t_points[c0:c0 + n].tolist()], b"",
-                    right=False, width=t_width)
-            block = values[r0:r0 + m, c0:c0 + n]
-            x = np.ascontiguousarray(block.real if real else block).view(np.float64)
-            _format_block(x.reshape(m * n, n_cells), cells[:m * n],
-                          cell_keep[:m * n], groups)
-            packed = text[:m, :n].reshape(-1)[keep[:m, :n].reshape(-1)]
-            fh.write(packed.tobytes().decode("ascii"))
+
+    def t_texts(c0: int, n: int):
+        return _text_columns([f"{x:.17g}" for x in t_points[c0:c0 + n].tolist()],
+                             b"", right=False, width=t_width)
+
+    # the time column is formatted once when its text fits in the budget,
+    # else for each span of time points of every row
+    if nt * t_width <= budget:
+        t_chars, t_keep = t_texts(0, nt)
+
+        def t_column(c0: int, n: int):
+            return t_chars[c0:c0 + n], t_keep[c0:c0 + n]
+    else:
+        t_column = t_texts
+    layouts: dict[bool, _CsvLines] = {}
+    finite = True
+    for r0, block in field.blocks():
+        # a real block, or no imaginary part is nonzero, -0.0 or nan
+        real = block.dtype == np.float64 or not block.imag.view(np.uint64).any()
+        if real not in layouts:
+            layouts[real] = _CsvLines(real, edges, head, budget, nt)
+        layouts[real].write(fh, block, r0, columns, theta_shape, t_column)
+        finite = finite and bool(np.isfinite(block).all())
     fh.write("\n")
+    return finite

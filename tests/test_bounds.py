@@ -1,10 +1,14 @@
+import json
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cfpde import bounds as bd
+from cfpde import cli
 from cfpde import expr as ex
 from cfpde import iterint as ii
 from cfpde import pde
@@ -246,3 +250,125 @@ class TestEstimateGrowth:
         grid = ii.Grid(((0.0, 1.0, 33),), 1.0, 65)
         with pytest.raises(ValueError, match="at least 3"):
             bd.estimate_growth([1.0, 0.0, 0.0, 0.0], grid, k_max=3)
+
+
+def lstsq_fit(columns, logs):
+    """The growth fits' least-squares problem as np.linalg.lstsq solves
+    it: the coefficients and the rms residual."""
+    design = np.stack([np.ones(len(logs))] + [np.asarray(c, dtype=float) for c in columns],
+                      axis=1)
+    sol, *_ = np.linalg.lstsq(design, logs, rcond=None)
+    return sol, float(np.sqrt(np.mean((logs - design @ sol) ** 2)))
+
+
+def assert_matches_lstsq(fit, columns, logs):
+    """K = exp(c0) and the rate exp(c1) to 1e-12 relative, and the
+    remaining coefficient and the residual to 1e-12 of the data's size."""
+    sol, residual = lstsq_fit(columns, np.asarray(logs))
+    scale = 1 + max(map(abs, logs))
+    if len(columns) == 1:  # an input fit: K_u, R
+        constants = (fit.data.K_u, fit.data.R)
+    else:
+        constants = (fit.data.K_alpha, fit.data.M)
+        assert fit.data.s == pytest.approx(min(max(sol[2], 0.0), 1.0), abs=1e-12 * scale)
+    assert constants == pytest.approx(tuple(np.exp(sol[:2])), rel=1e-12)
+    assert fit.residual == pytest.approx(residual, abs=1e-12 * scale)
+
+
+class TestPlainFits:
+    """The two growth fits solve their small least-squares problems in
+    plain Python; they agree with np.linalg.lstsq."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(-60, 60), min_size=3, max_size=9))
+    def test_coefficient_fit_matches_lstsq(self, logs):
+        grid = ii.Grid(((0.0, 1.0, 5),), 1.0, 5)
+        fit = bd.estimate_growth([math.exp(v) for v in logs], grid, k_max=8)
+        ks = list(range(len(logs)))
+        assert_matches_lstsq(fit, [ks, [math.lgamma(k + 1) for k in ks]], fit.log_norms)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(-60, 60), min_size=2, max_size=9))
+    def test_line_fit_matches_lstsq(self, logs):
+        (c0, c1), residual = bd._least_squares([range(len(logs))], logs)
+        sol, want = lstsq_fit([range(len(logs))], np.asarray(logs))
+        scale = 1 + max(map(abs, logs))
+        assert (c0, c1) == pytest.approx(tuple(sol), abs=1e-12 * scale)
+        assert residual == pytest.approx(want, abs=1e-12 * scale)
+
+    # the benchmark workloads' inputs and series, at the middle of the
+    # ranges their seeds draw from
+    WORKLOAD_INPUTS = [
+        ("t*sin(2.05*theta_1)", "0:6.283185307179586:257,0:1:513"),
+        ("t*cos(1.03*theta_1)", "-0.5:0.5:65,0:0.1:129"),
+        ("sin(1.015*theta_1)", "0:6.283185307179586:129,0:1:513"),
+        ("t*sin(1.03*theta_1)", "0:1:17,0:1:17,0:1:65"),
+    ]
+
+    @pytest.mark.parametrize("text, spec", WORKLOAD_INPUTS)
+    def test_workload_input_fits_match_lstsq(self, text, spec):
+        grid = ii.Grid.from_spec(spec)
+        u = ii.InputSignal.symbolic(ex.parse(text, grid.dim))
+        fit = bd.estimate_growth(u, grid, k_max=8)
+        assert not fit.theta_independent
+        assert_matches_lstsq(fit, [range(9)], fit.log_norms)
+
+    @pytest.mark.parametrize("V, y0, N, spec", [
+        ("1.03", "sin(theta_1)", 24, "0:6.283185307179586:257,0:1:513"),
+        ("1.004*(1+theta_1^2)", "sin(1.004*theta_1)", 7, "-0.5:0.5:65,0:0.1:129"),
+    ])
+    def test_workload_coefficient_fits_match_lstsq(self, V, y0, N, spec):
+        grid = ii.Grid.from_spec(spec)
+        c = pde.transport_series(pde.TransportSpec(ex.parse(V, 1), ex.parse(y0, 1), N))
+        fit = bd.estimate_growth(c, grid, k_max=min(N, 8))
+        ks = list(range(len(fit.log_norms)))
+        assert_matches_lstsq(fit, [ks, [math.lgamma(k + 1) for k in ks]], fit.log_norms)
+
+    def test_no_lapack(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.linalg in a growth fit")
+        monkeypatch.setattr(np.linalg, "lstsq", refuse)
+        grid = ii.Grid(((0.0, 2 * math.pi, 33),), 1.0, 33)
+        bd.estimate_growth(ii.InputSignal.symbolic(ex.parse("t*sin(2*theta_1)", 1)), grid)
+        bd.estimate_growth(pde.transport_series(pde.TransportSpec(1.5, 0, 8)), grid)
+
+
+class TestScaleFreeFit:
+    """Multiplying the input by c scales K_u and the tail bound by |c|
+    and leaves R and s alone: no absolute cut decides that an input is
+    theta-independent."""
+
+    GRID = "0:6.283185307179586:33,0:1:33"
+
+    def fit_and_tail(self, c, tmp_path):
+        u = f"{c!r}*t*sin(2.05*theta_1)"
+        grid = ii.Grid.from_spec(self.GRID)
+        fit = bd.estimate_growth(ii.InputSignal.symbolic(ex.parse(u, 1)), grid, k_max=6)
+        out = tmp_path / f"y{c!r}.csv"
+        assert cli.main(["solve", "transport", "--V", "1", "--y0", "sin(theta_1)",
+                         "--u", u, "--N", "6", "--grid", self.GRID, "--out", str(out)]) == 0
+        with open(f"{out}.report.json") as fh:
+            bound = json.load(fh)["bound"]
+        return fit, bound
+
+    def test_scaled_inputs_give_scaled_constants(self, tmp_path):
+        base_fit, base_bound = self.fit_and_tail(1.0, tmp_path)
+        assert base_fit.data.R == pytest.approx(2.05, rel=1e-9)
+        assert base_bound["tail"] > 0
+        for c in (1e-20, 1e20):
+            fit, bound = self.fit_and_tail(c, tmp_path)
+            assert not fit.theta_independent
+            assert fit.data.R == pytest.approx(base_fit.data.R, rel=1e-12)
+            assert fit.data.s == base_fit.data.s
+            assert fit.data.K_u == pytest.approx(c * base_fit.data.K_u, rel=1e-12)
+            for name in ("R", "s"):
+                assert bound["constants"][name] == pytest.approx(
+                    base_bound["constants"][name], rel=1e-12)
+            assert bound["constants"]["K_u"] == pytest.approx(
+                c * base_bound["constants"]["K_u"], rel=1e-12)
+            assert bound["tail"] == pytest.approx(c * base_bound["tail"], rel=1e-12)
+
+    def test_zero_input_is_theta_independent(self):
+        grid = ii.Grid.from_spec(self.GRID)
+        fit = bd.estimate_growth(ii.InputSignal.symbolic(ex.ZERO), grid, k_max=4)
+        assert fit.theta_independent and fit.data.R == 0.0

@@ -297,6 +297,41 @@ class TestOutputFiles:
         assert [p.name for p in (tmp_path / "o").iterdir()] == ["p.series"]
 
 
+class TestOutputCollision:
+    @pytest.mark.parametrize("kind", ["solve", "eval"])
+    @pytest.mark.parametrize("link", [False, True])
+    def test_report_naming_the_out_file_exits_one(self, tmp_path, monkeypatch, capsys,
+                                                  transport_files, kind, link):
+        """--report a.txt --out a.txt would leave the report in place of
+        the CSV; a symbolic link to the out file is the same file."""
+        def no_work(*args):
+            raise AssertionError("work started")
+        monkeypatch.setattr(ii, "evaluate_series", no_work)
+        out = tmp_path / "a.txt"
+        report = out
+        if link:
+            out.write_text("old\n")
+            report = tmp_path / "link.txt"
+            report.symlink_to(out)
+        argv = {"solve": ["solve", "transport", "--V", "1", "--y0", "sin(theta_1)",
+                          "--u", "t", "--N", "2", "--grid", "0:1:3,0:1:3"],
+                "eval": ["eval", "--series", transport_files[0], "--u", "t",
+                         "--grid", "0:1:3,0:1:3"]}[kind]
+        assert run(argv + ["--out", str(out), "--report", str(report)]) == 1
+        assert capsys.readouterr().err == \
+            f"error: cannot write {report}: it is also the output {out}\n"
+        if link:
+            assert out.read_text() == "old\n"
+        else:
+            assert not out.exists()
+
+    def test_distinct_report_is_written(self, tmp_path):
+        out, report = tmp_path / "a.txt", tmp_path / "b.json"
+        assert run(SOLVE + ["--out", str(out), "--report", str(report)]) == 0
+        assert read_report(report)["command"] == "cf solve transport"
+        assert out.read_text().startswith("theta_1,t,re,im\n")
+
+
 class TestArgumentValidation:
     def test_negative_grid_bound_as_separate_argument(self, tmp_path):
         out = tmp_path / "y.csv"
@@ -358,6 +393,21 @@ class TestNumericLimits:
             assert run(argv) == code
         assert caught == []
         assert capsys.readouterr().err.count("\n") == 1
+
+    @pytest.mark.parametrize("kind", ["solve", "eval"])
+    def test_non_finite_field_leaves_no_file(self, tmp_path, capsys, transport_files, kind):
+        """exp(800 theta_1) overflows on [0, 6.28]: the export finds the
+        inf, and neither the CSV, nor its report, nor a temporary file
+        is left."""
+        (tmp_path / "o").mkdir()
+        out = tmp_path / "o" / "y.csv"
+        u = ["--u", "exp(800*theta_1)*t", "--grid", "0:6.28:9,0:1:5", "--out", str(out)]
+        argv = {"solve": ["solve", "transport", "--V", "1", "--N", "2"],
+                "eval": ["eval", "--series", transport_files[0]]}[kind]
+        assert run(argv + u) == 2
+        assert capsys.readouterr().err == \
+            "numeric failure: output field contains NaN or infinity\n"
+        assert list((tmp_path / "o").iterdir()) == []
 
     def test_non_finite_series_coefficient_exits_two(self, tmp_path, capsys):
         """1e200 * 1e200 overflows in the operator product; the result has
@@ -495,6 +545,56 @@ class TestStartup:
                                  "--out", str(tmp_path / "y.csv")]], tmp_path)
         assert "cfpde.pde" in loaded
         assert "cfpde.bounds" not in loaded
+
+    def test_transport_solve_compiles_its_modules_before_numpy(self, tmp_path):
+        """A module is looked up on sys.meta_path when its import starts,
+        before it is compiled: the lookups give the order of compilation."""
+        code = ("import json, sys\n"
+                "order = []\n"
+                "class Record:\n"
+                "    def find_spec(self, name, path=None, target=None):\n"
+                "        order.append(name)\n"
+                "sys.meta_path.insert(0, Record())\n"
+                "from cfpde import cli\n"
+                f"rc = cli.main({SOLVE + ['--out', 'y.csv']!r})\n"
+                "print(json.dumps([rc, order]))\n")
+        proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path,
+                              env=dict(os.environ, PYTHONPATH=SRC),
+                              capture_output=True, text=True, check=True)
+        rc, order = json.loads(proc.stdout.splitlines()[-1])
+        assert rc == 0
+        numpy_at = order.index("numpy")
+        for name in ("cfpde.pde", "cfpde.bounds", "cfpde.iterint"):
+            assert order.index(name) < numpy_at, name
+
+    def test_peak_memory_does_not_grow_with_the_field(self, tmp_path):
+        """A separable solve streams its field: the 513 x 1025 field alone
+        is 8.4 MB, yet the solve's peak resident memory exceeds that of a
+        65 x 129 solve by less than 4 MB."""
+        # A child's ru_maxrss starts from the resident size of the process
+        # that forks it, so a small interpreter starts the solve.
+        launch = ("import os, subprocess, sys\n"
+                  "proc = subprocess.Popen(sys.argv[1:])\n"
+                  "_, status, usage = os.wait4(proc.pid, 0)\n"
+                  "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)\n")
+
+        def peak_mb(grid):
+            proc = subprocess.run(
+                [sys.executable, "-c", launch, sys.executable, "-m", "cfpde.cli",
+                 "solve", "transport", "--V", "1.03", "--y0", "sin(theta_1)",
+                 "--u", "t*sin(2.05*theta_1)", "--N", "6", "--grid", grid,
+                 "--out", str(tmp_path / "y.csv")],
+                cwd=tmp_path, env=dict(os.environ, PYTHONPATH=SRC, OMP_NUM_THREADS="1",
+                                       OPENBLAS_NUM_THREADS="1"),
+                capture_output=True, text=True, check=True)
+            code, maxrss_kb = map(int, proc.stdout.split())
+            assert code == 0, proc.stderr
+            return maxrss_kb / 1024
+
+        small = peak_mb("0:6.283185307179586:65,0:1:129")
+        large = peak_mb("0:6.283185307179586:513,0:1:1025")
+        assert (tmp_path / "y.csv").stat().st_size > 513 * 1025 * 40
+        assert large - small < 4.0
 
     def test_package_import_is_lazy(self, tmp_path):
         code = ("import sys\n"

@@ -631,6 +631,109 @@ class TestCsvDigits:
         assert sink.size > 8_000_000 and peak < sink.size / 4
 
 
+class TestFactoredField:
+    """A separable evaluation returns the factors of its field, formed a
+    block of theta rows at a time by values and by write_csv alike."""
+
+    @staticmethod
+    def factored(grid, kind, k=5, seed=3):
+        """Factors of a field on grid: all real, all complex, or real but
+        for the rows of the second block of theta rows."""
+        rng = np.random.default_rng(seed)
+        n_rows = math.prod(grid.shape[:-1])
+        weights = rng.standard_normal((n_rows, k)) * 10.0 ** rng.uniform(-6, 6, (n_rows, 1))
+        times = rng.uniform(0.1, 2.0, (k, grid.n_t)).astype(np.complex128)
+        weights = weights.astype(np.complex128)
+        if kind == "complex":
+            weights += 1j * rng.standard_normal(weights.shape)
+            times -= 1j * rng.standard_normal(times.shape)
+        elif kind == "mixed":
+            step = max(1, ii._BLOCK // grid.n_t)
+            weights[step:2 * step] += 1j * rng.standard_normal((step, k))
+        # two fields with the same factors: one for write_csv, one whose
+        # values are read
+        return (ii.GridField.factored(grid, weights, times),
+                ii.GridField.factored(grid, weights.copy(), times.copy()))
+
+    @pytest.mark.parametrize("kind, columns", [("real", {1}), ("complex", {2}),
+                                                ("mixed", {1, 2})])
+    @pytest.mark.parametrize("theta_axes, n_t", [
+        (((-1.0, 0.3, 7), (-0.7, -0.1, 9)), 65),  # several theta rows per block
+        (((0.0, 2.0, 5),), 1500),                 # rows in spans of time points
+    ])
+    def test_csv_matches_per_cell_formatting(self, monkeypatch, kind, columns,
+                                             theta_axes, n_t):
+        monkeypatch.setattr(ii, "_BLOCK", 2 * n_t)  # blocks of two rows
+        grid = ii.Grid(theta_axes, 0.9, n_t)
+        streamed, materialised = self.factored(grid, kind)
+        formatted = []
+        format_block = ii._format_block
+
+        def spy(x, *args):
+            formatted.append(x.shape[1])
+            format_block(x, *args)
+
+        monkeypatch.setattr(ii, "_format_block", spy)
+        buf = io.StringIO()
+        assert ii.write_csv(streamed, buf) is True
+        assert streamed._values is None  # written from the factors
+        assert buf.getvalue() == per_cell_csv(materialised)
+        assert set(formatted) == columns
+
+    def test_values_are_formed_once_from_the_same_blocks(self, monkeypatch):
+        monkeypatch.setattr(ii, "_BLOCK", 3 * 33)
+        grid = ii.Grid(((0.0, 1.0, 10),), 1.0, 33)
+        field, _ = self.factored(grid, "complex")
+        blocks = [block.copy() for _, block in field.blocks()]
+        assert len(blocks) == 4
+        values = field.values
+        assert values.flags.owndata and values.flags.writeable
+        assert np.array_equal(values.reshape(-1, grid.n_t), np.concatenate(blocks))
+        assert field.values is values and field._factors is None
+
+    def test_real_factors_are_kept_as_floats(self):
+        grid = small_grid(9, 17)
+        field, _ = self.factored(grid, "real")
+        assert all(a.dtype == np.float64 for a in field._factors)
+        assert not field.values.imag.view(np.uint64).any()  # +0.0 throughout
+
+    def test_non_finite_values_are_printed_and_reported(self):
+        grid = small_grid(4, 5)
+        weights = np.ones((4, 1), dtype=np.complex128)
+        weights[2, 0] = math.inf
+        field = ii.GridField.factored(grid, weights, np.ones((1, 5), np.complex128))
+        buf = io.StringIO()
+        assert ii.write_csv(field, buf) is False
+        assert buf.getvalue().count(",inf,0\n") == 5
+        buf = io.StringIO()
+        assert ii.write_csv(ii.GridField(grid, np.full(grid.shape, complex(1, math.nan))),
+                            buf) is False
+        assert ii.write_csv(ii.GridField(grid, np.ones(grid.shape)), io.StringIO()) is True
+
+    def test_separable_solve_holds_less_than_one_field(self):
+        """The transport-grid benchmark job: evaluation and export together
+        peak below the size of one full complex field."""
+        c = pde.transport_series(pde.TransportSpec(1.03, ex.parse("sin(theta_1)", 1), 24))
+        grid = ii.Grid.from_spec("0:6.283185307179586:257,0:1:513")
+        u = ii.InputSignal.symbolic(ex.parse("t*sin(2.05*theta_1)", 1))
+        field_bytes = math.prod(grid.shape) * 16
+
+        class Sink:
+            def write(self, text):
+                pass
+
+        ii._csv_tables.cache_clear()  # built inside the measurement
+        tracemalloc.start()
+        try:
+            field = ii.evaluate_series(c, u, grid)
+            assert ii.write_csv(field, Sink())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert field._values is None
+        assert peak < field_bytes
+
+
 class TestDerivativeHolding:
     """evaluate_series holds a signal derivative only while an unvisited
     trie edge still needs it, and computes each one once."""
