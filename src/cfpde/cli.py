@@ -165,6 +165,9 @@ def _binding_from_args(args, dim: int):
             k = int(k_text)
         except ValueError:
             raise CliError(f"bad input letter id {k_text!r}") from None
+        if k < 1:
+            raise CliError(f"bad --bind {item!r}; k must be an input letter id "
+                           "1, 2, ... (x0 is the drift)")
         binding[k] = ii.InputSignal.symbolic(_parse_expr_arg(expr_text, dim, "input"))
     if not binding:
         raise CliError("provide --u or at least one --bind k=expr")
@@ -335,10 +338,14 @@ def _cmd_algebra(args, command: str, started: float) -> int:
         params = {"left": args.left, "right": args.right}
     elif args.kind == "shift":
         try:
-            series_obj = se.load_series(args.series)
-            letter = parse_word(args.letter)[0]
-            out = se.left_shift(letter, series_obj)
-        except (OSError, ValueError, se.SeriesError, IndexError) as e:
+            letters = parse_word(args.letter).letters
+        except ValueError:
+            letters = ()
+        if len(letters) != 1:
+            raise CliError(f"bad --letter {args.letter!r}; expected one letter such as x1")
+        try:
+            out = se.left_shift(letters[0], se.load_series(args.series))
+        except (OSError, se.SeriesError) as e:
             raise CliError(str(e)) from e
         params = {"series": args.series, "letter": args.letter}
     else:  # truncate
@@ -413,6 +420,9 @@ def _cmd_verify(args, command: str, started: float) -> int:
             only = sorted({int(x) for x in args.only.split(",")})
         except ValueError:
             raise CliError(f"bad --only {args.only!r}") from None
+        if only[0] < 1 or only[-1] > len(acceptance.CRITERIA):
+            raise CliError(f"bad --only {args.only!r}; criteria are "
+                           f"1-{len(acceptance.CRITERIA)}")
     results = acceptance.run(only=only, log=print)
     return 0 if all(r.passed for r in results) else 1
 

@@ -38,6 +38,10 @@ the input alone decides which:
 Both paths apply the same trapezoid rule to the same integrands, so
 they agree up to rounding.  Grids and fields are laid out (theta..., t),
 time last.
+
+``iterated_integral`` is the one-word case: E_w[u] for a plain word w is
+the evaluation of the series {w: identity}, so the trie walk is the only
+evaluator.
 """
 
 from __future__ import annotations
@@ -45,20 +49,20 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from typing import Mapping, NamedTuple, Optional, Sequence, Union
+from typing import Mapping, NamedTuple, Optional, Union
 
 import numpy as np
 
 from . import expr as ex
 from ._record import record
-from .diffop import MultiIndex, mi_abs, mi_zero
+from .diffop import MultiIndex, identity, mi_abs, mi_zero
 from .series import GenSeries
-from .words import DRIFT, Letter, Word
+from .words import Letter, Word
 
 __all__ = [
     "Grid", "GridField", "InputSignal", "DecoratedWord", "EvaluationError",
     "cumulative_trapezoid", "expand_derivative", "iterated_integral",
-    "evaluate_series", "chen_coefficients", "write_csv",
+    "evaluate_series", "write_csv",
 ]
 
 
@@ -407,59 +411,12 @@ def expand_derivative(w: Word, alpha: MultiIndex) -> list[tuple[int, DecoratedWo
 
 
 # ---------------------------------------------------------------------------
-# iterated integrals, time-leading: (t, theta...)
+# the trie walk, time-leading: (t, theta...)
 
 def _to_grid(values: np.ndarray | complex, grid: Grid) -> GridField:
     """A time-leading result as an owned, C-contiguous grid-shaped field."""
     full = np.broadcast_to(values, (grid.n_t,) + grid.shape[:-1])
     return GridField(grid, np.moveaxis(full, 0, -1).copy())
-
-
-def _integral_from_cache(dw: DecoratedWord, binding: Binding, grid: Grid,
-                         cache: dict) -> np.ndarray:
-    if not dw:
-        return np.ones((grid.n_t,) + (1,) * grid.dim, dtype=np.complex128)
-    key = dw
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
-    head, tail = dw[0], dw[1:]
-    inner = _integral_from_cache(tail, binding, grid, cache)
-    letter, order = head
-    if letter.is_drift:
-        integrand = inner
-    else:
-        try:
-            signal = binding[letter.index]
-        except KeyError:
-            raise EvaluationError(
-                f"input letter {letter.text()} is not bound to a signal") from None
-        if (signal, order) not in cache:
-            cache[signal, order] = np.moveaxis(
-                signal.derivative_values(grid, order), -1, 0)
-        integrand = cache[signal, order] * inner
-    value = cumulative_trapezoid(integrand, grid.dt)
-    cache[key] = value
-    return value
-
-
-def iterated_integral(w: Union[Word, DecoratedWord],
-                      u: Union[InputSignal, Binding], grid: Grid,
-                      cache: dict | None = None) -> GridField:
-    """E_w[u] on the grid: the time recursion integrates the leftmost
-    letter's signal against the integral of the remainder.  A cache passed
-    in keeps the integrals of decorated suffixes and the signal samples
-    they used, for reuse across calls."""
-    if isinstance(w, Word):
-        dw = undecorated(w, grid.dim)
-        letters = set(w.letters)
-    else:
-        dw = w
-        letters = {l for l, _ in w}
-    binding = _as_binding(u, letters | {DRIFT})
-    if cache is None:
-        cache = {}
-    return _to_grid(_integral_from_cache(dw, binding, grid, cache), grid)
 
 
 class _TrieNode:
@@ -733,31 +690,12 @@ def evaluate_series(c: GenSeries, u: Union[InputSignal, Binding],
     return _to_grid(0j if total is None else total, grid)
 
 
-def chen_coefficients(n: int, u: Union[InputSignal, Binding], grid: Grid,
-                      alphabet: Sequence[Letter] | None = None
-                      ) -> dict[Word, GridField]:
-    """All E_w[u] for |w| <= n over the given alphabet (default: the drift
-    letter plus every bound input letter; a bare signal binds x1)."""
-    if alphabet is None:
-        if isinstance(u, InputSignal):
-            alphabet = [DRIFT, Letter(1)]
-        else:
-            alphabet = [DRIFT] + [Letter(i) for i in sorted(u)]
-    binding = _as_binding(u, alphabet)
-    letters = sorted(set(alphabet) | {DRIFT}, key=Letter.sort_key)
-    cache: dict = {}
-    out: dict[Word, GridField] = {}
-    level = [Word()]
-    out[Word()] = iterated_integral(Word(), binding, grid, cache)
-    for _ in range(n):
-        nxt = []
-        for w in level:
-            for l in letters:
-                nw = Word((l,) + w.letters)
-                nxt.append(nw)
-                out[nw] = iterated_integral(nw, binding, grid, cache)
-        level = nxt
-    return out
+def iterated_integral(w: Word, u: Union[InputSignal, Binding], grid: Grid) -> GridField:
+    """E_w[u] on the grid, the iterated time integral of the plain word w:
+    evaluate_series of the one-word series {w: identity}, whose alphabet
+    is w's letters (a bare signal binds each of them)."""
+    c = GenSeries(grid.dim, {w: identity(grid.dim)}, len(w), w.letters)
+    return evaluate_series(c, u, grid)
 
 
 # ---------------------------------------------------------------------------

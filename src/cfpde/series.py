@@ -112,9 +112,6 @@ class GenSeries:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def min_word_len(self) -> int:
-        return min((len(w) for w in self.coeffs), default=0)
-
     def __eq__(self, other):
         return (isinstance(other, GenSeries) and self.dim == other.dim
                 and self.coeffs == other.coeffs)

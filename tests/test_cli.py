@@ -164,6 +164,16 @@ class TestAlgebra:
         got = se.load_series(out)
         assert word("x0", "x2") in got.coeffs
 
+    @pytest.mark.parametrize("letter", ["", "x1 x2", "e", "y"])
+    def test_shift_needs_one_letter(self, tmp_path, capsys, transport_files, letter):
+        left, _ = transport_files
+        out = tmp_path / "shifted.series"
+        assert run(["algebra", "shift", "--letter", letter, "--series", left,
+                    "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: bad --letter {letter!r}; expected one letter such as x1\n")
+        assert not out.exists()
+
     def test_shift(self, tmp_path, transport_files):
         left, _ = transport_files
         out = tmp_path / "shifted.series"
@@ -229,6 +239,13 @@ class TestVerify:
 
     def test_bad_only_flag(self, capsys):
         assert run(["verify", "--only", "abc"]) == 1
+
+    @pytest.mark.parametrize("only", ["0", "11", "-1", "1,11"])
+    def test_only_out_of_range_runs_nothing(self, capsys, only):
+        assert run(["verify", "--only", only]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: bad --only {only!r}; criteria are 1-10\n"
 
 
 class TestOutputFiles:
@@ -365,6 +382,24 @@ class TestArgumentValidation:
     def test_missing_required_flag_exits_one(self, capsys):
         assert run(["solve", "transport", "--u", "t", "--N", "4",
                     "--grid", GRID]) == 1
+
+    @pytest.mark.parametrize("k", ["0", "-1"])
+    @pytest.mark.parametrize("command", ["solve", "eval"])
+    def test_bind_below_one_exits_one(self, tmp_path, capsys, command, k):
+        """x0 is the drift letter and negative letters do not exist."""
+        out = tmp_path / "y.csv"
+        if command == "solve":
+            argv = ["solve", "transport", "--V", "1", "--N", "2"]
+        else:
+            c = se.series_from_coeffs(1, {word("x1"): do.identity(1)})
+            argv = ["eval", "--series", write_series(tmp_path / "c.series", c)]
+        argv += ["--bind", "1=t", "--bind", f"{k}=t", "--grid", "0:1:5,0:1:5",
+                 "--out", str(out)]
+        assert run(argv) == 1
+        assert capsys.readouterr().err == (
+            f"error: bad --bind '{k}=t'; k must be an input letter id 1, 2, ... "
+            "(x0 is the drift)\n")
+        assert not out.exists()
 
 
 class TestNumericLimits:
@@ -787,7 +822,7 @@ class TestArgvFuzz:
                      ["t", "theta_2", "1/theta_1", "nan", "1e308*1e308", "sin(", "",
                       "exp(800*theta_1)", "(1+theta_1)^100"])
     binds = _mostly(["1=t", "1=sin(theta_1)*t", "2=t", "1=-t"],
-                    ["x=t", "1", "1=", "99=t", "1=sin("])
+                    ["x=t", "1", "1=", "99=t", "1=sin(", "0=t", "-1=t"])
     orders = _mostly(["0", "1", "2", "3", "4"], ["-1", "x", "1.5", ""])
     series = _mostly(["good.series", "other.series"], ["bad.series", "missing.series", "."])
     outs = _mostly(["out.file"], ["none/out.file", "."])
@@ -799,7 +834,7 @@ class TestArgvFuzz:
     OPTIONS = {
         ("algebra", "shuffle"): two, ("algebra", "sum"): two,
         ("algebra", "compose"): {**two, "--unital": None},
-        ("algebra", "shift"): {"--letter": _mostly(["x1", "x0", "x2"], ["y", "", "x"]),
+        ("algebra", "shift"): {"--letter": _mostly(["x1", "x0", "x2"], ["y", "", "x", "x1 x2"]),
                                "--series": series, "--out": outs},
         ("algebra", "truncate"): {"--series": series, "--N": orders, "--out": outs},
         ("solve", "transport"): {"--V": thetas, "--y0": thetas, **solve},

@@ -1,5 +1,6 @@
 import gc
 import io
+import itertools
 import math
 import tracemalloc
 import weakref
@@ -30,10 +31,28 @@ def drift_input_word(i, j):
     return Word((DRIFT,) * i + (X1,) + (DRIFT,) * j)
 
 
+def nested_trapezoid(dw, u, grid):
+    """Reference E_dw[u] in grid layout (theta..., t): the trapezoid rule
+    on the last axis, applied once per letter from the innermost out, to
+    the letter's signal derivative (1 for the drift) times the integral
+    of the letters after it.  u is a signal for every input letter or a
+    binding by letter index."""
+    value = np.ones(grid.shape, dtype=np.complex128)
+    for letter, order in reversed(dw):
+        if not letter.is_drift:
+            signal = u if isinstance(u, ii.InputSignal) else u[letter.index]
+            value = signal.derivative_values(grid, order) * value
+        steps = (value[..., :-1] + value[..., 1:]) * (0.5 * grid.dt)
+        value = np.concatenate([np.zeros(grid.shape[:-1] + (1,)),
+                                np.cumsum(steps, axis=-1)], axis=-1)
+    return value
+
+
 def per_word_sum(c, binding, grid):
     """Reference evaluation word by word: sum of coefficient * weight *
-    E_dw over every decorated word, each integral computed on its own.
-    Returns the sum and the sum of the terms' magnitudes."""
+    E_dw over every decorated word, each integral computed on its own by
+    nested_trapezoid.  Returns the sum and the sum of the terms'
+    magnitudes."""
     meshes = grid.meshes(with_t=False)
     total = np.zeros(grid.shape, dtype=np.complex128)
     scale = 0.0
@@ -41,7 +60,7 @@ def per_word_sum(c, binding, grid):
         for alpha, coeff in c.coeffs[w].sorted_terms():
             a = np.asarray(ex.evaluate(coeff, meshes), dtype=np.complex128)[..., None]
             for weight, dw in ii.expand_derivative(w, alpha):
-                term = a * weight * ii.iterated_integral(dw, binding, grid).values
+                term = a * weight * nested_trapezoid(dw, binding, grid)
                 total += term
                 scale += float(np.max(np.abs(term)))
     return total, scale
@@ -93,7 +112,7 @@ class TestIteratedIntegral:
 
     def test_unbound_letter(self):
         g = small_grid()
-        with pytest.raises(ii.EvaluationError, match="not bound"):
+        with pytest.raises(ii.EvaluationError, match="unbound"):
             ii.iterated_integral(word("x2"), {1: ii.InputSignal.symbolic(ex.ONE)}, g)
 
     def test_sampled_derivative_order_cap(self):
@@ -107,13 +126,12 @@ class TestIteratedIntegral:
         # d/dt E_{x_i w} = u_i E_w, via central differences in t
         g = small_grid(n_theta=17, n_t=2001)
         u = ii.InputSignal.symbolic(ex.parse("sin(theta_1) + t*cos(theta_1)", 1))
-        cache = {}
         for w in (word("x1"), word("x0", "x1"), word("x1", "x0"),
                   word("x1", "x1")):
             for head in (DRIFT, X1):
                 full = Word((head,) + w.letters)
-                outer = ii.iterated_integral(full, u, g, cache).values
-                inner = ii.iterated_integral(w, u, g, cache).values
+                outer = ii.iterated_integral(full, u, g).values
+                inner = ii.iterated_integral(w, u, g).values
                 dt = g.dt
                 lhs = (outer[:, 2:] - outer[:, :-2]) / (2 * dt)
                 u_vals = (u.derivative_values(g, (0,)) if head is X1
@@ -138,15 +156,73 @@ class TestIteratedIntegral:
         assert 1.8 <= rate1 <= 2.2
         assert 1.8 <= rate2 <= 2.2
 
-    def test_cache_shared_between_suffixes(self):
+    def test_level_one_unit_input(self):
         g = small_grid()
-        u = ii.InputSignal.symbolic(ex.parse("t", 1))
-        cache = {}
-        ii.iterated_integral(word("x0", "x1"), u, g, cache)
-        before = len(cache)
-        ii.iterated_integral(word("x0", "x0", "x1"), u, g, cache)
-        # only the new outermost integral should be added
-        assert len(cache) == before + 1
+        for w in (word("x0"), word("x1")):
+            f = ii.iterated_integral(w, ii.InputSignal.symbolic(ex.ONE), g)
+            assert np.max(np.abs(f.values - g.t_points)) < 1e-14
+
+    def test_level_two_unit_input_beta_oracle(self):
+        g = small_grid(n_t=513)
+        t = g.t_points
+        for w in (word("x0", "x0"), word("x0", "x1"),
+                  word("x1", "x0"), word("x1", "x1")):
+            f = ii.iterated_integral(w, ii.InputSignal.symbolic(ex.ONE), g)
+            assert np.max(np.abs(f.values - t ** 2 / 2)) < 1e-5
+
+    def test_is_one_word_series(self):
+        g = small_grid(n_theta=5, n_t=9)
+        u = ii.InputSignal.symbolic(ex.parse("t*sin(theta_1)", 1))
+        w = word("x1", "x0", "x1")
+        c = se.series_from_coeffs(1, {w: do.identity(1)})
+        want = ii.evaluate_series(c, u, g).values
+        assert ii.iterated_integral(w, u, g).values.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("kind", ["separable", "mixed", "constant", "sampled", "binding"])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_matches_nested_trapezoid(self, kind, dim):
+        """Every word up to length 4 over x0, x1 (and x2 on a 2-D grid)."""
+        g = GRID_2D if dim == 2 else small_grid(n_theta=7, n_t=9, theta=(0.2, 1.2))
+        meshes = g.meshes()
+        u = {
+            "separable": ii.InputSignal.symbolic(
+                ex.parse("t*sin(theta_1) + cos(theta_%d)*exp(-t)" % dim, dim)),
+            "mixed": ii.InputSignal.symbolic(ex.parse("sin(theta_%d - t)" % dim, dim)),
+            "constant": ii.InputSignal.symbolic(ex.parse("1.5", dim)),
+            "sampled": ii.InputSignal.sampled(ii.GridField(g, np.broadcast_to(
+                np.exp(meshes["theta_1"] * (1 - meshes["t"])), g.shape))),
+            "binding": BINDING_2D if dim == 2 else {
+                1: ii.InputSignal.symbolic(ex.parse("2*theta_1*t^2", 1))},
+        }[kind]
+        letters = [DRIFT, X1] + ([Letter(2)] if dim == 2 else [])
+        for n in range(5):
+            for w in itertools.product(letters, repeat=n):
+                w = Word(w)
+                want = nested_trapezoid(ii.undecorated(w, dim), u, g)
+                got = ii.iterated_integral(w, u, g).values
+                scale = max(1.0, float(np.max(np.abs(want))))
+                assert np.max(np.abs(got - want)) <= 1e-13 * scale, w
+
+
+class TestNestedTrapezoid:
+    """The test-local reference evaluator against closed forms."""
+
+    @pytest.mark.parametrize("k", range(5))
+    def test_unit_input_is_t_power_over_factorial(self, k):
+        g = small_grid(n_theta=3, n_t=513)
+        for w in itertools.product([DRIFT, X1], repeat=k):
+            f = nested_trapezoid(ii.undecorated(Word(w), 1), ii.InputSignal.symbolic(ex.ONE), g)
+            oracle = g.t_points ** k / math.factorial(k)
+            assert np.max(np.abs(f - oracle)) < 5e-6
+
+    def test_decorated_letter_integrates_derivative(self):
+        # u = sin(theta) t: E_{x1^(1)} = cos(theta) t^2/2, and the
+        # trapezoid rule is exact on the linear integrand
+        g = small_grid(n_theta=9, n_t=17, theta=(0.2, 1.2))
+        u = ii.InputSignal.symbolic(ex.parse("sin(theta_1)*t", 1))
+        f = nested_trapezoid(((X1, (1,)),), u, g)
+        oracle = np.cos(g.theta_points(0))[:, None] * g.t_points ** 2 / 2
+        assert np.max(np.abs(f - oracle)) < 1e-15
 
 
 class TestExpandDerivative:
@@ -181,7 +257,7 @@ class TestExpandDerivative:
         fd = np.gradient(plain, h, axis=0, edge_order=2)
         total = np.zeros_like(plain)
         for weight, dw in ii.expand_derivative(word("x1", "x1"), (1,)):
-            total = total + weight * ii.iterated_integral(dw, u, g).values
+            total = total + weight * nested_trapezoid(dw, u, g)
         assert np.max(np.abs(fd - total)) <= 2e-4
 
     def test_multinomial_weights(self):
@@ -295,29 +371,6 @@ class TestEvaluateSeries:
         c = se.series_from_coeffs(1, {word("x2"): do.identity(1)})
         with pytest.raises(ii.EvaluationError, match="unbound"):
             ii.evaluate_series(c, {1: ii.InputSignal.symbolic(ex.ONE)}, g)
-
-
-class TestChenCoefficients:
-    def test_level_zero(self):
-        g = small_grid()
-        out = ii.chen_coefficients(0, ii.InputSignal.symbolic(ex.ONE), g)
-        assert set(out) == {Word()}
-        assert np.allclose(out[Word()].values, 1.0)
-
-    def test_level_one_unit_input(self):
-        g = small_grid()
-        out = ii.chen_coefficients(1, ii.InputSignal.symbolic(ex.ONE), g)
-        assert set(out) == {Word(), word("x0"), word("x1")}
-        for w in (word("x0"), word("x1")):
-            assert np.max(np.abs(out[w].values - g.t_points)) < 1e-14
-
-    def test_level_two_unit_input_beta_oracle(self):
-        g = small_grid(n_t=513)
-        out = ii.chen_coefficients(2, ii.InputSignal.symbolic(ex.ONE), g)
-        t = g.t_points
-        for w in (word("x0", "x0"), word("x0", "x1"),
-                  word("x1", "x0"), word("x1", "x1")):
-            assert np.max(np.abs(out[w].values - t ** 2 / 2)) < 1e-5
 
 
 class TestGridAndCsv:
