@@ -156,6 +156,14 @@ class TestIteratedIntegral:
         assert 1.8 <= rate1 <= 2.2
         assert 1.8 <= rate2 <= 2.2
 
+    def test_level_zero(self):
+        # E_empty = 1 on the whole grid, whatever the input
+        g = small_grid()
+        u = ii.InputSignal.symbolic(ex.parse("t*sin(theta_1) + 2", 1))
+        f = ii.iterated_integral(Word(), u, g)
+        assert f.values.shape == g.shape
+        assert np.all(f.values == 1.0)
+
     def test_level_one_unit_input(self):
         g = small_grid()
         for w in (word("x0"), word("x1")):
