@@ -18,11 +18,7 @@ and adds each of these methods that the class body does not define:
 
 from __future__ import annotations
 
-from operator import attrgetter
-
 __all__ = ["record"]
-
-_UNSET = object()
 
 
 def _bind(cls, names: tuple, defaults: dict, args: tuple, kwargs: dict) -> list:
@@ -57,49 +53,24 @@ def record(cls):
     set_field = object.__setattr__
     post_init = cls.__dict__.get("__post_init__")
 
-    if len(names) == 1:
-        field = names[0]
-        get = attrgetter(field)
+    def values(self):
+        return tuple([getattr(self, name) for name in names])
 
-        def values(self):
-            return (get(self),)
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != len(names):
+            args = _bind(cls, names, defaults, args, kwargs)
+        for name, value in zip(names, args):
+            set_field(self, name, value)
+        if post_init is not None:
+            post_init(self)
 
-        # a named positional parameter, not *args: most records have one
-        # field, and packing a tuple would double the cost of a call
-        def __init__(self, value=_UNSET, /, **kwargs):
-            if kwargs or value is _UNSET:
-                value, = _bind(cls, names, defaults,
-                               () if value is _UNSET else (value,), kwargs)
-            set_field(self, field, value)
-            if post_init is not None:
-                post_init(self)
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return values(self) == values(other)
+        return NotImplemented
 
-        def __eq__(self, other):
-            if other.__class__ is self.__class__:
-                a, b = get(self), get(other)
-                return a is b or a == b  # the identity test a tuple makes
-            return NotImplemented
-
-        def __hash__(self):
-            return hash((get(self),))
-    else:
-        values = attrgetter(*names)
-
-        def __init__(self, *args, **kwargs):
-            if kwargs or len(args) != len(names):
-                args = _bind(cls, names, defaults, args, kwargs)
-            for name, value in zip(names, args):
-                set_field(self, name, value)
-            if post_init is not None:
-                post_init(self)
-
-        def __eq__(self, other):
-            if other.__class__ is self.__class__:
-                return values(self) == values(other)
-            return NotImplemented
-
-        def __hash__(self):
-            return hash(values(self))
+    def __hash__(self):
+        return hash(values(self))
 
     def __repr__(self):
         fields = ", ".join(f"{name}={value!r}"

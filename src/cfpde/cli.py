@@ -152,11 +152,15 @@ def _complex_arg(text: str, what: str) -> complex:
                        "-1.5 or 1+2j") from None
 
 
-def _binding_from_args(args, dim: int):
+def _binding_from_args(args, dim: int, letters):
+    """The input of --u, or the signals of the --bind options by letter
+    id; each --bind names one of the series' input letters, once."""
     from . import iterint as ii
-    binding = {}
     if args.u is not None:
+        if args.bind:
+            raise CliError("give --u or --bind, not both")
         return ii.InputSignal.symbolic(_parse_expr_arg(args.u, dim, "input"))
+    binding = {}
     for item in args.bind or []:
         if "=" not in item:
             raise CliError(f"bad --bind {item!r}; expected k=expr")
@@ -168,6 +172,10 @@ def _binding_from_args(args, dim: int):
         if k < 1:
             raise CliError(f"bad --bind {item!r}; k must be an input letter id "
                            "1, 2, ... (x0 is the drift)")
+        if k in binding:
+            raise CliError(f"bad --bind {item!r}; x{k} is already bound")
+        if k not in letters:
+            raise CliError(f"bad --bind {item!r}; the series has no letter x{k}")
         binding[k] = ii.InputSignal.symbolic(_parse_expr_arg(expr_text, dim, "input"))
     if not binding:
         raise CliError("provide --u or at least one --bind k=expr")
@@ -269,7 +277,7 @@ def _cmd_solve(args, command: str, started: float) -> int:
         series_obj = pde.second_order_series(spec)
         params.update({"alpha1": args.alpha1, "alpha2": args.alpha2,
                        "y0": args.y0, "y1": args.y1, "form": args.form})
-    u = _binding_from_args(args, 1)
+    u = _binding_from_args(args, 1, series_obj.input_letters())
     params["u"] = args.u if args.u is not None else dict(
         item.split("=", 1) for item in args.bind)
     try:
@@ -301,7 +309,7 @@ def _cmd_eval(args, command: str, started: float) -> int:
     if series_obj.dim != grid.dim:
         raise CliError(
             f"series dim {series_obj.dim} does not match grid dim {grid.dim}")
-    u = _binding_from_args(args, series_obj.dim)
+    u = _binding_from_args(args, series_obj.dim, series_obj.input_letters())
     try:
         field = ii.evaluate_series(series_obj, u, grid)
     except ii.EvaluationError as e:

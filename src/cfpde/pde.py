@@ -175,7 +175,7 @@ def _triangular_truncate(c: GenSeries, n: int) -> GenSeries:
     length n."""
     kept = {w: op for w, op in c.coeffs.items()
             if len(w) <= n + (w.input_letter_count() > 0)}
-    return GenSeries(c.dim, kept, n + 1, c.alphabet, c.param_support, n)
+    return GenSeries(c.dim, kept, n + 1, c.alphabet, exact_len=n)
 
 
 def _cascade_inverse(beta1, beta2, n: int) -> GenSeries:

@@ -25,7 +25,7 @@ from typing import Iterable, Mapping
 from . import diffop as do
 from . import expr as ex
 from .diffop import DiffOp
-from .words import EMPTY_WORD, Letter, Word, parse_word, shuffle_words
+from .words import DRIFT, EMPTY_WORD, Letter, Word, parse_word, shuffle_words
 
 __all__ = [
     "GenSeries", "SeriesError", "OverlappingSupport", "NotLinear", "NonFinite",
@@ -35,9 +35,6 @@ __all__ = [
     "embed", "relabel_letters",
     "series_to_text", "series_from_text", "save_series", "load_series",
 ]
-
-DRIFT = Letter(None)
-
 
 class SeriesError(Exception):
     pass
@@ -56,19 +53,16 @@ class NonFinite(SeriesError):
 
 
 class GenSeries:
-    __slots__ = ("dim", "alphabet", "coeffs", "max_len", "param_support",
-                 "exact_len")
+    __slots__ = ("dim", "alphabet", "coeffs", "max_len", "exact_len")
 
     def __init__(self, dim: int, coeffs: Mapping[Word, DiffOp],
                  max_len: int, alphabet: Iterable[Letter] = (),
-                 param_support: Iterable[int] = (),
                  exact_len: int | None = None):
         if dim < 1:
             raise SeriesError("dim must be a positive integer")
         if max_len < 0:
             raise SeriesError("max_len must be nonnegative")
         letters = set(alphabet) | {DRIFT}
-        support = set(param_support)
         kept: dict[Word, DiffOp] = {}
         for w, op in coeffs.items():
             if not isinstance(w, Word):
@@ -81,24 +75,23 @@ class GenSeries:
                     f"word {w.text()} longer than max_len={max_len}")
             if op.is_zero():
                 continue
-            letters |= set(w.letters)
-            if len(support) < dim:  # an operator's indices lie in 1..dim
-                support |= op.theta_indices()
+            letters.update(w)
             kept[w] = op
-        bad = [k for k in support if k > dim]
-        if bad:
-            raise SeriesError(
-                f"param support references theta_{max(bad)} beyond dim {dim}")
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "alphabet", frozenset(letters))
         object.__setattr__(self, "coeffs", kept)
         object.__setattr__(self, "max_len", max_len)
-        object.__setattr__(self, "param_support", frozenset(support))
         object.__setattr__(self, "exact_len",
                            max_len if exact_len is None else min(exact_len, max_len))
 
     def __setattr__(self, *args):
         raise AttributeError("GenSeries is immutable")
+
+    @property
+    def param_support(self) -> frozenset[int]:
+        """The theta indices that the stored coefficients depend on or
+        differentiate in."""
+        return frozenset().union(*(op.theta_indices() for op in self.coeffs.values()))
 
     def sorted_words(self) -> list[Word]:
         return sorted(self.coeffs, key=Word.sort_key)
@@ -145,24 +138,21 @@ def is_linear(c: GenSeries) -> bool:
 
 def linear_part(c: GenSeries) -> GenSeries:
     kept = {w: op for w, op in c.coeffs.items() if w.input_letter_count() <= 1}
-    return GenSeries(c.dim, kept, c.max_len, c.alphabet, c.param_support,
-                     c.exact_len)
+    return GenSeries(c.dim, kept, c.max_len, c.alphabet, exact_len=c.exact_len)
 
 
 def truncate(c: GenSeries, n: int) -> GenSeries:
     if n < 0:
         raise SeriesError("truncation length must be nonnegative")
     kept = {w: op for w, op in c.coeffs.items() if len(w) <= n}
-    return GenSeries(c.dim, kept, n, c.alphabet, c.param_support,
-                     min(c.exact_len, n))
+    return GenSeries(c.dim, kept, n, c.alphabet, exact_len=min(c.exact_len, n))
 
 
 def series_scale(factor, c: GenSeries) -> GenSeries:
     """Scalar (or theta-dependent Poly) multiple of every coefficient."""
     factor_op = do.from_expr(factor, c.dim)
     coeffs = {w: do.op_mul(factor_op, op) for w, op in c.coeffs.items()}
-    return GenSeries(c.dim, coeffs, c.max_len, c.alphabet, c.param_support,
-                     c.exact_len)
+    return GenSeries(c.dim, coeffs, c.max_len, c.alphabet, exact_len=c.exact_len)
 
 
 def embed(c: GenSeries, dim: int, offset: int = 0) -> GenSeries:
@@ -174,8 +164,7 @@ def embed(c: GenSeries, dim: int, offset: int = 0) -> GenSeries:
     coeffs = {w: DiffOp(dim, {(0,) * offset + alpha + pad: coeff.embed(dim, offset)
                               for alpha, coeff in op.terms.items()}, _trusted=True)
               for w, op in c.coeffs.items()}
-    support = frozenset(k + offset for k in c.param_support)
-    return GenSeries(dim, coeffs, c.max_len, c.alphabet, support, c.exact_len)
+    return GenSeries(dim, coeffs, c.max_len, c.alphabet, exact_len=c.exact_len)
 
 
 def relabel_letters(c: GenSeries, mapping: Mapping[Letter, Letter]) -> GenSeries:
@@ -191,8 +180,7 @@ def relabel_letters(c: GenSeries, mapping: Mapping[Letter, Letter]) -> GenSeries
             raise SeriesError("letter relabeling collides on a stored word")
         coeffs[new_word] = op
     alphabet = {mapping.get(l, l) for l in c.alphabet}
-    return GenSeries(c.dim, coeffs, c.max_len, alphabet, c.param_support,
-                     c.exact_len)
+    return GenSeries(c.dim, coeffs, c.max_len, alphabet, exact_len=c.exact_len)
 
 
 def parallel_sum(c: GenSeries, d: GenSeries, distinct: bool = False) -> GenSeries:
@@ -216,9 +204,7 @@ def parallel_sum(c: GenSeries, d: GenSeries, distinct: bool = False) -> GenSerie
     for w, op in d.coeffs.items():
         coeffs[w] = do.op_add(coeffs[w], op) if w in coeffs else op
     return GenSeries(c.dim, coeffs, max(c.max_len, d.max_len),
-                     c.alphabet | d.alphabet,
-                     c.param_support | d.param_support,
-                     min(c.exact_len, d.exact_len))
+                     c.alphabet | d.alphabet, exact_len=min(c.exact_len, d.exact_len))
 
 
 def _check_shuffle_preconditions(c: GenSeries, d: GenSeries):
@@ -252,8 +238,7 @@ def _shuffle_series_raw(c: GenSeries, d: GenSeries) -> GenSeries:
                 piece = op if mult == 1 else do.op_scale(mult, op)
                 coeffs[w] = do.op_add(coeffs[w], piece) if w in coeffs else piece
     return GenSeries(c.dim, coeffs, max_len, c.alphabet | d.alphabet,
-                     c.param_support | d.param_support,
-                     min(c.exact_len, d.exact_len))
+                     exact_len=min(c.exact_len, d.exact_len))
 
 
 def shuffle_series(c: GenSeries, d: GenSeries) -> GenSeries:
@@ -275,14 +260,14 @@ def left_shift(letter: Letter, c: GenSeries) -> GenSeries:
         if len(w) >= 1 and w[0] == letter:
             coeffs[w[1:]] = op
     return GenSeries(c.dim, coeffs, max(c.max_len - 1, 0), c.alphabet,
-                     c.param_support, max(c.exact_len - 1, 0))
+                     exact_len=max(c.exact_len - 1, 0))
 
 
 # ---------------------------------------------------------------------------
 # series composition
 
 def _single_input_letter(c: GenSeries) -> Letter:
-    letters = sorted(c.input_letters(), key=Letter.sort_key)
+    letters = sorted(c.input_letters())
     stored = {l for w in c.coeffs for l in w.input_letters()}
     if len(stored) == 1:
         return next(iter(stored))
@@ -362,14 +347,14 @@ def compose(c: GenSeries, d: GenSeries, unital: bool = False,
 
     for wc in sorted(c.coeffs, key=Word.sort_key):
         a = c.coeffs[wc]
-        at = next((i for i, l in enumerate(wc.letters) if not l.is_drift), None)
+        at = next((i for i, l in enumerate(wc) if not l.is_drift), None)
         if at is None:
             # drift letters pass through; the unital empty word is above
             if wc or not unital:
                 put(wc, a)
             continue
         if unital and d_empty != 0:
-            put(Word(wc.letters[:at] + (unital_letter,) + wc.letters[at + 1:]),
+            put(wc[:at] + (unital_letter,) + wc[at + 1:],
                 a if d_empty == 1 else do.op_scale(d_empty, a))
         prefix = (DRIFT,) * (at + 1)
         tail = wc[at + 1:]
@@ -379,12 +364,11 @@ def compose(c: GenSeries, d: GenSeries, unital: bool = False,
             op = (do.op_mul(a, op_d) if wd.input_letter_count()
                   else do.from_expr(do.op_apply(a, op_d.constant_part()), c.dim))
             for w, mult in shuffle_words(wd, tail).sorted_items():
-                put(Word(prefix + w.letters),
+                put(Word(prefix + w),
                     op if mult == 1 else do.op_scale(mult, op))
 
     exact = min(c.exact_len, d.exact_len + 1)
-    return GenSeries(c.dim, coeffs, cut, d.alphabet,
-                     c.param_support | d.param_support, exact)
+    return GenSeries(c.dim, coeffs, cut, d.alphabet, exact_len=exact)
 
 
 # ---------------------------------------------------------------------------
@@ -393,8 +377,11 @@ def compose(c: GenSeries, d: GenSeries, unital: bool = False,
 def series_to_text(c: GenSeries) -> str:
     """The text form of c; a coefficient that left the range of a complex
     double on the way (an overflowing product) is a NonFinite error."""
-    letters = ",".join(l.text() for l in sorted(c.alphabet, key=Letter.sort_key))
-    lines = [f"dim={c.dim} maxlen={c.max_len} alphabet={letters}"]
+    letters = ",".join(l.text() for l in sorted(c.alphabet))
+    header = f"dim={c.dim} maxlen={c.max_len}"
+    if c.exact_len < c.max_len:
+        header += f" exactlen={c.exact_len}"
+    lines = [f"{header} alphabet={letters}"]
     for w in c.sorted_words():
         op = c.coeffs[w]
         if not all(cmath.isfinite(v) for coeff in op.terms.values()
@@ -448,6 +435,9 @@ def series_from_text(text: str) -> GenSeries:
         header = dict(item.split("=", 1) for item in lines[0].split())
         dim = int(header["dim"])
         max_len = int(header["maxlen"])
+        exact_len = int(header["exactlen"]) if "exactlen" in header else None
+        if exact_len is not None and not 0 <= exact_len <= max_len:
+            raise ValueError(f"exactlen {exact_len} outside 0..{max_len}")
         alphabet = [parse_word(tok)[0] for tok in header["alphabet"].split(",") if tok]
     except (KeyError, ValueError, IndexError) as e:
         raise SeriesError(f"bad series header {lines[0]!r}") from e
@@ -461,7 +451,7 @@ def series_from_text(text: str) -> GenSeries:
         except ValueError as e:
             raise SeriesError(f"bad word in series line {ln!r}: {e}") from None
         coeffs[w] = _parse_diffop(op_text, dim)
-    return GenSeries(dim, coeffs, max_len, alphabet)
+    return GenSeries(dim, coeffs, max_len, alphabet, exact_len=exact_len)
 
 
 def save_series(c: GenSeries, path) -> None:

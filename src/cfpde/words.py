@@ -1,18 +1,18 @@
 """Words over the alphabet {x0, input letters} and the shuffle product.
 
-The drift letter x0 is the one whose attached signal is the constant 1.
-Input letters carry an integer id (x1, x2, ...).  Words are immutable and
-hashable so they can key coefficient maps; the canonical ordering is
-length-then-lexicographic with x0 < x1 < x2 < ... which fixes the
-serialization order of every series file.
+A letter is the int of its id: 0 is the drift letter x0, whose attached
+signal is the constant 1, and k >= 1 is the input letter x_k.  A word is
+the tuple of its letters, so letters and words hash and compare as the
+int and the tuple they are, and key coefficient maps directly.  The
+canonical order is ``Word.sort_key``, length then lexicographic with
+x0 < x1 < x2 < ...; it fixes the serialization order of every series
+file.
 """
 
 from __future__ import annotations
 
 import functools
-from typing import Iterable, Iterator, Optional
-
-from ._record import record
+from typing import Iterable, Optional
 
 __all__ = [
     "Letter", "Word", "WordPoly", "DRIFT", "EMPTY_WORD",
@@ -20,40 +20,34 @@ __all__ = [
 ]
 
 
-@record
-class Letter:
-    index: Optional[int] = None  # None marks the drift letter x0
+class Letter(int):
+    """The letter x_k as the int k; Letter(None) and Letter(0) are the
+    drift letter x0."""
+
+    __slots__ = ()
+
+    def __new__(cls, index: Optional[int] = None):
+        return super().__new__(cls, 0 if index is None else index)
+
+    @property
+    def index(self) -> Optional[int]:
+        """The input letter's id, None for the drift letter."""
+        return int(self) or None
 
     @property
     def is_drift(self) -> bool:
-        return self.index is None
+        return self == 0
 
-    def sort_key(self):
-        return (0, 0) if self.index is None else (1, self.index)
+    def sort_key(self) -> int:
+        return int(self)
 
     def text(self) -> str:
-        if self.index is None:
-            return "x0"
-        if self.index < 1:
-            raise ValueError(
-                f"input letter id {self.index} has no text form (x0 is the drift letter)")
-        return f"x{self.index}"
+        if self < 0:
+            raise ValueError(f"letter id {int(self)} has no text form")
+        return f"x{int(self)}"
 
     def __repr__(self):
-        return "x0" if self.index is None else f"x{self.index}"
-
-    def __lt__(self, other: "Letter"):
-        return self.sort_key() < other.sort_key()
-
-    # Word keys compare and hash their letters on every dict lookup, so
-    # these two are written out rather than the record's generic ones
-    def __eq__(self, other):
-        if other.__class__ is Letter:
-            return self.index == other.index
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.index)
+        return f"x{int(self)}"
 
 
 DRIFT = Letter(None)
@@ -72,57 +66,43 @@ def _parse_letter(token: str) -> Letter:
     raise ValueError(f"bad letter token {token!r}")
 
 
-class Word:
-    """An immutable word; the empty word is the monoid identity."""
+class Word(tuple):
+    """An immutable word, the tuple of its letters; the empty word is the
+    monoid identity."""
 
-    __slots__ = ("letters", "_hash")
+    __slots__ = ()
 
-    def __init__(self, letters: Iterable[Letter] = ()):
-        letters = tuple(letters)
-        for l in letters:
+    def __new__(cls, letters: Iterable[Letter] = ()):
+        self = super().__new__(cls, letters)
+        for l in self:
             if not isinstance(l, Letter):
                 raise TypeError(f"expected Letter, got {l!r}")
-        object.__setattr__(self, "letters", letters)
-        object.__setattr__(self, "_hash", hash(letters))
+        return self
 
-    def __setattr__(self, *args):
-        raise AttributeError("Word is immutable")
-
-    def __len__(self) -> int:
-        return len(self.letters)
-
-    def __iter__(self) -> Iterator[Letter]:
-        return iter(self.letters)
+    @property
+    def letters(self) -> tuple[Letter, ...]:
+        return tuple(self)
 
     def __getitem__(self, item):
-        sliced = self.letters[item]
-        return Word(sliced) if isinstance(item, slice) else sliced
-
-    def __hash__(self):
-        return self._hash
-
-    def __eq__(self, other):
-        return isinstance(other, Word) and self.letters == other.letters
+        got = super().__getitem__(item)
+        return Word(got) if isinstance(item, slice) else got
 
     def __add__(self, other: "Word") -> "Word":
-        return Word(self.letters + other.letters)
+        return Word(super().__add__(other))
 
     def sort_key(self):
-        return (len(self.letters), tuple(l.sort_key() for l in self.letters))
-
-    def __lt__(self, other: "Word"):
-        return self.sort_key() < other.sort_key()
+        return (len(self), self)
 
     def input_letter_count(self) -> int:
-        return sum(1 for l in self.letters if not l.is_drift)
+        return len(self) - self.count(DRIFT)
 
     def input_letters(self) -> set[Letter]:
-        return {l for l in self.letters if not l.is_drift}
+        return set(self) - {DRIFT}
 
     def text(self) -> str:
-        if not self.letters:
+        if not self:
             return "e"
-        return " ".join(l.text() for l in self.letters)
+        return " ".join(l.text() for l in self)
 
     def __repr__(self):
         return self.text()
@@ -206,10 +186,10 @@ def _shuffle(w1: Word, w2: Word) -> WordPoly:
     head2, tail2 = w2[0], w2[1:]
     out: dict[Word, complex] = {}
     for w, c in _shuffle(tail1, w2).items():
-        key = Word((head1,) + w.letters)
+        key = Word((head1,) + w)
         out[key] = out.get(key, 0j) + c
     for w, c in _shuffle(w1, tail2).items():
-        key = Word((head2,) + w.letters)
+        key = Word((head2,) + w)
         out[key] = out.get(key, 0j) + c
     return WordPoly(out)
 

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -135,6 +136,22 @@ class TestAlgebra:
         assert run(["algebra", "truncate", "--series", str(out), "--N", "1",
                     "--out", str(cut)]) == 0
         assert se.load_series(cut).max_len == 1
+
+    def test_shuffle_of_loaded_files_keeps_exact_len(self, tmp_path):
+        """N = 3 transport files are exact through length 3, not their
+        max_len 4, and so is their shuffle, as the library computes it."""
+        def transport(v, offset):
+            return se.embed(pde.transport_series(pde.TransportSpec(v, 0, 3)), 2, offset)
+        left = write_series(tmp_path / "c.series", transport(1.0, 0))
+        right = write_series(tmp_path / "d.series", se.relabel_letters(
+            transport(2.0, 1), {word("x1")[0]: word("x2")[0]}))
+        out = tmp_path / "p.series"
+        assert run(["algebra", "shuffle", "--left", left, "--right", right,
+                    "--out", str(out)]) == 0
+        truncation = read_report(str(out) + ".report.json")["truncation"]
+        assert truncation == {"max_len": 8, "exact_len": 3}
+        want = se.shuffle_series(se.load_series(left), se.load_series(right))
+        assert want.exact_len == se.load_series(out).exact_len == 3
 
     def test_shuffle_overlapping_support_exits_one(self, tmp_path, capsys):
         c = se.series_from_coeffs(1, {word("x1"): do.monomial(ex.ONE, (1,))})
@@ -401,6 +418,27 @@ class TestArgumentValidation:
             "(x0 is the drift)\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("inputs, message", [
+        (["--u", "t", "--bind", "1=t"], "give --u or --bind, not both"),
+        (["--bind", "1=t", "--bind", "1=2*t"], "bad --bind '1=2*t'; x1 is already bound"),
+        (["--bind", "1=t", "--bind", "2=t"], "bad --bind '2=t'; the series has no letter x2"),
+    ])
+    @pytest.mark.parametrize("command", ["solve", "eval"])
+    def test_bind_faults_exit_one(self, tmp_path, capsys, monkeypatch, command,
+                                  inputs, message):
+        """--u with --bind, a letter bound twice and a letter outside the
+        series' alphabet are refused before any evaluation."""
+        monkeypatch.setattr(ii, "evaluate_series", None)
+        out = tmp_path / "y.csv"
+        if command == "solve":
+            argv = ["solve", "transport", "--V", "1", "--N", "2"]
+        else:
+            c = se.series_from_coeffs(1, {word("x1"): do.identity(1)})
+            argv = ["eval", "--series", write_series(tmp_path / "c.series", c)]
+        assert run(argv + inputs + ["--grid", "0:1:5,0:1:5", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
 
 class TestNumericLimits:
     @pytest.mark.parametrize("flag, value, what", [
@@ -508,6 +546,64 @@ def _loaded_after(argvs, cwd):
     rc, modules = json.loads(proc.stdout.splitlines()[-1])
     assert rc == 0, proc.stderr
     return set(modules)
+
+
+class TestHashSeed:
+    """Outputs do not depend on the hash seed.  str hashes change from
+    process to process, and with them the iteration order of every set or
+    dict of strings, so test_determinism, which runs both jobs in one
+    process, cannot see such a dependence."""
+
+    MAKE = ("from cfpde import expr as ex, pde, series as se\n"
+            "from cfpde.words import Letter\n"
+            "def transport(v, y0):\n"
+            "    return pde.transport_series(\n"
+            "        pde.TransportSpec(ex.parse(v, 1), ex.parse(y0, 1), 3))\n"
+            "se.save_series(se.embed(transport('1.03', 'sin(theta_1)'), 2, 0), 'c.series')\n"
+            "se.save_series(se.relabel_letters(\n"
+            "    se.embed(transport('0.53', 'cos(theta_1)'), 2, 1),\n"
+            "    {Letter(1): Letter(2)}), 'd.series')\n")
+    CF = ["-m", "cfpde.cli"]
+    STEPS = [
+        # the parallel product flow: library-written factors, their
+        # shuffle, and its evaluation with one input per letter
+        ["-c", MAKE],
+        CF + ["algebra", "shuffle", "--left", "c.series", "--right", "d.series",
+              "--out", "p.series"],
+        CF + ["eval", "--series", "p.series", "--bind", "1=t*sin(1.02*theta_1)",
+              "--bind", "2=t*cos(1.04*theta_2)", "--grid", "0:1:5,0:1:5,0:1:9",
+              "--out", "p.csv"],
+        CF + ["solve", "transport", "--V", "1+0.5*sin(theta_1)", "--y0", "cos(theta_1)",
+              "--u", "t*sin(2*theta_1)", "--N", "6",
+              "--grid", "0:6.283185307179586:9,0:1:17", "--out", "y.csv"],
+    ]
+
+    def outputs(self, directory, seed: int) -> dict:
+        """Every file the steps write under PYTHONHASHSEED=seed, reports
+        without their runtime_ms line."""
+        directory.mkdir()
+        env = dict(os.environ, PYTHONPATH=SRC, PYTHONHASHSEED=str(seed))
+        for step in self.STEPS:
+            proc = subprocess.run([sys.executable, *step], cwd=directory, env=env,
+                                  capture_output=True, text=True)
+            assert proc.returncode == 0, proc.stderr
+        out = {}
+        for path in directory.iterdir():
+            data = path.read_bytes()
+            if path.name.endswith(".report.json"):
+                data = re.sub(rb'\n *"runtime_ms": \d+,?', b"", data)
+            out[path.name] = data
+        return out
+
+    def test_outputs_do_not_depend_on_the_hash_seed(self, tmp_path):
+        a = self.outputs(tmp_path / "a", 0)
+        b = self.outputs(tmp_path / "b", 4242)
+        assert sorted(a) == sorted([
+            "c.series", "d.series", "p.series", "p.series.report.json",
+            "p.csv", "p.csv.report.json", "y.csv", "y.csv.report.json"])
+        assert b"exactlen=3" in a["p.series"]
+        for name in a:
+            assert a[name] == b[name], name
 
 
 class TestStartup:
@@ -660,6 +756,9 @@ class TestInputFaults:
         "dim=1 maxlen=1 alphabet=x0,x1,y\n",
         "dim=1 maxlen=1 alphabet=x0,x1\nx9q :: 1 * D[0]\n",
         "dim=1 maxlen=1 alphabet=x0,x1\nx00 :: 1 * D[0]\n",
+        "dim=1 maxlen=2 exactlen=5 alphabet=x0,x1\nx1 :: 1 * D[0]\n",
+        "dim=1 maxlen=2 exactlen=-1 alphabet=x0,x1\nx1 :: 1 * D[0]\n",
+        "dim=1 maxlen=2 exactlen=x alphabet=x0,x1\nx1 :: 1 * D[0]\n",
     ])
     def test_malformed_series_text_exits_one(self, tmp_path, capsys, text):
         path = tmp_path / "bad.series"
@@ -823,13 +922,17 @@ class TestArgvFuzz:
                       "exp(800*theta_1)", "(1+theta_1)^100"])
     binds = _mostly(["1=t", "1=sin(theta_1)*t", "2=t", "1=-t"],
                     ["x=t", "1", "1=", "99=t", "1=sin(", "0=t", "-1=t"])
+    # the input options, mostly --u alone or one or two --binds; refused
+    # are --u with --bind, two --binds of one letter, and a bind of a
+    # letter the series lacks ("99=t", and "2=t" on a series over x0, x1)
+    inputs = _mostly([("--u",), ("--bind",), ("--bind", "--bind")], [("--u", "--bind")])
     orders = _mostly(["0", "1", "2", "3", "4"], ["-1", "x", "1.5", ""])
     series = _mostly(["good.series", "other.series"], ["bad.series", "missing.series", "."])
     outs = _mostly(["out.file"], ["none/out.file", "."])
 
     # the option strings of each subcommand and the values each can take
     two = {"--left": series, "--right": series, "--out": outs}
-    solve = {"--u": exprs, "--bind": binds, "--N": orders, "--grid": grids,
+    solve = {"input": inputs, "--N": orders, "--grid": grids,
              "--out": outs, "--report": outs}
     OPTIONS = {
         ("algebra", "shuffle"): two, ("algebra", "sum"): two,
@@ -843,7 +946,7 @@ class TestArgvFuzz:
             "--alpha1": numbers, "--alpha2": numbers, "--y0": thetas, "--y1": thetas,
             "--form": _mostly(["direct", "cascade", "partial-fraction"], ["x", ""]),
             **solve},
-        ("eval",): {"--series": series, "--u": exprs, "--bind": binds, "--grid": grids,
+        ("eval",): {"--series": series, "input": inputs, "--grid": grids,
                     "--out": outs, "--report": outs},
         ("bounds", "check"): {
             **dict.fromkeys(["--K-alpha", "--M", "--K-u", "--R", "--T", "--length"], positive),
@@ -871,7 +974,11 @@ class TestArgvFuzz:
         for option, values in self.OPTIONS[command].items():
             if data.draw(st.integers(0, 9)) == 0:  # leave it out, now and then
                 continue
-            argv += [option] if values is None else [option, data.draw(values)]
+            if option == "input":
+                for flag in data.draw(values):
+                    argv += [flag, data.draw(self.exprs if flag == "--u" else self.binds)]
+            else:
+                argv += [option] if values is None else [option, data.draw(values)]
         capsys.readouterr()
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")

@@ -87,6 +87,21 @@ class TestShuffle:
         with pytest.raises(se.OverlappingSupport):
             se.shuffle_series(c, d)
 
+    def test_support_is_that_of_the_kept_coefficients(self):
+        """A truncation keeps no support of the words it drops, so it
+        shuffles as its text round trip does; a kept coefficient that
+        shares a theta is still refused."""
+        full = pde.transport_series(pde.TransportSpec(1.0, 0, 3))
+        c = se.truncate(full, 1)
+        d = simple_series(1, {word("x2"): do.monomial(ex.ONE, (1,))})
+        loaded = se.series_from_text(se.series_to_text(c))
+        assert c == loaded and c.param_support == loaded.param_support == frozenset()
+        assert se.shuffle_series(c, d) == se.shuffle_series(loaded, d)
+        assert se.shuffle_series(c, d).param_support == frozenset({1})
+        for shared in (se.truncate(full, 2), full):
+            with pytest.raises(se.OverlappingSupport, match="theta"):
+                se.shuffle_series(shared, d)
+
     def test_unit_series_is_identity(self):
         c = simple_series(1, {word("x0", "x1"): do.monomial(THETA, (1,))})
         sh = se.shuffle_series(c, se.one_series(1))
@@ -247,6 +262,23 @@ class TestSerialization:
         assert lines[0] == "dim=1 maxlen=2 alphabet=x0,x1"
         assert lines[1] == "x0 x1 :: -1 * D[1]"
 
+    def test_exact_len_round_trip(self):
+        """exactlen= follows maxlen= when the exact prefix is shorter;
+        otherwise the header has no such key."""
+        c = pde.transport_series(pde.TransportSpec(1.0, 0, 3))
+        assert (c.max_len, c.exact_len) == (4, 3)
+        text, back = self.roundtrip(c)
+        assert text.splitlines()[0] == "dim=1 maxlen=4 exactlen=3 alphabet=x0,x1"
+        assert back.exact_len == 3 and se.series_to_text(back) == text
+        whole = se.truncate(c, 3)
+        assert "exactlen" not in se.series_to_text(whole)
+        assert se.series_from_text(se.series_to_text(whole)).exact_len == 3
+
+    @pytest.mark.parametrize("key", ["exactlen=5", "exactlen=-1", "exactlen=x", "exactlen="])
+    def test_bad_exact_len_is_header_error(self, key):
+        with pytest.raises(se.SeriesError, match="bad series header"):
+            se.series_from_text(f"dim=1 maxlen=2 {key} alphabet=x0,x1\nx1 :: 1 * D[0]\n")
+
     def test_empty_word_spelled_e(self):
         c = se.one_series(1)
         assert "e :: 1 * D[0]" in se.series_to_text(c)
@@ -334,7 +366,7 @@ class TestComposeLengthCut:
 class TestSeriesTextFuzz:
     header = st.lists(st.sampled_from([
         "dim=1", "dim=2", "dim=0", "dim=-1", "dim=x", "maxlen=2", "maxlen=0", "maxlen=-1",
-        "maxlen=", "alphabet=x0,x1", "alphabet=x0,x2", "alphabet=x1,y", "alphabet=",
+        "maxlen=", "exactlen=1", "exactlen=5", "exactlen=-1", "exactlen=x", "alphabet=x0,x1", "alphabet=x0,x2", "alphabet=x1,y", "alphabet=",
         "alphabet=e", "alphabet=x00", "extra", "=",
     ]), max_size=5).map(" ".join)
     word = st.lists(st.sampled_from(["x0", "x1", "x2", "x9q", "e", "x00", "y"]),
@@ -359,6 +391,9 @@ class TestSeriesTextFuzz:
     @example("dim=1 maxlen=2 alphabet=x0,x1 extra")
     @example("dim=1 maxlen=1 alphabet=x0,x1,y")
     @example("dim=1 maxlen=1 alphabet=x0,x1\nx9q :: 1 * D[0]")
+    @example("dim=1 maxlen=2 exactlen=5 alphabet=x0,x1")
+    @example("dim=1 maxlen=2 exactlen=-1 alphabet=x0,x1")
+    @example("dim=1 maxlen=2 exactlen=x alphabet=x0,x1")
     def test_text_gives_series_or_model_error(self, text):
         """Any text reads as a series or raises one of the model errors
         that cf reports in one line; never another exception."""

@@ -1,6 +1,7 @@
 import math
 
 import pytest
+from hypothesis import given, strategies as st
 
 from cfpde import words as wd
 from cfpde.words import DRIFT, Letter, Word, WordPoly, word
@@ -38,9 +39,16 @@ class TestWordBasics:
         assert word("x0", "x0", "x1").text() == "x0 x0 x1"
 
     def test_drift_letter_has_no_id_in_text(self):
-        assert DRIFT.text() == "x0"
+        """Letter(None) and Letter(0) are both the drift x0; a negative
+        id has no text form but still has a repr."""
+        assert DRIFT.text() == "x0" and DRIFT.index is None and DRIFT.is_drift
+        assert Letter(0) == Letter() == DRIFT and Letter(0).text() == "x0"
+        assert Letter(0).index is None and Letter(0).is_drift
+        assert Letter(index=2) == Letter(2) == 2 and Letter(2).index == 2
+        assert not Letter(2).is_drift and hash(DRIFT) == hash(0)
         with pytest.raises(ValueError):
-            Letter(0).text()
+            Letter(-1).text()
+        assert repr(Letter(-1)) == "x-1"
 
 
 class TestShuffle:
@@ -114,3 +122,45 @@ class TestWordPoly:
         p = WordPoly({word("x1"): 2}).scale(0.5)
         assert p == WordPoly({word("x1"): 1})
         assert p.scale(0) == WordPoly()
+
+
+letter_tuples = st.lists(st.integers(0, 3).map(Letter), max_size=6).map(tuple)
+
+
+class TestNativeTypes:
+    """Letters are ints and words are tuples of them."""
+
+    def test_subclasses(self):
+        assert issubclass(Letter, int) and issubclass(Word, tuple)
+
+    @given(letter_tuples, letter_tuples)
+    def test_word_is_its_letter_tuple(self, a, b):
+        u, v = Word(a), Word(b)
+        assert u == a and hash(u) == hash(a) and u.letters == a
+        assert type(u.letters) is tuple
+        assert (u == v) == (a == b) and (hash(u) == hash(v)) == (hash(a) == hash(b))
+        assert {u: 1}[a] == 1 and u == tuple(int(l) for l in a)
+
+    @given(letter_tuples, letter_tuples, st.integers(-7, 7), st.integers(-7, 7))
+    def test_slices_and_concatenation_are_words(self, a, b, i, j):
+        u, v = Word(a), Word(b)
+        for got, want in ((u[i:j], a[i:j]), (u[::-1], a[::-1]), (u + v, a + b)):
+            assert type(got) is Word and got == want
+        if a:
+            assert type(u[0]) is Letter and u[0] == a[0]
+
+    @given(st.lists(letter_tuples, max_size=8))
+    def test_sort_key_is_length_then_lexicographic(self, tuples):
+        got = sorted((Word(a) for a in tuples), key=Word.sort_key)
+        want = sorted(tuples, key=lambda a: (len(a), [int(l) for l in a]))
+        assert got == want
+
+    @given(letter_tuples)
+    def test_text_round_trip(self, a):
+        w = Word(a)
+        assert wd.parse_word(w.text()) == w and type(wd.parse_word(w.text())) is Word
+
+    @given(letter_tuples, st.integers(0, 6), st.integers(0, 3))
+    def test_plain_int_item_is_refused(self, a, at, k):
+        with pytest.raises(TypeError):
+            Word(a[:at] + (k,) + a[at:])
