@@ -16,6 +16,9 @@ alpha_{i+j}(theta) d^{i+j}/dtheta^{i+j} E_{x0^i x1 x0^j}[u]:
   horizon, usable as a truncation certificate.
 * ``estimate_growth`` - least-squares fits of the growth constants from a
   symbolic input or from a series' coefficient functions.
+* ``tail_certificate`` - the two fits spliced into one set of constants
+  and the bound they give past a truncation, as ``cf solve transport``
+  reports it.
 
 Only series supported on pure-drift and single-input words are covered;
 evaluation of nonlinear series carries no certificate.
@@ -39,7 +42,7 @@ import numpy as np  # noqa: E402
 __all__ = [
     "GrowthData", "GeometricBound", "StirlingConstant", "GrowthFit",
     "holder_bound", "stirling_KE", "geometric_bound", "gevrey_tail",
-    "estimate_growth", "input_l1_norm",
+    "estimate_growth", "input_l1_norm", "tail_certificate",
 ]
 
 _TINY_TERM = 1e-300
@@ -73,6 +76,10 @@ class GrowthData:
     @property
     def mrt(self) -> float:
         return self.M * self.R * self.T
+
+    def as_dict(self) -> dict[str, float]:
+        """The constants by name, as reports print them."""
+        return {name: getattr(self, name) for name in self.__match_args__}
 
 
 def holder_bound(i: int, j: int, T: float, norm1: float) -> float:
@@ -382,3 +389,36 @@ def estimate_growth(target: Union[InputSignal, GenSeries, Sequence[float]],
     else:
         norms = list(target)[:k_max + 1]
     return _fit_coefficients(norms, grid.t_end, b - a)
+
+
+def tail_certificate(series: GenSeries, u, grid: Grid, n: int) -> dict | None:
+    """The bound on the tail past truncation n of F_series[u], from
+    constants fitted to the series' coefficients (K_alpha, M, s) and to
+    the input (K_u, R), with the fits' residuals: a Gevrey tail when the
+    growth is sub-factorial (s < 1), else the geometric bound.  None when
+    the grid is not one-parameter, u is not one symbolic signal, a fit
+    fails, or the bound is not finite."""
+    if grid.dim != 1 or not isinstance(u, InputSignal) or not u.is_symbolic:
+        return None
+    try:
+        coeff_fit = estimate_growth(series, grid, k_max=min(n, 8))
+        input_fit = estimate_growth(u, grid, k_max=min(n, 8))
+        g = coeff_fit.data.replace(K_u=input_fit.data.K_u, R=input_fit.data.R)
+        if g.s < 1 and g.R > 0:
+            tail = gevrey_tail(g, n)
+        elif g.R == 0:
+            tail = 0.0
+        else:
+            geo = geometric_bound(g)
+            tail = geo.bound if geo.converges else math.inf
+    except (ValueError, ArithmeticError):
+        return None
+    if not math.isfinite(tail):
+        return None
+    return {
+        "kind": "gevrey_tail" if g.s < 1 else "geometric",
+        "constants": g.as_dict(),
+        "fit_residual": {"coefficients": coeff_fit.residual,
+                         "input": input_fit.residual},
+        "tail": tail,
+    }

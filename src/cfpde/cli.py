@@ -11,11 +11,16 @@ Subcommands:
   constant fits.
 * ``cf verify`` - run the acceptance checks.
 
+A solve is a build plus an eval: both run one handler, which differs
+only in where the series comes from.
+
 Grid syntax is ``a:b:n`` per axis, theta axes first and the time axis
-last.  Every numeric output file gets a sibling ``<out>.report.json``
-recording the effective parameters, the truncation level, and the tail
-bound when one is available.  Files are written atomically and with a
-fixed serialization order, so identical jobs produce identical bytes.
+last.  Every output file gets a sibling ``<out>.report.json`` recording
+the effective parameters (the input among them), the ``max_len`` and
+``exact_len`` of the series written or evaluated, and the tail bound of
+``bounds.tail_certificate`` when one is available.  Files are written
+atomically and with a fixed serialization order, so identical jobs
+produce identical bytes.
 
 Exit codes: 1 for validation failures, 2 for numeric failures (NaN or
 infinity in an output field or series, a float overflow, or memory
@@ -125,12 +130,13 @@ def _write_csv_atomic(path: str, field: ii.GridField) -> None:
             raise NumericFailure("output field contains NaN or infinity")
 
 
-def _report(path: str, command: str, params: dict, truncation, bound,
-            started: float) -> None:
+def _report(path: str, command: str, params: dict, series_obj: se.GenSeries,
+            bound, started: float) -> None:
     payload = {
         "command": command,
         "params": params,
-        "truncation": truncation,
+        "truncation": {"max_len": series_obj.max_len,
+                       "exact_len": series_obj.exact_len},
         "bound": bound,
         "runtime_ms": int((time.monotonic() - started) * 1000),
     }
@@ -190,39 +196,6 @@ def _grid_from_arg(text: str) -> ii.Grid:
         raise CliError(f"bad --grid: {e}") from e
 
 
-def _transport_bound(series_obj, u_signal, grid, n):
-    """Gevrey tail certificate from fitted constants, when the fit lands
-    in the sub-factorial regime; null otherwise."""
-    from . import bounds as bd
-    from . import iterint as ii
-    if grid.dim != 1 or not isinstance(u_signal, ii.InputSignal) \
-            or not u_signal.is_symbolic:
-        return None
-    try:
-        coeff_fit = bd.estimate_growth(series_obj, grid, k_max=min(n, 8))
-        input_fit = bd.estimate_growth(u_signal, grid, k_max=min(n, 8))
-        g = coeff_fit.data.replace(K_u=input_fit.data.K_u, R=input_fit.data.R)
-        if g.s < 1 and g.R > 0:
-            tail = bd.gevrey_tail(g, n)
-        elif g.R == 0:
-            tail = 0.0
-        else:
-            geo = bd.geometric_bound(g)
-            tail = geo.bound if geo.converges else math.inf
-        if not math.isfinite(tail):
-            return None
-        return {
-            "kind": "gevrey_tail" if g.s < 1 else "geometric",
-            "constants": {"K_alpha": g.K_alpha, "M": g.M, "K_u": g.K_u,
-                          "R": g.R, "s": g.s, "T": g.T, "length": g.length},
-            "fit_residual": {"coefficients": coeff_fit.residual,
-                             "input": input_fit.residual},
-            "tail": tail,
-        }
-    except (ValueError, ArithmeticError):
-        return None
-
-
 def _evaluation_errors(handler):
     """Wrap a handler that imports iterint: an EvaluationError that
     reaches it exits 1 with the message main() gives the other model
@@ -250,74 +223,66 @@ def _evaluation_errors(handler):
     return run
 
 
-@_evaluation_errors
-def _cmd_solve(args, command: str, started: float) -> int:
-    from . import iterint as ii
+def _solver_series(args) -> tuple[se.GenSeries, dict]:
+    """The series cf solve builds with pde, and the parameters it read."""
     from . import pde
-    report = args.report or args.out + ".report.json"
-    _check_writable(args.out, report)
-    grid = _grid_from_arg(args.grid)
-    if grid.dim != 1:
-        raise CliError("solvers are one-parameter; pass one theta axis")
-    params = {"grid": args.grid, "N": args.N}
+    params = {"N": args.N}
     if args.kind == "transport":
         v = _parse_expr_arg(args.V, 1, "--V")
         y0 = _parse_expr_arg(args.y0, 1, "--y0")
-        series_obj = pde.transport_series(pde.TransportSpec(v, y0, args.N))
         params.update({"V": args.V, "y0": args.y0})
-    elif args.kind == "wave":
-        series_obj = pde.wave_series(args.N)
+        return pde.transport_series(pde.TransportSpec(v, y0, args.N)), params
+    if args.kind == "wave":
+        return pde.wave_series(args.N), params
+    form = pde.SecondOrderForm(args.form)
+    y0 = _parse_expr_arg(args.y0, 1, "--y0")
+    y1 = _parse_expr_arg(args.y1, 1, "--y1")
+    spec = pde.SecondOrderSpec(_complex_arg(args.alpha1, "--alpha1"),
+                               _complex_arg(args.alpha2, "--alpha2"),
+                               y0, y1, args.N, form)
+    params.update({"alpha1": args.alpha1, "alpha2": args.alpha2,
+                   "y0": args.y0, "y1": args.y1, "form": args.form})
+    return pde.second_order_series(spec), params
+
+
+@_evaluation_errors
+def _cmd_field(args, command: str, started: float) -> int:
+    """cf solve and cf eval: the field F_c[u] of a series c on a grid.  A
+    solve builds c with pde and an eval loads it; from there the steps
+    are the same."""
+    from . import iterint as ii
+    report = args.report or args.out + ".report.json"
+    _check_writable(args.out, report)
+    grid = _grid_from_arg(args.grid)
+    if args.command == "solve":
+        if grid.dim != 1:
+            raise CliError("solvers are one-parameter; pass one theta axis")
+        series_obj, params = _solver_series(args)
     else:
-        form = pde.SecondOrderForm(args.form)
-        y0 = _parse_expr_arg(args.y0, 1, "--y0")
-        y1 = _parse_expr_arg(args.y1, 1, "--y1")
-        spec = pde.SecondOrderSpec(_complex_arg(args.alpha1, "--alpha1"),
-                                   _complex_arg(args.alpha2, "--alpha2"),
-                                   y0, y1, args.N, form)
-        series_obj = pde.second_order_series(spec)
-        params.update({"alpha1": args.alpha1, "alpha2": args.alpha2,
-                       "y0": args.y0, "y1": args.y1, "form": args.form})
-    u = _binding_from_args(args, 1, series_obj.input_letters())
+        try:
+            series_obj = se.load_series(args.series)
+        except (OSError, se.SeriesError, ex.ExprError, do.DiffOpError) as e:
+            raise CliError(f"cannot load series: {e}") from e
+        params = {"series": args.series}
+    if series_obj.dim != grid.dim:
+        raise CliError(
+            f"series dim {series_obj.dim} does not match grid dim {grid.dim}")
+    u = _binding_from_args(args, series_obj.dim, series_obj.input_letters())
+    params["grid"] = args.grid
     params["u"] = args.u if args.u is not None else dict(
         item.split("=", 1) for item in args.bind)
-    try:
-        field = ii.evaluate_series(series_obj, u, grid)
-    except ii.EvaluationError as e:
-        raise CliError(str(e)) from e
+    field = ii.evaluate_series(series_obj, u, grid)
     with _write_errors(args.out):
         _write_csv_atomic(args.out, field)
     # the field is written; holding it through the growth fit would add
     # its size to the fit's peak memory
     del field
+    bound = None
     # the growth fit reads D^k on x0^k x1, a transport shape
-    bound = (_transport_bound(series_obj, u, grid, args.N)
-             if args.kind == "transport" else None)
-    _report(report, command, params, args.N, bound, started)
-    return 0
-
-
-@_evaluation_errors
-def _cmd_eval(args, command: str, started: float) -> int:
-    from . import iterint as ii
-    report = args.report or args.out + ".report.json"
-    _check_writable(args.out, report)
-    grid = _grid_from_arg(args.grid)
-    try:
-        series_obj = se.load_series(args.series)
-    except (OSError, se.SeriesError, ex.ExprError, do.DiffOpError) as e:
-        raise CliError(f"cannot load series: {e}") from e
-    if series_obj.dim != grid.dim:
-        raise CliError(
-            f"series dim {series_obj.dim} does not match grid dim {grid.dim}")
-    u = _binding_from_args(args, series_obj.dim, series_obj.input_letters())
-    try:
-        field = ii.evaluate_series(series_obj, u, grid)
-    except ii.EvaluationError as e:
-        raise CliError(str(e)) from e
-    with _write_errors(args.out):
-        _write_csv_atomic(args.out, field)
-    _report(report, command, {"series": args.series, "grid": args.grid},
-            series_obj.max_len, None, started)
+    if getattr(args, "kind", None) == "transport":
+        from . import bounds as bd
+        bound = bd.tail_certificate(series_obj, u, grid, args.N)
+    _report(report, command, params, series_obj, bound, started)
     return 0
 
 
@@ -334,15 +299,12 @@ def _cmd_algebra(args, command: str, started: float) -> int:
     _check_writable(args.out, args.out + ".report.json")
     if args.kind in ("shuffle", "sum", "compose"):
         left, right = _load_two(args)
-        try:
-            if args.kind == "shuffle":
-                out = se.shuffle_series(left, right)
-            elif args.kind == "sum":
-                out = se.parallel_sum(left, right)
-            else:
-                out = se.compose(left, right, unital=args.unital)
-        except (se.SeriesError, do.DimensionMismatch) as e:
-            raise CliError(f"{type(e).__name__}: {e}") from e
+        if args.kind == "shuffle":
+            out = se.shuffle_series(left, right)
+        elif args.kind == "sum":
+            out = se.parallel_sum(left, right)
+        else:
+            out = se.compose(left, right, unital=args.unital)
         params = {"left": args.left, "right": args.right}
     elif args.kind == "shift":
         try:
@@ -364,9 +326,7 @@ def _cmd_algebra(args, command: str, started: float) -> int:
             raise CliError(str(e)) from e
         params = {"series": args.series, "N": args.N}
     _write_atomic(args.out, se.series_to_text(out))
-    _report(args.out + ".report.json", command, params,
-            {"max_len": out.max_len, "exact_len": out.exact_len},
-            None, started)
+    _report(args.out + ".report.json", command, params, out, None, started)
     return 0
 
 
@@ -380,10 +340,8 @@ def _cmd_bounds(args, command: str, started: float) -> int:
                               args.s, args.T, args.length)
         except ValueError as e:
             raise CliError(str(e)) from e
-        out: dict = {"constants": {
-            "K_alpha": g.K_alpha, "M": g.M, "K_u": g.K_u, "R": g.R,
-            "s": g.s, "T": g.T, "length": g.length},
-            "MRT": g.mrt if math.isfinite(g.mrt) else None}
+        out: dict = {"constants": g.as_dict(),
+                     "MRT": g.mrt if math.isfinite(g.mrt) else None}
         if g.s == 1:
             res = bd.geometric_bound(g)
             out.update({"converges": res.converges,
@@ -411,8 +369,7 @@ def _cmd_bounds(args, command: str, started: float) -> int:
         raise CliError(str(e)) from e
     g = fit.data
     print(json.dumps({
-        "constants": {"K_alpha": g.K_alpha, "M": g.M, "K_u": g.K_u,
-                      "R": g.R, "s": g.s, "T": g.T, "length": g.length},
+        "constants": g.as_dict(),
         "residual": fit.residual,
         "theta_independent": fit.theta_independent,
         "log_norms": list(fit.log_norms),
@@ -516,8 +473,8 @@ def build_parser() -> _Parser:
 
 _HANDLERS = {
     "algebra": _cmd_algebra,
-    "solve": _cmd_solve,
-    "eval": _cmd_eval,
+    "solve": _cmd_field,
+    "eval": _cmd_field,
     "bounds": _cmd_bounds,
     "verify": _cmd_verify,
 }

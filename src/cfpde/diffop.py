@@ -22,10 +22,9 @@ from . import expr as ex
 
 __all__ = [
     "MultiIndex", "DiffOp", "DiffOpError", "DimensionMismatch",
-    "mi_zero", "mi_unit", "mi_abs", "mi_add",
+    "mi_zero", "mi_abs", "mi_add",
     "identity", "zero", "from_expr", "partial", "monomial",
     "op_apply", "op_mul", "op_add", "op_scale", "op_neg", "op_pow",
-    "coefficient_derivative",
 ]
 
 MultiIndex = tuple[int, ...]
@@ -43,12 +42,6 @@ class DimensionMismatch(DiffOpError):
 
 def mi_zero(dim: int) -> MultiIndex:
     return (0,) * dim
-
-
-def mi_unit(dim: int, axis: int) -> MultiIndex:
-    if not 0 <= axis < dim:
-        raise DiffOpError(f"axis {axis} out of range for dim {dim}")
-    return tuple(1 if i == axis else 0 for i in range(dim))
 
 
 def mi_abs(alpha: MultiIndex) -> int:
@@ -275,10 +268,3 @@ def op_pow(a: DiffOp, k: int) -> DiffOp:
     for _ in range(k):
         out = op_mul(out, a)
     return out
-
-
-def coefficient_derivative(a: DiffOp, axis: int = 0) -> DiffOp:
-    """Differentiate every coefficient in place (the derivative does not
-    act through the D factors)."""
-    return DiffOp(a.dim, {alpha: coeff.derivative(axis)
-                          for alpha, coeff in a.terms.items()}, _trusted=True)

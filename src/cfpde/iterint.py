@@ -253,9 +253,6 @@ class GridField:
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.values)))
 
-    def __sub__(self, other: "GridField") -> "GridField":
-        return GridField(self.grid, self.values - other.values)
-
 
 def cumulative_trapezoid(f: np.ndarray, dt: float) -> np.ndarray:
     """Running integral along axis 0, the time axis; entry 0 is 0.

@@ -221,17 +221,11 @@ def second_order_series(spec: SecondOrderSpec) -> GenSeries:
     return _triangular_truncate(out, n)
 
 
-def second_order_series_factored(beta1, beta2, y0=0, y1=0, n: int = 8,
-                                 form: SecondOrderForm = SecondOrderForm.CASCADE
-                                 ) -> GenSeries:
+def second_order_series_factored(beta1, beta2, y0=0, y1=0, n: int = 8) -> GenSeries:
     """Entry point for theta-dependent factors: the caller asserts that
-    the operator factors as (I + beta1 d)(I + beta2 d).  Only the cascade
-    form is built from the factors; the direct and partial-fraction forms
-    need constant coefficients and are rejected here."""
-    if form is not SecondOrderForm.CASCADE:
-        raise NonConstantCoefficients(
-            f"the {form.value} form requires constant coefficients; "
-            "factored entry builds the cascade form only")
+    the operator factors as (I + beta1 d)(I + beta2 d).  The series is
+    built in the cascade form only; the direct and partial-fraction forms
+    need constant coefficients (second_order_series)."""
     beta1 = _theta_only(beta1, "beta1")
     beta2 = _theta_only(beta2, "beta2")
     rhs = _rhs_series(_theta_only(y0, "y0"), _theta_only(y1, "y1"),

@@ -31,7 +31,7 @@ __all__ = [
     "GenSeries", "SeriesError", "OverlappingSupport", "NotLinear", "NonFinite",
     "zero_series", "one_series", "series_from_coeffs",
     "parallel_sum", "series_scale", "shuffle_series", "compose",
-    "left_shift", "truncate", "linear_part", "is_linear",
+    "left_shift", "truncate", "is_linear",
     "embed", "relabel_letters",
     "series_to_text", "series_from_text", "save_series", "load_series",
 ]
@@ -134,11 +134,6 @@ def series_from_coeffs(dim: int, coeffs: Mapping[Word, DiffOp],
 def is_linear(c: GenSeries) -> bool:
     """At most one input letter in every supported word."""
     return all(w.input_letter_count() <= 1 for w in c.coeffs)
-
-
-def linear_part(c: GenSeries) -> GenSeries:
-    kept = {w: op for w, op in c.coeffs.items() if w.input_letter_count() <= 1}
-    return GenSeries(c.dim, kept, c.max_len, c.alphabet, exact_len=c.exact_len)
 
 
 def truncate(c: GenSeries, n: int) -> GenSeries:

@@ -219,6 +219,43 @@ class TestAlgebraLaws:
             se.shuffle_series(a, se.shuffle_series(b, c)))
 
 
+class TestCompositionLaws:
+    """compose on linear dim-1 series whose coefficients have dyadic
+    constants, so that every sum and product in the algebra is exact and
+    the two sides of a law can be compared for equality."""
+
+    @staticmethod
+    def linear_series(data):
+        dyadic = st.integers(-8, 8).filter(bool).map(lambda k: k / 4)
+        factor = st.sampled_from([ex.ONE, THETA, ex.sin(THETA)])
+        coeff = st.lists(st.tuples(dyadic, factor), min_size=1, max_size=2).map(
+            lambda ts: ex.add(*(ex.mul(a, f) for a, f in ts)))
+        ops = st.dictionaries(st.integers(0, 2).map(lambda k: (k,)), coeff,
+                              min_size=1, max_size=2).map(lambda t: do.DiffOp(1, t))
+        words = st.lists(st.sampled_from([DRIFT, X1]), max_size=3).filter(
+            lambda ls: ls.count(X1) <= 1).map(lambda ls: Word(tuple(ls)))
+        return se.series_from_coeffs(
+            1, data.draw(st.dictionaries(words, ops, min_size=1, max_size=4)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_compose_is_associative(self, data):
+        """exact_len is not compared: min(c.exact_len, d.exact_len + 1)
+        can give (c o d) o e a shorter exact prefix than c o (d o e)."""
+        c, d, e = (self.linear_series(data) for _ in range(3))
+        left = se.compose(se.compose(c, d), e)
+        right = se.compose(c, se.compose(d, e))
+        assert left.coeffs == right.coeffs
+        assert left.max_len == right.max_len
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_compose_distributes_over_a_left_sum(self, data):
+        c1, c2, d = (self.linear_series(data) for _ in range(3))
+        assert se.series_to_text(se.compose(se.parallel_sum(c1, c2), d)) == \
+            se.series_to_text(se.parallel_sum(se.compose(c1, d), se.compose(c2, d)))
+
+
 @pytest.mark.parametrize("k, pairs", [(7, 44), (16, 208)])
 def test_variable_velocity_power_matches_sympy(k, pairs):
     sympy = pytest.importorskip("sympy")

@@ -66,7 +66,7 @@ class TestSolve:
         assert len(lines) == 1 + 65 * 129
         report = read_report(str(out) + ".report.json")
         assert report["command"] == "cf solve transport"
-        assert report["truncation"] == 16
+        assert report["truncation"] == {"max_len": 17, "exact_len": 16}
         assert report["bound"]["tail"] > 0
         assert set(report) == {"command", "params", "truncation", "bound",
                                "runtime_ms"}
@@ -209,6 +209,47 @@ class TestEval:
                     "0:1:17,0:1:33", "--out", str(out)]) == 0
         rows = np.loadtxt(out, delimiter=",", skiprows=1)
         assert np.max(np.abs(rows[:, 2] - rows[:, 1])) < 1e-14  # y = t
+
+    def test_solve_is_build_plus_eval(self, tmp_path):
+        """cf solve writes the field and report that cf eval writes for
+        the series the solve builds."""
+        grid, u = "0:3:9,0:1:17", "t*sin(theta_1)"
+        path = write_series(tmp_path / "c.series",
+                            pde.transport_series(pde.TransportSpec(1, 0, 3)))
+        solved, evaluated = tmp_path / "s.csv", tmp_path / "e.csv"
+        assert run(["solve", "transport", "--V", "1", "--u", u, "--N", "3",
+                    "--grid", grid, "--out", str(solved)]) == 0
+        assert run(["eval", "--series", path, "--u", u, "--grid", grid,
+                    "--out", str(evaluated)]) == 0
+        assert solved.read_bytes() == evaluated.read_bytes()
+        reports = [read_report(f"{out}.report.json") for out in (solved, evaluated)]
+        for report in reports:
+            assert report["truncation"] == {"max_len": 4, "exact_len": 3}
+            assert (report["params"]["grid"], report["params"]["u"]) == (grid, u)
+
+    def test_eval_reports_the_loaded_truncation_and_input(self, tmp_path):
+        """A shuffle product is stored to length 8 but exact through 3."""
+        def transport(v, offset):
+            return se.embed(pde.transport_series(pde.TransportSpec(v, 0, 3)), 2, offset)
+        p = se.shuffle_series(transport(1.0, 0), se.relabel_letters(
+            transport(2.0, 1), {word("x1")[0]: word("x2")[0]}))
+        path = write_series(tmp_path / "p.series", p)
+        out = tmp_path / "p.csv"
+        assert run(["eval", "--series", path, "--bind", "1=t*sin(theta_1)",
+                    "--bind", "2=t*cos(theta_2)", "--grid", "0:1:5,0:1:5,0:1:9",
+                    "--out", str(out)]) == 0
+        report = read_report(str(out) + ".report.json")
+        assert report["truncation"] == {"max_len": 8, "exact_len": 3}
+        assert report["params"]["u"] == {"1": "t*sin(theta_1)", "2": "t*cos(theta_2)"}
+
+    def test_evaluation_error_keeps_its_type_in_the_message(self, tmp_path, capsys):
+        c = se.series_from_coeffs(1, {word("x1"): do.identity(1),
+                                      word("x2"): do.identity(1)})
+        path = write_series(tmp_path / "c.series", c)
+        assert run(["eval", "--series", path, "--bind", "1=t", "--grid", "0:1:5,0:1:5",
+                    "--out", str(tmp_path / "y.csv")]) == 1
+        assert capsys.readouterr().err == \
+            "error: EvaluationError: unbound input letters: ['x2']\n"
 
     def test_pole_is_numeric_failure(self, tmp_path):
         c = se.series_from_coeffs(1, {word("x1"): do.identity(1)})

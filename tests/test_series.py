@@ -222,12 +222,6 @@ class TestShiftTruncateLinear:
         t0 = se.truncate(c, 0)
         assert set(t0.coeffs) == {Word()}
 
-    def test_linear_part_removes_double_input_words(self):
-        c = simple_series(1, {word("x1", "x1"): do.identity(1),
-                              word("x1"): do.identity(1)})
-        lp = se.linear_part(c)
-        assert set(lp.coeffs) == {word("x1")}
-
     def test_transport_series_is_linear(self):
         c = pde.transport_series(pde.TransportSpec(V=1.0, y0=ex.sin(THETA), N=6))
         assert se.is_linear(c)
