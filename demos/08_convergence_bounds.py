@@ -17,7 +17,7 @@ from cfpde import pde
 def main():
     print("Hoelder prefactor at (i,j)=(1,1), T=1:",
           bd.holder_bound(1, 1, 1.0, 1.0))
-    ke = bd.stirling_KE(50, detail=True)
+    ke = bd.stirling_KE(50)
     print(f"K_E = {ke.value} (argmax degree {sum(ke.argmax)}, "
           f"maximand certified non-increasing through degree {ke.certified_through})")
 

@@ -394,7 +394,7 @@ def criterion_10() -> CriterionResult:
     geo = bd.geometric_bound(bd.GrowthData(1, 1, 1, 0.5, 1, 1, 1))
     geo_ok = geo.converges and geo.bound == 4.0
 
-    ke = bd.stirling_KE(50, detail=True)
+    ke = bd.stirling_KE(50)
     ke_ok = ke.value == 1.0 and ke.certified_through >= 100
 
     g0 = bd.GrowthData(1, 1, 1, 1, 0, 1, 1)

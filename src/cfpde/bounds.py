@@ -117,9 +117,6 @@ class StirlingConstant:
     scanned_degree: int
     certified_through: int
 
-    def __float__(self):
-        return self.value
-
 
 def _ke_degree_maxima(last: int) -> list[tuple[float, int]]:
     """For each degree n <= last, the largest maximand
@@ -140,11 +137,12 @@ def _ke_degree_maxima(last: int) -> list[tuple[float, int]]:
     return out
 
 
-def stirling_KE(max_degree: int, detail: bool = False
-                ) -> Union[float, StirlingConstant]:
+def stirling_KE(max_degree: int) -> StirlingConstant:
     """The least K_E with the Hoelder prefactor <= K_E / (i+j)! for all
-    i+j <= max_degree, plus a certificate that the per-degree maximum is
-    non-increasing over a 2x window past the argmax."""
+    i+j <= max_degree, as ``value``, with its certificate: the split
+    (i, j) attaining it, and the degree through which the per-degree
+    maximum was checked to be non-increasing (a 2x window past the
+    argmax)."""
     if max_degree < 0:
         raise ValueError("max_degree must be nonnegative")
     # the certificate window ends at most at max(2 max_degree, argmax + 2)
@@ -159,8 +157,7 @@ def stirling_KE(max_degree: int, detail: bool = False
             raise ArithmeticError(
                 f"maximand increased at degree {n}; boundedness certificate failed")
         prev = m
-    result = StirlingConstant(best, (i_best, arg - i_best), max_degree, window_end)
-    return result if detail else result.value
+    return StirlingConstant(best, (i_best, arg - i_best), max_degree, window_end)
 
 
 @record
@@ -169,27 +166,25 @@ class GeometricBound:
     bound: float
 
 
-def geometric_bound(g: GrowthData, K_E: float | None = None) -> GeometricBound:
+def geometric_bound(g: GrowthData) -> GeometricBound:
     """Factorial-growth regime (s = 1): convergent iff M*R*T < 1, with the
-    uniform bound K_alpha K_E K_u / (1 - MRT)^2."""
+    uniform bound K_alpha K_E K_u / (1 - MRT)^2, K_E = stirling_KE(50)."""
     if g.s != 1:
         raise ValueError("geometric_bound applies to the s = 1 regime")
-    if K_E is None:
-        K_E = stirling_KE(50)
     mrt = g.mrt
     if mrt >= 1:
         return GeometricBound(False, math.inf)
-    return GeometricBound(True, g.K_alpha * K_E * g.K_u * (1 - mrt) ** -2)
+    return GeometricBound(True, g.K_alpha * stirling_KE(50).value * g.K_u
+                          * (1 - mrt) ** -2)
 
 
-def gevrey_tail(g: GrowthData, n: int, K_E: float | None = None) -> float:
+def gevrey_tail(g: GrowthData, n: int) -> float:
     """Tail bound past truncation n for sub-factorial growth (s < 1):
-    K_alpha K_E K_u * sum_{k>n} (k+1) (MRT)^k (k!)^(s-1).  n = -1 gives
-    the full-series bound.  A sum past the largest float is math.inf."""
+    K_alpha K_E K_u * sum_{k>n} (k+1) (MRT)^k (k!)^(s-1), K_E =
+    stirling_KE(50).  n = -1 gives the full-series bound.  A sum past
+    the largest float is math.inf."""
     if not 0 <= g.s < 1:
         raise ValueError("gevrey_tail applies to the 0 <= s < 1 regime")
-    if K_E is None:
-        K_E = stirling_KE(50)
     mrt = g.mrt
     if mrt == math.inf:  # M*R*T itself is past the largest float
         return math.inf
@@ -213,7 +208,7 @@ def gevrey_tail(g: GrowthData, n: int, K_E: float | None = None) -> float:
         k += 1
         if k > 100000:
             raise ArithmeticError("tail summation failed to converge")
-    return g.K_alpha * K_E * g.K_u * total
+    return g.K_alpha * stirling_KE(50).value * g.K_u * total
 
 
 # ---------------------------------------------------------------------------
@@ -264,12 +259,12 @@ def _row_integrals(values: np.ndarray, dt: float) -> np.ndarray:
     return np.cumsum(steps, axis=0)[-1]
 
 
-def input_l1_norm(u: InputSignal, grid: Grid, order: int = 0) -> float:
-    """Tensor-trapezoid L1 norm of the order-th theta-derivative over the
-    full (theta, t) domain (one-parameter grids)."""
+def input_l1_norm(u: InputSignal, grid: Grid) -> float:
+    """Tensor-trapezoid L1 norm of u over the full (theta, t) domain
+    (one-parameter grids)."""
     if grid.dim != 1:
         raise ValueError("L1 norms are defined for one-parameter grids here")
-    return float(np.trapezoid(_time_integrals(u, grid, order),
+    return float(np.trapezoid(_time_integrals(u, grid, 0),
                               dx=grid.theta_spacing(0)))
 
 
@@ -366,28 +361,26 @@ def _fit_coefficients(norms: Sequence[float], T: float, length: float) -> Growth
     return GrowthFit(data, tuple(logs), residual)
 
 
-def estimate_growth(target: Union[InputSignal, GenSeries, Sequence[float]],
-                    grid: Grid, k_max: int = 8) -> GrowthFit:
-    """Fit growth constants from data.
+def estimate_growth(target: Union[InputSignal, GenSeries], grid: Grid,
+                    k_max: int = 8) -> GrowthFit:
+    """Fit growth constants from data on a one-parameter grid.
 
     * InputSignal: fits K_u, R from the derivative norms (conservative
       interval-length * sup-theta surrogate of the L1 norm); flags the
       theta-independent R = 0 regime.
-    * GenSeries or a plain norm sequence: fits K_alpha, M, s from the
-      coefficient sup norms.
+    * GenSeries: fits K_alpha, M, s from the coefficient sup norms.
 
     The residual (rms log-misfit) is reported so hypothesis quality can be
     judged before trusting a certificate built from the fit.
     """
     if k_max < 2:
         raise ValueError("k_max must be at least 2")
-    a, b, _ = grid.theta_axes[0]
+    if grid.dim != 1:
+        raise ValueError("growth fits are defined for one-parameter grids")
     if isinstance(target, InputSignal):
         return _fit_input(target, grid, k_max)
-    if isinstance(target, GenSeries):
-        norms = _coefficient_sup_norms(target, grid)[:k_max + 1]
-    else:
-        norms = list(target)[:k_max + 1]
+    a, b, _ = grid.theta_axes[0]
+    norms = _coefficient_sup_norms(target, grid)[:k_max + 1]
     return _fit_coefficients(norms, grid.t_end, b - a)
 
 
@@ -398,7 +391,7 @@ def tail_certificate(series: GenSeries, u, grid: Grid, n: int) -> dict | None:
     growth is sub-factorial (s < 1), else the geometric bound.  None when
     the grid is not one-parameter, u is not one symbolic signal, a fit
     fails, or the bound is not finite."""
-    if grid.dim != 1 or not isinstance(u, InputSignal) or not u.is_symbolic:
+    if not isinstance(u, InputSignal) or not u.is_symbolic:
         return None
     try:
         coeff_fit = estimate_growth(series, grid, k_max=min(n, 8))

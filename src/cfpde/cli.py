@@ -143,6 +143,15 @@ def _report(path: str, command: str, params: dict, series_obj: se.GenSeries,
     _write_atomic(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
+def _load_series(path: str) -> se.GenSeries:
+    """The series stored at path; a file that cannot be read or parsed
+    is a one-line validation failure."""
+    try:
+        return se.load_series(path)
+    except (OSError, se.SeriesError, ex.ExprError, do.DiffOpError) as e:
+        raise CliError(f"cannot load series: {e}") from e
+
+
 def _parse_expr_arg(text: str, dim: int, what: str) -> ex.Poly:
     try:
         return ex.parse(text, dim)
@@ -259,10 +268,7 @@ def _cmd_field(args, command: str, started: float) -> int:
             raise CliError("solvers are one-parameter; pass one theta axis")
         series_obj, params = _solver_series(args)
     else:
-        try:
-            series_obj = se.load_series(args.series)
-        except (OSError, se.SeriesError, ex.ExprError, do.DiffOpError) as e:
-            raise CliError(f"cannot load series: {e}") from e
+        series_obj = _load_series(args.series)
         params = {"series": args.series}
     if series_obj.dim != grid.dim:
         raise CliError(
@@ -286,19 +292,10 @@ def _cmd_field(args, command: str, started: float) -> int:
     return 0
 
 
-def _load_two(args):
-    try:
-        left = se.load_series(args.left)
-        right = se.load_series(args.right)
-    except (OSError, se.SeriesError, ex.ExprError, do.DiffOpError) as e:
-        raise CliError(f"cannot load series: {e}") from e
-    return left, right
-
-
 def _cmd_algebra(args, command: str, started: float) -> int:
     _check_writable(args.out, args.out + ".report.json")
     if args.kind in ("shuffle", "sum", "compose"):
-        left, right = _load_two(args)
+        left, right = _load_series(args.left), _load_series(args.right)
         if args.kind == "shuffle":
             out = se.shuffle_series(left, right)
         elif args.kind == "sum":
@@ -313,17 +310,10 @@ def _cmd_algebra(args, command: str, started: float) -> int:
             letters = ()
         if len(letters) != 1:
             raise CliError(f"bad --letter {args.letter!r}; expected one letter such as x1")
-        try:
-            out = se.left_shift(letters[0], se.load_series(args.series))
-        except (OSError, se.SeriesError) as e:
-            raise CliError(str(e)) from e
+        out = se.left_shift(letters[0], _load_series(args.series))
         params = {"series": args.series, "letter": args.letter}
     else:  # truncate
-        try:
-            series_obj = se.load_series(args.series)
-            out = se.truncate(series_obj, args.N)
-        except (OSError, se.SeriesError) as e:
-            raise CliError(str(e)) from e
+        out = se.truncate(_load_series(args.series), args.N)
         params = {"series": args.series, "N": args.N}
     _write_atomic(args.out, se.series_to_text(out))
     _report(args.out + ".report.json", command, params, out, None, started)
@@ -353,14 +343,13 @@ def _cmd_bounds(args, command: str, started: float) -> int:
                                       for n, tail in tails.items()}})
         print(json.dumps(out, indent=2, sort_keys=True))
         return 0
+    if args.u is not None and args.series is not None:
+        raise CliError("give --u or --series, not both")
     grid = _grid_from_arg(args.grid)
     if args.u is not None:
         target = ii.InputSignal.symbolic(_parse_expr_arg(args.u, grid.dim, "input"))
     elif args.series is not None:
-        try:
-            target = se.load_series(args.series)
-        except (OSError, se.SeriesError) as e:
-            raise CliError(f"cannot load series: {e}") from e
+        target = _load_series(args.series)
     else:
         raise CliError("bounds estimate needs --u or --series")
     try:

@@ -131,7 +131,7 @@ class DiffOp:
             return "0 * D[" + ",".join("0" for _ in range(self.dim)) + "]"
         parts = []
         for alpha, coeff in self.sorted_terms():
-            c = ex.to_string(coeff, exact=True)
+            c = ex.to_string(coeff)
             if "+" in c[1:] or " - " in c:
                 c = f"({c})"
             parts.append(f"{c} * D[{','.join(str(a) for a in alpha)}]")
@@ -146,9 +146,6 @@ class DiffOp:
 
     def __hash__(self):
         return hash((self.dim, frozenset(self.terms.items())))
-
-    def apply(self, f) -> ex.Poly:
-        return op_apply(self, f)
 
 
 def _to_poly(value, dim: int, what: str, error) -> ex.Poly:
@@ -178,14 +175,10 @@ def from_expr(coeff, dim: int) -> DiffOp:
     return DiffOp(dim, {mi_zero(dim): coeff})
 
 
-def partial(dim: int, axis: int = 0, order: int = 1) -> DiffOp:
-    """D_axis^order (axis is 0-based: axis k differentiates theta_{k+1})."""
-    if order < 0:
-        raise DiffOpError("order must be nonnegative")
-    alpha = tuple(order if i == axis else 0 for i in range(dim))
-    if not 0 <= axis < dim:
-        raise DiffOpError(f"axis {axis} out of range for dim {dim}")
-    return DiffOp(dim, {alpha: ex.ONE})
+def partial(dim: int) -> DiffOp:
+    """d/dtheta_1 on a dim-dimensional parameter space; build any other
+    derivative with monomial."""
+    return DiffOp(dim, {(1,) + mi_zero(dim - 1): ex.ONE})
 
 
 def monomial(coeff, alpha: MultiIndex) -> DiffOp:

@@ -29,16 +29,12 @@ __all__ = [
     "const", "var", "add", "mul", "neg", "sub", "intpow", "sin", "cos", "exp",
     "parse", "to_string", "simplify", "differentiate", "evaluate",
     "variables", "theta_indices", "depends_on",
-    "canonical", "collect", "product_terms",
+    "collect", "product_terms",
 ]
 
 MAX_EXPONENT = 2 ** 31
 MAX_EXPANDED_POWER = 64
 _ROUNDOFF = 8 * sys.float_info.epsilon
-# A printed constant leaves out its real or imaginary part when that part
-# is at most this multiple of the other part's magnitude (rounding noise
-# of the other part), whatever the scale of the constant.
-_DISPLAY_REL = 8 * sys.float_info.epsilon
 # Values that evaluate without numpy; anything else may be an array.
 _SCALARS = (int, float, complex)
 _CMATH = {"sin": cmath.sin, "cos": cmath.cos, "exp": cmath.exp}
@@ -90,7 +86,7 @@ class Poly:
         return self._hash
 
     def __repr__(self):
-        return f"Poly({to_string(self, exact=True)!r})"
+        return f"Poly({to_string(self)!r})"
 
     def sorted_items(self) -> list:
         """Terms in print and summation order: exponents descending, then
@@ -372,18 +368,6 @@ def exp(e) -> Poly:
     return _func("exp", simplify(e))
 
 
-def canonical(e, dim: int, t: bool = False) -> Poly:
-    """e as a Poly with dim axes: theta_1..theta_dim, or with t=True
-    theta_1..theta_{dim-1} and then t.  Any other variable in e is an
-    ExprError."""
-    p = simplify(e)
-    n = dim - t
-    for name in sorted(variables(p)):
-        if name == "t" and not t or name != "t" and int(name[6:]) > n:
-            raise ExprError(f"{name} is not a parameter of dim {n}")
-    return p.embed(dim, 0, t)
-
-
 # ---------------------------------------------------------------------------
 # differentiation and evaluation
 
@@ -659,33 +643,30 @@ def _fmt_real(x: float) -> str:
     return repr(x)
 
 
-def _fmt_const(c: complex, rel: float = _DISPLAY_REL) -> str:
-    """c as text; a part at most rel times the other part's magnitude is
-    left out (rel = 0 leaves out exact zeros only)."""
+def _fmt_const(c: complex) -> str:
+    """c as text, in full; a real or imaginary part is left out only
+    when it is 0."""
     re_, im = c.real, c.imag
-    if abs(im) <= rel * abs(re_):
+    if im == 0:
         return _fmt_real(re_)
-    if abs(re_) <= rel * abs(im):
+    if re_ == 0:
         return _fmt_real(im) + "i"
     op = "+" if im >= 0 else "-"
     return f"({_fmt_real(re_)}{op}{_fmt_real(abs(im))}i)"
 
 
-def to_string(p: Poly, exact: bool = False) -> str:
-    """p as text, terms in sorted order.  With exact=True every
-    coefficient is printed in full, so that parsing the text gives back
-    an equal Poly; otherwise a coefficient leaves out a real or
-    imaginary part that is rounding noise of the other part."""
+def to_string(p: Poly) -> str:
+    """p as text, terms in sorted order.  Every coefficient is printed in
+    full, so that parsing the text gives back an equal Poly."""
     if not p.terms:
         return "0"
-    rel = 0.0 if exact else _DISPLAY_REL
     out = []
     for (e, atoms), c in p.sorted_items():
         factors = [_axis_name(p, i) + ("" if k == 1 else f"^{k}")
                    for i, k in enumerate(e) if k]
-        factors += [f"{n}({to_string(a, exact)})" + ("" if m == 1 else f"^{m}")
+        factors += [f"{n}({to_string(a)})" + ("" if m == 1 else f"^{m}")
                     for n, a, m in atoms]
-        text = _fmt_const(c, rel)
+        text = _fmt_const(c)
         negative = text.startswith("-")
         if negative:
             text = text[1:]

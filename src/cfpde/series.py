@@ -29,7 +29,7 @@ from .words import DRIFT, EMPTY_WORD, Letter, Word, parse_word, shuffle_words
 
 __all__ = [
     "GenSeries", "SeriesError", "OverlappingSupport", "NotLinear", "NonFinite",
-    "zero_series", "one_series", "series_from_coeffs",
+    "one_series", "series_from_coeffs",
     "parallel_sum", "series_scale", "shuffle_series", "compose",
     "left_shift", "truncate", "is_linear",
     "embed", "relabel_letters",
@@ -115,20 +115,14 @@ class GenSeries:
                 f"support={sorted(self.param_support)})")
 
 
-def zero_series(dim: int, max_len: int = 0, alphabet: Iterable[Letter] = ()) -> GenSeries:
-    return GenSeries(dim, {}, max_len, alphabet)
-
-
 def one_series(dim: int, alphabet: Iterable[Letter] = ()) -> GenSeries:
     """The series 1*empty-word."""
     return GenSeries(dim, {EMPTY_WORD: do.identity(dim)}, 0, alphabet)
 
 
-def series_from_coeffs(dim: int, coeffs: Mapping[Word, DiffOp],
-                       max_len: int | None = None, **kw) -> GenSeries:
-    if max_len is None:
-        max_len = max((len(w) for w in coeffs), default=0)
-    return GenSeries(dim, coeffs, max_len, **kw)
+def series_from_coeffs(dim: int, coeffs: Mapping[Word, DiffOp]) -> GenSeries:
+    """The series with these coefficients, stored to its longest word."""
+    return GenSeries(dim, coeffs, max((len(w) for w in coeffs), default=0))
 
 
 def is_linear(c: GenSeries) -> bool:
@@ -178,23 +172,17 @@ def relabel_letters(c: GenSeries, mapping: Mapping[Letter, Letter]) -> GenSeries
     return GenSeries(c.dim, coeffs, c.max_len, alphabet, exact_len=c.exact_len)
 
 
-def parallel_sum(c: GenSeries, d: GenSeries, distinct: bool = False) -> GenSeries:
+def parallel_sum(c: GenSeries, d: GenSeries) -> GenSeries:
     """Coefficient-wise sum, the generating series of the parallel sum
     interconnection.
 
-    With distinct=False identical theta indices refer to the same physical
-    parameter and the two series must live on the same parameter space.
-    With distinct=True the parameter spaces are concatenated: d's
-    coordinates are shifted past c's, so equal indices never unify.
+    Identical theta indices refer to the same physical parameter, so the
+    two series must live on one parameter space; to sum systems on
+    distinct parameters, move one past the other with embed first.
     """
-    if distinct:
-        offset = c.dim
-        dim = c.dim + d.dim
-        c = embed(c, dim, 0)
-        d = embed(d, dim, offset)
-    elif c.dim != d.dim:
+    if c.dim != d.dim:
         raise do.DimensionMismatch(
-            f"series dims differ: {c.dim} vs {d.dim}; embed first or pass distinct=True")
+            f"series dims differ: {c.dim} vs {d.dim}; embed into a joint space first")
     coeffs = dict(c.coeffs)
     for w, op in d.coeffs.items():
         coeffs[w] = do.op_add(coeffs[w], op) if w in coeffs else op

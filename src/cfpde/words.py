@@ -16,7 +16,7 @@ from typing import Iterable, Optional
 
 __all__ = [
     "Letter", "Word", "WordPoly", "DRIFT", "EMPTY_WORD",
-    "x", "word", "parse_word", "shuffle_words",
+    "word", "parse_word", "shuffle_words",
 ]
 
 
@@ -38,9 +38,6 @@ class Letter(int):
     def is_drift(self) -> bool:
         return self == 0
 
-    def sort_key(self) -> int:
-        return int(self)
-
     def text(self) -> str:
         if self < 0:
             raise ValueError(f"letter id {int(self)} has no text form")
@@ -51,11 +48,6 @@ class Letter(int):
 
 
 DRIFT = Letter(None)
-
-
-def x(k: int) -> Letter:
-    """The input letter x_k (k >= 1 for serializable letters)."""
-    return Letter(k)
 
 
 def _parse_letter(token: str) -> Letter:
@@ -129,7 +121,7 @@ def parse_word(text: str) -> Word:
 class WordPoly(dict):
     """Finite formal sum of words with complex coefficients.
 
-    Zero coefficients are never stored.  Supports +, scalar *, and
+    Zero coefficients are never stored.  Supports +, scale, and
     comparison; mainly the carrier for shuffle expansions.
     """
 
@@ -156,9 +148,6 @@ class WordPoly(dict):
         if factor == 0:
             return WordPoly()
         return WordPoly({w: factor * c for w, c in self.items()})
-
-    def __rmul__(self, factor):
-        return self.scale(factor)
 
     def total_multiplicity(self) -> complex:
         return sum(self.values(), start=0j)

@@ -288,6 +288,19 @@ class TestBounds:
                     "--K-u", "1", "--R", "1", "--s", "0",
                     "--T", "1", "--length", "1"]) == 1
 
+    def test_estimate_refuses_input_and_series(self, capsys, transport_files):
+        assert run(["bounds", "estimate", "--u", "t*sin(theta_1)", "--series",
+                    transport_files[0], "--grid", "0:1:9,0:1:9"]) == 1
+        assert capsys.readouterr().err == "error: give --u or --series, not both\n"
+
+    @pytest.mark.parametrize("target", ["--u", "--series"])
+    def test_estimate_needs_one_theta_axis(self, capsys, transport_files, target):
+        value = "t*sin(theta_1)" if target == "--u" else transport_files[0]
+        assert run(["bounds", "estimate", target, value,
+                    "--grid", "0:1:9,0:1:9,0:1:9"]) == 1
+        assert capsys.readouterr().err == (
+            "error: growth fits are defined for one-parameter grids\n")
+
 
 class TestVerify:
     def test_verify_single_fast_criterion(self, capsys):
@@ -808,7 +821,7 @@ class TestInputFaults:
         assert run(["algebra", "truncate", "--series", str(path), "--N", "1",
                     "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: bad ") and err.count("\n") == 1
+        assert err.startswith("error: cannot load series: bad ") and err.count("\n") == 1
         assert not out.exists()
 
     def test_power_of_a_sum_past_the_expansion_cap_exits_one(self, tmp_path, capsys):
@@ -823,6 +836,37 @@ class TestInputFaults:
         assert not out.exists()
         assert run(["solve", "transport", "--V", "1", "--u", "(1+theta_1)^64*t",
                     "--N", "2", "--grid", "0:1:5,0:1:5", "--out", str(out)]) == 0
+
+    @pytest.mark.parametrize("text", [None, "dim=1 maxlen=1 alphabet=x0,x1\nx1 :: sin( * D[0]\n"],
+                             ids=["missing", "bad-coefficient"])
+    @pytest.mark.parametrize("argv", [
+        ["algebra", "shuffle", "--left", "c.series", "--right", "good.series"],
+        ["algebra", "shuffle", "--left", "good.series", "--right", "c.series"],
+        ["algebra", "sum", "--left", "c.series", "--right", "good.series"],
+        ["algebra", "compose", "--left", "c.series", "--right", "good.series"],
+        ["algebra", "shift", "--letter", "x0", "--series", "c.series"],
+        ["algebra", "truncate", "--N", "1", "--series", "c.series"],
+        ["eval", "--u", "t", "--grid", "0:1:5,0:1:5", "--series", "c.series"],
+        ["bounds", "estimate", "--grid", "0:1:5,0:1:5", "--series", "c.series"],
+    ], ids=["shuffle-left", "shuffle-right", "sum", "compose", "shift", "truncate",
+            "eval", "estimate"])
+    def test_unloadable_series_exits_one(self, tmp_path, monkeypatch, capsys, argv, text):
+        """Every subcommand that reads a series file refuses one it cannot
+        read or parse with one message."""
+        monkeypatch.chdir(tmp_path)
+        se.save_series(pde.transport_series(pde.TransportSpec(V=1.0, y0=0, N=2)),
+                       "good.series")
+        if text is not None:
+            (tmp_path / "c.series").write_text(text)
+        out = [] if argv[0] == "bounds" else ["--out", "out.file"]
+        assert run(argv + out) == 1
+        err = capsys.readouterr().err
+        if text is None:
+            assert err == ("error: cannot load series: [Errno 2] No such file or "
+                           "directory: 'c.series'\n")
+        else:
+            assert err.startswith("error: cannot load series: ") and err.count("\n") == 1
+        assert not (tmp_path / "out.file").exists()
 
     def test_non_integer_multi_index_is_load_error(self, tmp_path, capsys):
         path = tmp_path / "bad.series"
@@ -967,9 +1011,12 @@ class TestArgvFuzz:
     # are --u with --bind, two --binds of one letter, and a bind of a
     # letter the series lacks ("99=t", and "2=t" on a series over x0, x1)
     inputs = _mostly([("--u",), ("--bind",), ("--bind", "--bind")], [("--u", "--bind")])
+    # bounds estimate reads --u or --series; both together are refused
+    estimate_inputs = _mostly([("--u",), ("--series",)], [("--u", "--series")])
     orders = _mostly(["0", "1", "2", "3", "4"], ["-1", "x", "1.5", ""])
     series = _mostly(["good.series", "other.series"], ["bad.series", "missing.series", "."])
     outs = _mostly(["out.file"], ["none/out.file", "."])
+    input_values = {"--u": exprs, "--bind": binds, "--series": series}
 
     # the option strings of each subcommand and the values each can take
     two = {"--left": series, "--right": series, "--out": outs}
@@ -992,7 +1039,7 @@ class TestArgvFuzz:
         ("bounds", "check"): {
             **dict.fromkeys(["--K-alpha", "--M", "--K-u", "--R", "--T", "--length"], positive),
             "--s": _mostly(["0", "0.25", "0.5", "1"], bad_numbers), "--N": orders},
-        ("bounds", "estimate"): {"--u": exprs, "--series": series, "--grid": grids,
+        ("bounds", "estimate"): {"input": estimate_inputs, "--grid": grids,
                                  "--k-max": _mostly(["2", "3", "8"], ["1", "-1", "x"])},
     }
 
@@ -1017,7 +1064,7 @@ class TestArgvFuzz:
                 continue
             if option == "input":
                 for flag in data.draw(values):
-                    argv += [flag, data.draw(self.exprs if flag == "--u" else self.binds)]
+                    argv += [flag, data.draw(self.input_values[flag])]
             else:
                 argv += [option] if values is None else [option, data.draw(values)]
         capsys.readouterr()

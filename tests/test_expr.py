@@ -204,13 +204,10 @@ class TestInvariants:
         assert e == ex.Poly(1, {((0,), ()): 5 + 0j}, t=True)
         assert ex.simplify(5) == ex.const(5) == ex.Poly(0, {((), ()): 5 + 0j})
 
-    def test_display_suppresses_tiny_imaginary_parts(self):
-        assert ex.to_string(ex.const(complex(2.0, 1e-15))) == "2"
-
     @pytest.mark.parametrize("value, text", [
         (1e-13j, "1e-13i"),
         (complex(1e-20, 3e-20), "(1e-20+3e-20i)"),
-        (complex(1e-30, 1.0), "1i"),
+        (complex(1e-30, 1.0), "(1e-30+1i)"),
         (complex(-4e-300, 0.0), "-4e-300"),
         (0j, "0"),
     ])
@@ -232,7 +229,7 @@ class TestConstantFolding:
 
     def test_canonical_fold_is_expr_error(self):
         with pytest.raises(ex.ExprError, match="out of range"):
-            ex.canonical(ex.parse("exp(1000)*theta_1", 1), 1)
+            ex.parse("exp(1000)*theta_1", 1)
 
     @pytest.mark.parametrize("build", [
         lambda: ex.mul(ex.const(1e200), ex.const(1e200), ex.var("theta_1")),
@@ -251,12 +248,11 @@ class TestConstantFolding:
                                       "(1e200*theta_1)^2", "(1e200*theta_1 + 1)^2"])
     def test_overflowing_canonical_is_expr_error(self, text):
         with pytest.raises(ex.ExprError, match="out of range"):
-            ex.canonical(ex.parse(text, 1), 1)
+            ex.parse(text, 1)
 
     def test_largest_finite_product_folds(self):
         assert ex.mul(ex.const(1e154), ex.const(1e154)) == ex.const(1e308)
-        assert ex.canonical(ex.parse("1e154*1e154*theta_1", 1), 1) == \
-            ex.canonical(ex.parse("1e308*theta_1", 1), 1)
+        assert ex.parse("1e154*1e154*theta_1", 1) == ex.parse("1e308*theta_1", 1)
 
     @pytest.mark.parametrize("text", ["1e999*theta_1", "t + 2e400i"])
     def test_overflowing_literal_is_parse_error(self, text):
@@ -272,7 +268,7 @@ class TestConstantFolding:
             ex.parse("(" * 2000 + "t" + ")" * 2000, 1)
 
     @pytest.mark.parametrize("value, text", [(math.inf, "inf"), (-math.inf, "-inf"),
-                                             (math.nan, "(nan+0i)")])
+                                             (math.nan, "nan")])
     def test_non_finite_constant_prints(self, value, text):
         assert ex.to_string(ex.const(complex(value, 0))) == text
 

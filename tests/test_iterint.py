@@ -364,7 +364,7 @@ class TestEvaluateSeries:
         assert len(passes) == len(prefixes) == 25
         assert set(passes) == {(17, 9)}  # time-leading
 
-    @pytest.mark.parametrize("c, value", [(se.zero_series(2), 0.0),
+    @pytest.mark.parametrize("c, value", [(se.GenSeries(2, {}, 0), 0.0),
                                           (se.one_series(2), 1.0)])
     def test_result_is_owned_and_writable(self, c, value):
         out = ii.evaluate_series(c, BINDING_2D, GRID_2D)

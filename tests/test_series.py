@@ -22,7 +22,7 @@ def simple_series(dim, mapping):
 class TestParallelSum:
     def test_additive_identity(self):
         c = simple_series(1, {word("x1"): do.monomial(THETA, (1,))})
-        z = se.zero_series(1)
+        z = se.GenSeries(1, {}, 0)
         assert se.parallel_sum(c, z).coeffs == c.coeffs
 
     def test_sum_with_own_negation_is_zero(self):
@@ -33,8 +33,8 @@ class TestParallelSum:
         # relabel the second system's letter and parameter, then sum
         c = pde.transport_series(pde.TransportSpec(V=2.0, y0=0, N=3))
         d = pde.transport_series(pde.TransportSpec(V=3.0, y0=0, N=3))
-        d = se.relabel_letters(d, {X1: X2})
-        total = se.parallel_sum(c, d, distinct=True)
+        d = se.relabel_letters(se.embed(d, 2, 1), {X1: X2})
+        total = se.parallel_sum(se.embed(c, 2), d)
         assert total.dim == 2
         assert total.param_support == frozenset({1, 2})
         # coefficient on x0^k x_c is (-V_c d/dtheta_1)^k, on x0^k x_d the
@@ -345,8 +345,8 @@ class TestComposeLengthCut:
 
         def series(coeffs, letter):
             max_len = max(map(len, coeffs)) + data.draw(st.integers(0, 2))
-            return se.series_from_coeffs(1, coeffs, max_len=max_len, alphabet={letter},
-                                         exact_len=data.draw(st.integers(0, max_len)))
+            return se.GenSeries(1, coeffs, max_len, alphabet={letter},
+                                exact_len=data.draw(st.integers(0, max_len)))
 
         c, d = series(left, X1), series(right, X2)
         full = se.compose(c, d, unital=unital)
