@@ -1,8 +1,9 @@
 """Convergence certificates for linear one-parameter series.
 
 Coefficient growth K_alpha M^k (k!)^s against input-derivative growth
-K_u R^k: with s = 1 the series converges when M R T < 1; with s < 1 any
-finite domain works and the tail past a truncation N is summable, so a
+K_u R^k.  The tail past a truncation N is bounded by one sum for every
+0 <= s <= 1: with s = 1 it converges when M R T < 1 (the geometric
+criterion, in closed form); with s < 1 any finite domain works.  So a
 numeric evaluation ships with an error certificate.
 """
 
@@ -16,13 +17,11 @@ from cfpde import pde
 
 def main():
     print("Hoelder prefactor at (i,j)=(1,1), T=1:",
-          bd.holder_bound(1, 1, 1.0, 1.0))
-    ke = bd.stirling_KE(50)
-    print(f"K_E = {ke.value} (argmax degree {sum(ke.argmax)}, "
-          f"maximand certified non-increasing through degree {ke.certified_through})")
+          bd.holder_bound(1, 1, 1.0, 1.0), "<= 1/2! (K_E = 1)")
 
-    half = bd.GrowthData(K_alpha=1, M=1, K_u=1, R=0.5, s=1, T=1, length=1)
-    print("geometric regime, MRT = 1/2:", bd.geometric_bound(half))
+    half = bd.GrowthData(K_alpha=1, M=1, K_u=1, R=0.5, s=1, T=1)
+    print("geometric regime, MRT = 1/2: full series", bd.gevrey_tail(half, -1),
+          " tail past N=3", bd.gevrey_tail(half, 3))
 
     # fit the constants of the transport test case from data
     grid = ii.Grid.from_spec("0:6.283185307179586:257,0:1:513")

@@ -364,8 +364,9 @@ def criterion_9() -> CriterionResult:
 
 
 def criterion_10() -> CriterionResult:
-    """Bounds suite: Hoelder dominance, the exact geometric bound, the
-    certified Stirling constant, and the closed-form Gevrey sum."""
+    """Bounds suite: Hoelder dominance, the exact geometric bound (the
+    full-series tail at s = 1), K_E = 1 through degree 100 in exact
+    integers, and the closed-form Gevrey sum."""
     start = time.monotonic()
     rng = np.random.default_rng(10)
     grid = ii.Grid(((0.0, 1.0, 129),), 1.0, 257)
@@ -391,13 +392,17 @@ def criterion_10() -> CriterionResult:
         worst_violation = max(worst_violation, field.max_abs() - bound)
     holder_ok = worst_violation <= 0.0
 
-    geo = bd.geometric_bound(bd.GrowthData(1, 1, 1, 0.5, 1, 1, 1))
-    geo_ok = geo.converges and geo.bound == 4.0
+    geo = bd.gevrey_tail(bd.GrowthData(1, 1, 1, 0.5, 1, 1), -1)
+    geo_ok = geo == 4.0
 
-    ke = bd.stirling_KE(50)
-    ke_ok = ke.value == 1.0 and ke.certified_through >= 100
+    # the Hoelder prefactor times n! is a binomial probability, so
+    # i^i j^j n! <= i! j! n^n for i + j = n (K_E = 1), equal only at the ends
+    f = [math.factorial(k) for k in range(101)]
+    sides = ((i ** i * (n - i) ** (n - i) * f[n], f[i] * f[n - i] * n ** n, i in (0, n))
+             for n in range(101) for i in range(n + 1))
+    ke_ok = all(lhs == rhs if end else lhs < rhs for lhs, rhs, end in sides)
 
-    g0 = bd.GrowthData(1, 1, 1, 1, 0, 1, 1)
+    g0 = bd.GrowthData(1, 1, 1, 1, 0, 1)
     gevrey_err = abs(bd.gevrey_tail(g0, -1) - 2 * math.e)
     gevrey_ok = gevrey_err <= 1e-12
 
@@ -405,8 +410,8 @@ def criterion_10() -> CriterionResult:
     return CriterionResult(
         10, "bounds suite", passed, gevrey_err, 1e-12,
         time.monotonic() - start,
-        detail=(f"holder slack {-worst_violation:.2e} >= 0, bound(1/2)={geo.bound}, "
-                f"K_E={ke.value} certified to degree {ke.certified_through}"))
+        detail=(f"holder slack {-worst_violation:.2e} >= 0, bound(1/2)={geo}, "
+                f"K_E=1 {'checked' if ke_ok else 'FAILED'} in integers to degree 100"))
 
 
 CRITERIA: Sequence[Callable[[], CriterionResult]] = (

@@ -5,15 +5,13 @@ alpha_{i+j}(theta) d^{i+j}/dtheta^{i+j} E_{x0^i x1 x0^j}[u]:
 
 * ``holder_bound``    - the Hoelder estimate on a single linear-word
   integral, i^i j^j T^(i+j) / (i! j! (i+j)^(i+j)) times the L1 norm of
-  the differentiated input.
-* ``stirling_KE``     - the least constant folding that estimate into
-  K_E T^(i+j)/(i+j)!, computed by scanning degrees and certifying that
-  the maximand keeps decreasing well past the argmax.
-* ``geometric_bound`` - factorial coefficient growth: the series
-  converges when M*R*T < 1 with bound K_alpha K_E K_u / (1 - MRT)^2.
-* ``gevrey_tail``     - sub-factorial growth (k!)^s with s < 1: the tail
-  sum K_alpha K_E K_u sum_{k>N} (k+1) (MRT)^k (k!)^(s-1), finite for any
-  horizon, usable as a truncation certificate.
+  the differentiated input.  It is at most T^(i+j)/(i+j)! times that
+  norm: the constant K_E folding it into that form is exactly 1.
+* ``gevrey_tail``     - the bound past a truncation N for coefficient
+  growth (k!)^s, 0 <= s <= 1: K_alpha K_u sum_{k>N} (k+1) (MRT)^k
+  (k!)^(s-1).  For s < 1 it is finite for any horizon; the factorial
+  case s = 1 sums in closed form and converges when M*R*T < 1, and its
+  N = -1 value is the geometric bound K_alpha K_u / (1 - MRT)^2.
 * ``estimate_growth`` - least-squares fits of the growth constants from a
   symbolic input or from a series' coefficient functions.
 * ``tail_certificate`` - the two fits spliced into one set of constants
@@ -40,8 +38,7 @@ from .series import GenSeries
 import numpy as np  # noqa: E402
 
 __all__ = [
-    "GrowthData", "GeometricBound", "StirlingConstant", "GrowthFit",
-    "holder_bound", "stirling_KE", "geometric_bound", "gevrey_tail",
+    "GrowthData", "GrowthFit", "holder_bound", "gevrey_tail",
     "estimate_growth", "input_l1_norm", "tail_certificate",
 ]
 
@@ -52,7 +49,7 @@ _TINY_TERM = 1e-300
 class GrowthData:
     """Growth constants: sup-norm of the degree-k coefficient bounded by
     K_alpha * M^k * (k!)^s and the L1 norm of the k-th input derivative by
-    K_u * R^k, on a theta interval of the given length and horizon T."""
+    K_u * R^k, over the horizon T."""
 
     K_alpha: float
     M: float
@@ -60,13 +57,12 @@ class GrowthData:
     R: float
     s: float
     T: float
-    length: float
 
     def __post_init__(self):
-        values = (self.K_alpha, self.M, self.K_u, self.R, self.s, self.T, self.length)
+        values = (self.K_alpha, self.M, self.K_u, self.R, self.s, self.T)
         if not all(map(math.isfinite, values)):  # nan passes every comparison below
             raise ValueError("growth constants must be finite")
-        if min(self.K_alpha, self.M, self.K_u, self.T, self.length) <= 0:
+        if min(self.K_alpha, self.M, self.K_u, self.T) <= 0:
             raise ValueError("growth constants must be positive")
         if self.R < 0:
             raise ValueError("R must be nonnegative")
@@ -84,7 +80,12 @@ class GrowthData:
 
 def holder_bound(i: int, j: int, T: float, norm1: float) -> float:
     """Bound on |E_{x0^i x1 x0^j}[v]| over the domain given the L1 norm of
-    v, with the 0^0 = 1 convention so boundary indices degenerate."""
+    v, with the 0^0 = 1 convention so boundary indices degenerate.
+
+    The prefactor i^i j^j / (i! j! n^n), n = i + j, is at most 1/n!: times
+    n! it is the binomial probability C(n, i) p^i (1-p)^j at p = i/n,
+    which is at most 1, with equality at i = 0 or j = 0.  So the bound
+    is at most T^n/n! times the norm, the K_E = 1 of the tail sums."""
     if i < 0 or j < 0:
         raise ValueError("indices must be nonnegative")
     if T < 0 or norm1 < 0:
@@ -94,102 +95,34 @@ def holder_bound(i: int, j: int, T: float, norm1: float) -> float:
         return norm1
     if T == 0 or norm1 == 0:
         return 0.0
-    return math.exp(_log_prefactor(i, j) + n * math.log(T)) * norm1
-
-
-def _log_prefactor(i: int, j: int) -> float:
-    """log of i^i j^j / (i! j! (i+j)^(i+j)) with 0^0 = 1."""
-    out = 0.0
-    if i > 0:
-        out += i * math.log(i) - math.lgamma(i + 1)
-    if j > 0:
-        out += j * math.log(j) - math.lgamma(j + 1)
-    n = i + j
-    if n > 0:
-        out -= n * math.log(n)
-    return out
-
-
-@record
-class StirlingConstant:
-    value: float
-    argmax: tuple[int, int]
-    scanned_degree: int
-    certified_through: int
-
-
-def _ke_degree_maxima(last: int) -> list[tuple[float, int]]:
-    """For each degree n <= last, the largest maximand
-    i^i j^j n! / (i! j! n^n) over i + j = n, and the first i attaining it.
-
-    The log of a maximand is the sum _log_prefactor forms, in the same
-    order, plus lgamma(n + 1); k log k - lgamma(k + 1) comes from one table
-    (0 for k = 0, the 0^0 = 1 convention), one lgamma per integer."""
-    part = [0.0] + [k * math.log(k) - math.lgamma(k + 1) for k in range(1, last + 1)]
-    out = []
-    for n in range(last + 1):
-        log_nn = n * math.log(n) if n > 0 else 0.0
-        log_fact = math.lgamma(n + 1)
-        values = [math.exp(((part[i] + part[n - i]) - log_nn) + log_fact)
-                  for i in range(n + 1)]
-        best = max(values)
-        out.append((best, values.index(best)))
-    return out
-
-
-def stirling_KE(max_degree: int) -> StirlingConstant:
-    """The least K_E with the Hoelder prefactor <= K_E / (i+j)! for all
-    i+j <= max_degree, as ``value``, with its certificate: the split
-    (i, j) attaining it, and the degree through which the per-degree
-    maximum was checked to be non-increasing (a 2x window past the
-    argmax)."""
-    if max_degree < 0:
-        raise ValueError("max_degree must be nonnegative")
-    # the certificate window ends at most at max(2 max_degree, argmax + 2)
-    maxima = _ke_degree_maxima(max(2 * max_degree, max_degree + 2))
-    arg = max(range(max_degree + 1), key=lambda n: maxima[n][0])  # the first
-    best, i_best = maxima[arg]
-    window_end = max(2 * max_degree, arg + 2, 2)
-    prev = best
-    for n in range(arg + 1, window_end + 1):
-        m = maxima[n][0]
-        if m > prev * (1 + 1e-12):
-            raise ArithmeticError(
-                f"maximand increased at degree {n}; boundedness certificate failed")
-        prev = m
-    return StirlingConstant(best, (i_best, arg - i_best), max_degree, window_end)
-
-
-@record
-class GeometricBound:
-    converges: bool
-    bound: float
-
-
-def geometric_bound(g: GrowthData) -> GeometricBound:
-    """Factorial-growth regime (s = 1): convergent iff M*R*T < 1, with the
-    uniform bound K_alpha K_E K_u / (1 - MRT)^2, K_E = stirling_KE(50)."""
-    if g.s != 1:
-        raise ValueError("geometric_bound applies to the s = 1 regime")
-    mrt = g.mrt
-    if mrt >= 1:
-        return GeometricBound(False, math.inf)
-    return GeometricBound(True, g.K_alpha * stirling_KE(50).value * g.K_u
-                          * (1 - mrt) ** -2)
+    log_prefactor = 0.0  # k^k / k! is 1 at k = 0
+    for k in (i, j):
+        if k:
+            log_prefactor += k * math.log(k) - math.lgamma(k + 1)
+    return math.exp(log_prefactor - n * math.log(n) + n * math.log(T)) * norm1
 
 
 def gevrey_tail(g: GrowthData, n: int) -> float:
-    """Tail bound past truncation n for sub-factorial growth (s < 1):
-    K_alpha K_E K_u * sum_{k>n} (k+1) (MRT)^k (k!)^(s-1), K_E =
-    stirling_KE(50).  n = -1 gives the full-series bound.  A sum past
-    the largest float is math.inf."""
-    if not 0 <= g.s < 1:
-        raise ValueError("gevrey_tail applies to the 0 <= s < 1 regime")
+    """Bound on the tail past truncation n, K_alpha K_u sum_{k>n} (k+1)
+    x^k (k!)^(s-1) with x = M*R*T; n = -1 gives the full-series bound.
+
+    Factorial growth (s = 1) sums in closed form, K_alpha K_u x^(n+1)
+    ((n+2) - (n+1) x) / (1 - x)^2, and diverges (math.inf) when x >= 1;
+    at n = -1 this is the geometric bound K_alpha K_u / (1 - x)^2.
+    Sub-factorial growth (s < 1) converges for every x, and is summed
+    term by term; a sum past the largest float is math.inf."""
+    if n < -1:
+        raise ValueError("the truncation n must be at least -1")
     mrt = g.mrt
+    if g.s == 1:
+        if mrt >= 1:
+            return math.inf
+        return (g.K_alpha * g.K_u * mrt ** (n + 1) * ((n + 2) - (n + 1) * mrt)
+                * (1 - mrt) ** -2)
     if mrt == math.inf:  # M*R*T itself is past the largest float
         return math.inf
     total = 0.0
-    k = n + 1 if n >= 0 else 0
+    k = n + 1
     log_mrt = math.log(mrt) if mrt > 0 else -math.inf
     while True:
         if mrt == 0:
@@ -208,7 +141,7 @@ def gevrey_tail(g: GrowthData, n: int) -> float:
         k += 1
         if k > 100000:
             raise ArithmeticError("tail summation failed to converge")
-    return g.K_alpha * stirling_KE(50).value * g.K_u * total
+    return g.K_alpha * g.K_u * total
 
 
 # ---------------------------------------------------------------------------
@@ -312,9 +245,8 @@ def _fit_input(u: InputSignal, grid: Grid, k_max: int) -> GrowthFit:
     is at most 1e-14 of the norm of u itself, a test that does not depend
     on the scale of u."""
     norms = [_input_norm_surrogate(u, grid, k) for k in range(k_max + 1)]
-    a, b, _ = grid.theta_axes[0]
     base = GrowthData(K_alpha=1.0, M=1.0, K_u=max(norms[0], _TINY_TERM),
-                      R=0.0, s=0.0, T=grid.t_end, length=b - a)
+                      R=0.0, s=0.0, T=grid.t_end)
     logs = [math.log(max(n, _TINY_TERM)) for n in norms]
     if all(n <= 1e-14 * norms[0] for n in norms[1:]):
         return GrowthFit(base, tuple(logs), 0.0, theta_independent=True)
@@ -346,7 +278,7 @@ def _coefficient_sup_norms(c: GenSeries, grid: Grid) -> list[float]:
     return [by_degree.get(k, 0.0) for k in range(max(by_degree) + 1)]
 
 
-def _fit_coefficients(norms: Sequence[float], T: float, length: float) -> GrowthFit:
+def _fit_coefficients(norms: Sequence[float], T: float) -> GrowthFit:
     """Fit log ||alpha_k|| ~ log K_alpha + k log M + s log k! over the
     nonzero norms; s is clipped to [0, 1]."""
     usable = [(k, n) for k, n in enumerate(norms) if n > 0]
@@ -357,7 +289,7 @@ def _fit_coefficients(norms: Sequence[float], T: float, length: float) -> Growth
     (log_k, log_m, s), residual = _least_squares(
         [ks, [math.lgamma(k + 1) for k in ks]], logs)
     data = GrowthData(K_alpha=math.exp(log_k), M=math.exp(log_m),
-                      K_u=1.0, R=1.0, s=min(max(s, 0.0), 1.0), T=T, length=length)
+                      K_u=1.0, R=1.0, s=min(max(s, 0.0), 1.0), T=T)
     return GrowthFit(data, tuple(logs), residual)
 
 
@@ -379,31 +311,24 @@ def estimate_growth(target: Union[InputSignal, GenSeries], grid: Grid,
         raise ValueError("growth fits are defined for one-parameter grids")
     if isinstance(target, InputSignal):
         return _fit_input(target, grid, k_max)
-    a, b, _ = grid.theta_axes[0]
     norms = _coefficient_sup_norms(target, grid)[:k_max + 1]
-    return _fit_coefficients(norms, grid.t_end, b - a)
+    return _fit_coefficients(norms, grid.t_end)
 
 
 def tail_certificate(series: GenSeries, u, grid: Grid, n: int) -> dict | None:
     """The bound on the tail past truncation n of F_series[u], from
     constants fitted to the series' coefficients (K_alpha, M, s) and to
-    the input (K_u, R), with the fits' residuals: a Gevrey tail when the
-    growth is sub-factorial (s < 1), else the geometric bound.  None when
-    the grid is not one-parameter, u is not one symbolic signal, a fit
-    fails, or the bound is not finite."""
+    the input (K_u, R), with the fits' residuals: ``kind`` names the
+    regime, a Gevrey tail when the growth is sub-factorial (s < 1), else
+    geometric.  None when the grid is not one-parameter, u is not one
+    symbolic signal, a fit fails, or the bound is not finite."""
     if not isinstance(u, InputSignal) or not u.is_symbolic:
         return None
     try:
         coeff_fit = estimate_growth(series, grid, k_max=min(n, 8))
         input_fit = estimate_growth(u, grid, k_max=min(n, 8))
         g = coeff_fit.data.replace(K_u=input_fit.data.K_u, R=input_fit.data.R)
-        if g.s < 1 and g.R > 0:
-            tail = gevrey_tail(g, n)
-        elif g.R == 0:
-            tail = 0.0
-        else:
-            geo = geometric_bound(g)
-            tail = geo.bound if geo.converges else math.inf
+        tail = gevrey_tail(g, n)
     except (ValueError, ArithmeticError):
         return None
     if not math.isfinite(tail):

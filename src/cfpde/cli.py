@@ -325,23 +325,21 @@ def _cmd_bounds(args, command: str, started: float) -> int:
     from . import bounds as bd
     from . import iterint as ii
     if args.kind == "check":
+        if args.N is not None and args.N < 0:
+            raise CliError(f"bad --N {args.N}; a truncation is at least 0")
         try:
-            g = bd.GrowthData(args.K_alpha, args.M, args.K_u, args.R,
-                              args.s, args.T, args.length)
+            g = bd.GrowthData(args.K_alpha, args.M, args.K_u, args.R, args.s, args.T)
         except ValueError as e:
             raise CliError(str(e)) from e
-        out: dict = {"constants": g.as_dict(),
-                     "MRT": g.mrt if math.isfinite(g.mrt) else None}
-        if g.s == 1:
-            res = bd.geometric_bound(g)
-            out.update({"converges": res.converges,
-                        "bound": res.bound if math.isfinite(res.bound) else None})
-        else:
-            tails = {str(n): bd.gevrey_tail(g, n) for n in (args.N, -1) if n is not None}
-            out.update({"converges": True,
-                        "tail_at_N": {n: tail if math.isfinite(tail) else None
-                                      for n, tail in tails.items()}})
-        print(json.dumps(out, indent=2, sort_keys=True))
+        # -1 is the full series
+        tails = {str(n): bd.gevrey_tail(g, n) for n in (args.N, -1) if n is not None}
+        print(json.dumps({
+            "constants": g.as_dict(),
+            "MRT": g.mrt if math.isfinite(g.mrt) else None,
+            "converges": g.s < 1 or g.mrt < 1,
+            "tail_at_N": {n: tail if math.isfinite(tail) else None
+                          for n, tail in tails.items()},
+        }, indent=2, sort_keys=True))
         return 0
     if args.u is not None and args.series is not None:
         raise CliError("give --u or --series, not both")
@@ -446,7 +444,6 @@ def build_parser() -> _Parser:
     sp.add_argument("--R", type=float, required=True)
     sp.add_argument("--s", type=float, required=True)
     sp.add_argument("--T", type=float, required=True)
-    sp.add_argument("--length", type=float, required=True)
     sp.add_argument("--N", type=int, default=None)
     sp = b_sub.add_parser("estimate")
     sp.add_argument("--u", default=None)

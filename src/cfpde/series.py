@@ -237,13 +237,16 @@ def shuffle_series(c: GenSeries, d: GenSeries) -> GenSeries:
 
 
 def left_shift(letter: Letter, c: GenSeries) -> GenSeries:
-    """coefficient of w in the result = coefficient of letter*w in c."""
+    """coefficient of w in the result = coefficient of letter*w in c, so
+    c must be exact past the empty word for any of them to be exact."""
+    if c.exact_len == 0:
+        raise SeriesError("a series exact only through length 0 has no exact left shift")
     coeffs = {}
     for w, op in c.coeffs.items():
         if len(w) >= 1 and w[0] == letter:
             coeffs[w[1:]] = op
     return GenSeries(c.dim, coeffs, max(c.max_len - 1, 0), c.alphabet,
-                     exact_len=max(c.exact_len - 1, 0))
+                     exact_len=c.exact_len - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +353,9 @@ def compose(c: GenSeries, d: GenSeries, unital: bool = False,
                 put(Word(prefix + w),
                     op if mult == 1 else do.op_scale(mult, op))
 
-    exact = min(c.exact_len, d.exact_len + 1)
+    # a word of d reaches the result behind the x0 replacing an input letter
+    # of c, one letter longer; a unital product also adds d's words as is
+    exact = min(c.exact_len, d.exact_len + (0 if unital else 1))
     return GenSeries(c.dim, coeffs, cut, d.alphabet, exact_len=exact)
 
 

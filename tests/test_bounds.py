@@ -18,8 +18,22 @@ THETA = ex.var("theta_1")
 
 
 def transport_growth(V=1.0, omega=2.0, T=1.0, length=2 * math.pi, s=0.0):
+    """The constants of y_t + V y_theta = t sin(omega theta) on a theta
+    interval of the given length."""
     return bd.GrowthData(K_alpha=1.0, M=abs(V), K_u=T ** 2 * length / 2,
-                         R=abs(omega), s=s, T=T, length=length)
+                         R=abs(omega), s=s, T=T)
+
+
+def transport_error(grid, n):
+    """|F - F_n| on the grid for V = 1, y0 = 0, u = t sin(2 theta), against
+    the exact solution."""
+    cn = pde.transport_series(pde.TransportSpec(V=1.0, y0=0, N=n))
+    u = ii.InputSignal.symbolic(ex.parse("t*sin(2*theta_1)", 1))
+    yn = ii.evaluate_series(cn, u, grid).values
+    th = grid.theta_points(0)[:, None]
+    t = grid.t_points[None, :]
+    exact = (np.sin(2 * (t - th)) + np.sin(2 * th) - 2 * t * np.cos(2 * th)) / 4.0
+    return np.max(np.abs(yn - exact))
 
 
 class TestHolderBound:
@@ -55,47 +69,37 @@ class TestHolderBound:
             assert field.max_abs() <= bd.holder_bound(1, 1, 1.0, norm)
 
 
-class TestStirlingConstant:
-    def test_degree_zero(self):
-        assert bd.stirling_KE(0).value == 1.0
+class TestBinomialConstant:
+    """K_E = 1: the Hoelder prefactor i^i j^j / (i! j! n^n), n = i + j,
+    times n! is the binomial probability C(n, i) p^i (1-p)^j at p = i/n."""
 
-    def test_degree_two_exhaustive(self):
-        # oracle: evaluate the maximand i^i j^j (i+j)!/(i! j! (i+j)^(i+j))
-        # over every split with i+j <= 2
-        def maximand(i, j):
-            def p(n):
-                return n ** n if n else 1
-            return (p(i) * p(j) * math.factorial(i + j)
-                    / (math.factorial(i) * math.factorial(j) * p(i + j)))
+    def test_exact_integer_inequality_through_degree_100(self):
+        fact = [math.factorial(k) for k in range(101)]
+        for n in range(101):
+            for i in range(n + 1):
+                lhs = i ** i * (n - i) ** (n - i) * fact[n]
+                rhs = fact[i] * fact[n - i] * n ** n
+                if i in (0, n):
+                    assert lhs == rhs
+                else:
+                    assert lhs < rhs, (i, n - i)
 
-        best = max(maximand(i, n - i) for n in range(3) for i in range(n + 1))
-        assert best == 1.0
-        assert bd.stirling_KE(2).value == pytest.approx(best, rel=1e-12)
+    def test_holder_prefactor_times_factorial_at_most_one(self):
+        peak = 0.0
+        for n in range(171):
+            for i in range(n + 1):
+                scaled = bd.holder_bound(i, n - i, 1.0, 1.0) * math.factorial(n)
+                assert scaled <= 1 + 1e-12, (i, n - i)
+                peak = max(peak, scaled)
+        assert peak == pytest.approx(1.0, abs=1e-12)
 
-    def test_monotone_in_degree(self):
-        values = [bd.stirling_KE(n).value for n in range(51)]
-        for a, b in zip(values, values[1:]):
-            assert b >= a
-
-    def test_certificate_detail(self):
-        detail = bd.stirling_KE(50)
-        assert detail.value == 1.0
-        assert detail.certified_through >= 100
-
-    def test_matches_per_pair_reference(self):
-        """The k log k - lgamma(k + 1) table gives the floats of one
-        _log_prefactor and lgamma per (i, j) pair, bit for bit."""
-        def maximand(i, j):
-            return math.exp(bd._log_prefactor(i, j) + math.lgamma(i + j + 1))
-
-        per_degree = [[maximand(i, n - i) for i in range(n + 1)] for n in range(83)]
-        for d in range(41):
-            best = max(max(row) for row in per_degree[:d + 1])
-            arg = next(n for n, row in enumerate(per_degree) if max(row) == best)
-            i_best = per_degree[arg].index(best)
-            detail = bd.stirling_KE(d)
-            assert (detail.value, detail.argmax) == (best, (i_best, arg - i_best))
-            assert detail.certified_through == max(2 * d, arg + 2, 2)
+    def test_matches_the_binomial_probability(self):
+        for n in range(1, 40):
+            for i in range(n + 1):
+                p = i / n
+                want = math.comb(n, i) * p ** i * (1 - p) ** (n - i)
+                assert bd.holder_bound(i, n - i, 1.0, 1.0) * math.factorial(n) == \
+                    pytest.approx(want, rel=1e-12)
 
 
 class TestTimeIntegrals:
@@ -142,34 +146,66 @@ class TestTimeIntegrals:
 
 
 class TestGeometricBound:
+    """The factorial regime s = 1: the full-series tail (n = -1) is the
+    geometric bound K_alpha K_u / (1 - MRT)^2."""
+
     def test_half_rate_gives_four(self):
-        res = bd.geometric_bound(bd.GrowthData(1, 1, 1, 0.5, 1, 1, 1))
-        assert res.converges and res.bound == 4.0
+        assert bd.gevrey_tail(bd.GrowthData(1, 1, 1, 0.5, 1, 1), -1) == 4.0
 
     def test_boundary_diverges(self):
-        res = bd.geometric_bound(bd.GrowthData(1, 1, 1, 1.0, 1, 1, 1))
-        assert not res.converges and res.bound == math.inf
+        assert bd.gevrey_tail(bd.GrowthData(1, 1, 1, 1.0, 1, 1), -1) == math.inf
 
     def test_theta_independent_input(self):
-        res = bd.geometric_bound(bd.GrowthData(2.0, 3.0, 5.0, 0.0, 1, 1, 1))
-        assert res.converges and res.bound == pytest.approx(10.0, rel=1e-12)
-
-    def test_requires_factorial_regime(self):
-        with pytest.raises(ValueError):
-            bd.geometric_bound(bd.GrowthData(1, 1, 1, 1, 0.5, 1, 1))
+        g = bd.GrowthData(2.0, 3.0, 5.0, 0.0, 1, 1)
+        assert bd.gevrey_tail(g, -1) == pytest.approx(10.0, rel=1e-12)
+        assert bd.gevrey_tail(g, 0) == 0.0
 
     def test_dominates_transport_evaluation(self):
         # shrink the horizon so MRT = 0.8 < 1, then the uniform bound must
         # dominate the evaluated magnitude
         T = 0.4
         g = transport_growth(V=1.0, omega=2.0, T=T, s=1.0)
-        res = bd.geometric_bound(g)
-        assert res.converges
+        bound = bd.gevrey_tail(g, -1)
+        assert math.isfinite(bound)
         grid = ii.Grid(((0.0, 2 * math.pi, 129),), T, 257)
         c = pde.transport_series(pde.TransportSpec(V=1.0, y0=0, N=12))
         u = ii.InputSignal.symbolic(ex.parse("t*sin(2*theta_1)", 1))
         y = ii.evaluate_series(c, u, grid)
-        assert y.max_abs() <= res.bound
+        assert y.max_abs() <= bound
+
+    @pytest.mark.parametrize("n", [4, 8])
+    def test_tail_dominates_truncation_error(self, n):
+        # the same case, MRT = 0.8: the tail past n bounds |F - F_n|
+        T = 0.4
+        grid = ii.Grid(((0.0, 2 * math.pi, 129),), T, 257)
+        tail = bd.gevrey_tail(transport_growth(V=1.0, omega=2.0, T=T, s=1.0), n)
+        assert transport_error(grid, n) <= tail < bd.gevrey_tail(
+            transport_growth(V=1.0, omega=2.0, T=T, s=1.0), -1)
+
+    @pytest.mark.parametrize("x", [0.0, 0.25, 0.5, 0.9, 0.999])
+    def test_closed_form_matches_the_sum(self, x):
+        # oracle: math.fsum of (k+1) x^k over k > n, out to where the
+        # terms fall below 1e-20 of the smallest tail, which exceeds x^21
+        terms = [1.0]
+        while x and terms[-1] > 1e-20 * x ** 21:
+            terms.append((len(terms) + 1) * x ** len(terms))
+        g = bd.GrowthData(1, 1, 1, x, 1, 1)
+        for n in range(-1, 21):
+            assert math.isclose(bd.gevrey_tail(g, n), math.fsum(terms[n + 1:]),
+                                rel_tol=1e-12)
+
+    def test_scales_with_the_constants(self):
+        g = bd.GrowthData(1, 0.5, 1, 1.5, 1, 0.8)  # MRT = 0.6
+        for n in (-1, 2, 7):
+            assert bd.gevrey_tail(g.replace(K_alpha=3.0, K_u=0.25), n) == pytest.approx(
+                0.75 * bd.gevrey_tail(g, n), rel=1e-15)
+
+    @pytest.mark.parametrize("n", [-1, 3, 10])
+    def test_limit_of_the_subfactorial_sum(self, n):
+        # the term-by-term sum at s just below 1 approaches the closed form
+        g = bd.GrowthData(1, 1, 1, 0.5, 1, 1)
+        assert bd.gevrey_tail(g.replace(s=1 - 1e-12), n) == pytest.approx(
+            bd.gevrey_tail(g, n), rel=1e-9)
 
 
 class TestGevreyTail:
@@ -180,7 +216,7 @@ class TestGevreyTail:
             total += (k + 1) / fact
             fact *= k + 1
         assert abs(total - 2 * math.e) < 1e-12
-        g = bd.GrowthData(1, 1, 1, 1, 0, 1, 1)
+        g = bd.GrowthData(1, 1, 1, 1, 0, 1)
         assert bd.gevrey_tail(g, -1) == pytest.approx(total, abs=1e-12)
 
     def test_tail_monotone(self):
@@ -193,24 +229,23 @@ class TestGevreyTail:
         g = transport_growth(V=1.0, omega=2.0)
         assert math.isfinite(bd.gevrey_tail(g, 4))
 
-    def test_requires_subfactorial_regime(self):
-        with pytest.raises(ValueError):
-            bd.gevrey_tail(bd.GrowthData(1, 1, 1, 1, 1.0, 1, 1), 4)
+    def test_factorial_regime_accepted(self):
+        g = bd.GrowthData(1, 1, 1, 0.5, 1.0, 1)
+        assert bd.gevrey_tail(g, 4) == 0.5 ** 5 * (6 - 5 * 0.5) * 4
+        for rate in (1.0, 1.5, 1e300):
+            assert bd.gevrey_tail(g.replace(R=rate), 4) == math.inf
+
+    @pytest.mark.parametrize("s", [0.0, 0.5, 1.0])
+    def test_truncation_below_minus_one_rejected(self, s):
+        with pytest.raises(ValueError, match="at least -1"):
+            bd.gevrey_tail(bd.GrowthData(1, 1, 1, 0.5, s, 1), -2)
 
     @pytest.mark.parametrize("n", [4, 8, 12])
     def test_truncation_certificate(self, n):
         # |F - F_n| on the grid is dominated by the tail at the measured
         # constants, pointwise
         grid = ii.Grid(((0.0, 2 * math.pi, 129),), 1.0, 513)
-        u = ii.InputSignal.symbolic(ex.parse("t*sin(2*theta_1)", 1))
-        cn = pde.transport_series(pde.TransportSpec(V=1.0, y0=0, N=n))
-        yn = ii.evaluate_series(cn, u, grid).values
-        th = grid.theta_points(0)[:, None]
-        t = grid.t_points[None, :]
-        exact = (np.sin(2 * (t - th)) + np.sin(2 * th)
-                 - 2 * t * np.cos(2 * th)) / 4.0
-        tail = bd.gevrey_tail(transport_growth(), n)
-        assert np.max(np.abs(yn - exact)) <= tail
+        assert transport_error(grid, n) <= bd.gevrey_tail(transport_growth(), n)
 
 
 class TestEstimateGrowth:
@@ -241,12 +276,12 @@ class TestEstimateGrowth:
 
     def test_norm_sequence_accepted(self):
         norms = [3.0 ** k for k in range(6)]
-        fit = bd._fit_coefficients(norms, 1.0, 1.0)
+        fit = bd._fit_coefficients(norms, 1.0)
         assert fit.data.M == pytest.approx(3.0, rel=1e-9)
 
     def test_too_few_norms_rejected(self):
         with pytest.raises(ValueError, match="at least 3"):
-            bd._fit_coefficients([1.0, 0.0, 0.0, 0.0], 1.0, 1.0)
+            bd._fit_coefficients([1.0, 0.0, 0.0, 0.0], 1.0)
 
     @pytest.mark.parametrize("target", [
         ii.InputSignal.symbolic(ex.parse("t*sin(theta_1)", 2)),
@@ -288,7 +323,7 @@ class TestPlainFits:
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.floats(-60, 60), min_size=3, max_size=9))
     def test_coefficient_fit_matches_lstsq(self, logs):
-        fit = bd._fit_coefficients([math.exp(v) for v in logs], 1.0, 1.0)
+        fit = bd._fit_coefficients([math.exp(v) for v in logs], 1.0)
         ks = list(range(len(logs)))
         assert_matches_lstsq(fit, [ks, [math.lgamma(k + 1) for k in ks]], fit.log_norms)
 

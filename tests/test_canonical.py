@@ -218,17 +218,76 @@ class TestCompositionLaws:
     the two sides of a law can be compared for equality."""
 
     @staticmethod
-    def linear_series(data):
+    def linear_ops():
         dyadic = st.integers(-8, 8).filter(bool).map(lambda k: k / 4)
         factor = st.sampled_from([ex.ONE, THETA, ex.sin(THETA)])
         coeff = st.lists(st.tuples(dyadic, factor), min_size=1, max_size=2).map(
             lambda ts: ex.add(*(ex.mul(a, f) for a, f in ts)))
-        ops = st.dictionaries(st.integers(0, 2).map(lambda k: (k,)), coeff,
-                              min_size=1, max_size=2).map(lambda t: do.DiffOp(1, t))
-        words = st.lists(st.sampled_from([DRIFT, X1]), max_size=3).filter(
+        return st.dictionaries(st.integers(0, 2).map(lambda k: (k,)), coeff,
+                               min_size=1, max_size=2).map(lambda t: do.DiffOp(1, t))
+
+    @staticmethod
+    def linear_words(min_size=0, max_size=3):
+        return st.lists(st.sampled_from([DRIFT, X1]), min_size=min_size,
+                        max_size=max_size).filter(
             lambda ls: ls.count(X1) <= 1).map(lambda ls: Word(tuple(ls)))
-        return se.series_from_coeffs(
-            1, data.draw(st.dictionaries(words, ops, min_size=1, max_size=4)))
+
+    @classmethod
+    def linear_series(cls, data):
+        return se.series_from_coeffs(1, data.draw(
+            st.dictionaries(cls.linear_words(), cls.linear_ops(), min_size=1, max_size=4)))
+
+    @classmethod
+    def exact_and_perturbed(cls, data):
+        """A linear series exact through a drawn length, and a copy whose
+        coefficients differ from it only on words past that length."""
+        c = cls.linear_series(data)
+        exact = data.draw(st.integers(0, c.max_len))
+        coeffs = dict(c.coeffs)
+        if exact < c.max_len:
+            noise = data.draw(st.dictionaries(cls.linear_words(exact + 1, c.max_len),
+                                              cls.linear_ops(), min_size=1, max_size=3))
+            for w, op in noise.items():
+                coeffs[w] = do.op_add(coeffs[w], op) if w in coeffs else op
+        return (se.GenSeries(1, c.coeffs, c.max_len, {X1}, exact_len=exact),
+                se.GenSeries(1, coeffs, c.max_len, {X1}, exact_len=exact))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_exact_len_is_never_too_generous(self, data):
+        """Changing the inputs past their exact_len leaves every result
+        word through the result's exact_len unchanged."""
+        c, c_noisy = self.exact_and_perturbed(data)
+        d, d_noisy = self.exact_and_perturbed(data)
+        n = data.draw(st.integers(0, 4))
+
+        def apart(c, d):  # disjoint parameters and input letters
+            return se.embed(c, 2), se.relabel_letters(se.embed(d, 2, 1), {X1: X2})
+
+        def identity_part(c):  # the scalar empty-word coefficient a unital product needs
+            coeffs = {**c.coeffs, Word(): do.from_expr(ex.const(0.5), 1)}
+            return se.GenSeries(1, coeffs, c.max_len, c.alphabet, exact_len=c.exact_len)
+
+        results = {
+            "compose": lambda c, d: se.compose(c, d),
+            "compose unital": lambda c, d: se.compose(
+                identity_part(c), identity_part(d), unital=True),
+            "shuffle_series": lambda c, d: se.shuffle_series(*apart(c, d)),
+            "parallel_sum": se.parallel_sum,
+            "truncate": lambda c, d: se.truncate(c, n),
+            "left_shift x0": lambda c, d: se.left_shift(DRIFT, c),
+            "left_shift x1": lambda c, d: se.left_shift(X1, c),
+        }
+        for name, op in results.items():
+            if name.startswith("left_shift") and c.exact_len == 0:
+                with pytest.raises(se.SeriesError, match="no exact left shift"):
+                    op(c, d)
+                continue
+            want, got = op(c, d), op(c_noisy, d_noisy)
+            assert got.exact_len == want.exact_len, name
+            for w in set(want.coeffs) | set(got.coeffs):
+                if len(w) <= want.exact_len:
+                    assert got.coefficient(w) == want.coefficient(w), (name, w)
 
     @settings(max_examples=40, deadline=None)
     @given(st.data())

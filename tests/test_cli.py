@@ -27,7 +27,7 @@ from cfpde.words import word
 GRID = "0:6.283185307179586:65,0:1:129"
 SOLVE = ["solve", "transport", "--V", "1", "--u", "t", "--N", "2", "--grid", "0:1:5,0:1:5"]
 CHECK = ["bounds", "check", "--K-alpha", "1", "--M", "1", "--K-u", "1", "--R", "0.5",
-         "--s", "1", "--T", "1", "--length", "1"]
+         "--s", "1", "--T", "1"]
 
 
 def run(argv):
@@ -261,20 +261,36 @@ class TestEval:
 
 class TestBounds:
     def test_check_geometric(self, capsys):
-        assert run(["bounds", "check", "--K-alpha", "1", "--M", "1",
-                    "--K-u", "1", "--R", "0.5", "--s", "1",
-                    "--T", "1", "--length", "1"]) == 0
+        assert run(CHECK) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["converges"] is True
-        assert payload["bound"] == 4.0
+        assert payload["tail_at_N"] == {"-1": 4.0}
+        assert run(CHECK + ["--N", "3"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["tail_at_N"] == {"-1": 4.0, "3": 0.75}
+
+    def test_check_geometric_divergence(self, capsys):
+        assert run(CHECK[:-2] + ["--T", "2", "--N", "3"]) == 0  # MRT = 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["MRT"] == 1.0 and payload["converges"] is False
+        assert payload["tail_at_N"] == {"-1": None, "3": None}
 
     def test_check_gevrey_tail(self, capsys):
         assert run(["bounds", "check", "--K-alpha", "1", "--M", "1",
                     "--K-u", "1", "--R", "1", "--s", "0",
-                    "--T", "1", "--length", "1", "--N", "4"]) == 0
+                    "--T", "1", "--N", "4"]) == 0
         payload = json.loads(capsys.readouterr().out)
+        assert sorted(payload) == ["MRT", "constants", "converges", "tail_at_N"]
         assert payload["converges"] is True
         assert payload["tail_at_N"]["-1"] == pytest.approx(2 * math.e, abs=1e-12)
+        assert 0 < payload["tail_at_N"]["4"] < payload["tail_at_N"]["-1"]
+
+    @pytest.mark.parametrize("s", ["0.5", "1"])
+    @pytest.mark.parametrize("n", ["-1", "-7"])
+    def test_check_refuses_a_negative_truncation(self, capsys, s, n):
+        argv = CHECK[:-4] + ["--s", s, "--T", "1", "--N", n]
+        assert run(argv) == 1
+        assert capsys.readouterr().err == f"error: bad --N {n}; a truncation is at least 0\n"
 
     def test_estimate_from_input(self, capsys):
         assert run(["bounds", "estimate", "--u", "t*sin(2*theta_1)",
@@ -286,7 +302,7 @@ class TestBounds:
     def test_invalid_constants_exit_one(self, capsys):
         assert run(["bounds", "check", "--K-alpha", "-1", "--M", "1",
                     "--K-u", "1", "--R", "1", "--s", "0",
-                    "--T", "1", "--length", "1"]) == 1
+                    "--T", "1"]) == 1
 
     def test_estimate_refuses_input_and_series(self, capsys, transport_files):
         assert run(["bounds", "estimate", "--u", "t*sin(theta_1)", "--series",
@@ -1037,7 +1053,7 @@ class TestArgvFuzz:
         ("eval",): {"--series": series, "input": inputs, "--grid": grids,
                     "--out": outs, "--report": outs},
         ("bounds", "check"): {
-            **dict.fromkeys(["--K-alpha", "--M", "--K-u", "--R", "--T", "--length"], positive),
+            **dict.fromkeys(["--K-alpha", "--M", "--K-u", "--R", "--T"], positive),
             "--s": _mostly(["0", "0.25", "0.5", "1"], bad_numbers), "--N": orders},
         ("bounds", "estimate"): {"input": estimate_inputs, "--grid": grids,
                                  "--k-max": _mostly(["2", "3", "8"], ["1", "-1", "x"])},

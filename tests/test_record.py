@@ -134,7 +134,7 @@ class TestFrozen:
         assert p == Point(1.0)
 
     def test_replace_copies_and_validates(self):
-        g = GrowthData(1.0, 2.0, 3.0, 0.5, 0.0, 1.0, 6.0)
+        g = GrowthData(1.0, 2.0, 3.0, 0.5, 0.0, 1.0)
         h = g.replace(K_u=4.0, R=0.25)
         assert (h.K_u, h.R, h.M) == (4.0, 0.25, 2.0) and g.K_u == 3.0
         with pytest.raises(ValueError):

@@ -210,6 +210,13 @@ class TestShiftTruncateLinear:
         c = simple_series(1, {word("x0", "x1"): A})
         assert se.left_shift(DRIFT, c).coeffs == {word("x1"): A}
 
+    def test_left_shift_needs_an_exact_word_past_the_empty_one(self):
+        c = se.GenSeries(1, {Word(): do.identity(1), word("x1"): do.identity(1)}, 1,
+                         exact_len=0)
+        with pytest.raises(se.SeriesError, match="no exact left shift"):
+            se.left_shift(X1, c)
+        assert se.left_shift(X1, se.GenSeries(1, c.coeffs, 2, exact_len=1)).exact_len == 0
+
     def test_left_shift_adjointness(self):
         c = pde.transport_series(pde.TransportSpec(
             V=1.0, y0=ex.sin(THETA), N=5))
