@@ -110,7 +110,9 @@ def gevrey_tail(g: GrowthData, n: int) -> float:
     ((n+2) - (n+1) x) / (1 - x)^2, and diverges (math.inf) when x >= 1;
     at n = -1 this is the geometric bound K_alpha K_u / (1 - x)^2.
     Sub-factorial growth (s < 1) converges for every x, and is summed
-    term by term; a sum past the largest float is math.inf."""
+    term by term; a sum past the largest float is math.inf.  A sum still
+    running after 100,000 terms with x < 1 ends in the s = 1 tail past
+    its last term."""
     if n < -1:
         raise ValueError("the truncation n must be at least -1")
     mrt = g.mrt
@@ -119,29 +121,23 @@ def gevrey_tail(g: GrowthData, n: int) -> float:
             return math.inf
         return (g.K_alpha * g.K_u * mrt ** (n + 1) * ((n + 2) - (n + 1) * mrt)
                 * (1 - mrt) ** -2)
-    if mrt == math.inf:  # M*R*T itself is past the largest float
-        return math.inf
     total = 0.0
-    k = n + 1
     log_mrt = math.log(mrt) if mrt > 0 else -math.inf
-    while True:
-        if mrt == 0:
-            term = (k + 1.0) if k == 0 else 0.0
-        else:
-            try:
-                term = math.exp(math.log(k + 1.0) + k * log_mrt
-                                + (g.s - 1) * math.lgamma(k + 1))
-            except OverflowError:
-                return math.inf
+    for k in range(n + 1, n + 100001):  # at most 100,000 terms
+        try:  # k * log_mrt is nan at k = 0 when M*R*T is 0 or inf
+            term = math.exp(math.log(k + 1.0) + (k * log_mrt if k else 0.0)
+                            + (g.s - 1) * math.lgamma(k + 1))
+        except OverflowError:
+            return math.inf
         total += term
         if total == math.inf:
             return math.inf
         if term < _TINY_TERM and k > n + 2:
-            break
-        k += 1
-        if k > 100000:
-            raise ArithmeticError("tail summation failed to converge")
-    return g.K_alpha * g.K_u * total
+            return g.K_alpha * g.K_u * total
+    if mrt >= 1:
+        raise ArithmeticError("tail summation failed to converge")
+    # each term is at most its s = 1 term, as (k!)^(s-1) <= 1
+    return g.K_alpha * g.K_u * total + gevrey_tail(g.replace(s=1.0), k)
 
 
 # ---------------------------------------------------------------------------

@@ -529,10 +529,16 @@ def entry() -> int:
     cycles, so the cyclic collector would only spend time: it is off
     before the subcommand imports its modules.  ``gc.freeze()`` at the
     end moves every object to the permanent generation, which the
-    collections at interpreter shutdown do not traverse."""
+    collections at interpreter shutdown do not traverse.  A standard
+    output whose reader has gone is exit code 1, without a traceback."""
     gc.disable()
     try:
-        return main()
+        code = main()
+        sys.stdout.flush()  # a gone reader fails here, not at shutdown
+        return code
+    except BrokenPipeError:  # what is left goes to os.devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     finally:
         gc.freeze()
 

@@ -699,8 +699,8 @@ def iterated_integral(w: Word, u: Union[InputSignal, Binding], grid: Grid) -> Gr
 # export
 #
 # write_csv prints every value as format(x, ".17g") does.  For zeros and
-# for 2^-19 <= |x| < 2^53 it computes the digits in numpy, one block of
-# whole theta rows at a time: x = D * 10^(k-16) with k = floor(log10 |x|)
+# for 2^-19 <= |x| < 2^53 it computes the digits in numpy, one chunk of
+# lines at a time: x = D * 10^(k-16) with k = floor(log10 |x|)
 # and D the 17-digit integer nearest to |x| * 10^(16-k), ties to even.
 #
 # * k comes exactly from the exponent bits: a binade [2^e, 2^(e+1)) holds
@@ -716,7 +716,7 @@ def iterated_integral(w: Word, u: Union[InputSignal, Binding], grid: Grid) -> Gr
 # * Each value gets a 48-byte cell that holds every character its text
 #   could need, and a mask, looked up by re/im, sign, decade and number
 #   of significant digits, keeps the ones it does need.  One boolean
-#   index over a block of lines then packs them.  Cell columns: 0-6 the
+#   index over a chunk of lines then packs them.  Cell columns: 0-6 the
 #   separator, the sign and "0.", "0.0", ... right-justified; 7 the
 #   first digit; 8-23 the other sixteen; 27 '.'; 28-43 the sixteen
 #   again, for the digits after a '.'; 44-47 "e-05" or "e-06".  For the
@@ -726,7 +726,7 @@ def iterated_integral(w: Word, u: Union[InputSignal, Binding], grid: Grid) -> Gr
 _K_MIN = -6  # decades k = -6..15 cover [2^-19, 2^53)
 _ZERO, _OTHER, _CODES = 22, 23, 24  # codes: k - _K_MIN, zero, format()
 _CELL, _FIRST, _DOT = 48, 7, 27
-_CSV_BLOCK = 2048  # values per block, rounded down to whole theta rows
+_CSV_LINES = 1024  # lines of a complex chunk, rounded down to whole theta rows
 
 
 def _two_split(a):
@@ -862,68 +862,6 @@ def _text_columns(strings: list[str], lead: bytes, right: bool,
     return chars.view(f"V{width}")[:, 0], (chars != 0).view(f"V{width}")[:, 0]
 
 
-class _CsvLines:
-    """Text buffers for the lines of one layout: a re and an im cell per
-    line, or for a real block the re cell and an 8-byte slot holding
-    ",0".  They hold `rows` whole theta rows, or `span` time points of
-    one row when a row alone holds more, within `budget` bytes.  The
-    coordinate columns lie between `edges`, each filled as one void item
-    per line, and the cells start at `head`."""
-
-    __slots__ = ("real", "rows", "span", "text", "keep", "columns", "cells",
-                 "cell_keep", "groups", "t_filled")
-
-    def __init__(self, real: bool, edges: list, head: int, budget: int, nt: int):
-        n_cells, slot = (1, 8) if real else (2, 0)
-        width = head + n_cells * _CELL + slot
-        lines = budget // width
-        self.real = real
-        self.span = span = min(nt, lines)
-        self.rows = rows = max(1, lines // nt)
-        self.text = np.zeros((rows, span, width), dtype=np.uint8)
-        self.keep = np.zeros(self.text.shape, dtype=bool)
-        self.columns = [(self.text[:, :, a:b].view(f"V{b - a}")[..., 0],
-                         self.keep[:, :, a:b].view(f"V{b - a}")[..., 0])
-                        for a, b in zip(edges, edges[1:])]
-        cell_cols = slice(head, head + n_cells * _CELL)
-        self.cells = self.text[:, :, cell_cols].reshape(rows * span, n_cells, _CELL)
-        self.cells[..., _DOT] = ord(".")
-        self.cell_keep = self.keep[:, :, cell_cols].reshape(rows * span, n_cells, _CELL)
-        if real:
-            self.text[:, :, -slot:-slot + 2] = np.frombuffer(b",0", dtype=np.uint8)
-            self.keep[:, :, -slot:-slot + 2] = True
-        self.groups = np.empty(4 * n_cells * rows * span, dtype=np.int64)
-        self.t_filled = False  # with span = nt the time column never changes
-
-    def write(self, fh, block: np.ndarray, r0: int, theta_texts: list,
-              theta_shape: tuple, t_column) -> None:
-        """Print the (m, nt) samples of theta rows r0..r0+m-1.  theta_texts
-        holds each theta column's texts and masks, by point, and
-        t_column(c0, n) the time column's at points c0..c0+n-1."""
-        rows, span = self.rows, self.span
-        n_cells = 1 if self.real else 2
-        m_block, nt = block.shape
-        index = np.unravel_index(np.arange(r0, r0 + m_block), theta_shape)
-        for i0 in range(0, m_block, rows):
-            m = min(rows, m_block - i0)
-            for (text, keep), at, (chars, chars_keep) in zip(self.columns[:-1], index,
-                                                             theta_texts):
-                text[:m] = chars[at[i0:i0 + m], None]
-                keep[:m] = chars_keep[at[i0:i0 + m], None]
-            for c0 in range(0, nt, span):
-                n = min(span, nt - c0)
-                if span < nt or not self.t_filled:
-                    text, keep = self.columns[-1]
-                    text[:, :n], keep[:, :n] = t_column(c0, n)
-                    self.t_filled = True
-                part = block[i0:i0 + m, c0:c0 + n]
-                x = np.ascontiguousarray(part.real if self.real else part).view(np.float64)
-                _format_block(x.reshape(m * n, n_cells), self.cells[:m * n],
-                              self.cell_keep[:m * n], self.groups)
-                packed = self.text[:m, :n].reshape(-1)[self.keep[:m, :n].reshape(-1)]
-                fh.write(packed.tobytes().decode("ascii"))
-
-
 def write_csv(field: GridField, fh) -> bool:
     """theta coordinates, t, re, im; theta-outer / t-inner row order.
     Returns whether every value written was finite.
@@ -936,15 +874,16 @@ def write_csv(field: GridField, fh) -> bool:
     coordinates go through format() one at a time.
 
     The field is taken in the blocks of GridField.blocks, a factored
-    field's formed one block at a time and dropped once printed, and
-    each block is printed in lines of at most _CSV_BLOCK values.  When
-    every imaginary part of a block is +0.0, its im column is the
-    constant text "0" and only the real parts are formatted; "0" is how
-    +0.0 prints, so the bytes are the same whichever blocks take that
-    path."""
+    field's formed one block at a time and dropped once printed.  Each
+    block is printed in chunks of lines: runs of whole theta rows, or
+    spans of one row when a row alone is longer.  A chunk fills the
+    bytes of at most _CSV_LINES lines with an im cell each, in whole
+    rows when one fits.  When every imaginary part of a block is +0.0,
+    its im column is the constant text "0" and only the real parts are
+    formatted, so more of its narrower lines fit; "0" is how +0.0
+    prints, so the bytes are the same whichever blocks take that path."""
     grid = field.grid
     nt = grid.n_t
-    theta_shape = grid.shape[:-1]
     # each line starts with the newline that ends the one before it
     fh.write(",".join([f"theta_{k + 1}" for k in range(grid.dim)] + ["t", "re", "im"]))
     columns = [_text_columns([f"{x:.17g}" for x in grid.theta_points(k).tolist()],
@@ -953,10 +892,8 @@ def write_csv(field: GridField, fh) -> bool:
     t_width = 25  # the longest ".17g" text of a double, and ','
     edges = np.cumsum([0] + [chars.itemsize for chars, _ in columns] + [t_width]).tolist()
     head = -(-edges[-1] // 8) * 8  # cells start on 8-byte boundaries
-    # the text buffer of either layout holds the bytes of the lines of
-    # _CSV_BLOCK values with an im cell each; a real block's narrower
-    # lines fill as many of those bytes as fit
-    budget = max(1, _CSV_BLOCK // (2 * nt)) * min(nt, _CSV_BLOCK // 2) * (head + 2 * _CELL)
+    # a chunk's text holds the bytes of a complex chunk, in either layout
+    budget = max(1, _CSV_LINES // nt) * min(nt, _CSV_LINES) * (head + 2 * _CELL)
     t_points = grid.t_points
 
     def t_texts(c0: int, n: int):
@@ -965,21 +902,52 @@ def write_csv(field: GridField, fh) -> bool:
 
     # the time column is formatted once when its text fits in the budget,
     # else for each span of time points of every row
-    if nt * t_width <= budget:
-        t_chars, t_keep = t_texts(0, nt)
+    t_all = t_texts(0, nt) if nt * t_width <= budget else None
 
-        def t_column(c0: int, n: int):
-            return t_chars[c0:c0 + n], t_keep[c0:c0 + n]
-    else:
-        t_column = t_texts
-    layouts: dict[bool, _CsvLines] = {}
+    # one text buffer and mask, viewed as lines of each block's layout
+    text_bytes = np.zeros(budget, dtype=np.uint8)
+    keep_bytes = np.zeros(budget, dtype=bool)
     finite = True
     for r0, block in field.blocks():
         # a real block, or no imaginary part is nonzero, -0.0 or nan
         real = block.dtype == np.float64 or not block.imag.view(np.uint64).any()
-        if real not in layouts:
-            layouts[real] = _CsvLines(real, edges, head, budget, nt)
-        layouts[real].write(fh, block, r0, columns, theta_shape, t_column)
+        n_cells = 1 if real else 2
+        # lines of a re and an im cell, or of a re cell and an 8-byte slot
+        # holding ",0"; a chunk is rows x span of them
+        width = head + n_cells * _CELL + 8 * real
+        span = min(nt, budget // width)
+        rows = max(1, budget // width // nt)
+        text = text_bytes[:rows * span * width].reshape(-1, width)
+        keep = keep_bytes[:rows * span * width].reshape(-1, width)
+        keep[:] = False
+        # each coordinate column's text and mask, one void item per line
+        coords = [(text[:, a:b].view(f"V{b - a}")[:, 0], keep[:, a:b].view(f"V{b - a}")[:, 0])
+                  for a, b in zip(edges, edges[1:])]
+        cells = text[:, head:head + n_cells * _CELL].reshape(-1, n_cells, _CELL)
+        cell_keep = keep[:, head:head + n_cells * _CELL].reshape(-1, n_cells, _CELL)
+        cells[..., _DOT] = ord(".")
+        if real:
+            text[:, -8:-6] = np.frombuffer(b",0", dtype=np.uint8)
+            keep[:, -8:-6] = True
+        if span == nt:  # every chunk holds whole rows
+            coords[-1][0].reshape(rows, nt)[:] = t_all[0]
+            coords[-1][1].reshape(rows, nt)[:] = t_all[1]
+        index = np.unravel_index(np.arange(r0, r0 + len(block)), grid.shape[:-1])
+        for i0, c0 in itertools.product(range(0, len(block), rows), range(0, nt, span)):
+            m, n = min(rows, len(block) - i0), min(span, nt - c0)
+            lines = m * n
+            # the theta texts of each row, broadcast along it
+            for (text_k, keep_k), at, (chars, chars_keep) in zip(coords, index, columns):
+                text_k[:lines].reshape(m, n)[:] = chars[at[i0:i0 + m], None]
+                keep_k[:lines].reshape(m, n)[:] = chars_keep[at[i0:i0 + m], None]
+            if span < nt:
+                t = t_texts(c0, n) if t_all is None else [a[c0:c0 + n] for a in t_all]
+                coords[-1][0][:n], coords[-1][1][:n] = t
+            part = block[i0:i0 + m, c0:c0 + n]
+            x = np.ascontiguousarray(part.real if real else part).view(np.float64)
+            _format_block(x.reshape(lines, n_cells), cells[:lines], cell_keep[:lines],
+                          np.empty(4 * x.size, dtype=np.int64))
+            fh.write(text[:lines].reshape(-1)[keep[:lines].reshape(-1)].tobytes().decode("ascii"))
         finite = finite and bool(np.isfinite(block).all())
     fh.write("\n")
     return finite

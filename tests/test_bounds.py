@@ -235,6 +235,13 @@ class TestGevreyTail:
         for rate in (1.0, 1.5, 1e300):
             assert bd.gevrey_tail(g.replace(R=rate), 4) == math.inf
 
+    def test_sum_past_the_term_guard_ends_in_the_factorial_tail(self):
+        g = bd.GrowthData(1, 1, 1, 0.9999, 0.9999, 1)
+        head = math.fsum(math.exp(math.log(k + 1) + k * math.log(g.mrt)
+                                  + (g.s - 1) * math.lgamma(k + 1)) for k in range(1000))
+        tail = bd.gevrey_tail(g, -1)
+        assert head <= tail <= bd.gevrey_tail(g.replace(s=1.0), -1)
+
     @pytest.mark.parametrize("s", [0.0, 0.5, 1.0])
     def test_truncation_below_minus_one_rejected(self, s):
         with pytest.raises(ValueError, match="at least -1"):

@@ -292,6 +292,16 @@ class TestBounds:
         assert run(argv) == 1
         assert capsys.readouterr().err == f"error: bad --N {n}; a truncation is at least 0\n"
 
+    def test_check_subfactorial_sum_past_the_term_guard(self, capsys):
+        """At MRT = 0.9999 the s < 1 sum is still running after 100,000
+        terms; it ends in the s = 1 tail, which dominates it."""
+        argv = CHECK[:-6] + ["--R", "0.9999", "--s", "0.9999", "--T", "1"]
+        assert run(argv) == 0
+        tail = json.loads(capsys.readouterr().out)["tail_at_N"]["-1"]
+        assert run(CHECK[:-6] + ["--R", "0.9999", "--s", "1", "--T", "1"]) == 0
+        assert math.isfinite(tail)
+        assert tail <= json.loads(capsys.readouterr().out)["tail_at_N"]["-1"]
+
     def test_estimate_from_input(self, capsys):
         assert run(["bounds", "estimate", "--u", "t*sin(2*theta_1)",
                     "--grid", "0:6.283185307179586:257,0:1:129",
@@ -616,6 +626,23 @@ def _loaded_after(argvs, cwd):
     rc, modules = json.loads(proc.stdout.splitlines()[-1])
     assert rc == 0, proc.stderr
     return set(modules)
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize("unbuffered", ["", "1"])  # "": flushed at the end
+    @pytest.mark.parametrize("argv", [CHECK, ["verify", "--only", "8"]])
+    def test_closed_pipe_exits_one_without_a_traceback(self, argv, unbuffered):
+        read, write = os.pipe()
+        os.close(read)  # the reader has gone before cf writes
+        try:
+            proc = subprocess.run([sys.executable, "-m", "cfpde.cli", *argv], stdout=write,
+                                  stderr=subprocess.PIPE, text=True,
+                                  env=dict(os.environ, PYTHONPATH=SRC,
+                                           PYTHONUNBUFFERED=unbuffered))
+        finally:
+            os.close(write)
+        assert proc.returncode == 1
+        assert proc.stderr == ""
 
 
 class TestHashSeed:

@@ -495,6 +495,19 @@ def per_cell_csv(field):
     return "\n".join(lines) + "\n"
 
 
+def chunk_cases(grids):
+    """(theta_axes, n_t, chunk) for each grid with write_csv's own chunk
+    size, and with chunks of one line, of 23 lines (shorter than a row,
+    and no divisor of n_t) and of 20,000 lines (more than a block).  The
+    own size's cases are named by the grid alone."""
+    cases = []
+    for i, (theta_axes, n_t) in enumerate(grids):
+        cases.append(pytest.param(theta_axes, n_t, ii._CSV_LINES, id=f"theta_axes{i}-{n_t}"))
+        cases += [pytest.param(theta_axes, n_t, chunk, id=f"theta_axes{i}-{n_t}-chunk{chunk}")
+                  for chunk in (1, 23, 20_000)]
+    return cases
+
+
 def assert_printed_as_format(floats):
     """write_csv prints each of the floats, placed in the re and im
     columns of a small field, exactly as format() does."""
@@ -615,14 +628,30 @@ class TestCsvDigits:
         a few binades either side."""
         assert_printed_as_format([float_bits(*p) for p in parts])
 
-    @pytest.mark.parametrize("theta_axes, n_t", [
-        (((-1.0, 0.3, 7), (-0.7, -0.1, 9)), 65),  # several theta rows per block
-        (((0.0, 2.0, 3),), 1500),                 # each row split in two blocks
-    ])
-    def test_blocks_match_per_cell_formatting(self, theta_axes, n_t):
+    @pytest.mark.parametrize("theta_axes, n_t, chunk", chunk_cases([
+        (((-1.0, 0.3, 7), (-0.7, -0.1, 9)), 65),  # several theta rows per chunk
+        (((0.0, 2.0, 3),), 1500),                 # each row cut in spans
+    ]))
+    def test_blocks_match_per_cell_formatting(self, monkeypatch, theta_axes, n_t, chunk):
+        """Every value is complex, so each chunk holds at most chunk lines:
+        whole theta rows, or spans of one row when a row is longer."""
+        monkeypatch.setattr(ii, "_CSV_LINES", chunk)
         g = ii.Grid(theta_axes, 0.9, n_t)
         n_rows = math.prod(n for *_, n in theta_axes)
-        assert n_rows * n_t > ii._CSV_BLOCK  # more than one block
+        assert n_rows * n_t <= ii._BLOCK  # one block
+        if chunk >= n_t:
+            rows = chunk // n_t
+            want = [min(rows, n_rows - r) * n_t for r in range(0, n_rows, rows)]
+        else:
+            want = [min(chunk, n_t - c) for c in range(0, n_t, chunk)] * n_rows
+        lines = []
+        format_block = ii._format_block
+
+        def spy(x, *args):
+            lines.append(len(x))
+            format_block(x, *args)
+
+        monkeypatch.setattr(ii, "_format_block", spy)
         rng = np.random.default_rng(5)
         scale = 10.0 ** rng.uniform(-9, 18, g.shape)
         values = (rng.standard_normal(g.shape) * scale
@@ -634,6 +663,7 @@ class TestCsvDigits:
         buf = io.StringIO()
         ii.write_csv(ii.GridField(g, values), buf)
         assert buf.getvalue() == per_cell_csv(ii.GridField(g, values))
+        assert lines == want
 
     @pytest.mark.parametrize("theta_axes, n_t", [
         (((-1.0, 0.3, 7), (-0.7, -0.1, 9)), 65),  # several theta rows per block
@@ -718,13 +748,14 @@ class TestFactoredField:
 
     @pytest.mark.parametrize("kind, columns", [("real", {1}), ("complex", {2}),
                                                 ("mixed", {1, 2})])
-    @pytest.mark.parametrize("theta_axes, n_t", [
-        (((-1.0, 0.3, 7), (-0.7, -0.1, 9)), 65),  # several theta rows per block
+    @pytest.mark.parametrize("theta_axes, n_t, chunk", chunk_cases([
+        (((-1.0, 0.3, 7), (-0.7, -0.1, 9)), 65),  # several theta rows per chunk
         (((0.0, 2.0, 5),), 1500),                 # rows in spans of time points
-    ])
+    ]))
     def test_csv_matches_per_cell_formatting(self, monkeypatch, kind, columns,
-                                             theta_axes, n_t):
+                                             theta_axes, n_t, chunk):
         monkeypatch.setattr(ii, "_BLOCK", 2 * n_t)  # blocks of two rows
+        monkeypatch.setattr(ii, "_CSV_LINES", chunk)
         grid = ii.Grid(theta_axes, 0.9, n_t)
         streamed, materialised = self.factored(grid, kind)
         formatted = []
