@@ -15,11 +15,11 @@ alpha_{i+j}(theta) d^{i+j}/dtheta^{i+j} E_{x0^i x1 x0^j}[u]:
 * ``estimate_growth`` - least-squares fits of the growth constants from a
   symbolic input or from a series' coefficient functions.
 * ``tail_certificate`` - the two fits spliced into one set of constants
-  and the bound they give past a truncation, as ``cf solve transport``
-  reports it.
+  and the bound they give past the series' truncation, as ``cf solve``
+  and ``cf eval`` report it.
 
-Only series supported on pure-drift and single-input words are covered;
-evaluation of nonlinear series carries no certificate.
+Only series of the constant-velocity transport shape are certified
+(``series.linear_degree``); any other series carries no certificate.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from ._record import record
 # (see cli._evaluation_errors); cumulative_trapezoid is not called here,
 # perfbench/tracing.py wraps it under this module's name too
 from .iterint import _BLOCK, Grid, InputSignal, cumulative_trapezoid  # noqa: F401
-from .series import GenSeries
+from .series import GenSeries, linear_degree
 
 import numpy as np  # noqa: E402
 
@@ -311,14 +311,17 @@ def estimate_growth(target: Union[InputSignal, GenSeries], grid: Grid,
     return _fit_coefficients(norms, grid.t_end)
 
 
-def tail_certificate(series: GenSeries, u, grid: Grid, n: int) -> dict | None:
-    """The bound on the tail past truncation n of F_series[u], from
-    constants fitted to the series' coefficients (K_alpha, M, s) and to
-    the input (K_u, R), with the fits' residuals: ``kind`` names the
-    regime, a Gevrey tail when the growth is sub-factorial (s < 1), else
-    geometric.  None when the grid is not one-parameter, u is not one
-    symbolic signal, a fit fails, or the bound is not finite."""
-    if not isinstance(u, InputSignal) or not u.is_symbolic:
+def tail_certificate(series: GenSeries, u, grid: Grid) -> dict | None:
+    """The bound on the tail of F_series[u] past the truncation n that
+    ``linear_degree`` reads off the series, from constants fitted to its
+    coefficients (K_alpha, M, s) and to the input (K_u, R), with the fits'
+    residuals: ``kind`` names the regime, a Gevrey tail when the growth
+    is sub-factorial (s < 1), else geometric.  It covers the input words
+    only.  None when the series has no linear degree, the grid is not
+    one-parameter, u is not one symbolic signal, a fit fails, or the
+    bound is not finite."""
+    n = linear_degree(series)
+    if n is None or not isinstance(u, InputSignal) or not u.is_symbolic:
         return None
     try:
         coeff_fit = estimate_growth(series, grid, k_max=min(n, 8))

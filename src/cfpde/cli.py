@@ -217,7 +217,8 @@ def _evaluation_errors(handler):
     def run(args, command: str, started: float) -> int:
         # every cfpde module the handler runs is compiled before numpy is
         # imported, so that numpy's import reuses the memory the compiler
-        # freed: about 2 MB less resident at the start of a solve
+        # freed: about 2 MB less resident at the start of a solve (an eval
+        # whose series gets a certificate imports bounds after numpy)
         if args.command == "solve":
             from . import pde  # noqa: F401
         if args.command == "bounds" or getattr(args, "kind", None) == "transport":
@@ -284,10 +285,11 @@ def _cmd_field(args, command: str, started: float) -> int:
     # its size to the fit's peak memory
     del field
     bound = None
-    # the growth fit reads D^k on x0^k x1, a transport shape
-    if getattr(args, "kind", None) == "transport":
+    # only a series of the shape the growth fit reads has a certificate;
+    # for any other, bounds is not imported
+    if se.linear_degree(series_obj) is not None:
         from . import bounds as bd
-        bound = bd.tail_certificate(series_obj, u, grid, args.N)
+        bound = bd.tail_certificate(series_obj, u, grid)
     _report(report, command, params, series_obj, bound, started)
     return 0
 
@@ -466,26 +468,16 @@ _HANDLERS = {
 }
 
 
-def _option_strings(parser: argparse.ArgumentParser) -> set[str]:
-    """Every option string of the parser and its subcommands."""
-    out = set(parser._option_string_actions)
-    for action in parser._actions:
-        if isinstance(action, argparse._SubParsersAction):
-            for sub in action.choices.values():
-                out |= _option_strings(sub)
-    return out
-
-
-def _attach_dash_values(argv: list[str], options: set[str]) -> list[str]:
+def _attach_dash_values(argv: list[str]) -> list[str]:
     """Join "--opt VALUE" into "--opt=VALUE" when VALUE starts with a
-    single "-" and is not an option string ("-t", "-sin(theta_1)",
-    "-0.5:0.5:65,0:1:129"), which argparse would otherwise read as an
-    unknown option."""
+    single "-" ("-t", "-sin(theta_1)", "-0.5:0.5:65,0:1:129"), which
+    argparse would otherwise read as an unknown option.  "-h" is the
+    parser's one single-dash option and is never joined."""
     out: list[str] = []
     for arg in argv:
         if (out and out[-1].startswith("--") and len(out[-1]) > 2
                 and "=" not in out[-1] and arg.startswith("-")
-                and not arg.startswith("--") and arg not in options):
+                and not arg.startswith("--") and arg != "-h"):
             out[-1] += "=" + arg
         else:
             out.append(arg)
@@ -498,8 +490,7 @@ def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     try:
-        args = parser.parse_args(
-            _attach_dash_values(list(argv), _option_strings(parser)))
+        args = parser.parse_args(_attach_dash_values(list(argv)))
         command = " ".join(["cf", args.command]
                            + ([args.kind] if getattr(args, "kind", None) else []))
         return _HANDLERS[args.command](args, command, started)

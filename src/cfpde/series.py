@@ -31,7 +31,7 @@ __all__ = [
     "GenSeries", "SeriesError", "OverlappingSupport", "NotLinear", "NonFinite",
     "one_series", "series_from_coeffs",
     "parallel_sum", "series_scale", "shuffle_series", "compose",
-    "left_shift", "truncate", "is_linear",
+    "left_shift", "truncate", "is_linear", "linear_degree",
     "embed", "relabel_letters",
     "series_to_text", "series_from_text", "save_series", "load_series",
 ]
@@ -130,6 +130,20 @@ def is_linear(c: GenSeries) -> bool:
     return all(w.input_letter_count() <= 1 for w in c.coeffs)
 
 
+def linear_degree(c: GenSeries) -> int | None:
+    """The largest i + j over the input words x0^i x_l x0^j of c, when c
+    has the shape the growth fits of ``bounds`` read: one theta axis, one
+    input letter x_l in all its input words, and on each of them the one
+    operator term alpha D^(i+j).  None for any other series."""
+    words = [w for w in c.coeffs if w.input_letter_count()]
+    letters = set().union(*map(Word.input_letters, words))
+    if c.dim != 1 or len(letters) != 1 or any(
+            w.input_letter_count() > 1 or c.coeffs[w].terms.keys() != {(len(w) - 1,)}
+            for w in words):
+        return None
+    return max(len(w) - 1 for w in words)
+
+
 def truncate(c: GenSeries, n: int) -> GenSeries:
     if n < 0:
         raise SeriesError("truncation length must be nonnegative")
@@ -217,7 +231,7 @@ def _shuffle_series_raw(c: GenSeries, d: GenSeries) -> GenSeries:
             op = do.op_mul(c.coeffs[wc], d.coeffs[wd])
             if op.is_zero():
                 continue
-            for w, mult in shuffle_words(wc, wd).sorted_items():
+            for w, mult in shuffle_words(wc, wd).items():
                 piece = op if mult == 1 else do.op_scale(mult, op)
                 coeffs[w] = do.op_add(coeffs[w], piece) if w in coeffs else piece
     return GenSeries(c.dim, coeffs, max_len, c.alphabet | d.alphabet,
@@ -349,7 +363,7 @@ def compose(c: GenSeries, d: GenSeries, unital: bool = False,
                 continue
             op = (do.op_mul(a, op_d) if wd.input_letter_count()
                   else do.from_expr(do.op_apply(a, op_d.constant_part()), c.dim))
-            for w, mult in shuffle_words(wd, tail).sorted_items():
+            for w, mult in shuffle_words(wd, tail).items():
                 put(Word(prefix + w),
                     op if mult == 1 else do.op_scale(mult, op))
 

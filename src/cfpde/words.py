@@ -15,7 +15,7 @@ import functools
 from typing import Iterable, Optional
 
 __all__ = [
-    "Letter", "Word", "WordPoly", "DRIFT", "EMPTY_WORD",
+    "Letter", "Word", "DRIFT", "EMPTY_WORD",
     "word", "parse_word", "shuffle_words",
 ]
 
@@ -118,74 +118,25 @@ def parse_word(text: str) -> Word:
     return Word(_parse_letter(tok) for tok in text.split())
 
 
-class WordPoly(dict):
-    """Finite formal sum of words with complex coefficients.
-
-    Zero coefficients are never stored.  Supports +, scale, and
-    comparison; mainly the carrier for shuffle expansions.
-    """
-
-    def __init__(self, data=None):
-        super().__init__()
-        if data:
-            for w, c in dict(data).items():
-                c = complex(c)
-                if c != 0:
-                    self[w] = c
-
-    def __add__(self, other: "WordPoly") -> "WordPoly":
-        out = dict(self)
-        for w, c in other.items():
-            s = out.get(w, 0j) + c
-            if s == 0:
-                out.pop(w, None)
-            else:
-                out[w] = s
-        return WordPoly(out)
-
-    def scale(self, factor: complex) -> "WordPoly":
-        factor = complex(factor)
-        if factor == 0:
-            return WordPoly()
-        return WordPoly({w: factor * c for w, c in self.items()})
-
-    def total_multiplicity(self) -> complex:
-        return sum(self.values(), start=0j)
-
-    def sorted_items(self):
-        return sorted(self.items(), key=lambda kv: kv[0].sort_key())
-
-    def __repr__(self):
-        if not self:
-            return "0"
-        parts = []
-        for w, c in self.sorted_items():
-            coef = "" if c == 1 else f"{c.real:g}*" if c.imag == 0 else f"({c})*"
-            parts.append(f"{coef}{w.text()}")
-        return " + ".join(parts)
-
-
 @functools.lru_cache(maxsize=None)
-def _shuffle(w1: Word, w2: Word) -> WordPoly:
-    if len(w1) == 0:
-        return WordPoly({w2: 1})
-    if len(w2) == 0:
-        return WordPoly({w1: 1})
-    head1, tail1 = w1[0], w1[1:]
-    head2, tail2 = w2[0], w2[1:]
-    out: dict[Word, complex] = {}
-    for w, c in _shuffle(tail1, w2).items():
-        key = Word((head1,) + w)
-        out[key] = out.get(key, 0j) + c
-    for w, c in _shuffle(w1, tail2).items():
-        key = Word((head2,) + w)
-        out[key] = out.get(key, 0j) + c
-    return WordPoly(out)
+def _shuffle(w1: Word, w2: Word) -> dict[Word, int]:
+    if not w1:
+        return {w2: 1}
+    if not w2:
+        return {w1: 1}
+    out: dict[Word, int] = {}
+    for head, rest in ((w1[0], _shuffle(w1[1:], w2)), (w2[0], _shuffle(w1, w2[1:]))):
+        for w, count in rest.items():
+            key = Word((head,) + w)
+            out[key] = out.get(key, 0) + count
+    return out
 
 
-def shuffle_words(w1: Word, w2: Word) -> WordPoly:
-    """All interleavings of w1 and w2 with multiplicities.
+def shuffle_words(w1: Word, w2: Word) -> dict[Word, int]:
+    """All interleavings of w1 and w2, each with the number of ways it
+    arises; the counts sum to binomial(|w1|+|w2|, |w1|).
 
-    The total multiplicity is binomial(|w1|+|w2|, |w1|).
-    """
-    return WordPoly(_shuffle(w1, w2))
+    A fresh dict, never the cached one, in the canonical word order:
+    every interleaving has length |w1|+|w2|, so ``Word.sort_key`` orders
+    them as tuples."""
+    return dict(sorted(_shuffle(w1, w2).items()))

@@ -226,6 +226,8 @@ class TestEval:
         for report in reports:
             assert report["truncation"] == {"max_len": 4, "exact_len": 3}
             assert (report["params"]["grid"], report["params"]["u"]) == (grid, u)
+        assert reports[0]["bound"] is not None
+        assert reports[0]["bound"] == reports[1]["bound"]
 
     def test_eval_reports_the_loaded_truncation_and_input(self, tmp_path):
         """A shuffle product is stored to length 8 but exact through 3."""
@@ -761,11 +763,15 @@ class TestStartup:
         assert gc.isenabled() and gc.get_freeze_count() == 0
 
     def test_eval_loads_no_bounds_or_pde(self, tmp_path, transport_files):
-        loaded = _loaded_after([["eval", "--series", transport_files[0], "--u", "t",
-                                 "--grid", "0:1:5,0:1:5", "--out", str(tmp_path / "z.csv")]],
-                               tmp_path)
+        """A series without a certificate (a wave series) needs neither;
+        one of the transport shape loads bounds for its certificate."""
+        wave = write_series(tmp_path / "w.series", pde.wave_series(4))
+        out = ["--u", "t", "--grid", "0:1:5,0:1:5", "--out", str(tmp_path / "z.csv")]
+        loaded = _loaded_after([["eval", "--series", wave, *out]], tmp_path)
         assert "cfpde.iterint" in loaded
         assert not loaded & {"cfpde.bounds", "cfpde.pde"}
+        loaded = _loaded_after([["eval", "--series", transport_files[0], *out]], tmp_path)
+        assert "cfpde.bounds" in loaded and "cfpde.pde" not in loaded
 
     def test_second_order_solve_loads_no_bounds(self, tmp_path):
         loaded = _loaded_after([["solve", "second-order", "--alpha1", "0", "--alpha2", "-1",
@@ -933,8 +939,40 @@ class TestInputFaults:
         assert solve(tmp_path / "b.csv", f"{flag}={value}") == 0
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
+    def test_help_flag_is_not_a_value(self, tmp_path, capsys):
+        """-h is the parser's one single-dash option, so it is never
+        joined to the option before it."""
+        assert run(["solve", "transport", "--V", "1", "--N", "2", "--grid", "0:1:5,0:1:5",
+                    "--out", str(tmp_path / "y.csv"), "--u", "-h"]) == 1
+        assert capsys.readouterr().err == "error: argument --u: expected one argument\n"
+
 
 class TestTailBoundScope:
+    @pytest.mark.parametrize("V, u, grid, N, certified", [
+        ("1.004*(1+theta_1^2)", "t*cos(1.03*theta_1)", "-0.5:0.5:33,0:0.1:33", 7, False),
+        ("1.004*(1+theta_1^2)", "t*cos(1.03*theta_1)", "-0.5:0.5:33,0:0.5:33", 14, False),
+        ("0.3*(1+theta_1^2)", "t*cos(3*theta_1)", "-1:1:33,0:1:33", 14, False),
+        ("1.03", "t*sin(2.05*theta_1)", "0:6.283185307179586:33,0:1:33", 8, True),
+    ], ids=["variable-V-T0.1", "variable-V-T0.5", "variable-V-T1", "constant-V"])
+    def test_certificate_is_absent_or_dominates_the_truncation(
+            self, tmp_path, V, u, grid, N, certified):
+        """The reported tail, when there is one, is at least the truncation
+        error |F_N - F_M| at M = N + 16, on the same grid and time rule,
+        so no quadrature error enters.  A variable velocity makes every
+        operator order up to k on x0^k x1, which the growth fit does not
+        read, so its series carry no certificate."""
+        out = tmp_path / "y.csv"
+        assert run(["solve", "transport", "--V", V, "--u", u, "--N", str(N),
+                    "--grid", grid, "--out", str(out)]) == 0
+        bound = read_report(str(out) + ".report.json")["bound"]
+        g = ii.Grid.from_spec(grid)
+        signal = ii.InputSignal.symbolic(ex.parse(u, 1))
+        f_n, f_m = (ii.evaluate_series(pde.transport_series(
+            pde.TransportSpec(ex.parse(V, 1), 0, n)), signal, g).values
+            for n in (N, N + 16))
+        assert bound is None or bound["tail"] >= np.max(np.abs(f_m - f_n))
+        assert bound is not None or not certified
+
     @pytest.mark.parametrize("argv", [
         ["wave"],
         ["second-order", "--alpha1", "0", "--alpha2", "-1", "--form", "cascade"],

@@ -495,6 +495,23 @@ def per_cell_csv(field):
     return "\n".join(lines) + "\n"
 
 
+def assert_same_csv(got: str, want: str):
+    """got == want; a failure names the line counts and the first line
+    that differs, where assertion rewriting would diff two texts of up to
+    200 kB for minutes."""
+    if got == want:
+        return
+    got_lines, want_lines = got.splitlines(True), want.splitlines(True)
+    at = next((i for i, (a, b) in enumerate(zip(got_lines, want_lines)) if a != b),
+              min(len(got_lines), len(want_lines)))
+
+    def line(lines):
+        return repr(lines[at]) if at < len(lines) else "past the end"
+
+    pytest.fail(f"{len(got_lines)} lines, expected {len(want_lines)}; line {at + 1} "
+                f"is {line(got_lines)}, expected {line(want_lines)}", pytrace=False)
+
+
 def chunk_cases(grids):
     """(theta_axes, n_t, chunk) for each grid with write_csv's own chunk
     size, and with chunks of one line, of 23 lines (shorter than a row,
@@ -519,10 +536,7 @@ def assert_printed_as_format(floats):
                          parts.view(np.complex128).reshape(2, n_t))
     buf = io.StringIO()
     ii.write_csv(field, buf)
-    got, want = buf.getvalue().splitlines(), per_cell_csv(field).splitlines()
-    assert len(got) == len(want)
-    for g, w in zip(got, want):
-        assert g == w
+    assert_same_csv(buf.getvalue(), per_cell_csv(field))
 
 
 def exact_ties():
@@ -662,7 +676,7 @@ class TestCsvDigits:
         flat[11::83] = complex(math.inf, -0.0)
         buf = io.StringIO()
         ii.write_csv(ii.GridField(g, values), buf)
-        assert buf.getvalue() == per_cell_csv(ii.GridField(g, values))
+        assert_same_csv(buf.getvalue(), per_cell_csv(ii.GridField(g, values)))
         assert lines == want
 
     @pytest.mark.parametrize("theta_axes, n_t", [
@@ -697,7 +711,7 @@ class TestCsvDigits:
         monkeypatch.setattr(ii, "_format_block", spy)
         buf = io.StringIO()
         ii.write_csv(ii.GridField(g, values), buf)
-        assert buf.getvalue() == per_cell_csv(ii.GridField(g, values))
+        assert_same_csv(buf.getvalue(), per_cell_csv(ii.GridField(g, values)))
         assert len(formatted) > 1 and set(formatted) == {columns}
 
     def test_long_time_axis_is_written_in_spans(self):
@@ -769,7 +783,7 @@ class TestFactoredField:
         buf = io.StringIO()
         assert ii.write_csv(streamed, buf) is True
         assert streamed._values is None  # written from the factors
-        assert buf.getvalue() == per_cell_csv(materialised)
+        assert_same_csv(buf.getvalue(), per_cell_csv(materialised))
         assert set(formatted) == columns
 
     def test_values_are_formed_once_from_the_same_blocks(self, monkeypatch):

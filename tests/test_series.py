@@ -233,6 +233,20 @@ class TestShiftTruncateLinear:
         c = pde.transport_series(pde.TransportSpec(V=1.0, y0=ex.sin(THETA), N=6))
         assert se.is_linear(c)
 
+    def test_linear_degree_is_the_certified_shape(self):
+        """One letter, and on x0^i x1 x0^j the single term alpha D^(i+j):
+        the N of a constant-velocity transport series, drift words aside."""
+        def transport(v, n):
+            return pde.transport_series(pde.TransportSpec(ex.parse(v, 1), ex.sin(THETA), n))
+        assert se.linear_degree(transport("1.03", 6)) == 6
+        assert se.linear_degree(transport("1+theta_1^2", 6)) is None  # orders 1..k
+        assert se.linear_degree(pde.wave_series(6)) is None  # D^(2k) on x0^(2k+1) x1
+        one = do.identity(1)
+        for coeffs in ({word("x0"): one}, {word("x1", "x1"): one},
+                       {word("x1"): one, word("x2"): one}):
+            assert se.linear_degree(simple_series(1, coeffs)) is None
+        assert se.linear_degree(se.embed(transport("1", 3), 2)) is None
+
 
 class TestSerialization:
     def roundtrip(self, c):
