@@ -13,10 +13,12 @@ alpha_{i+j}(theta) d^{i+j}/dtheta^{i+j} E_{x0^i x1 x0^j}[u]:
   case s = 1 sums in closed form and converges when M*R*T < 1, and its
   N = -1 value is the geometric bound K_alpha K_u / (1 - MRT)^2.
 * ``estimate_growth`` - least-squares fits of the growth constants from a
-  symbolic input or from a series' coefficient functions.
+  symbolic input (a separable one read from its split's factors) or
+  from a series' coefficient functions.
 * ``tail_certificate`` - the two fits spliced into one set of constants
-  and the bound they give past the series' truncation, as ``cf solve``
-  and ``cf eval`` report it.
+  and the bound they give past the series' truncation N, as ``cf solve``
+  and ``cf eval`` report it: the input model dominates the norms it was
+  fitted to through order N, and past N it is an extrapolation.
 
 Only series of the constant-velocity transport shape are certified
 (``series.linear_degree``); any other series carries no certificate.
@@ -32,7 +34,7 @@ from ._record import record
 # iterint before numpy, so that it is compiled before numpy is imported
 # (see cli._evaluation_errors); cumulative_trapezoid is not called here,
 # perfbench/tracing.py wraps it under this module's name too
-from .iterint import _BLOCK, Grid, InputSignal, cumulative_trapezoid  # noqa: F401
+from .iterint import Grid, InputSignal, _sample_split, _split, cumulative_trapezoid  # noqa: F401
 from .series import GenSeries, linear_degree
 
 import numpy as np  # noqa: E402
@@ -153,29 +155,8 @@ class GrowthFit:
 
 def _time_integrals(u: InputSignal, grid: Grid, order: int) -> np.ndarray:
     """Per-theta trapezoid integral over [0, T] of the magnitude of the
-    order-th theta-derivative.
-
-    A symbolic input is evaluated on blocks of theta_1 rows, each a slice
-    of grid.meshes(), so every sample goes through the arithmetic of a
-    full-grid evaluation.  A block holds _BLOCK grid points, or one
-    row when a row alone holds more, and is reduced to its time integrals
-    before the next one is formed: the fit never holds a full-grid array,
-    only a few arrays of one block.  A sampled input is differentiated on
-    the full grid."""
-    if not u.is_symbolic:
-        return _row_integrals(u.derivative_values(grid, (order,)), grid.dt)
-    e = ex.differentiate(u.expr, "theta_1", order) if order else u.expr
-    meshes = grid.meshes()
-    theta_1 = meshes["theta_1"]
-    n = len(theta_1)
-    rows = max(1, _BLOCK // math.prod(grid.shape[1:]))
-    out = np.empty(grid.shape[:-1])
-    for r0 in range(0, n, rows):
-        meshes["theta_1"] = theta_1[r0:r0 + rows]
-        values = np.asarray(ex.evaluate(e, meshes), dtype=np.complex128)
-        shape = (min(rows, n - r0),) + grid.shape[1:]
-        out[r0:r0 + rows] = _row_integrals(np.broadcast_to(values, shape), grid.dt)
-    return out
+    order-th theta-derivative, from its samples on the full grid."""
+    return _row_integrals(u.derivative_values(grid, (order,)), grid.dt)
 
 
 def _row_integrals(values: np.ndarray, dt: float) -> np.ndarray:
@@ -197,12 +178,21 @@ def input_l1_norm(u: InputSignal, grid: Grid) -> float:
                               dx=grid.theta_spacing(0)))
 
 
-def _input_norm_surrogate(u: InputSignal, grid: Grid, order: int) -> float:
-    """Conservative stand-in for the L1 norm: interval length times the
-    largest per-theta time integral.  Always >= the tensor-trapezoid L1
-    norm, so certificates computed from it remain valid."""
+def _input_norm_surrogate(u: InputSignal, split: list | None, grid: Grid,
+                          order: int) -> float:
+    """Conservative stand-in for the L1 norm of the order-th
+    theta-derivative: interval length times the largest per-theta time
+    integral, always >= the tensor-trapezoid L1 norm.  A split input
+    (iterint._split) bounds that integral from 1-D samples of its
+    factors by sum_g |d^k F_g(theta)| int |G_g| dt, equal to it for one
+    group; any other input is integrated on the full grid."""
     a, b, _ = grid.theta_axes[0]
-    return float((b - a) * np.max(_time_integrals(u, grid, order)))
+    if split is None:
+        per_theta = _time_integrals(u, grid, order)
+    else:
+        per_theta = sum((np.abs(f) * _row_integrals(g, grid.dt)
+                         for _, f, g in _sample_split(split, (order,), grid)), 0.0)
+    return float((b - a) * np.max(per_theta))
 
 
 def _least_squares(columns: Sequence[Sequence[float]], y: Sequence[float]
@@ -240,7 +230,8 @@ def _fit_input(u: InputSignal, grid: Grid, k_max: int) -> GrowthFit:
     is theta-independent (R = 0, K_u its norm) when every derivative norm
     is at most 1e-14 of the norm of u itself, a test that does not depend
     on the scale of u."""
-    norms = [_input_norm_surrogate(u, grid, k) for k in range(k_max + 1)]
+    split = _split(u, grid.dim)  # once, so each derivative chain is built once
+    norms = [_input_norm_surrogate(u, split, grid, k) for k in range(k_max + 1)]
     base = GrowthData(K_alpha=1.0, M=1.0, K_u=max(norms[0], _TINY_TERM),
                       R=0.0, s=0.0, T=grid.t_end)
     logs = [math.log(max(n, _TINY_TERM)) for n in norms]
@@ -317,16 +308,23 @@ def tail_certificate(series: GenSeries, u, grid: Grid) -> dict | None:
     coefficients (K_alpha, M, s) and to the input (K_u, R), with the fits'
     residuals: ``kind`` names the regime, a Gevrey tail when the growth
     is sub-factorial (s < 1), else geometric.  It covers the input words
-    only.  None when the series has no linear degree, the grid is not
-    one-parameter, u is not one symbolic signal, a fit fails, or the
-    bound is not finite."""
+    only.  The input is fitted through order n, and K_u is raised until
+    K_u R^k dominates every norm of that fit; past n the model is still
+    an extrapolation.  None when the series has no linear degree, the
+    grid is not one-parameter, u is not one symbolic signal, a fit
+    fails, or the bound is not finite."""
     n = linear_degree(series)
     if n is None or not isinstance(u, InputSignal) or not u.is_symbolic:
         return None
     try:
         coeff_fit = estimate_growth(series, grid, k_max=min(n, 8))
-        input_fit = estimate_growth(u, grid, k_max=min(n, 8))
-        g = coeff_fit.data.replace(K_u=input_fit.data.K_u, R=input_fit.data.R)
+        input_fit = estimate_growth(u, grid, k_max=n)
+        K_u, R = input_fit.data.K_u, input_fit.data.R
+        if not input_fit.theta_independent:
+            log_r = math.log(R)
+            K_u = max(K_u, math.exp(max(v - k * log_r
+                                        for k, v in enumerate(input_fit.log_norms))))
+        g = coeff_fit.data.replace(K_u=K_u, R=R)
         tail = gevrey_tail(g, n)
     except (ValueError, ArithmeticError):
         return None

@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import functools
 import gc
 import json
 import math
@@ -205,32 +204,26 @@ def _grid_from_arg(text: str) -> ii.Grid:
         raise CliError(f"bad --grid: {e}") from e
 
 
-def _evaluation_errors(handler):
-    """Wrap a handler that imports iterint: an EvaluationError that
-    reaches it exits 1 with the message main() gives the other model
-    errors, so that main() itself need not import iterint.
+@contextlib.contextmanager
+def _evaluation_errors():
+    """The numeric part of a handler.  iterint and numpy are imported
+    here, after the handler has imported every other cfpde module it
+    runs (bounds among them, when it will), so that numpy's import reuses
+    the memory the compiler freed: about 2 MB less resident at the start
+    of a solve.  An EvaluationError raised inside exits 1 with the
+    message main() gives the other model errors, so that main() itself
+    need not import iterint.
 
-    numpy's floating-point warnings are off inside it: an overflow or an
+    numpy's floating-point warnings are off inside: an overflow or an
     invalid operation leaves an inf or nan, which the handler's own checks
     report in one line, and each warning would add lines to stderr."""
-    @functools.wraps(handler)
-    def run(args, command: str, started: float) -> int:
-        # every cfpde module the handler runs is compiled before numpy is
-        # imported, so that numpy's import reuses the memory the compiler
-        # freed: about 2 MB less resident at the start of a solve (an eval
-        # whose series gets a certificate imports bounds after numpy)
-        if args.command == "solve":
-            from . import pde  # noqa: F401
-        if args.command == "bounds" or getattr(args, "kind", None) == "transport":
-            from . import bounds  # noqa: F401  (it imports iterint first)
-        from . import iterint as ii
-        import numpy as np
-        try:
-            with np.errstate(all="ignore"):
-                return handler(args, command, started)
-        except ii.EvaluationError as e:
-            raise CliError(f"{type(e).__name__}: {e}") from e
-    return run
+    from . import iterint as ii
+    import numpy as np
+    try:
+        with np.errstate(all="ignore"):
+            yield
+    except ii.EvaluationError as e:
+        raise CliError(f"{type(e).__name__}: {e}") from e
 
 
 def _solver_series(args) -> tuple[se.GenSeries, dict]:
@@ -255,41 +248,42 @@ def _solver_series(args) -> tuple[se.GenSeries, dict]:
     return pde.second_order_series(spec), params
 
 
-@_evaluation_errors
 def _cmd_field(args, command: str, started: float) -> int:
     """cf solve and cf eval: the field F_c[u] of a series c on a grid.  A
     solve builds c with pde and an eval loads it; from there the steps
     are the same."""
-    from . import iterint as ii
     report = args.report or args.out + ".report.json"
     _check_writable(args.out, report)
-    grid = _grid_from_arg(args.grid)
     if args.command == "solve":
-        if grid.dim != 1:
-            raise CliError("solvers are one-parameter; pass one theta axis")
         series_obj, params = _solver_series(args)
     else:
         series_obj = _load_series(args.series)
         params = {"series": args.series}
-    if series_obj.dim != grid.dim:
-        raise CliError(
-            f"series dim {series_obj.dim} does not match grid dim {grid.dim}")
-    u = _binding_from_args(args, series_obj.dim, series_obj.input_letters())
-    params["grid"] = args.grid
-    params["u"] = args.u if args.u is not None else dict(
-        item.split("=", 1) for item in args.bind)
-    field = ii.evaluate_series(series_obj, u, grid)
-    with _write_errors(args.out):
-        _write_csv_atomic(args.out, field)
-    # the field is written; holding it through the growth fit would add
-    # its size to the fit's peak memory
-    del field
-    bound = None
-    # only a series of the shape the growth fit reads has a certificate;
-    # for any other, bounds is not imported
-    if se.linear_degree(series_obj) is not None:
-        from . import bounds as bd
-        bound = bd.tail_certificate(series_obj, u, grid)
+    # only a series of the shape the growth fits read, with the three
+    # norms they need, has a certificate; bounds is imported for it alone
+    degree = se.linear_degree(series_obj)
+    certified = degree is not None and degree >= 2
+    if certified:
+        from . import bounds as bd  # it imports iterint first
+    with _evaluation_errors():
+        from . import iterint as ii
+        grid = _grid_from_arg(args.grid)
+        if args.command == "solve" and grid.dim != 1:
+            raise CliError("solvers are one-parameter; pass one theta axis")
+        if series_obj.dim != grid.dim:
+            raise CliError(
+                f"series dim {series_obj.dim} does not match grid dim {grid.dim}")
+        u = _binding_from_args(args, series_obj.dim, series_obj.input_letters())
+        params["grid"] = args.grid
+        params["u"] = args.u if args.u is not None else dict(
+            item.split("=", 1) for item in args.bind)
+        field = ii.evaluate_series(series_obj, u, grid)
+        with _write_errors(args.out):
+            _write_csv_atomic(args.out, field)
+        # the field is written; holding it through the growth fit would
+        # add its size to the fit's peak memory
+        del field
+        bound = bd.tail_certificate(series_obj, u, grid) if certified else None
     _report(report, command, params, series_obj, bound, started)
     return 0
 
@@ -322,10 +316,8 @@ def _cmd_algebra(args, command: str, started: float) -> int:
     return 0
 
 
-@_evaluation_errors
 def _cmd_bounds(args, command: str, started: float) -> int:
     from . import bounds as bd
-    from . import iterint as ii
     if args.kind == "check":
         if args.N is not None and args.N < 0:
             raise CliError(f"bad --N {args.N}; a truncation is at least 0")
@@ -345,17 +337,19 @@ def _cmd_bounds(args, command: str, started: float) -> int:
         return 0
     if args.u is not None and args.series is not None:
         raise CliError("give --u or --series, not both")
-    grid = _grid_from_arg(args.grid)
-    if args.u is not None:
-        target = ii.InputSignal.symbolic(_parse_expr_arg(args.u, grid.dim, "input"))
-    elif args.series is not None:
-        target = _load_series(args.series)
-    else:
-        raise CliError("bounds estimate needs --u or --series")
-    try:
-        fit = bd.estimate_growth(target, grid, args.k_max)
-    except ValueError as e:
-        raise CliError(str(e)) from e
+    with _evaluation_errors():
+        from . import iterint as ii
+        grid = _grid_from_arg(args.grid)
+        if args.u is not None:
+            target = ii.InputSignal.symbolic(_parse_expr_arg(args.u, grid.dim, "input"))
+        elif args.series is not None:
+            target = _load_series(args.series)
+        else:
+            raise CliError("bounds estimate needs --u or --series")
+        try:
+            fit = bd.estimate_growth(target, grid, args.k_max)
+        except ValueError as e:
+            raise CliError(str(e)) from e
     g = fit.data
     print(json.dumps({
         "constants": g.as_dict(),

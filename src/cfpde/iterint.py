@@ -172,8 +172,7 @@ class Grid:
 
 
 # Grid points per block of a field's theta rows: a factored field is
-# formed, and every field exported, this many points at a time, and the
-# growth fit (bounds) reduces an input's samples in blocks of this size.
+# formed, and every field exported, this many points at a time.
 _BLOCK = 16384
 
 
@@ -542,6 +541,25 @@ def _split(signal: InputSignal, dim: int) -> list | None:
     return [(g, ex.Poly(dim + 1, terms, True)) for g, terms in groups.items()]
 
 
+def _sample_split(split: list, order: MultiIndex, grid: Grid) -> list:
+    """(g, theta samples of d^order F_g, (n_t,) time samples of G_g) for
+    each group of a split whose derivative is not zero.  Each F_g keeps
+    its derivative chain, so a split sampled at several orders builds it
+    once."""
+    meshes, t = grid.meshes(with_t=False), {"t": grid.t_points}
+    out = []
+    for g, f in split:
+        for axis, k in enumerate(order):
+            for _ in range(k):
+                f = f.derivative(axis)
+        if f.terms:
+            g_t = ex.Poly(grid.dim + 1, {((0,) * grid.dim + (g[0],), g[1]): 1 + 0j}, True)
+            out.append((g, np.asarray(ex.evaluate(f, meshes), dtype=np.complex128),
+                        np.broadcast_to(np.asarray(ex.evaluate(g_t, t), dtype=np.complex128),
+                                        (grid.n_t,))))
+    return out
+
+
 class _Separable:
     """A separable evaluation, y = sum_tau A_tau(theta) E_tau(t).  Time
     monomials are interned as time letters, 0 being the drift's 1;
@@ -550,8 +568,8 @@ class _Separable:
 
     def __init__(self, binding: Binding, splits: dict, grid: Grid):
         self.binding, self.splits, self.grid = binding, splits, grid
-        self.meshes = grid.meshes(with_t=False)
         self.letters: dict = {(0, ()): 0}
+        self.times: list = [None]  # by time letter: G_g's samples, None for 1
         self.factors: dict = {}  # (signal, order) -> [(time letter, samples)]
         self.sums: dict = {}  # tau -> A_tau
         self.integrals: dict = {}  # tau -> E_tau
@@ -563,14 +581,11 @@ class _Separable:
         key = (signal, order)
         if key not in self.factors:
             out = []
-            for g, f in self.splits[signal]:
-                for axis, k in enumerate(order):
-                    for _ in range(k):
-                        f = f.derivative(axis)
-                if f.terms:
-                    out.append((self.letters.setdefault(g, len(self.letters)),
-                                np.asarray(ex.evaluate(f, self.meshes),
-                                           dtype=np.complex128)))
+            for g, theta, time in _sample_split(self.splits[signal], order, self.grid):
+                if g not in self.letters:
+                    self.letters[g] = len(self.letters)
+                    self.times.append(time)
+                out.append((self.letters[g], theta))
             self.factors[key] = out
         return self.factors[key]
 
@@ -589,15 +604,15 @@ class _Separable:
                 self.walk(child, factor if product is None else product * factor,
                           tau + (g,))
 
-    def integral(self, tau: tuple, g_values: list) -> np.ndarray:
+    def integral(self, tau: tuple) -> np.ndarray:
         """E_tau(t) = I[G_{tau_0} E_{tau[1:]}] on (n_t,) arrays: one
         cumulative_trapezoid pass per distinct nonempty suffix."""
         if not tau:
             return np.ones(self.grid.n_t, dtype=np.complex128)
         hit = self.integrals.get(tau)
         if hit is None:
-            inner = self.integral(tau[1:], g_values)
-            g = g_values[tau[0]]
+            inner = self.integral(tau[1:])
+            g = self.times[tau[0]]
             hit = self.integrals[tau] = cumulative_trapezoid(
                 inner if g is None else g * inner, self.grid.dt)
         return hit
@@ -608,16 +623,11 @@ class _Separable:
         field is written or its values are asked for."""
         self.walk(root, None, ())
         grid = self.grid
-        t_axis = (0,) * grid.dim
-        t = {"t": grid.t_points}
-        g_values = [None] + [np.asarray(ex.evaluate(
-            ex.Poly(grid.dim + 1, {(t_axis + (e_t,), atoms): 1 + 0j}, True), t),
-            dtype=np.complex128) for e_t, atoms in list(self.letters)[1:]]
         k = len(self.sums)
         times = np.empty((k, grid.n_t), dtype=np.complex128)
         weights = np.empty((math.prod(grid.shape[:-1]), k), dtype=np.complex128)
         for j, tau in enumerate(list(self.sums)):
-            times[j] = self.integral(tau, g_values)
+            times[j] = self.integral(tau)
             # longer words reuse the row, and the integral's own array goes
             self.integrals[tau] = times[j]
             weights[:, j] = self.sums.pop(tau).reshape(-1)
@@ -726,7 +736,7 @@ def iterated_integral(w: Word, u: Union[InputSignal, Binding], grid: Grid) -> Gr
 _K_MIN = -6  # decades k = -6..15 cover [2^-19, 2^53)
 _ZERO, _OTHER, _CODES = 22, 23, 24  # codes: k - _K_MIN, zero, format()
 _CELL, _FIRST, _DOT = 48, 7, 27
-_CSV_LINES = 1024  # lines of a complex chunk, rounded down to whole theta rows
+_CSV_LINES = 1024  # complex lines whose bytes a chunk's text holds
 
 
 def _two_split(a):
@@ -892,8 +902,9 @@ def write_csv(field: GridField, fh) -> bool:
     t_width = 25  # the longest ".17g" text of a double, and ','
     edges = np.cumsum([0] + [chars.itemsize for chars, _ in columns] + [t_width]).tolist()
     head = -(-edges[-1] // 8) * 8  # cells start on 8-byte boundaries
-    # a chunk's text holds the bytes of a complex chunk, in either layout
-    budget = max(1, _CSV_LINES // nt) * min(nt, _CSV_LINES) * (head + 2 * _CELL)
+    # a chunk's text holds the bytes of _CSV_LINES complex lines, and
+    # each layout takes whole rows of its own lines from it
+    budget = _CSV_LINES * (head + 2 * _CELL)
     t_points = grid.t_points
 
     def t_texts(c0: int, n: int):

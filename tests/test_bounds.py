@@ -144,6 +144,49 @@ class TestTimeIntegrals:
             tracemalloc.stop()
         assert peak < math.prod(grid.shape) * 16 / 2
 
+    def test_split_input_fit_holds_no_grid_sized_array(self):
+        """The transport-grid input splits as sin(2.05 theta) * t, so its
+        norms come from 1-D samples of the two factors: the fit through
+        the certificate's order 24 peaks below 1/16 of one complex array
+        on the full grid."""
+        grid = ii.Grid.from_spec("0:6.283185307179586:257,0:1:513")
+        u = ii.InputSignal.symbolic(ex.parse("t*sin(2.05*theta_1)", 1))
+        bd.estimate_growth(u, grid, 24)
+        tracemalloc.start()
+        try:
+            bd.estimate_growth(u, grid, 24)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < math.prod(grid.shape) * 16 / 16
+
+
+class TestSplitNormSurrogate:
+    """A split input's norm stand-in reads its factors: with one time
+    group it is the full-grid stand-in up to rounding, with more it is
+    the triangle-inequality bound, never below it."""
+
+    GRID = ii.Grid(((-1.0, 2.0, 33),), 0.8, 65)
+
+    @settings(max_examples=60, deadline=None)
+    @given(a=st.floats(-3, 3).filter(lambda v: abs(v) > 0.1),
+           b=st.floats(0.1, 4), p=st.integers(0, 3),
+           c=st.floats(-3, 3).filter(lambda v: abs(v) > 0.1),
+           d=st.floats(0.1, 4), q=st.integers(0, 3), order=st.integers(0, 3))
+    def test_matches_or_dominates_the_full_grid_stand_in(self, a, b, p, c, d, q, order):
+        u = ii.InputSignal.symbolic(ex.parse(
+            f"{a!r}*t^{p}*sin({b!r}*theta_1) + {c!r}*t^{q}*cos({d!r}*theta_1)", 1))
+        grid = self.GRID
+        split = ii._split(u, 1)
+        assert len(split) == (1 if p == q else 2)
+        lo, hi, _ = grid.theta_axes[0]
+        full = (hi - lo) * float(np.max(bd._time_integrals(u, grid, order)))
+        surrogate = bd._input_norm_surrogate(u, split, grid, order)
+        if len(split) == 1:
+            assert surrogate == pytest.approx(full, rel=1e-12)
+        else:  # up to the rounding of the full grid's own sums
+            assert surrogate >= full * (1 - 1e-12)
+
 
 class TestGeometricBound:
     """The factorial regime s = 1: the full-series tail (n = -1) is the

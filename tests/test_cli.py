@@ -773,6 +773,21 @@ class TestStartup:
         loaded = _loaded_after([["eval", "--series", transport_files[0], *out]], tmp_path)
         assert "cfpde.bounds" in loaded and "cfpde.pde" not in loaded
 
+    def test_series_without_a_certificate_loads_no_bounds(self, tmp_path):
+        """A variable velocity has no linear degree, and a series of degree
+        0 (V = 0) too few norms for the growth fits: neither imports
+        bounds."""
+        zero_v = write_series(tmp_path / "v0.series",
+                              pde.transport_series(pde.TransportSpec(0, 0, 6)))
+        out = ["--u", "t*sin(theta_1)", "--grid", "0:1:5,0:1:5",
+               "--out", str(tmp_path / "y.csv")]
+        loaded = _loaded_after([["solve", "transport", "--V", "1+theta_1^2", "--N", "4",
+                                 *out]], tmp_path)
+        assert "cfpde.pde" in loaded and "cfpde.bounds" not in loaded
+        loaded = _loaded_after([["eval", "--series", zero_v, *out]], tmp_path)
+        assert "cfpde.iterint" in loaded and "cfpde.bounds" not in loaded
+        assert read_report(str(tmp_path / "y.csv.report.json"))["bound"] is None
+
     def test_second_order_solve_loads_no_bounds(self, tmp_path):
         loaded = _loaded_after([["solve", "second-order", "--alpha1", "0", "--alpha2", "-1",
                                  "--u", "sin(theta_1)", "--N", "2", "--grid", "0:1:5,0:1:5",
@@ -800,6 +815,28 @@ class TestStartup:
         numpy_at = order.index("numpy")
         for name in ("cfpde.pde", "cfpde.bounds", "cfpde.iterint"):
             assert order.index(name) < numpy_at, name
+
+    def test_certified_eval_compiles_bounds_before_numpy(self, tmp_path, transport_files):
+        """cf eval of a series with a certificate imports bounds before
+        numpy too, as the solve that builds such a series does."""
+        argv = ["eval", "--series", transport_files[0], "--u", "t",
+                "--grid", "0:1:5,0:1:5", "--out", "y.csv"]
+        code = ("import json, sys\n"
+                "order = []\n"
+                "class Record:\n"
+                "    def find_spec(self, name, path=None, target=None):\n"
+                "        order.append(name)\n"
+                "sys.meta_path.insert(0, Record())\n"
+                "from cfpde import cli\n"
+                f"rc = cli.main({argv!r})\n"
+                "print(json.dumps([rc, order]))\n")
+        proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path,
+                              env=dict(os.environ, PYTHONPATH=SRC),
+                              capture_output=True, text=True, check=True)
+        rc, order = json.loads(proc.stdout.splitlines()[-1])
+        assert rc == 0
+        assert order.index("cfpde.bounds") < order.index("cfpde.iterint") < order.index("numpy")
+        assert "cfpde.pde" not in order
 
     def test_peak_memory_does_not_grow_with_the_field(self, tmp_path):
         """A separable solve streams its field: the 513 x 1025 field alone
@@ -953,7 +990,10 @@ class TestTailBoundScope:
         ("1.004*(1+theta_1^2)", "t*cos(1.03*theta_1)", "-0.5:0.5:33,0:0.5:33", 14, False),
         ("0.3*(1+theta_1^2)", "t*cos(3*theta_1)", "-1:1:33,0:1:33", 14, False),
         ("1.03", "t*sin(2.05*theta_1)", "0:6.283185307179586:33,0:1:33", 8, True),
-    ], ids=["variable-V-T0.1", "variable-V-T0.5", "variable-V-T1", "constant-V"])
+        ("1", "t*exp(sin(theta_1))", "0:6.283185307179586:33,0:1:33", 18, True),
+        ("1", "t*exp(sin(theta_1))", "0:6.283185307179586:33,0:1:33", 24, True),
+    ], ids=["variable-V-T0.1", "variable-V-T0.5", "variable-V-T1", "constant-V",
+            "exp-sin-N18", "exp-sin-N24"])
     def test_certificate_is_absent_or_dominates_the_truncation(
             self, tmp_path, V, u, grid, N, certified):
         """The reported tail, when there is one, is at least the truncation

@@ -714,6 +714,26 @@ class TestCsvDigits:
         assert_same_csv(buf.getvalue(), per_cell_csv(ii.GridField(g, values)))
         assert len(formatted) > 1 and set(formatted) == {columns}
 
+    def test_real_rows_fill_the_complex_budget(self, monkeypatch):
+        """A chunk holds the bytes of _CSV_LINES complex lines, and real
+        lines are narrower: a real 257 x 513 field goes out two rows to a
+        chunk, a complex one a row at a time."""
+        g = ii.Grid.from_spec("0:6.283185307179586:257,0:1:513")
+        lines = []
+        format_block = ii._format_block
+
+        def spy(x, *args):
+            lines.append(len(x))
+            format_block(x, *args)
+
+        monkeypatch.setattr(ii, "_format_block", spy)
+        values = np.sin(np.arange(math.prod(g.shape), dtype=float)).reshape(g.shape)
+        ii.write_csv(ii.GridField(g, values), io.StringIO())
+        assert len(lines) <= 133 and max(lines) == 2 * g.n_t
+        lines.clear()
+        ii.write_csv(ii.GridField(g, values * (1 + 1j)), io.StringIO())
+        assert set(lines) == {g.n_t}
+
     def test_long_time_axis_is_written_in_spans(self):
         """A row longer than a block is cut into spans of time points, so
         the memory the writer holds does not grow with n_t."""
