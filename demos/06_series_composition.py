@@ -2,9 +2,9 @@
 
 Composing F_c after F_d is again a series when c is linear; the word
 x0^k x_c composed into x0^l x_d lands on x0^(k+l+1) x_d with the operator
-product as coefficient.  Under the unital product (identity-plus-series)
-the geometric inverse of I + beta d/dtheta E_{x1} cancels the forward
-operator exactly.
+product as coefficient.  The geometric inverse I + R of the forward
+operator I + F = I + beta d/dtheta E_{x1} cancels it exactly:
+(I + R)(I + F) = I reads R + F + R o F = 0.
 """
 
 import numpy as np
@@ -40,15 +40,16 @@ def main():
     stacked = se.compose(t1, t2)
     print("cascaded transports:", [w.text() for w in stacked.sorted_words()][:5])
 
-    # geometric inverse: (I + beta d E)^(-1) o (I + beta d E) = I
+    # geometric inverse: (I + R)(I + F) = I, so R + F + R o F = 0
     beta = 1.5
     inv = pde.first_order_inverse(beta, 8)
-    fwd = se.series_from_coeffs(1, {
-        Word(): do.identity(1),
-        word("x1"): do.monomial(ex.const(beta), (1,))})
-    unit = se.truncate(se.compose(inv, fwd, unital=True), 8)
-    print("inverse o forward =", {w.text(): str(op)
-                                  for w, op in unit.coeffs.items()})
+    rest = se.GenSeries(1, {w: op for w, op in inv.coeffs.items() if w != Word()},
+                        inv.max_len)
+    fwd = se.series_from_coeffs(1, {word("x1"): do.monomial(ex.const(beta), (1,))})
+    residual = se.truncate(se.parallel_sum(se.parallel_sum(rest, fwd),
+                                           se.compose(rest, fwd)), 8)
+    print("R + F + R o F =", {w.text(): str(op)
+                              for w, op in residual.coeffs.items()})
 
 
 if __name__ == "__main__":

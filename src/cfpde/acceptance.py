@@ -281,21 +281,17 @@ def criterion_7() -> CriterionResult:
 
 
 def criterion_8() -> CriterionResult:
-    """Geometric inverse of the first-order integral operator composes
-    with the forward series to the unit series, exactly."""
+    """The geometric inverse I + R of the first-order integral operator
+    I + F: (I + R)(I + F) = I, that is R + F + R o F vanishes through
+    length 8, exactly; the number of its nonzero words."""
     start = time.monotonic()
-    beta = 1.5
-    inv = pde.first_order_inverse(beta, 8)
-    fwd = se.series_from_coeffs(1, {
-        Word(): do.identity(1),
-        word("x1"): do.monomial(ex.const(beta), (1,)),
-    })
-    prod = se.truncate(se.compose(inv, fwd, unital=True), 8)
-    expected = se.one_series(1)
-    exact = prod.coeffs == expected.coeffs
-    residual = 0.0 if exact else 1.0
+    rest = pde._rest(pde.first_order_inverse(1.5, 8))
+    fwd = se.series_from_coeffs(1, {word("x1"): do.monomial(ex.const(1.5), (1,))})
+    residual = se.truncate(se.parallel_sum(se.parallel_sum(rest, fwd),
+                                           se.compose(rest, fwd)), 8)
+    nonzero = len(residual.coeffs)
     return CriterionResult(8, "first-order inverse cancels the forward series",
-                           exact, residual, 0.0, time.monotonic() - start)
+                           nonzero == 0, nonzero, 0.0, time.monotonic() - start)
 
 
 def criterion_9() -> CriterionResult:

@@ -310,28 +310,37 @@ def tail_certificate(series: GenSeries, u, grid: Grid) -> dict | None:
     is sub-factorial (s < 1), else geometric.  It covers the input words
     only.  The input is fitted through order n, and K_u is raised until
     K_u R^k dominates every norm of that fit; past n the model is still
-    an extrapolation.  None when the series has no linear degree, the
-    grid is not one-parameter, u is not one symbolic signal, a fit
-    fails, or the bound is not finite."""
+    an extrapolation.  An input of theta-degree d <= n is fitted through
+    d, and its tail is exactly 0 (kind "exact"): every truncated input
+    word differentiates it more than d times.  None when the series has
+    no linear degree, the grid is not one-parameter, u is not one
+    symbolic signal, a fit fails, or the bound is not finite."""
     n = linear_degree(series)
     if n is None or not isinstance(u, InputSignal) or not u.is_symbolic:
         return None
+    # the order past which the theta_1-derivative of u is the empty Poly,
+    # read up to n + 1
+    degree, p = 0, u.expr.derivative(0)
+    while p.terms and degree <= n:
+        degree, p = degree + 1, p.derivative(0)
     try:
         coeff_fit = estimate_growth(series, grid, k_max=min(n, 8))
-        input_fit = estimate_growth(u, grid, k_max=n)
+        # below estimate_growth's k_max >= 2, so that degrees 0 and 1 fit
+        input_fit = _fit_input(u, grid, min(n, degree))
         K_u, R = input_fit.data.K_u, input_fit.data.R
         if not input_fit.theta_independent:
             log_r = math.log(R)
             K_u = max(K_u, math.exp(max(v - k * log_r
                                         for k, v in enumerate(input_fit.log_norms))))
         g = coeff_fit.data.replace(K_u=K_u, R=R)
-        tail = gevrey_tail(g, n)
+        tail = 0.0 if degree <= n else gevrey_tail(g, n)
     except (ValueError, ArithmeticError):
         return None
     if not math.isfinite(tail):
         return None
     return {
-        "kind": "gevrey_tail" if g.s < 1 else "geometric",
+        "kind": ("exact" if degree <= n
+                 else "gevrey_tail" if g.s < 1 else "geometric"),
         "constants": g.as_dict(),
         "fit_residual": {"coefficients": coeff_fit.residual,
                          "input": input_fit.residual},

@@ -297,7 +297,7 @@ def _cmd_algebra(args, command: str, started: float) -> int:
         elif args.kind == "sum":
             out = se.parallel_sum(left, right)
         else:
-            out = se.compose(left, right, unital=args.unital)
+            out = se.compose(left, right)
         params = {"left": args.left, "right": args.right}
     elif args.kind == "shift":
         try:
@@ -387,9 +387,6 @@ def build_parser() -> _Parser:
         sp.add_argument("--left", required=True)
         sp.add_argument("--right", required=True)
         sp.add_argument("--out", required=True)
-        if kind == "compose":
-            sp.add_argument("--unital", action="store_true",
-                            help="treat empty-word coefficients as identity parts")
     sp = alg_sub.add_parser("shift")
     sp.add_argument("--letter", required=True)
     sp.add_argument("--series", required=True)

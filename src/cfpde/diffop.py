@@ -121,11 +121,6 @@ class DiffOp:
         """Coefficient of D^0; this equals the operator applied to 1."""
         return self.terms.get(mi_zero(self.dim), ex.Poly(self.dim, {}))
 
-    def is_scalar_constant(self) -> bool:
-        """True when the operator is c * identity with c a constant."""
-        return (set(self.terms) <= {mi_zero(self.dim)}
-                and self.constant_part().constant() is not None)
-
     def text(self) -> str:
         if not self.terms:
             return "0 * D[" + ",".join("0" for _ in range(self.dim)) + "]"

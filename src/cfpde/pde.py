@@ -6,12 +6,12 @@
   a1 = 0, a2 = -1.
 
 Integrated in time, each problem reads (I + A) y = rhs.  Every builder
-forms the inverse series of I + A and passes it to one kernel, ``_solve``,
-which composes it with rhs.  The second-order inverse has three routes:
-the direct geometric expansion, the series interconnection (cascade) of
-two first-order inverses, and the parallel interconnection (partial
-fractions) of two first-order solutions.  Only ``first_order_inverse``
-forms operator powers.
+forms the inverse series I + R of I + A and passes it to one kernel,
+``_solve``, which forms rhs + R o rhs.  The second-order inverse has
+three routes: the direct geometric expansion, the series interconnection
+(cascade) of two first-order inverses, I + R1 + R2 + R2 o R1, and the
+parallel interconnection (partial fractions) of two first-order
+solutions.  Only ``first_order_inverse`` forms operator powers.
 
 Words x0^k carry the initial-condition data; words x0^k x1 carry the
 input.  Evaluating with the input signal and the implicit constant drift
@@ -70,13 +70,17 @@ class TransportSpec:
             raise se.SeriesError("truncation N must be nonnegative")
 
 
-def _solve(inverse: GenSeries, rhs: GenSeries) -> GenSeries:
-    """The solution series of (I + A) y = rhs, given the inverse series of
-    I + A: its identity empty word passes rhs through, and every other
-    word reads rhs as its input (a series interconnection)."""
-    rest = GenSeries(inverse.dim, {w: op for w, op in inverse.coeffs.items()
+def _rest(inverse: GenSeries) -> GenSeries:
+    """R of an inverse series I + R: every word but the identity empty word."""
+    return GenSeries(inverse.dim, {w: op for w, op in inverse.coeffs.items()
                                    if w != EMPTY_WORD}, inverse.max_len)
-    return se.parallel_sum(rhs, se.compose(rest, rhs))
+
+
+def _solve(inverse: GenSeries, rhs: GenSeries) -> GenSeries:
+    """The solution series of (I + A) y = rhs, given the inverse series
+    I + R of I + A: the identity passes rhs through, and R reads rhs as
+    its input (a series interconnection)."""
+    return se.parallel_sum(rhs, se.compose(_rest(inverse), rhs))
 
 
 def transport_series(spec: TransportSpec) -> GenSeries:
@@ -98,8 +102,9 @@ def first_order_inverse(beta, n: int) -> GenSeries:
     """The geometric inverse of I + beta d/dtheta E_{x1}: empty-word
     coefficient 1 and (-beta d/dtheta)^k on x0^(k-1) x1 for 1 <= k <= n.
 
-    The empty-word term is the identity part: composing with the forward
-    series under the unital product cancels to 1*empty-word.
+    The empty-word term is the identity part I.  With R the other words
+    and F the forward series beta d/dtheta on x1, (I + R)(I + F) = I
+    reads R + F + R o F = 0, and it holds through length n.
     """
     step = do.op_scale(ex.neg(_theta_only(beta, "beta")), do.partial(1))
     coeffs: dict[Word, DiffOp] = {EMPTY_WORD: do.identity(1)}
@@ -180,9 +185,12 @@ def _triangular_truncate(c: GenSeries, n: int) -> GenSeries:
 
 def _cascade_inverse(beta1, beta2, n: int) -> GenSeries:
     """The inverse of (I + beta1 d E_{x1})(I + beta2 d E_{x1}) as the series
-    interconnection of the two first-order inverses, cut at length n."""
-    return se.compose(first_order_inverse(beta2, n), first_order_inverse(beta1, n),
-                      unital=True, max_len=n)
+    interconnection (I + R2)(I + R1) = I + R1 + R2 + R2 o R1 of the two
+    first-order inverses, cut at length n."""
+    inverse1 = first_order_inverse(beta1, n)
+    r2 = _rest(first_order_inverse(beta2, n))
+    return se.parallel_sum(se.parallel_sum(inverse1, r2),
+                           se.compose(r2, _rest(inverse1), max_len=n))
 
 
 def _direct_inverse(alpha1, alpha2, n: int) -> GenSeries:

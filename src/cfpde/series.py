@@ -266,47 +266,20 @@ def left_shift(letter: Letter, c: GenSeries) -> GenSeries:
 # ---------------------------------------------------------------------------
 # series composition
 
-def _single_input_letter(c: GenSeries) -> Letter:
-    letters = sorted(c.input_letters())
-    stored = {l for w in c.coeffs for l in w.input_letters()}
-    if len(stored) == 1:
-        return next(iter(stored))
-    if len(letters) == 1:
-        return letters[0]
-    raise SeriesError("cannot infer the input letter of the right factor")
-
-
-def _scalar_empty_coefficient(c: GenSeries, role: str) -> complex:
-    op = c.coefficient(EMPTY_WORD)
-    if op.is_zero():
-        return 0j
-    if not op.is_scalar_constant():
-        raise SeriesError(
-            f"unital composition needs a constant empty-word coefficient on the {role} factor")
-    return op.constant_part().constant()
-
-
-def compose(c: GenSeries, d: GenSeries, unital: bool = False,
-            max_len: int | None = None) -> GenSeries:
+def compose(c: GenSeries, d: GenSeries, max_len: int | None = None) -> GenSeries:
     """Series (cascade) product: the generating series of F_c after F_d.
 
     Requires the left factor to be linear.  Every input letter of c is
-    treated as reading d's output; drift letters pass through.  By default
-    the empty word of c composes to itself (it contributes a constant to
-    the output, and the expansion of the empty word is the identity map on
-    series).  A word x0^a x_i x0^b of c with coefficient A expands in closed
-    form to x0^(a+1) (w shuffle x0^b) with coefficient A o d_w for every
-    word w of d.
+    treated as reading d's output; drift letters pass through, so the
+    empty word of c composes to itself (it contributes a constant to the
+    output).  A word x0^a x_i x0^b of c with coefficient A expands in
+    closed form to x0^(a+1) (w shuffle x0^b) with coefficient A o d_w for
+    every word w of d.
 
-    With unital=True both factors are read as "identity-plus-series": the
-    empty-word coefficients (which must be scalar constants) multiply like
-    identity operators, so geometric inverses cancel exactly.  This is the
-    algebra in which (I + A)^(-1) compositions telescope.
-
-    With max_len, the result is truncate(compose(c, d, unital), max_len),
-    except that its max_len is the smaller of the two: every output word
-    of a pair (wc, wd) has length len(wc) + len(wd), so a pair past the
-    cut is skipped before its operator product is formed.
+    With max_len, the result is truncate(compose(c, d), max_len), except
+    that its max_len is the smaller of the two: every output word of a
+    pair (wc, wd) has length len(wc) + len(wd), so a pair past the cut is
+    skipped before its operator product is formed.
     """
     if not is_linear(c):
         raise NotLinear("left factor of a series product must be linear")
@@ -330,35 +303,15 @@ def compose(c: GenSeries, d: GenSeries, unital: bool = False,
             return
         coeffs[word] = do.op_add(coeffs[word], op) if word in coeffs else op
 
-    unital_letter = None
-    d_empty = 0j
-    if unital:
-        c_empty = _scalar_empty_coefficient(c, "left")
-        d_empty = _scalar_empty_coefficient(d, "right")
-        if any(w.input_letter_count() for w in c.coeffs):
-            unital_letter = _single_input_letter(d)
-        put(EMPTY_WORD, do.from_expr(ex.const(c_empty * d_empty), c.dim))
-        for wd, op_d in d.coeffs.items():
-            if wd != EMPTY_WORD:
-                put(wd, op_d if c_empty == 1 else do.op_scale(c_empty, op_d))
-    # in the unital case the empty word of d is the identity part, above
-    d_items = [(wd, op_d) for wd, op_d in d.coeffs.items()
-               if not (unital and wd == EMPTY_WORD)]
-
     for wc in sorted(c.coeffs, key=Word.sort_key):
         a = c.coeffs[wc]
         at = next((i for i, l in enumerate(wc) if not l.is_drift), None)
-        if at is None:
-            # drift letters pass through; the unital empty word is above
-            if wc or not unital:
-                put(wc, a)
+        if at is None:  # drift letters pass through
+            put(wc, a)
             continue
-        if unital and d_empty != 0:
-            put(wc[:at] + (unital_letter,) + wc[at + 1:],
-                a if d_empty == 1 else do.op_scale(d_empty, a))
         prefix = (DRIFT,) * (at + 1)
         tail = wc[at + 1:]
-        for wd, op_d in d_items:
+        for wd, op_d in d.coeffs.items():
             if len(wc) + len(wd) > cut:
                 continue
             op = (do.op_mul(a, op_d) if wd.input_letter_count()
@@ -367,9 +320,12 @@ def compose(c: GenSeries, d: GenSeries, unital: bool = False,
                 put(Word(prefix + w),
                     op if mult == 1 else do.op_scale(mult, op))
 
-    # a word of d reaches the result behind the x0 replacing an input letter
-    # of c, one letter longer; a unital product also adds d's words as is
-    exact = min(c.exact_len, d.exact_len + (0 if unital else 1))
+    # a word of c of length l puts d's words of length L - l on the result
+    # words of length L, and c's drift words pass through; so d's exact
+    # prefix moves out by the length of c's shortest exact input word
+    shortest = min((len(w) for w in c.coeffs
+                    if w.input_letter_count() and len(w) <= c.exact_len), default=None)
+    exact = c.exact_len if shortest is None else min(c.exact_len, d.exact_len + shortest)
     return GenSeries(c.dim, coeffs, cut, d.alphabet, exact_len=exact)
 
 

@@ -264,14 +264,8 @@ class TestCompositionLaws:
         def apart(c, d):  # disjoint parameters and input letters
             return se.embed(c, 2), se.relabel_letters(se.embed(d, 2, 1), {X1: X2})
 
-        def identity_part(c):  # the scalar empty-word coefficient a unital product needs
-            coeffs = {**c.coeffs, Word(): do.from_expr(ex.const(0.5), 1)}
-            return se.GenSeries(1, coeffs, c.max_len, c.alphabet, exact_len=c.exact_len)
-
         results = {
             "compose": lambda c, d: se.compose(c, d),
-            "compose unital": lambda c, d: se.compose(
-                identity_part(c), identity_part(d), unital=True),
             "shuffle_series": lambda c, d: se.shuffle_series(*apart(c, d)),
             "parallel_sum": se.parallel_sum,
             "truncate": lambda c, d: se.truncate(c, n),
@@ -292,12 +286,14 @@ class TestCompositionLaws:
     @settings(max_examples=40, deadline=None)
     @given(st.data())
     def test_compose_is_associative(self, data):
-        """exact_len is not compared: min(c.exact_len, d.exact_len + 1)
-        can give (c o d) o e a shorter exact prefix than c o (d o e)."""
-        c, d, e = (self.linear_series(data) for _ in range(3))
+        """The coefficients and the exact prefix: both groupings keep
+        min(c, d + m_c, e + m_c + m_d) of the exact lengths, m_s the length
+        of the shortest input word of s within its exact prefix."""
+        c, d, e = (self.exact_and_perturbed(data)[0] for _ in range(3))
         left = se.compose(se.compose(c, d), e)
         right = se.compose(c, se.compose(d, e))
         assert left.coeffs == right.coeffs
+        assert left.exact_len == right.exact_len
         assert left.max_len == right.max_len
 
     @settings(max_examples=40, deadline=None)

@@ -1013,6 +1013,30 @@ class TestTailBoundScope:
         assert bound is None or bound["tail"] >= np.max(np.abs(f_m - f_n))
         assert bound is not None or not certified
 
+    @pytest.mark.parametrize("u, N, kind", [
+        ("t*theta_1^3", 6, "exact"), ("t*theta_1", 6, "exact"), ("t", 6, "exact"),
+        ("t*theta_1^3", 2, "gevrey_tail"),
+    ])
+    def test_polynomial_input_tail(self, tmp_path, u, N, kind):
+        """An input of theta-degree d <= N reaches no truncated input word,
+        which differentiates it more than d times: its tail is exactly 0,
+        from constants fitted through d.  Zero norms past d once entered
+        that fit and gave K_u = 2e193 with a residual of 171."""
+        out = tmp_path / "y.csv"
+        grid = "0:1:65,0:1:65"
+        assert run(["solve", "transport", "--V", "1", "--u", u, "--N", str(N),
+                    "--grid", grid, "--out", str(out)]) == 0
+        bound = read_report(str(out) + ".report.json")["bound"]
+        assert bound["kind"] == kind
+        assert all(map(math.isfinite, bound["constants"].values()))
+        assert bound["fit_residual"]["input"] < 1
+        signal = ii.InputSignal.symbolic(ex.parse(u, 1))
+        f_n, f_m = (ii.evaluate_series(pde.transport_series(pde.TransportSpec(1, 0, n)),
+                                       signal, ii.Grid.from_spec(grid)).values
+                    for n in (N, N + 16))
+        assert bound["tail"] >= np.max(np.abs(f_m - f_n))
+        assert (bound["tail"] == 0) == (kind == "exact")
+
     @pytest.mark.parametrize("argv", [
         ["wave"],
         ["second-order", "--alpha1", "0", "--alpha2", "-1", "--form", "cascade"],
@@ -1020,9 +1044,9 @@ class TestTailBoundScope:
     def test_no_growth_fit_outside_transport(self, tmp_path, monkeypatch, argv):
         from cfpde import bounds
         calls = []
-        fit = bounds.estimate_growth
-        monkeypatch.setattr(bounds, "estimate_growth",
-                            lambda *a, **kw: calls.append(a) or fit(*a, **kw))
+        for name in ("estimate_growth", "_fit_input"):  # the coefficient and input fits
+            monkeypatch.setattr(bounds, name, lambda *a, fit=getattr(bounds, name), **kw:
+                                calls.append(a) or fit(*a, **kw))
         out = tmp_path / "y.csv"
         assert run(["solve", *argv, "--u", "sin(theta_1)", "--N", "6",
                     "--grid", "0:3:17,0:1:17", "--out", str(out)]) == 0
@@ -1145,7 +1169,7 @@ class TestArgvFuzz:
              "--out": outs, "--report": outs}
     OPTIONS = {
         ("algebra", "shuffle"): two, ("algebra", "sum"): two,
-        ("algebra", "compose"): {**two, "--unital": None},
+        ("algebra", "compose"): two,
         ("algebra", "shift"): {"--letter": _mostly(["x1", "x0", "x2"], ["y", "", "x", "x1 x2"]),
                                "--series": series, "--out": outs},
         ("algebra", "truncate"): {"--series": series, "--N": orders, "--out": outs},

@@ -92,33 +92,30 @@ class TestFirstOrderInverse:
         inv = pde.first_order_inverse(1.5, 3)
         assert inv.coefficient(word("x1")) == do.monomial(ex.const(-1.5), (1,))
 
+    @staticmethod
+    def residual(beta, n):
+        """R + F + R o F through length n, for the inverse I + R and the
+        forward series F = beta d/dtheta on x1: (I + R)(I + F) = I holds
+        exactly when it is the zero series."""
+        rest = pde._rest(pde.first_order_inverse(beta, n))
+        fwd = se.series_from_coeffs(1, {word("x1"): do.monomial(beta, (1,))})
+        return se.truncate(se.parallel_sum(se.parallel_sum(rest, fwd),
+                                           se.compose(rest, fwd)), n)
+
     def test_geometric_cancellation_constant_beta(self):
-        beta = 0.75
-        inv = pde.first_order_inverse(beta, 8)
-        fwd = se.series_from_coeffs(1, {
-            Word(): do.identity(1),
-            word("x1"): do.monomial(ex.const(beta), (1,))})
-        got = se.truncate(se.compose(inv, fwd, unital=True), 8)
-        assert got.coeffs == se.one_series(1).coeffs
+        assert self.residual(0.75, 8).is_zero()
 
     def test_geometric_cancellation_symbolic_beta(self):
         # cancellation survives a theta-dependent factor: the canonical
         # Poly form collects equal monomials, so the terms cancel exactly
-        beta = ex.add(1, ex.mul(0.25, ex.sin(THETA)))
-        inv = pde.first_order_inverse(beta, 5)
-        fwd = se.series_from_coeffs(1, {
-            Word(): do.identity(1),
-            word("x1"): do.monomial(beta, (1,))})
-        got = se.truncate(se.compose(inv, fwd, unital=True), 5)
-        assert got.coeffs == se.one_series(1).coeffs
-
+        assert self.residual(ex.add(1, ex.mul(0.25, ex.sin(THETA))), 5).is_zero()
 
     @settings(max_examples=40, deadline=None)
     @given(DYADIC, st.lists(st.tuples(DYADIC.filter(bool), THETA_TERMS, DYADIC.filter(bool)),
                             min_size=1, max_size=3), st.integers(1, 5))
     def test_geometric_cancellation_property(self, constant, terms, n):
-        """The unital product of the inverse with the forward series is
-        exactly 1*empty-word for beta = constant + sum c*f(a*theta_1).
+        """R + F + R o F is exactly the zero series for
+        beta = constant + sum c*f(a*theta_1).
 
         Coefficients and arguments are multiples of 1/8, so every product
         and sum formed on the way is a dyadic rational that a double holds
@@ -126,12 +123,7 @@ class TestFirstOrderInverse:
         rounding can leave residues of about 1e-17 that do not cancel."""
         beta = ex.parse(" + ".join([repr(constant)] + [
             f"{c!r}*{form.format(repr(a))}" for c, form, a in terms]), 1)
-        fwd = se.series_from_coeffs(1, {
-            Word(): do.identity(1),
-            word("x1"): do.monomial(beta, (1,))})
-        got = se.truncate(se.compose(pde.first_order_inverse(beta, n), fwd,
-                                     unital=True), n)
-        assert got.coeffs == se.one_series(1).coeffs
+        assert self.residual(beta, n).is_zero()
 
 
 class TestSecondOrder:

@@ -347,22 +347,17 @@ class TestComposeClosedForm:
 
 LEFT_WORDS = st.one_of(LINEAR_LEFT_WORDS,
                        st.integers(0, 2).map(lambda k: Word((DRIFT,) * k)))
-EMPTY_SCALARS = st.sampled_from([0.0, 1.0, 0.5, -0.25])
 
 
 class TestComposeLengthCut:
     @settings(max_examples=60, deadline=None)
-    @given(st.data(), st.booleans(), st.integers(0, 7),
+    @given(st.data(), st.integers(0, 7),
            st.dictionaries(LEFT_WORDS, FIRST_ORDER_OPS, min_size=1, max_size=4),
            st.dictionaries(RIGHT_WORDS, FIRST_ORDER_OPS, max_size=3), FIRST_ORDER_OPS)
-    def test_equals_truncate_after(self, data, unital, n, left, right, x2_op):
+    def test_equals_truncate_after(self, data, n, left, right, x2_op):
         """compose(c, d, max_len=n) is truncate(compose(c, d), n): the same
         coefficients and exact_len, and max_len capped at n."""
         right[word("x2")] = x2_op  # the right factor's input letter
-        if unital:  # identity parts must be scalar constants
-            for words in (left, right):
-                if Word() in words:
-                    words[Word()] = do.from_expr(ex.const(data.draw(EMPTY_SCALARS)), 1)
 
         def series(coeffs, letter):
             max_len = max(map(len, coeffs)) + data.draw(st.integers(0, 2))
@@ -370,9 +365,9 @@ class TestComposeLengthCut:
                                 exact_len=data.draw(st.integers(0, max_len)))
 
         c, d = series(left, X1), series(right, X2)
-        full = se.compose(c, d, unital=unital)
+        full = se.compose(c, d)
         want = se.truncate(full, n)
-        got = se.compose(c, d, unital=unital, max_len=n)
+        got = se.compose(c, d, max_len=n)
         assert got.coeffs == want.coeffs
         assert got.max_len == min(n, full.max_len)
         assert got.exact_len == want.exact_len
