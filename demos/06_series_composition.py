@@ -41,13 +41,7 @@ def main():
     print("cascaded transports:", [w.text() for w in stacked.sorted_words()][:5])
 
     # geometric inverse: (I + R)(I + F) = I, so R + F + R o F = 0
-    beta = 1.5
-    inv = pde.first_order_inverse(beta, 8)
-    rest = se.GenSeries(1, {w: op for w, op in inv.coeffs.items() if w != Word()},
-                        inv.max_len)
-    fwd = se.series_from_coeffs(1, {word("x1"): do.monomial(ex.const(beta), (1,))})
-    residual = se.truncate(se.parallel_sum(se.parallel_sum(rest, fwd),
-                                           se.compose(rest, fwd)), 8)
+    residual = pde.first_order_residual(1.5, 8)
     print("R + F + R o F =", {w.text(): str(op)
                               for w, op in residual.coeffs.items()})
 

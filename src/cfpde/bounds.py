@@ -318,11 +318,10 @@ def tail_certificate(series: GenSeries, u, grid: Grid) -> dict | None:
     n = linear_degree(series)
     if n is None or not isinstance(u, InputSignal) or not u.is_symbolic:
         return None
-    # the order past which the theta_1-derivative of u is the empty Poly,
-    # read up to n + 1
-    degree, p = 0, u.expr.derivative(0)
-    while p.terms and degree <= n:
-        degree, p = degree + 1, p.derivative(0)
+    # the theta-degree of u, read from its terms: a term's theta_1 power,
+    # or past n (say n + 1) when one of its atoms involves theta_1
+    degree = max((n + 1 if any(ex.depends_on(arg, "theta_1") for _, arg, _ in atoms) else e[0]
+                  for e, atoms in u.expr.terms), default=0)
     try:
         coeff_fit = estimate_growth(series, grid, k_max=min(n, 8))
         # below estimate_growth's k_max >= 2, so that degrees 0 and 1 fit

@@ -477,18 +477,12 @@ def _node_sum(node: _TrieNode, derivatives: _Derivatives,
     """sum_w a_{p w} E_w for the node's prefix p, time-leading: its
     coefficient plus one integration pass over the summed integrands of
     its children (the drift child's sum, u_l^(o) times an input child's
-    sum).  A child with children returns a new array, which an input
-    edge scales in place when it already has the product's shape."""
+    sum)."""
     integrand = None
     for (letter, order), child in node.children.items():
         inner = _node_sum(child, derivatives, grid)
         if not letter.is_drift:
-            u = derivatives.take(letter, order)
-            if child.children and inner.shape == np.broadcast_shapes(u.shape, inner.shape):
-                inner *= u
-            else:
-                inner = u * inner
-            del u  # the samples are held only while an unvisited edge needs them
+            inner = derivatives.take(letter, order) * inner
         integrand = _accumulate(integrand, inner)
     if integrand is None:
         return node.coef

@@ -35,7 +35,7 @@ from .words import DRIFT, EMPTY_WORD, Letter, Word
 __all__ = [
     "TransportSpec", "SecondOrderSpec", "SecondOrderForm",
     "RepeatedRoot", "NonConstantCoefficients",
-    "transport_series", "first_order_inverse",
+    "transport_series", "first_order_inverse", "first_order_residual",
     "second_order_series", "second_order_series_factored", "wave_series",
 ]
 
@@ -73,7 +73,8 @@ class TransportSpec:
 def _rest(inverse: GenSeries) -> GenSeries:
     """R of an inverse series I + R: every word but the identity empty word."""
     return GenSeries(inverse.dim, {w: op for w, op in inverse.coeffs.items()
-                                   if w != EMPTY_WORD}, inverse.max_len)
+                                   if w != EMPTY_WORD}, inverse.max_len,
+                     exact_len=inverse.exact_len)
 
 
 def _solve(inverse: GenSeries, rhs: GenSeries) -> GenSeries:
@@ -113,6 +114,16 @@ def first_order_inverse(beta, n: int) -> GenSeries:
         power = do.op_mul(step, power)
         coeffs[Word((DRIFT,) * (k - 1) + (X1,))] = power
     return GenSeries(1, coeffs, max(n, 0), {DRIFT, X1}, exact_len=max(n, 0))
+
+
+def first_order_residual(beta, n: int) -> GenSeries:
+    """R + F + R o F through length n, for the inverse I + R of
+    I + F = I + beta d/dtheta E_{x1}: (I + R)(I + F) = I holds through
+    length n exactly when this is the zero series."""
+    rest = _rest(first_order_inverse(beta, n))
+    fwd = GenSeries(1, {Word((X1,)): do.monomial(_theta_only(beta, "beta"), (1,))}, 1)
+    return se.truncate(se.parallel_sum(se.parallel_sum(rest, fwd),
+                                       se.compose(rest, fwd)), n)
 
 
 class SecondOrderForm(enum.Enum):
@@ -195,7 +206,8 @@ def _cascade_inverse(beta1, beta2, n: int) -> GenSeries:
 
 def _direct_inverse(alpha1, alpha2, n: int) -> GenSeries:
     """Geometric expansion of the inverse of
-    I + alpha1 d E_{x1} + alpha2 d^2 E_{x0 x1}, cut at length n."""
+    I + alpha1 d E_{x1} + alpha2 d^2 E_{x0 x1}, cut at length n and exact
+    through it: the k-th power has no word shorter than k."""
     neg_a = se.truncate(GenSeries(1, {
         Word((X1,)): do.monomial(ex.const(-alpha1), (1,)),
         Word((DRIFT, X1)): do.monomial(ex.const(-alpha2), (2,))}, 2, {DRIFT, X1}), n)
@@ -203,7 +215,7 @@ def _direct_inverse(alpha1, alpha2, n: int) -> GenSeries:
     while not power.is_zero():
         total = se.parallel_sum(total, power)
         power = se.compose(neg_a, power, max_len=n)
-    return total
+    return GenSeries(1, total.coeffs, n, {DRIFT, X1}, exact_len=n)
 
 
 def second_order_series(spec: SecondOrderSpec) -> GenSeries:

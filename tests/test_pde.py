@@ -92,23 +92,13 @@ class TestFirstOrderInverse:
         inv = pde.first_order_inverse(1.5, 3)
         assert inv.coefficient(word("x1")) == do.monomial(ex.const(-1.5), (1,))
 
-    @staticmethod
-    def residual(beta, n):
-        """R + F + R o F through length n, for the inverse I + R and the
-        forward series F = beta d/dtheta on x1: (I + R)(I + F) = I holds
-        exactly when it is the zero series."""
-        rest = pde._rest(pde.first_order_inverse(beta, n))
-        fwd = se.series_from_coeffs(1, {word("x1"): do.monomial(beta, (1,))})
-        return se.truncate(se.parallel_sum(se.parallel_sum(rest, fwd),
-                                           se.compose(rest, fwd)), n)
-
     def test_geometric_cancellation_constant_beta(self):
-        assert self.residual(0.75, 8).is_zero()
+        assert pde.first_order_residual(0.75, 8).is_zero()
 
     def test_geometric_cancellation_symbolic_beta(self):
         # cancellation survives a theta-dependent factor: the canonical
         # Poly form collects equal monomials, so the terms cancel exactly
-        assert self.residual(ex.add(1, ex.mul(0.25, ex.sin(THETA))), 5).is_zero()
+        assert pde.first_order_residual(ex.add(1, ex.mul(0.25, ex.sin(THETA))), 5).is_zero()
 
     @settings(max_examples=40, deadline=None)
     @given(DYADIC, st.lists(st.tuples(DYADIC.filter(bool), THETA_TERMS, DYADIC.filter(bool)),
@@ -123,7 +113,7 @@ class TestFirstOrderInverse:
         rounding can leave residues of about 1e-17 that do not cancel."""
         beta = ex.parse(" + ".join([repr(constant)] + [
             f"{c!r}*{form.format(repr(a))}" for c, form, a in terms]), 1)
-        assert self.residual(beta, n).is_zero()
+        assert pde.first_order_residual(beta, n).is_zero()
 
 
 class TestSecondOrder:
@@ -231,6 +221,16 @@ class TestSolveKernel:
     def test_every_form_is_exact_through_n(self, form, n):
         c = pde.second_order_series(pde.SecondOrderSpec(3, 2, ex.sin(THETA), 1, n, form))
         assert (c.exact_len, c.max_len) == (n, n + 1)
+
+    @pytest.mark.parametrize("n", [0, 1, 8])
+    def test_inverses_and_their_rest_are_exact_through_n(self, n):
+        # before _triangular_truncate: an inverse claims exactly what it holds
+        for inverse in (pde.first_order_inverse(1.5, n), pde._direct_inverse(1.0, -2.0, n),
+                        pde._cascade_inverse(2.0, -1.0, n)):
+            assert (inverse.exact_len, inverse.max_len) == (n, n)
+            assert pde._rest(inverse).exact_len == n
+        short = pde._direct_inverse(1.0, -2.0, n + 2)
+        assert pde._rest(se.GenSeries(1, short.coeffs, n + 2, exact_len=n)).exact_len == n
 
     @pytest.mark.parametrize("n", [1, 7])
     def test_wave_and_factored_entry_are_exact_through_n(self, n):
