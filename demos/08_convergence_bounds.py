@@ -7,6 +7,8 @@ criterion, in closed form); with s < 1 any finite domain works.  So a
 numeric evaluation ships with an error certificate.
 """
 
+import dataclasses
+
 import numpy as np
 
 from cfpde import bounds as bd
@@ -34,7 +36,7 @@ def main():
     print(f"coefficient fit: K_alpha={coeff_fit.data.K_alpha:.4f} "
           f"M={coeff_fit.data.M:.4f} s={coeff_fit.data.s:.4f}")
 
-    g = coeff_fit.data.replace(K_u=input_fit.data.K_u, R=input_fit.data.R)
+    g = dataclasses.replace(coeff_fit.data, K_u=input_fit.data.K_u, R=input_fit.data.R)
     for n in (4, 8, 12):
         cn = pde.transport_series(pde.TransportSpec(V=1.0, y0=0, N=n))
         yn = ii.evaluate_series(cn, u, grid)

@@ -7,6 +7,7 @@ from __future__ import annotations
 import math
 import time
 from collections import Counter
+from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -18,13 +19,12 @@ from . import iterint as ii
 from . import pde
 from . import series as se
 from . import words as wd
-from ._record import record
 from .words import DRIFT, Letter, Word, word
 
 X1, X2 = Letter(1), Letter(2)
 
 
-@record
+@dataclass(frozen=True)
 class CriterionResult:
     number: int
     description: str

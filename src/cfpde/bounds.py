@@ -27,14 +27,13 @@ Only series of the constant-velocity transport shape are certified
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass, replace
 from typing import Sequence, Union
 
 from . import expr as ex
-from ._record import record
 # iterint before numpy, so that it is compiled before numpy is imported
-# (see cli._evaluation_errors); cumulative_trapezoid is not called here,
-# perfbench/tracing.py wraps it under this module's name too
-from .iterint import Grid, InputSignal, _sample_split, _split, cumulative_trapezoid  # noqa: F401
+# (see cli._evaluation_errors)
+from .iterint import Grid, InputSignal, _sample_split, _split, cumulative_trapezoid
 from .series import GenSeries, linear_degree
 
 import numpy as np  # noqa: E402
@@ -47,7 +46,7 @@ __all__ = [
 _TINY_TERM = 1e-300
 
 
-@record
+@dataclass(frozen=True)
 class GrowthData:
     """Growth constants: sup-norm of the degree-k coefficient bounded by
     K_alpha * M^k * (k!)^s and the L1 norm of the k-th input derivative by
@@ -139,13 +138,13 @@ def gevrey_tail(g: GrowthData, n: int) -> float:
     if mrt >= 1:
         raise ArithmeticError("tail summation failed to converge")
     # each term is at most its s = 1 term, as (k!)^(s-1) <= 1
-    return g.K_alpha * g.K_u * total + gevrey_tail(g.replace(s=1.0), k)
+    return g.K_alpha * g.K_u * total + gevrey_tail(replace(g, s=1.0), k)
 
 
 # ---------------------------------------------------------------------------
 # numeric estimation of growth constants
 
-@record
+@dataclass(frozen=True)
 class GrowthFit:
     data: GrowthData
     log_norms: tuple[float, ...]
@@ -161,12 +160,7 @@ def _time_integrals(u: InputSignal, grid: Grid, order: int) -> np.ndarray:
 
 def _row_integrals(values: np.ndarray, dt: float) -> np.ndarray:
     """Trapezoid integral of |values| over the time axis, the last one."""
-    values = np.abs(np.moveaxis(values, -1, 0))
-    # the steps and running sum of cumulative_trapezoid, on real numbers;
-    # cumsum adds in time order, where np.sum would add pairwise
-    steps = values[:-1] + values[1:]
-    steps *= 0.5 * dt
-    return np.cumsum(steps, axis=0)[-1]
+    return cumulative_trapezoid(np.abs(np.moveaxis(values, -1, 0)), dt)[-1].real
 
 
 def input_l1_norm(u: InputSignal, grid: Grid) -> float:
@@ -238,7 +232,7 @@ def _fit_input(u: InputSignal, grid: Grid, k_max: int) -> GrowthFit:
     if all(n <= 1e-14 * norms[0] for n in norms[1:]):
         return GrowthFit(base, tuple(logs), 0.0, theta_independent=True)
     (log_k, log_r), residual = _least_squares([range(k_max + 1)], logs)
-    data = base.replace(K_u=math.exp(log_k), R=math.exp(log_r))
+    data = replace(base, K_u=math.exp(log_k), R=math.exp(log_r))
     return GrowthFit(data, tuple(logs), residual)
 
 
@@ -319,8 +313,10 @@ def tail_certificate(series: GenSeries, u, grid: Grid) -> dict | None:
     if n is None or not isinstance(u, InputSignal) or not u.is_symbolic:
         return None
     # the theta-degree of u, read from its terms: a term's theta_1 power,
-    # or past n (say n + 1) when one of its atoms involves theta_1
-    degree = max((n + 1 if any(ex.depends_on(arg, "theta_1") for _, arg, _ in atoms) else e[0]
+    # or past n (say n + 1) when that power is negative or one of its
+    # atoms involves theta_1: no derivative order makes such a term vanish
+    degree = max((n + 1 if e[0] < 0 or any(ex.depends_on(arg, "theta_1")
+                                           for _, arg, _ in atoms) else e[0]
                   for e, atoms in u.expr.terms), default=0)
     try:
         coeff_fit = estimate_growth(series, grid, k_max=min(n, 8))
@@ -331,7 +327,7 @@ def tail_certificate(series: GenSeries, u, grid: Grid) -> dict | None:
             log_r = math.log(R)
             K_u = max(K_u, math.exp(max(v - k * log_r
                                         for k, v in enumerate(input_fit.log_norms))))
-        g = coeff_fit.data.replace(K_u=K_u, R=R)
+        g = replace(coeff_fit.data, K_u=K_u, R=R)
         tail = 0.0 if degree <= n else gevrey_tail(g, n)
     except (ValueError, ArithmeticError):
         return None

@@ -237,12 +237,11 @@ def _solver_series(args) -> tuple[se.GenSeries, dict]:
         return pde.transport_series(pde.TransportSpec(v, y0, args.N)), params
     if args.kind == "wave":
         return pde.wave_series(args.N), params
-    form = pde.SecondOrderForm(args.form)
     y0 = _parse_expr_arg(args.y0, 1, "--y0")
     y1 = _parse_expr_arg(args.y1, 1, "--y1")
     spec = pde.SecondOrderSpec(_complex_arg(args.alpha1, "--alpha1"),
                                _complex_arg(args.alpha2, "--alpha2"),
-                               y0, y1, args.N, form)
+                               y0, y1, args.N, args.form)
     params.update({"alpha1": args.alpha1, "alpha2": args.alpha2,
                    "y0": args.y0, "y1": args.y1, "form": args.form})
     return pde.second_order_series(spec), params

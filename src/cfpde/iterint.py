@@ -49,12 +49,12 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Optional, Union
 
 import numpy as np
 
 from . import expr as ex
-from ._record import record
 from .diffop import MultiIndex, identity, mi_abs, mi_zero
 from .series import GenSeries
 from .words import Letter, Word
@@ -79,7 +79,7 @@ def _check_spacing(length: float, n: int) -> None:
         raise EvaluationError("grid spacing must be a positive finite float")
 
 
-@record
+@dataclass(frozen=True)
 class Grid:
     """Uniform rectangular grid on [a_k, b_k] x ... x [0, T]."""
 

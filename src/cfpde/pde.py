@@ -23,11 +23,11 @@ from __future__ import annotations
 import cmath
 import enum
 import sys
+from dataclasses import dataclass
 
 from . import diffop as do
 from . import expr as ex
 from . import series as se
-from ._record import record
 from .diffop import DiffOp
 from .series import GenSeries
 from .words import DRIFT, EMPTY_WORD, Letter, Word
@@ -57,7 +57,7 @@ def _theta_only(e, what: str) -> ex.Poly:
     return e
 
 
-@record
+@dataclass(frozen=True)
 class TransportSpec:
     V: object
     y0: object = 0
@@ -132,7 +132,7 @@ class SecondOrderForm(enum.Enum):
     PARTIAL_FRACTION = "partial-fraction"
 
 
-@record
+@dataclass(frozen=True)
 class SecondOrderSpec:
     alpha1: complex
     alpha2: complex
@@ -155,6 +155,10 @@ class SecondOrderSpec:
         object.__setattr__(self, "y1", _theta_only(self.y1, "y1"))
         if self.N < 0:
             raise se.SeriesError("truncation N must be nonnegative")
+        try:
+            object.__setattr__(self, "form", SecondOrderForm(self.form))
+        except ValueError:
+            raise se.SeriesError(f"unknown second-order form {self.form!r}") from None
 
 
 def _roots(alpha1: complex, alpha2: complex) -> tuple[complex, complex]:

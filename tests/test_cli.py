@@ -724,24 +724,8 @@ class TestStartup:
                   ["algebra", "truncate", "--series", c, "--N", "1", "--out", out]]
         loaded = _loaded_after(argvs, tmp_path)
         assert not loaded & {"numpy", "cfpde.iterint", "cfpde.bounds", "cfpde.pde",
-                             "inspect"}
+                             "inspect", "dataclasses"}
         assert "cfpde.series" in loaded
-
-    def test_no_subcommand_loads_dataclasses(self, tmp_path, transport_files):
-        grid = ["--grid", "0:1:5,0:1:5"]
-        out = str(tmp_path / "z.out")
-        loaded = _loaded_after([
-            ["algebra", "sum", "--left", transport_files[0], "--right", transport_files[1],
-             "--out", out],
-            ["eval", "--series", transport_files[0], "--u", "t", *grid, "--out", out],
-            SOLVE + ["--out", out],
-            ["solve", "second-order", "--alpha1", "0", "--alpha2", "-1", "--u", "t",
-             "--N", "2", *grid, "--out", out],
-            CHECK,
-            ["bounds", "estimate", "--u", "t*sin(theta_1)", *grid],
-            ["verify", "--only", "8"]], tmp_path)
-        assert {"cfpde.acceptance", "cfpde.bounds", "cfpde.pde"} <= loaded
-        assert "dataclasses" not in loaded
 
     @pytest.mark.parametrize("start", [
         "from cfpde import cli\nsys.exit(cli.entry())",  # the cf console script
@@ -992,15 +976,19 @@ class TestTailBoundScope:
         ("1.03", "t*sin(2.05*theta_1)", "0:6.283185307179586:33,0:1:33", 8, True),
         ("1", "t*exp(sin(theta_1))", "0:6.283185307179586:33,0:1:33", 18, True),
         ("1", "t*exp(sin(theta_1))", "0:6.283185307179586:33,0:1:33", 24, True),
+        ("1", "t/theta_1", "1:2:33,0:1:33", 6, True),
+        ("1", "t*theta_1^-2 + t*theta_1", "1:2:33,0:1:33", 6, True),
     ], ids=["variable-V-T0.1", "variable-V-T0.5", "variable-V-T1", "constant-V",
-            "exp-sin-N18", "exp-sin-N24"])
+            "exp-sin-N18", "exp-sin-N24", "negative-power", "negative-and-positive-power"])
     def test_certificate_is_absent_or_dominates_the_truncation(
             self, tmp_path, V, u, grid, N, certified):
         """The reported tail, when there is one, is at least the truncation
         error |F_N - F_M| at M = N + 16, on the same grid and time rule,
         so no quadrature error enters.  A variable velocity makes every
         operator order up to k on x0^k x1, which the growth fit does not
-        read, so its series carry no certificate."""
+        read, so its series carry no certificate.  A negative theta power
+        is no polynomial degree: every derivative of it is nonzero, so its
+        tail is not the exact 0 of a low degree."""
         out = tmp_path / "y.csv"
         assert run(["solve", "transport", "--V", V, "--u", u, "--N", str(N),
                     "--grid", grid, "--out", str(out)]) == 0

@@ -151,6 +151,16 @@ class TestSecondOrder:
         # no higher-order corrections: both roots are zero
         assert set(c.coeffs) == {Word(), word("x0"), word("x0", "x1")}
 
+    def test_form_by_value(self):
+        """The form may be given by its value, as the cli passes it; an
+        unknown value is a SeriesError, not a silent direct form."""
+        by_value = pde.SecondOrderSpec(3, 2, ex.sin(THETA), 1, 5, "cascade")
+        assert by_value.form is pde.SecondOrderForm.CASCADE
+        assert pde.second_order_series(by_value) == pde.second_order_series(
+            pde.SecondOrderSpec(3, 2, ex.sin(THETA), 1, 5, pde.SecondOrderForm.CASCADE))
+        with pytest.raises(se.SeriesError, match="bogus"):
+            pde.SecondOrderSpec(3, 2, form="bogus")
+
     def test_form_agreement_with_initial_data(self, rng):
         y0 = ex.sin(THETA)
         built = [pde.second_order_series(pde.SecondOrderSpec(3, 2, y0, 1, 5, f))

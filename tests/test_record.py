@@ -1,155 +1,87 @@
-import math
+"""The package's value classes are frozen dataclasses: the behaviour the
+rest of the package reads from them."""
+
+import dataclasses
 
 import pytest
 
 from cfpde import expr as ex
 from cfpde import iterint as ii
 from cfpde import pde
-from cfpde._record import record
-from cfpde.bounds import GrowthData
+from cfpde.acceptance import CriterionResult
+from cfpde.bounds import GrowthData, GrowthFit
 
-
-@record
-class Point:
-    x: float
-    y: float = 0.0
-    label: str = "p"
-
-
-@record
-class Label:
-    text: str
-
-
-@record
-class Caption:
-    """Label's one field under another class."""
-    text: str
-
-
-@record
-class Rank:
-    """A one-field record with its own methods."""
-    value: int
-
-    def __repr__(self):
-        return f"#{self.value}"
-
-    def __hash__(self):
-        return hash(self.value)
-
-    def __lt__(self, other):
-        return self.value < other.value
-
-
-@record
-class Positive:
-    value: float
-
-    def __post_init__(self):
-        if self.value <= 0:
-            raise ValueError("must be positive")
-        object.__setattr__(self, "value", float(self.value))
+V = ex.parse("1 + theta_1", 1)
 
 
 class TestConstruction:
     def test_positional_keyword_and_defaults(self):
-        assert Point(1.0) == Point(x=1.0) == Point(1.0, 0.0, "p")
-        assert Point(1.0, label="q").label == "q"
+        assert pde.TransportSpec(V) == pde.TransportSpec(V=V) == pde.TransportSpec(V, 0, 8)
+        assert CriterionResult(1, "d", True, 0.5, 1.0).detail == ""
 
     @pytest.mark.parametrize("args, kwargs", [
-        ((), {}), ((1, 2, "a", 4), {}), ((1,), {"x": 2}), ((1,), {"z": 3}),
+        ((), {}), ((V, 0, 8, 9), {}), ((V,), {"V": V}), ((V,), {"z": 3}),
     ])
     def test_bad_calls_are_type_errors(self, args, kwargs):
         with pytest.raises(TypeError):
-            Point(*args, **kwargs)
-
-    def test_one_field_bad_calls_are_type_errors(self):
-        for args, kwargs in [((), {}), ((1, 2), {}), ((1,), {"value": 2}), ((), {"v": 1})]:
-            with pytest.raises(TypeError):
-                Positive(*args, **kwargs)
+            pde.TransportSpec(*args, **kwargs)
 
     def test_post_init_validates_and_normalises(self):
-        assert Positive(3).value == 3.0 and isinstance(Positive(3).value, float)
+        spec = pde.TransportSpec(V)
+        assert spec.N == 8 and spec.V == ex.simplify(V)
+        assert pde.SecondOrderSpec(0, -1).alpha2 == complex(-1)
         with pytest.raises(ValueError):
-            Positive(-1)
-
-    def test_field_order_is_checked(self):
-        with pytest.raises(TypeError, match="without a default"):
-            @record
-            class Bad:
-                a: int = 0
-                b: int
-
-        with pytest.raises(TypeError, match="no fields"):
-            @record
-            class Empty:
-                pass
+            GrowthData(1.0, 2.0, 3.0, -1.0, 0.0, 1.0)
 
 
 class TestValueSemantics:
     def test_equality_is_by_class_and_fields(self):
-        assert Point(1.0, 2.0) == Point(1.0, 2.0)
-        assert Point(1.0, 2.0) != Point(2.0, 1.0)
-        assert Label("t") == Label("t") and Label("t") != Caption("t")
-        assert Point(1.0).__eq__((1.0, 0.0, "p")) is NotImplemented
+        grid = ii.Grid.from_spec("0:1:5,0:2:9")
+        assert grid == ii.Grid(((0.0, 1.0, 5),), 2.0, 9) != ii.Grid(((0.0, 1.0, 5),), 2.0, 17)
+        assert grid != (((0.0, 1.0, 5),), 2.0, 9)
 
     def test_hash_is_that_of_the_field_tuple(self):
-        """The values dataclass gives, so set and dict orders stay."""
-        assert hash(Point(1.0, 2.0, "a")) == hash((1.0, 2.0, "a"))
-        assert hash(Label("2j")) == hash(("2j",))
-        assert hash(Point(Label("t"), 3)) == hash((Label("t"), 3, "p"))
-
-    def test_same_field_object_compares_equal(self):
-        """As in a tuple comparison, identity first: a NaN field equals
-        itself."""
-        nan = complex(math.nan, 0)
-        assert Label(nan) == Label(nan)
-        assert Point(math.nan) != Point(float("nan"))
-
-    def test_class_methods_are_kept(self):
-        assert repr(Rank(3)) == "#3" and hash(Rank(3)) == hash(3)
-        assert Rank(1) < Rank(2) and Rank(1) == Rank(1) != Rank(2)
+        """So set and dict orders follow the field values."""
+        g = GrowthData(1.0, 2.0, 3.0, 0.5, 0.0, 1.0)
+        assert hash(g) == hash((1.0, 2.0, 3.0, 0.5, 0.0, 1.0))
+        fit = GrowthFit(g, (0.0, -1.0), 0.25)
+        assert hash(fit) == hash((g, (0.0, -1.0), 0.25, False))
 
     def test_repr(self):
-        assert repr(Point(1.0, label="q")) == "Point(x=1.0, y=0.0, label='q')"
-        assert repr(Label("t")) == "Label(text='t')"
+        assert repr(GrowthData(1.0, 2.0, 3.0, 0.5, 0.0, 1.0)) == (
+            "GrowthData(K_alpha=1.0, M=2.0, K_u=3.0, R=0.5, s=0.0, T=1.0)")
 
     def test_match_args(self):
-        match Point(Label("t"), 2):
-            case Point(x, y):
-                assert (x, y) == (Label("t"), 2)
-        assert Point.__match_args__ == ("x", "y", "label")
+        """GrowthData.as_dict names the constants in this order."""
+        assert GrowthData.__match_args__ == ("K_alpha", "M", "K_u", "R", "s", "T")
+        assert list(GrowthData(1.0, 2.0, 3.0, 0.5, 0.0, 1.0).as_dict().values()) == [
+            1.0, 2.0, 3.0, 0.5, 0.0, 1.0]
 
 
 class TestFrozen:
     def test_fields_cannot_be_set_or_deleted(self):
-        p = Point(1.0)
+        g = GrowthData(1.0, 2.0, 3.0, 0.5, 0.0, 1.0)
         with pytest.raises(AttributeError, match="cannot assign"):
-            p.x = 2.0
+            g.R = 2.0
         with pytest.raises(AttributeError, match="cannot assign"):
-            p.other = 2.0
+            g.other = 2.0
         with pytest.raises(AttributeError, match="cannot delete"):
-            del p.x
-        assert p == Point(1.0)
+            del g.R
+        assert g == GrowthData(1.0, 2.0, 3.0, 0.5, 0.0, 1.0)
 
     def test_replace_copies_and_validates(self):
         g = GrowthData(1.0, 2.0, 3.0, 0.5, 0.0, 1.0)
-        h = g.replace(K_u=4.0, R=0.25)
+        h = dataclasses.replace(g, K_u=4.0, R=0.25)
         assert (h.K_u, h.R, h.M) == (4.0, 0.25, 2.0) and g.K_u == 3.0
         with pytest.raises(ValueError):
-            g.replace(R=-1.0)
+            dataclasses.replace(g, R=-1.0)
         with pytest.raises(TypeError):
-            g.replace(Q=1.0)
-        assert Label("t").replace(text="u") == Label("u")
-        with pytest.raises(ValueError):
-            Positive(3).replace(value=-1)
+            dataclasses.replace(g, Q=1.0)
 
     def test_package_records(self):
         grid = ii.Grid.from_spec("0:1:5,0:2:9")
-        assert grid == ii.Grid(((0.0, 1.0, 5),), 2.0, 9) and grid.replace(n_t=17).n_t == 17
+        assert dataclasses.replace(grid, n_t=17).n_t == 17
         with pytest.raises(ii.EvaluationError):
-            grid.replace(n_t=1)
-        v = ex.parse("1 + theta_1", 1)
-        spec = pde.TransportSpec(v)
-        assert spec.N == 8 and spec.V == ex.simplify(v) and spec.replace(N=3).V == spec.V
+            dataclasses.replace(grid, n_t=1)
+        spec = pde.TransportSpec(V)
+        assert dataclasses.replace(spec, N=3).V == spec.V
