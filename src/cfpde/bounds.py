@@ -33,7 +33,7 @@ from typing import Sequence, Union
 from . import expr as ex
 # iterint before numpy, so that it is compiled before numpy is imported
 # (see cli._evaluation_errors)
-from .iterint import Grid, InputSignal, _sample_split, _split, cumulative_trapezoid
+from .iterint import Grid, InputSignal, _as_binding, _sample_split, _split, cumulative_trapezoid
 from .series import GenSeries, linear_degree
 
 import numpy as np  # noqa: E402
@@ -160,7 +160,7 @@ def _time_integrals(u: InputSignal, grid: Grid, order: int) -> np.ndarray:
 
 def _row_integrals(values: np.ndarray, dt: float) -> np.ndarray:
     """Trapezoid integral of |values| over the time axis, the last one."""
-    return cumulative_trapezoid(np.abs(np.moveaxis(values, -1, 0)), dt)[-1].real
+    return cumulative_trapezoid(np.abs(np.moveaxis(values, -1, 0)), dt)[-1]
 
 
 def input_l1_norm(u: InputSignal, grid: Grid) -> float:
@@ -306,11 +306,17 @@ def tail_certificate(series: GenSeries, u, grid: Grid) -> dict | None:
     K_u R^k dominates every norm of that fit; past n the model is still
     an extrapolation.  An input of theta-degree d <= n is fitted through
     d, and its tail is exactly 0 (kind "exact"): every truncated input
-    word differentiates it more than d times.  None when the series has
-    no linear degree, the grid is not one-parameter, u is not one
-    symbolic signal, a fit fails, or the bound is not finite."""
+    word differentiates it more than d times.  u is a signal or a
+    binding, read as ``evaluate_series`` reads it.  None when the series
+    has no linear degree, the grid is not one-parameter, the signal on
+    the series' input letter is not symbolic, a fit fails, or the bound
+    is not finite."""
     n = linear_degree(series)
-    if n is None or not isinstance(u, InputSignal) or not u.is_symbolic:
+    if n is None:
+        return None
+    letter = next(l for w in series.coeffs for l in w if not l.is_drift)
+    u = _as_binding(u, series.alphabet).get(letter.index)
+    if u is None or not u.is_symbolic:
         return None
     # the theta-degree of u, read from its terms: a term's theta_1 power,
     # or past n (say n + 1) when that power is negative or one of its

@@ -15,6 +15,7 @@ is zero exactly when its coefficient's dict is empty.
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Mapping
 
@@ -60,14 +61,9 @@ def _mi_binomial(alpha: MultiIndex, gamma: MultiIndex) -> int:
 
 
 def _sub_indices(alpha: MultiIndex):
-    """All gamma with 0 <= gamma <= alpha componentwise."""
-    if not alpha:
-        yield ()
-        return
-    head, tail = alpha[0], alpha[1:]
-    for rest in _sub_indices(tail):
-        for g in range(head + 1):
-            yield (g,) + rest
+    """All gamma with 0 <= gamma <= alpha componentwise, the first axis
+    varying fastest."""
+    return (g[::-1] for g in itertools.product(*(range(a + 1) for a in reversed(alpha))))
 
 
 class DiffOp:
@@ -186,22 +182,21 @@ def _check_dims(a: DiffOp, b: DiffOp):
         raise DimensionMismatch(f"operator dims differ: {a.dim} vs {b.dim}")
 
 
-def _derivative(delta: MultiIndex, memo: dict) -> ex.Poly:
-    """D^delta of the Poly memo[zero], from the memoized lower orders."""
-    if delta not in memo:
-        axis = next(i for i, k in enumerate(delta) if k)
-        lower = delta[:axis] + (delta[axis] - 1,) + delta[axis + 1:]
-        memo[delta] = _derivative(lower, memo).derivative(axis)
-    return memo[delta]
+def _derivative(p: ex.Poly, delta: MultiIndex) -> ex.Poly:
+    """D^delta p along the chain that p keeps: the last axis first."""
+    for axis in reversed(range(len(delta))):
+        for _ in range(delta[axis]):
+            p = p.derivative(axis)
+    return p
 
 
 def op_apply(op: DiffOp, f) -> ex.Poly:
     """Apply the operator to a function of theta: sum of a_alpha * d^alpha f,
     a Poly in the coefficient layout."""
-    memo = {mi_zero(op.dim): _to_poly(f, op.dim, "function", DimensionMismatch)}
+    f = _to_poly(f, op.dim, "function", DimensionMismatch)
     pairs = []
     for alpha, coeff in op.sorted_terms():
-        pairs += ex.product_terms(coeff, _derivative(alpha, memo))
+        pairs += ex.product_terms(coeff, _derivative(f, alpha))
     return ex.collect(op.dim, pairs)
 
 
@@ -235,13 +230,11 @@ def op_mul(a: DiffOp, b: DiffOp) -> DiffOp:
     """
     _check_dims(a, b)
     pieces: dict[MultiIndex, list] = {}
-    memos = {beta: {mi_zero(a.dim): cb} for beta, cb in b.terms.items()}
     for alpha, ca in a.terms.items():
         for beta, cb in b.terms.items():
             constant = cb.constant() is not None
             for gamma in (alpha,) if constant else _sub_indices(alpha):
-                db = _derivative(tuple(x - y for x, y in zip(alpha, gamma)),
-                                 memos[beta])
+                db = _derivative(cb, tuple(x - y for x, y in zip(alpha, gamma)))
                 if db.terms:
                     pieces.setdefault(mi_add(gamma, beta), []).extend(
                         ex.product_terms(ca, db, _mi_binomial(alpha, gamma)))

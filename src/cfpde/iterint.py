@@ -55,7 +55,7 @@ from typing import Mapping, NamedTuple, Optional, Union
 import numpy as np
 
 from . import expr as ex
-from .diffop import MultiIndex, identity, mi_abs, mi_zero
+from .diffop import MultiIndex, identity, mi_abs
 from .series import GenSeries
 from .words import Letter, Word
 
@@ -256,12 +256,12 @@ class GridField:
 def cumulative_trapezoid(f: np.ndarray, dt: float) -> np.ndarray:
     """Running integral along axis 0, the time axis; entry 0 is 0.
 
-    The result is a new C-contiguous complex array.  The interval sums,
-    their scaling by dt/2 and the running sum are all formed in place in
-    it, so the outer time axis makes every step one pass over contiguous
-    rows.  Per element the arithmetic is (f_k + f_{k+1}) * (dt/2) summed
-    in time order."""
-    out = np.empty(f.shape, dtype=np.complex128)
+    The result is a new C-contiguous array, real for real f and complex
+    otherwise.  The interval sums, their scaling by dt/2 and the running
+    sum are all formed in place in it, so the outer time axis makes every
+    step one pass over contiguous rows.  Per element the arithmetic is
+    (f_k + f_{k+1}) * (dt/2) summed in time order."""
+    out = np.empty(f.shape, dtype=np.result_type(f, 1.0))
     out[0] = 0
     steps = out[1:]
     np.add(f[:-1], f[1:], out=steps)
@@ -311,10 +311,7 @@ class InputSignal:
     def derivative_values(self, grid: Grid, order: MultiIndex) -> np.ndarray:
         """Samples of the order-th theta-derivative, broadcast to grid shape."""
         if self.is_symbolic:
-            e = self.expr
-            for axis, k in enumerate(order):
-                if k:
-                    e = ex.differentiate(e, f"theta_{axis + 1}", k)
+            e = _theta_derivative(self.expr, order)
             values = np.asarray(ex.evaluate(e, grid.meshes()), dtype=np.complex128)
             values = np.broadcast_to(values, grid.shape)
         else:
@@ -330,6 +327,17 @@ class InputSignal:
                 for _ in range(k):
                     values = np.gradient(values, h, axis=axis, edge_order=2)
         return values
+
+
+def _theta_derivative(p: ex.Poly, order: MultiIndex) -> ex.Poly:
+    """d^order p along the theta axes, the first axis first, on the chain
+    that p keeps; 0 along an axis p does not have."""
+    if any(order[p.dim - p.t:]):
+        return ex.ZERO
+    for axis, k in enumerate(order):
+        for _ in range(k):
+            p = p.derivative(axis)
+    return p
 
 
 Binding = Mapping[int, InputSignal]
@@ -352,20 +360,12 @@ def _as_binding(u: Union[InputSignal, Binding], alphabet) -> Binding:
 DecoratedWord = tuple[tuple[Letter, Optional[MultiIndex]], ...]
 
 
-def undecorated(w: Word, dim: int) -> DecoratedWord:
-    z = mi_zero(dim)
-    return tuple((l, None if l.is_drift else z) for l in w)
-
-
 def _compositions(total: int, parts: int):
     """All ways to write total as an ordered sum of `parts` nonnegative
     integers, in a fixed deterministic order."""
     if parts == 0:
         if total == 0:
             yield ()
-        return
-    if parts == 1:
-        yield (total,)
         return
     for first in range(total + 1):
         for rest in _compositions(total - first, parts - 1):
@@ -377,24 +377,14 @@ def expand_derivative(w: Word, alpha: MultiIndex) -> list[tuple[int, DecoratedWo
     of w, returning (multinomial weight, decorated word) terms.
 
     Derivatives falling on the drift letter vanish, so a pure-drift word
-    with a nonzero alpha expands to nothing.
+    with a nonzero alpha expands to nothing, and alpha = 0 gives w with
+    order 0 on each input letter, weight 1.
     """
-    dim = len(alpha)
-    positions = [i for i, l in enumerate(w.letters) if not l.is_drift]
-    if mi_abs(alpha) == 0:
-        return [(1, undecorated(w, dim))]
-    if not positions:
-        return []
-    per_axis: list[list[tuple[int, tuple[int, ...]]]] = []
-    for k in alpha:
-        axis_terms = []
-        for comp in _compositions(k, len(positions)):
-            weight = math.factorial(k)
-            for m in comp:
-                weight //= math.factorial(m)
-            axis_terms.append((weight, comp))
-        per_axis.append(axis_terms)
-
+    n = w.input_letter_count()
+    # per axis, each split of its order over the input letters with its
+    # multinomial weight
+    per_axis = [[(math.factorial(k) // math.prod(map(math.factorial, comp)), comp)
+                 for comp in _compositions(k, n)] for k in alpha]
     out: list[tuple[int, DecoratedWord]] = []
     # axis 0 varies slowest; a loop, not a self-referencing closure, so
     # that a call leaves no reference cycle for the collector
@@ -549,9 +539,7 @@ def _sample_split(split: list, order: MultiIndex, grid: Grid) -> list:
     meshes, t = grid.meshes(with_t=False), {"t": grid.t_points}
     out = []
     for g, f in split:
-        for axis, k in enumerate(order):
-            for _ in range(k):
-                f = f.derivative(axis)
+        f = _theta_derivative(f, order)
         if f.terms:
             g_t = ex.Poly(grid.dim + 1, {((0,) * grid.dim + (g[0],), g[1]): 1 + 0j}, True)
             out.append((g, np.asarray(ex.evaluate(f, meshes), dtype=np.complex128),

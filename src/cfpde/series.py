@@ -408,6 +408,8 @@ def series_from_text(text: str) -> GenSeries:
             w = parse_word(word_text)
         except ValueError as e:
             raise SeriesError(f"bad word in series line {ln!r}: {e}") from None
+        if w in coeffs:
+            raise SeriesError(f"bad series line {ln!r}: word {w.text()} is given twice")
         coeffs[w] = _parse_diffop(op_text, dim)
     return GenSeries(dim, coeffs, max_len, alphabet, exact_len=exact_len)
 

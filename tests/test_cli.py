@@ -883,6 +883,7 @@ class TestInputFaults:
         "dim=1 maxlen=2 exactlen=5 alphabet=x0,x1\nx1 :: 1 * D[0]\n",
         "dim=1 maxlen=2 exactlen=-1 alphabet=x0,x1\nx1 :: 1 * D[0]\n",
         "dim=1 maxlen=2 exactlen=x alphabet=x0,x1\nx1 :: 1 * D[0]\n",
+        "dim=1 maxlen=1 alphabet=x0,x1\nx1 :: 1 * D[0]\nx1 :: 5 * D[1]\n",
     ])
     def test_malformed_series_text_exits_one(self, tmp_path, capsys, text):
         path = tmp_path / "bad.series"
@@ -1000,6 +1001,26 @@ class TestTailBoundScope:
             for n in (N, N + 16))
         assert bound is None or bound["tail"] >= np.max(np.abs(f_m - f_n))
         assert bound is not None or not certified
+
+    @pytest.mark.parametrize("command", ["solve", "eval"])
+    def test_bind_of_the_input_letter_gets_the_certificate_of_u(self, tmp_path, command):
+        """--bind 1=EXPR and --u EXPR give the series' one input letter the
+        same signal, so they write the same CSV and report the same
+        certificate."""
+        u, grid = "t*sin(2.05*theta_1)", "0:6.28:33,0:1:33"
+        if command == "solve":
+            argv = ["solve", "transport", "--V", "1.03", "--N", "8"]
+        else:
+            path = tmp_path / "c.series"
+            se.save_series(pde.transport_series(pde.TransportSpec(1.03, 0, 8)), path)
+            argv = ["eval", "--series", str(path)]
+        results = []
+        for i, spelling in enumerate((["--u", u], ["--bind", f"1={u}"])):
+            out = tmp_path / f"{i}.csv"
+            assert run([*argv, *spelling, "--grid", grid, "--out", str(out)]) == 0
+            results.append((out.read_bytes(), read_report(str(out) + ".report.json")["bound"]))
+        assert results[0] == results[1]
+        assert results[0][1]["kind"] == "gevrey_tail"
 
     @pytest.mark.parametrize("u, N, kind", [
         ("t*theta_1^3", 6, "exact"), ("t*theta_1", 6, "exact"), ("t", 6, "exact"),

@@ -31,6 +31,11 @@ def drift_input_word(i, j):
     return Word((DRIFT,) * i + (X1,) + (DRIFT,) * j)
 
 
+def undecorated(w, dim):
+    """w as a decorated word with order 0 on each input letter."""
+    return tuple((l, None if l.is_drift else (0,) * dim) for l in w)
+
+
 def nested_trapezoid(dw, u, grid):
     """Reference E_dw[u] in grid layout (theta..., t): the trapezoid rule
     on the last axis, applied once per letter from the innermost out, to
@@ -206,7 +211,7 @@ class TestIteratedIntegral:
         for n in range(5):
             for w in itertools.product(letters, repeat=n):
                 w = Word(w)
-                want = nested_trapezoid(ii.undecorated(w, dim), u, g)
+                want = nested_trapezoid(undecorated(w, dim), u, g)
                 got = ii.iterated_integral(w, u, g).values
                 scale = max(1.0, float(np.max(np.abs(want))))
                 assert np.max(np.abs(got - want)) <= 1e-13 * scale, w
@@ -219,7 +224,7 @@ class TestNestedTrapezoid:
     def test_unit_input_is_t_power_over_factorial(self, k):
         g = small_grid(n_theta=3, n_t=513)
         for w in itertools.product([DRIFT, X1], repeat=k):
-            f = nested_trapezoid(ii.undecorated(Word(w), 1), ii.InputSignal.symbolic(ex.ONE), g)
+            f = nested_trapezoid(undecorated(Word(w), 1), ii.InputSignal.symbolic(ex.ONE), g)
             oracle = g.t_points ** k / math.factorial(k)
             assert np.max(np.abs(f - oracle)) < 5e-6
 
@@ -247,6 +252,11 @@ class TestExpandDerivative:
 
     def test_pure_drift_word_vanishes(self):
         assert ii.expand_derivative(Word((DRIFT,) * 3), (2,)) == []
+
+    def test_zero_order_is_the_undecorated_word(self):
+        for w in [Word(()), Word((DRIFT,) * 2), word("x1", "x0", "x2")]:
+            for dim in (1, 2):
+                assert ii.expand_derivative(w, (0,) * dim) == [(1, undecorated(w, dim))]
 
     def test_two_occurrences_split(self):
         terms = ii.expand_derivative(word("x1", "x1"), (1,))
@@ -296,7 +306,7 @@ class TestCumulativeTrapezoid:
     def test_zero_stride_input(self):
         f = np.broadcast_to(np.arange(4.0)[:, None], (4, 3))
         out = ii.cumulative_trapezoid(f, 1.0)
-        assert out.dtype == np.complex128 and out.flags.owndata
+        assert out.dtype == np.float64 and out.flags.owndata
         assert np.array_equal(out[:, 0], [0, 0.5, 2, 4.5])
         assert np.array_equal(out, np.repeat(out[:, :1], 3, axis=1))
 
