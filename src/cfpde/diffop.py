@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from typing import Mapping
 
 from . import expr as ex
@@ -24,7 +25,7 @@ from . import expr as ex
 __all__ = [
     "MultiIndex", "DiffOp", "DiffOpError", "DimensionMismatch",
     "mi_zero", "mi_abs", "mi_add",
-    "identity", "zero", "from_expr", "partial", "monomial",
+    "identity", "zero", "from_expr", "from_text", "partial", "monomial",
     "op_apply", "op_mul", "op_add", "op_scale", "op_neg", "op_pow",
 ]
 
@@ -137,6 +138,26 @@ class DiffOp:
 
     def __hash__(self):
         return hash((self.dim, frozenset(self.terms.items())))
+
+
+# One term of DiffOp.text; a coefficient never holds a bracket, so the
+# terms of an operator are split where "] + " joins them.
+_TERM = re.compile(r"([^\[\]]+) \* D\[([0-9]+(?:,[0-9]+)*)\]")
+
+
+def from_text(text: str, dim: int) -> DiffOp:
+    """The operator that ``DiffOp.text`` wrote; any other text, such as
+    one that gives a multi-index twice, is a DiffOpError."""
+    terms = {}
+    for part in re.split(r"(?<=\]) \+ ", text):
+        m = _TERM.fullmatch(part)
+        if m is None:
+            raise DiffOpError(f"bad operator term {part!r}")
+        alpha = tuple(map(int, m[2].split(",")))
+        if alpha in terms:
+            raise DiffOpError(f"bad operator: D[{m[2]}] is given twice")
+        terms[alpha] = ex.parse(m[1], dim)
+    return DiffOp(dim, terms)
 
 
 def _to_poly(value, dim: int, what: str, error) -> ex.Poly:

@@ -20,6 +20,7 @@ sin^2 + cos^2 - 1 stays three terms and evaluates to about 0.
 from __future__ import annotations
 
 import cmath
+import math
 import re
 import sys
 from typing import Mapping
@@ -34,6 +35,7 @@ __all__ = [
 
 MAX_EXPONENT = 2 ** 31
 MAX_EXPANDED_POWER = 64
+MAX_EXPANDED_TERMS = 10_000
 _ROUNDOFF = 8 * sys.float_info.epsilon
 # Values that evaluate without numpy; anything else may be an array.
 _SCALARS = (int, float, complex)
@@ -284,7 +286,24 @@ def _power(p: Poly, k: int) -> Poly:
     if k > MAX_EXPANDED_POWER:
         raise ExprError(
             f"a power of a sum is expanded up to {MAX_EXPANDED_POWER}, not {k}")
+    size = _power_size(p, k)
+    if size > MAX_EXPANDED_TERMS:
+        raise ExprError(f"a power of a sum is expanded up to {MAX_EXPANDED_TERMS} "
+                        f"terms, and this one may have {size}")
     return _product([p] * k)
+
+
+def _power_size(p: Poly, k: int) -> int:
+    """A bound on the terms of p^k, known before it is formed: the
+    multisets of k terms of p, and the points of the box that k times the
+    span of its exponents and atom multiplicities covers."""
+    rows = [dict(enumerate(e)) | {(name, arg): m for name, arg, m in atoms}
+            for e, atoms in p.terms]
+    box = 1
+    for key in set().union(*rows):
+        values = [row.get(key, 0) for row in rows]
+        box *= k * (max(values) - min(values)) + 1
+    return min(math.comb(len(rows) + k - 1, k), box)
 
 
 def _func(name: str, p: Poly) -> Poly:

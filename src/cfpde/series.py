@@ -20,12 +20,14 @@ at most one input letter.
 from __future__ import annotations
 
 import cmath
+import re
 from typing import Iterable, Mapping
 
 from . import diffop as do
 from . import expr as ex
 from .diffop import DiffOp
-from .words import DRIFT, EMPTY_WORD, Letter, Word, parse_word, shuffle_words
+from .words import (DRIFT, EMPTY_WORD, LETTER_PATTERN, Letter, Word, parse_word,
+                    shuffle_words, word)
 
 __all__ = [
     "GenSeries", "SeriesError", "OverlappingSupport", "NotLinear", "NonFinite",
@@ -349,69 +351,34 @@ def series_to_text(c: GenSeries) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _split_top_level_terms(text: str) -> list[str]:
-    """Split a diffop rendering on ' + ' outside parentheses."""
-    parts, depth, start, i = [], 0, 0, 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif depth == 0 and text.startswith(" + ", i):
-            parts.append(text[start:i])
-            i += 3
-            start = i
-            continue
-        i += 1
-    parts.append(text[start:])
-    return parts
-
-
-def _parse_diffop(text: str, dim: int) -> DiffOp:
-    terms = {}
-    for part in _split_top_level_terms(text.strip()):
-        if " * D[" not in part or not part.endswith("]"):
-            raise SeriesError(f"bad operator term {part!r}")
-        coeff_text, alpha_text = part.rsplit(" * D[", 1)
-        try:
-            alpha = tuple(int(a) for a in alpha_text[:-1].split(","))
-        except ValueError:
-            raise SeriesError(f"bad multi-index in operator term {part!r}") from None
-        if len(alpha) != dim:
-            raise SeriesError(f"multi-index {alpha} does not match dim {dim}")
-        coeff = ex.parse(coeff_text.strip(), dim)
-        terms[alpha] = ex.add(terms[alpha], coeff) if alpha in terms else coeff
-    return DiffOp(dim, terms)
+_HEADER = re.compile(rf"dim=([1-9][0-9]*) maxlen=([0-9]+)(?: exactlen=([0-9]+))? "
+                     rf"alphabet=({LETTER_PATTERN}(?:,{LETTER_PATTERN})*)")
+_LINE = re.compile(rf"(e|{LETTER_PATTERN}(?: {LETTER_PATTERN})*) :: (.+)")
 
 
 def series_from_text(text: str) -> GenSeries:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise SeriesError("empty series file")
-    try:
-        header = dict(item.split("=", 1) for item in lines[0].split())
-        dim = int(header["dim"])
-        max_len = int(header["maxlen"])
-        exact_len = int(header["exactlen"]) if "exactlen" in header else None
-        if exact_len is not None and not 0 <= exact_len <= max_len:
-            raise ValueError(f"exactlen {exact_len} outside 0..{max_len}")
-        alphabet = [parse_word(tok)[0] for tok in header["alphabet"].split(",") if tok]
-    except (KeyError, ValueError, IndexError) as e:
-        raise SeriesError(f"bad series header {lines[0]!r}") from e
-    coeffs = {}
-    for ln in lines[1:]:
-        if " :: " not in ln:
-            raise SeriesError(f"bad series line {ln!r}")
-        word_text, op_text = ln.split(" :: ", 1)
-        try:
-            w = parse_word(word_text)
-        except ValueError as e:
-            raise SeriesError(f"bad word in series line {ln!r}: {e}") from None
-        if w in coeffs:
-            raise SeriesError(f"bad series line {ln!r}: word {w.text()} is given twice")
-        coeffs[w] = _parse_diffop(op_text, dim)
-    return GenSeries(dim, coeffs, max_len, alphabet, exact_len=exact_len)
+    """The series that ``series_to_text`` wrote.  Each construct is given
+    once: a repeated header key, alphabet letter, word, or multi-index in
+    one operator is a SeriesError, as is any line the writer would not
+    emit."""
+    ln, *lines = [s.strip() for s in text.splitlines() if s.strip()] or [""]
+    m, coeffs = _HEADER.fullmatch(ln), {}
+    try:  # ln is the line being read, the header first
+        alphabet = word(*m[4].split(",")) if m else ()
+        if not m or len(set(alphabet)) < len(alphabet) or int(m[3] or 0) > int(m[2]):
+            raise SeriesError(f"bad series header {ln!r}")
+        for ln in lines:
+            line = _LINE.fullmatch(ln)
+            if not line:
+                raise ValueError("not a word, ' :: ' and an operator")
+            w = parse_word(line[1])
+            if w in coeffs:
+                raise ValueError(f"word {w.text()} is given twice")
+            coeffs[w] = do.from_text(line[2], int(m[1]))
+        return GenSeries(int(m[1]), coeffs, int(m[2]), alphabet,
+                         exact_len=int(m[3] or m[2]))
+    except (ValueError, do.DiffOpError, ex.ExprError) as e:
+        raise SeriesError(f"bad series line {ln!r}: {e}") from None
 
 
 def save_series(c: GenSeries, path) -> None:

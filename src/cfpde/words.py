@@ -12,12 +12,17 @@ file.
 from __future__ import annotations
 
 import functools
+import re
 from typing import Iterable, Optional
 
 __all__ = [
-    "Letter", "Word", "DRIFT", "EMPTY_WORD",
+    "Letter", "Word", "DRIFT", "EMPTY_WORD", "LETTER_PATTERN",
     "word", "parse_word", "shuffle_words",
 ]
+
+# The one text form of a letter, as Letter.text writes it: x0 or x_k
+# with no leading zero.
+LETTER_PATTERN = "x(?:0|[1-9][0-9]*)"
 
 
 class Letter(int):
@@ -51,11 +56,9 @@ DRIFT = Letter(None)
 
 
 def _parse_letter(token: str) -> Letter:
-    if token == "x0":
-        return DRIFT
-    if token.startswith("x") and token[1:].isdigit() and int(token[1:]) > 0:
-        return Letter(int(token[1:]))
-    raise ValueError(f"bad letter token {token!r}")
+    if not re.fullmatch(LETTER_PATTERN, token):
+        raise ValueError(f"bad letter token {token!r}")
+    return Letter(int(token[1:]))
 
 
 class Word(tuple):

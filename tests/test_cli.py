@@ -181,7 +181,7 @@ class TestAlgebra:
         got = se.load_series(out)
         assert word("x0", "x2") in got.coeffs
 
-    @pytest.mark.parametrize("letter", ["", "x1 x2", "e", "y"])
+    @pytest.mark.parametrize("letter", ["", "x1 x2", "e", "y", "x01"])
     def test_shift_needs_one_letter(self, tmp_path, capsys, transport_files, letter):
         left, _ = transport_files
         out = tmp_path / "shifted.series"
@@ -884,6 +884,10 @@ class TestInputFaults:
         "dim=1 maxlen=2 exactlen=-1 alphabet=x0,x1\nx1 :: 1 * D[0]\n",
         "dim=1 maxlen=2 exactlen=x alphabet=x0,x1\nx1 :: 1 * D[0]\n",
         "dim=1 maxlen=1 alphabet=x0,x1\nx1 :: 1 * D[0]\nx1 :: 5 * D[1]\n",
+        "dim=1 maxlen=1 alphabet=x0,x1\nx1 :: 1 * D[0] + 2 * D[0]\n",
+        "dim=1 maxlen=1 alphabet=x0,x0,x1\nx1 :: 1 * D[0]\n",
+        "dim=1 dim=1 maxlen=1 alphabet=x0,x1\nx1 :: 1 * D[0]\n",
+        "dim=1 maxlen=1 alphabet=x0,x1\nx01 :: 1 * D[0]\n",
     ])
     def test_malformed_series_text_exits_one(self, tmp_path, capsys, text):
         path = tmp_path / "bad.series"
@@ -907,6 +911,20 @@ class TestInputFaults:
         assert not out.exists()
         assert run(["solve", "transport", "--V", "1", "--u", "(1+theta_1)^64*t",
                     "--N", "2", "--grid", "0:1:5,0:1:5", "--out", str(out)]) == 0
+
+    def test_power_of_a_sum_past_the_term_budget_exits_one(self, tmp_path, capsys):
+        """A power of a sum that may expand past MAX_EXPANDED_TERMS is a
+        bad input, here on a dim-5 series: (six terms)^20 has 53,130."""
+        (tmp_path / "c.series").write_text(
+            "dim=5 maxlen=1 alphabet=x0,x1\nx1 :: 1 * D[0,0,0,0,0]\n")
+        out = tmp_path / "y.csv"
+        assert run(["eval", "--series", str(tmp_path / "c.series"),
+                    "--u", "(theta_1+theta_2+theta_3+theta_4+theta_5+t)^20",
+                    "--grid", ",".join(["0:1:2"] * 6), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: bad input expression: a power of a sum is expanded up to 10000 "
+            "terms, and this one may have 53130\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("text", [None, "dim=1 maxlen=1 alphabet=x0,x1\nx1 :: sin( * D[0]\n"],
                              ids=["missing", "bad-coefficient"])

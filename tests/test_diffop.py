@@ -148,3 +148,20 @@ class TestFormat:
     def test_parenthesized_sum_coefficient(self):
         A = do.DiffOp(1, {(1,): ex.add(ex.ONE, THETA)})
         assert A.text() == "(theta_1 + 1) * D[1]"
+
+    def test_text_reads_back(self, rng):
+        for op in [do.identity(2), do.zero(1), do.DiffOp(1, {(1,): ex.add(ex.ONE, THETA)}),
+                   *(random_operator(rng, dim=2) for _ in range(20))]:
+            assert do.from_text(op.text(), op.dim) == op
+
+    @pytest.mark.parametrize("text, message", [
+        ("1 * D[0] + 2 * D[0]", "D\\[0\\] is given twice"),
+        ("1 * D[0] + 2 * D[00]", "D\\[00\\] is given twice"),
+        ("1 * D[a]", "bad operator term"),
+        ("1 * D[0] + D[1]", "bad operator term 'D\\[1\\]'"),
+        ("1 * D[0,0]", "bad multi-index"),
+        ("1 * D[0] * D[1]", "bad operator term"),
+    ])
+    def test_malformed_text(self, text, message):
+        with pytest.raises(do.DiffOpError, match=message):
+            do.from_text(text, 1)

@@ -59,6 +59,28 @@ class TestParse:
             ex.parse("(1 + theta_1)^100*t", 1)
         assert len(ex.parse("(2*theta_1)^100", 1).terms) == 1
 
+    def test_power_of_a_sum_is_bounded_by_its_expanded_size(self, monkeypatch):
+        """A power whose expansion may pass MAX_EXPANDED_TERMS is refused
+        before any multiplication; a few-variable base with as many terms
+        and the same exponent collects to far fewer, and still parses."""
+        assert len(ex.parse("(1+theta_1+t+theta_1*t+theta_1^2+t^2)^20", 1).terms) == 861
+        assert len(ex.parse("(theta_1+theta_2+theta_3+t)^32", 3).terms) == 6545
+
+        def no_product(ps):
+            raise AssertionError("multiplied before the size check")
+        monkeypatch.setattr(ex, "_product", no_product)
+        with pytest.raises(ex.ExprError, match="up to 10000 terms, and this one may have 53130"):
+            ex.parse("(theta_1+theta_2+theta_3+theta_4+theta_5+t)^20", 5)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.sampled_from(["1", "t", "theta_1", "theta_1^2*t", "theta_1^-1",
+                                     "sin(theta_1)", "cos(theta_1)^2*t"]),
+                    min_size=2, max_size=4, unique=True),
+           st.integers(2, 6))
+    def test_expanded_size_bounds_the_terms(self, summands, k):
+        base = ex.parse("+".join(summands), 1)
+        assert len(ex.parse(f"({'+'.join(summands)})^{k}", 1).terms) <= ex._power_size(base, k)
+
     def test_negative_exponent_parses(self):
         e = ex.parse("theta_1^-2", 1)
         assert ex.evaluate(e, {"theta_1": 2.0}) == 0.25

@@ -294,6 +294,21 @@ class TestSerialization:
         with pytest.raises(se.SeriesError, match="bad series header"):
             se.series_from_text(f"dim=1 maxlen=2 {key} alphabet=x0,x1\nx1 :: 1 * D[0]\n")
 
+    @pytest.mark.parametrize("text", [
+        "dim=1 maxlen=1 alphabet=x0,x1\nx1 :: 1 * D[0] + 2 * D[0]\n",
+        "dim=1 maxlen=1 alphabet=x0,x0,x1\nx1 :: 1 * D[0]\n",
+        "dim=1 maxlen=1 maxlen=1 alphabet=x0,x1\nx1 :: 1 * D[0]\n",
+        "dim=1 maxlen=1 alphabet=x0,x1\nx1 :: 1 * D[0]\nx1 :: 5 * D[1]\n",
+        "dim=1 maxlen=1 alphabet=x0,x1\nx01 :: 1 * D[0]\n",
+        "dim=1 maxlen=1 alphabet=x0,x01\nx1 :: 1 * D[0]\n",
+    ], ids=["multi-index", "alphabet-letter", "header-key", "word", "letter-x01",
+            "alphabet-x01"])
+    def test_each_construct_is_given_once(self, text):
+        """A repeat is refused, not summed or overridden, and so is a
+        second spelling of a letter."""
+        with pytest.raises(se.SeriesError, match="^bad "):
+            se.series_from_text(text)
+
     def test_empty_word_spelled_e(self):
         c = se.one_series(1)
         assert "e :: 1 * D[0]" in se.series_to_text(c)
@@ -377,9 +392,9 @@ class TestSeriesTextFuzz:
     header = st.lists(st.sampled_from([
         "dim=1", "dim=2", "dim=0", "dim=-1", "dim=x", "maxlen=2", "maxlen=0", "maxlen=-1",
         "maxlen=", "exactlen=1", "exactlen=5", "exactlen=-1", "exactlen=x", "alphabet=x0,x1", "alphabet=x0,x2", "alphabet=x1,y", "alphabet=",
-        "alphabet=e", "alphabet=x00", "extra", "=",
+        "alphabet=e", "alphabet=x00", "alphabet=x0,x0,x1", "extra", "=",
     ]), max_size=5).map(" ".join)
-    word = st.lists(st.sampled_from(["x0", "x1", "x2", "x9q", "e", "x00", "y"]),
+    word = st.lists(st.sampled_from(["x0", "x1", "x2", "x9q", "e", "x00", "x01", "y"]),
                     max_size=3).map(" ".join)
     coeff = st.sampled_from([
         "1", "-2.5", "theta_1", "theta_2", "t", "1e200", "1e200*1e200", "sin(theta_1)",
@@ -388,7 +403,8 @@ class TestSeriesTextFuzz:
     ])
     alpha = st.sampled_from(["0", "1", "2", "0,0", "0,1", "-1", "a", "", "99"])
     term = st.one_of(st.builds("{} * D[{}]".format, coeff, alpha),
-                     st.sampled_from(["", "1", "D[0]", "1 * D[0", "(1 * D[0]"]))
+                     st.sampled_from(["", "1", "D[0]", "1 * D[0", "(1 * D[0]",
+                                      "1 * D[0] + 2 * D[0]"]))
     op = st.lists(term, min_size=1, max_size=3).map(" + ".join)
     line = st.one_of(st.builds("{} :: {}".format, word, op),
                      st.sampled_from(["", "junk", " :: ", "x1 ::"]))
@@ -404,6 +420,12 @@ class TestSeriesTextFuzz:
     @example("dim=1 maxlen=2 exactlen=5 alphabet=x0,x1")
     @example("dim=1 maxlen=2 exactlen=-1 alphabet=x0,x1")
     @example("dim=1 maxlen=2 exactlen=x alphabet=x0,x1")
+    @example("dim=1 maxlen=1 alphabet=x0,x1\nx1 :: 1 * D[0] + 2 * D[0]")
+    @example("dim=1 maxlen=1 alphabet=x0,x0,x1")
+    @example("dim=1 dim=1 maxlen=1 alphabet=x0,x1")
+    @example("dim=1 maxlen=1" + "0" * 5000 + " alphabet=x0,x1")
+    @example("dim=1 maxlen=1 alphabet=x0,x1" + "0" * 5000)
+    @example("dim=1 maxlen=1 alphabet=x0,x1\nx1 :: 1 * D[1" + "0" * 5000 + "]")
     def test_text_gives_series_or_model_error(self, text):
         """Any text reads as a series or raises one of the model errors
         that cf reports in one line; never another exception."""

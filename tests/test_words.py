@@ -39,6 +39,12 @@ class TestWordBasics:
         assert Word().text() == "e"
         assert word("x0", "x0", "x1").text() == "x0 x0 x1"
 
+    @pytest.mark.parametrize("token", ["x00", "x01", "x", "x-1", "X1", "x1y", "y"])
+    def test_malformed_letter_tokens(self, token):
+        """A letter reads only in the one form Letter.text writes."""
+        with pytest.raises(ValueError, match="bad letter token"):
+            wd.parse_word(f"x0 {token}")
+
     def test_drift_letter_has_no_id_in_text(self):
         """Letter(None) and Letter(0) are both the drift x0; a negative
         id has no text form but still has a repr."""
