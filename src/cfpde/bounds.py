@@ -219,11 +219,25 @@ def _least_squares(columns: Sequence[Sequence[float]], y: Sequence[float]
     return [c0] + coef, math.sqrt(math.fsum(v * v for v in rest) / n)
 
 
+def _theta_degree(u: InputSignal) -> float:
+    """The theta-degree of u, read from its terms: the largest theta_1
+    power, or math.inf when u is sampled, a power is negative or an atom
+    involves theta_1: no derivative order makes such a term vanish."""
+    if not u.is_symbolic:
+        return math.inf
+    return max((math.inf if e[0] < 0 or any(ex.depends_on(arg, "theta_1")
+                                            for _, arg, _ in atoms) else e[0]
+                for e, atoms in u.expr.terms), default=0)
+
+
 def _fit_input(u: InputSignal, grid: Grid, k_max: int) -> GrowthFit:
-    """Fit log ||d^k u|| ~ log K_u + k log R over k = 0..k_max.  The input
-    is theta-independent (R = 0, K_u its norm) when every derivative norm
-    is at most 1e-14 of the norm of u itself, a test that does not depend
+    """Fit log ||d^k u|| ~ log K_u + k log R over k = 0..k_max, or through
+    the theta-degree d of u when d < k_max: the norms past d are exactly
+    0, and their clamped logs would drag the fit down.  The input is
+    theta-independent (R = 0, K_u its norm) when every derivative norm is
+    at most 1e-14 of the norm of u itself, a test that does not depend
     on the scale of u."""
+    k_max = min(k_max, _theta_degree(u))
     split = _split(u, grid.dim)  # once, so each derivative chain is built once
     norms = [_input_norm_surrogate(u, split, grid, k) for k in range(k_max + 1)]
     base = GrowthData(K_alpha=1.0, M=1.0, K_u=max(norms[0], _TINY_TERM),
@@ -261,17 +275,17 @@ def _coefficient_sup_norms(c: GenSeries, grid: Grid) -> list[float]:
 
 def _fit_coefficients(norms: Sequence[float], T: float) -> GrowthFit:
     """Fit log ||alpha_k|| ~ log K_alpha + k log M + s log k! over the
-    nonzero norms; s is clipped to [0, 1]."""
+    nonzero norms; s is clipped to [0, 1].  The log norms are kept for
+    every order k, a zero norm clamped as in the input fit."""
     usable = [(k, n) for k, n in enumerate(norms) if n > 0]
     if len(usable) < 3:
         raise ValueError("need at least 3 nonzero norms to fit growth constants")
     ks = [k for k, _ in usable]
-    logs = [math.log(n) for _, n in usable]
     (log_k, log_m, s), residual = _least_squares(
-        [ks, [math.lgamma(k + 1) for k in ks]], logs)
+        [ks, [math.lgamma(k + 1) for k in ks]], [math.log(n) for _, n in usable])
     data = GrowthData(K_alpha=math.exp(log_k), M=math.exp(log_m),
                       K_u=1.0, R=1.0, s=min(max(s, 0.0), 1.0), T=T)
-    return GrowthFit(data, tuple(logs), residual)
+    return GrowthFit(data, tuple(math.log(max(n, _TINY_TERM)) for n in norms), residual)
 
 
 def estimate_growth(target: Union[InputSignal, GenSeries], grid: Grid,
@@ -296,21 +310,27 @@ def estimate_growth(target: Union[InputSignal, GenSeries], grid: Grid,
     return _fit_coefficients(norms, grid.t_end)
 
 
+def _dominating(K: float, log_norms: Sequence[float], log_model) -> float:
+    """K raised until K times the model, log_model(k) at K = 1, is at
+    least every norm of the fit, log_norms[k] at order k."""
+    return max(K, math.exp(max(v - log_model(k) for k, v in enumerate(log_norms))))
+
+
 def tail_certificate(series: GenSeries, u, grid: Grid) -> dict | None:
     """The bound on the tail of F_series[u] past the truncation n that
     ``linear_degree`` reads off the series, from constants fitted to its
     coefficients (K_alpha, M, s) and to the input (K_u, R), with the fits'
     residuals: ``kind`` names the regime, a Gevrey tail when the growth
     is sub-factorial (s < 1), else geometric.  It covers the input words
-    only.  The input is fitted through order n, and K_u is raised until
-    K_u R^k dominates every norm of that fit; past n the model is still
-    an extrapolation.  An input of theta-degree d <= n is fitted through
-    d, and its tail is exactly 0 (kind "exact"): every truncated input
-    word differentiates it more than d times.  u is a signal or a
-    binding, read as ``evaluate_series`` reads it.  None when the series
-    has no linear degree, the grid is not one-parameter, the signal on
-    the series' input letter is not symbolic, a fit fails, or the bound
-    is not finite."""
+    only.  Both fits run through order n, and K_alpha and K_u are raised
+    until each model dominates every norm of its fit; past n the models
+    are still an extrapolation.  An input of theta-degree d <= n is
+    fitted through d, and its tail is exactly 0 (kind "exact"): every
+    truncated input word differentiates it more than d times.  u is a
+    signal or a binding, read as ``evaluate_series`` reads it.  None when
+    the series has no linear degree, the grid is not one-parameter, the
+    signal on the series' input letter is not symbolic, a fit fails, or
+    the bound is not finite."""
     n = linear_degree(series)
     if n is None:
         return None
@@ -318,30 +338,25 @@ def tail_certificate(series: GenSeries, u, grid: Grid) -> dict | None:
     u = _as_binding(u, series.alphabet).get(letter.index)
     if u is None or not u.is_symbolic:
         return None
-    # the theta-degree of u, read from its terms: a term's theta_1 power,
-    # or past n (say n + 1) when that power is negative or one of its
-    # atoms involves theta_1: no derivative order makes such a term vanish
-    degree = max((n + 1 if e[0] < 0 or any(ex.depends_on(arg, "theta_1")
-                                           for _, arg, _ in atoms) else e[0]
-                  for e, atoms in u.expr.terms), default=0)
+    exact = _theta_degree(u) <= n
     try:
-        coeff_fit = estimate_growth(series, grid, k_max=min(n, 8))
-        # below estimate_growth's k_max >= 2, so that degrees 0 and 1 fit
-        input_fit = _fit_input(u, grid, min(n, degree))
-        K_u, R = input_fit.data.K_u, input_fit.data.R
+        coeff_fit = estimate_growth(series, grid, k_max=n)
+        input_fit = _fit_input(u, grid, n)
+        g, K_u = coeff_fit.data, input_fit.data.K_u
+        log_m = math.log(g.M)
+        K_alpha = _dominating(g.K_alpha, coeff_fit.log_norms,
+                              lambda k: k * log_m + g.s * math.lgamma(k + 1))
         if not input_fit.theta_independent:
-            log_r = math.log(R)
-            K_u = max(K_u, math.exp(max(v - k * log_r
-                                        for k, v in enumerate(input_fit.log_norms))))
-        g = replace(coeff_fit.data, K_u=K_u, R=R)
-        tail = 0.0 if degree <= n else gevrey_tail(g, n)
+            log_r = math.log(input_fit.data.R)
+            K_u = _dominating(K_u, input_fit.log_norms, lambda k: k * log_r)
+        g = replace(g, K_alpha=K_alpha, K_u=K_u, R=input_fit.data.R)
+        tail = 0.0 if exact else gevrey_tail(g, n)
     except (ValueError, ArithmeticError):
         return None
     if not math.isfinite(tail):
         return None
     return {
-        "kind": ("exact" if degree <= n
-                 else "gevrey_tail" if g.s < 1 else "geometric"),
+        "kind": "exact" if exact else "gevrey_tail" if g.s < 1 else "geometric",
         "constants": g.as_dict(),
         "fit_residual": {"coefficients": coeff_fit.residual,
                          "input": input_fit.residual},

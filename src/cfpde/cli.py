@@ -73,63 +73,47 @@ def _umask() -> int:
 @contextlib.contextmanager
 def _atomic_file(path: str):
     """A text file to write path's new contents into; it replaces path
-    when the block ends normally and is removed when it raises."""
+    when the block ends normally and is removed when it raises.  An
+    OSError on the way is a one-line validation failure."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".cf-tmp-")
     try:
-        with os.fdopen(fd, "w") as fh:
-            yield fh
-            # mkstemp creates the file 0600; give it the mode open() would
-            os.fchmod(fh.fileno(), 0o666 & ~_umask())
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def _check_writable(*paths: str) -> None:
-    """Fail before any work starts when an output cannot be created
-    because its directory is missing or the path names a directory, or
-    when two outputs are one file, so that one would replace the other."""
-    seen: dict[str, str] = {}  # resolved path -> path as given
-    for path in paths:
-        if os.path.isdir(path):
-            raise CliError(f"cannot write {path}: it is a directory")
-        directory = os.path.dirname(os.path.abspath(path))
-        if not os.path.isdir(directory):
-            raise CliError(f"cannot write {path}: no directory {directory}")
-        resolved = os.path.realpath(path)
-        if resolved in seen:
-            raise CliError(f"cannot write {path}: it is also the output {seen[resolved]}")
-        seen[resolved] = path
-
-
-@contextlib.contextmanager
-def _write_errors(path: str):
-    """An OSError while writing path is a one-line validation failure."""
-    try:
-        yield
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".cf-tmp-")
+        try:
+            with os.fdopen(fd, "w") as fh:
+                yield fh
+                # mkstemp creates the file 0600; give it the mode open() would
+                os.fchmod(fh.fileno(), 0o666 & ~_umask())
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
     except OSError as e:
         raise CliError(f"cannot write {path}: {e.strerror or e}") from e
 
 
-def _write_atomic(path: str, data: str) -> None:
-    with _write_errors(path), _atomic_file(path) as fh:
-        fh.write(data)
+def _report_path(out: str) -> str:
+    """Every output file gets its report beside it."""
+    return out + ".report.json"
 
 
-def _write_csv_atomic(path: str, field: ii.GridField) -> None:
-    """Stream the CSV rows into the temporary file, never the whole text
-    in memory.  A NaN or infinity in the field is a numeric failure,
-    raised before the file is put in place, so no file is left."""
-    from . import iterint as ii
-    with _atomic_file(path) as fh:
-        if not ii.write_csv(field, fh):
-            raise NumericFailure("output field contains NaN or infinity")
+def _check_writable(out: str) -> None:
+    """Fail before any work starts when the output or its report cannot
+    be created because its directory is missing or the path names a
+    directory, or when the report is the output file, which it would
+    replace."""
+    directory = os.path.dirname(os.path.abspath(out))
+    if not os.path.isdir(directory):
+        raise CliError(f"cannot write {out}: no directory {directory}")
+    report = _report_path(out)
+    for path in (out, report):
+        if os.path.isdir(path):
+            raise CliError(f"cannot write {path}: it is a directory")
+    if os.path.realpath(report) == os.path.realpath(out):
+        raise CliError(f"cannot write {report}: it is also the output {out}")
 
 
-def _report(path: str, command: str, params: dict, series_obj: se.GenSeries,
+def _report(out: str, command: str, params: dict, series_obj: se.GenSeries,
             bound, started: float) -> None:
     payload = {
         "command": command,
@@ -139,7 +123,8 @@ def _report(path: str, command: str, params: dict, series_obj: se.GenSeries,
         "bound": bound,
         "runtime_ms": int((time.monotonic() - started) * 1000),
     }
-    _write_atomic(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    with _atomic_file(_report_path(out)) as fh:
+        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _load_series(path: str) -> se.GenSeries:
@@ -167,15 +152,13 @@ def _complex_arg(text: str, what: str) -> complex:
 
 
 def _binding_from_args(args, dim: int, letters):
-    """The input of --u, or the signals of the --bind options by letter
-    id; each --bind names one of the series' input letters, once."""
+    """The input of --u, or the signals of cf eval's --bind options by
+    letter id; each --bind names one of the series' input letters, once."""
     from . import iterint as ii
     if args.u is not None:
-        if args.bind:
-            raise CliError("give --u or --bind, not both")
         return ii.InputSignal.symbolic(_parse_expr_arg(args.u, dim, "input"))
     binding = {}
-    for item in args.bind or []:
+    for item in args.bind:
         if "=" not in item:
             raise CliError(f"bad --bind {item!r}; expected k=expr")
         k_text, expr_text = item.split("=", 1)
@@ -191,8 +174,6 @@ def _binding_from_args(args, dim: int, letters):
         if k not in letters:
             raise CliError(f"bad --bind {item!r}; the series has no letter x{k}")
         binding[k] = ii.InputSignal.symbolic(_parse_expr_arg(expr_text, dim, "input"))
-    if not binding:
-        raise CliError("provide --u or at least one --bind k=expr")
     return binding
 
 
@@ -251,8 +232,7 @@ def _cmd_field(args, command: str, started: float) -> int:
     """cf solve and cf eval: the field F_c[u] of a series c on a grid.  A
     solve builds c with pde and an eval loads it; from there the steps
     are the same."""
-    report = args.report or args.out + ".report.json"
-    _check_writable(args.out, report)
+    _check_writable(args.out)
     if args.command == "solve":
         series_obj, params = _solver_series(args)
     else:
@@ -277,18 +257,21 @@ def _cmd_field(args, command: str, started: float) -> int:
         params["u"] = args.u if args.u is not None else dict(
             item.split("=", 1) for item in args.bind)
         field = ii.evaluate_series(series_obj, u, grid)
-        with _write_errors(args.out):
-            _write_csv_atomic(args.out, field)
+        # the rows stream into the temporary file; a NaN or infinity is a
+        # numeric failure raised before it is put in place, so no file is left
+        with _atomic_file(args.out) as fh:
+            if not ii.write_csv(field, fh):
+                raise NumericFailure("output field contains NaN or infinity")
         # the field is written; holding it through the growth fit would
         # add its size to the fit's peak memory
         del field
         bound = bd.tail_certificate(series_obj, u, grid) if certified else None
-    _report(report, command, params, series_obj, bound, started)
+    _report(args.out, command, params, series_obj, bound, started)
     return 0
 
 
 def _cmd_algebra(args, command: str, started: float) -> int:
-    _check_writable(args.out, args.out + ".report.json")
+    _check_writable(args.out)
     if args.kind in ("shuffle", "sum", "compose"):
         left, right = _load_series(args.left), _load_series(args.right)
         if args.kind == "shuffle":
@@ -310,8 +293,9 @@ def _cmd_algebra(args, command: str, started: float) -> int:
     else:  # truncate
         out = se.truncate(_load_series(args.series), args.N)
         params = {"series": args.series, "N": args.N}
-    _write_atomic(args.out, se.series_to_text(out))
-    _report(args.out + ".report.json", command, params, out, None, started)
+    with _atomic_file(args.out) as fh:
+        fh.write(se.series_to_text(out))
+    _report(args.out, command, params, out, None, started)
     return 0
 
 
@@ -334,24 +318,21 @@ def _cmd_bounds(args, command: str, started: float) -> int:
                           for n, tail in tails.items()},
         }, indent=2, sort_keys=True))
         return 0
-    if args.u is not None and args.series is not None:
-        raise CliError("give --u or --series, not both")
     with _evaluation_errors():
         from . import iterint as ii
         grid = _grid_from_arg(args.grid)
         if args.u is not None:
             target = ii.InputSignal.symbolic(_parse_expr_arg(args.u, grid.dim, "input"))
-        elif args.series is not None:
-            target = _load_series(args.series)
         else:
-            raise CliError("bounds estimate needs --u or --series")
+            target = _load_series(args.series)
         try:
             fit = bd.estimate_growth(target, grid, args.k_max)
         except ValueError as e:
             raise CliError(str(e)) from e
-    g = fit.data
+    # only the constants the fit produced: the input's or the coefficients'
+    fitted = ("K_u", "R", "T") if args.u is not None else ("K_alpha", "M", "s")
     print(json.dumps({
-        "constants": g.as_dict(),
+        "constants": {name: getattr(fit.data, name) for name in fitted},
         "residual": fit.residual,
         "theta_independent": fit.theta_independent,
         "log_norms": list(fit.log_norms),
@@ -411,21 +392,18 @@ def build_parser() -> _Parser:
             # building the parser does not import pde
             sp.add_argument("--form", default="direct",
                             choices=("direct", "cascade", "partial-fraction"))
-        sp.add_argument("--u", default=None)
-        sp.add_argument("--bind", action="append", default=None,
-                        metavar="K=EXPR")
+        sp.add_argument("--u", required=True)
         sp.add_argument("--N", type=int, required=True)
         sp.add_argument("--grid", required=True)
         sp.add_argument("--out", required=True)
-        sp.add_argument("--report", default=None)
 
     ev = sub.add_parser("eval", help="evaluate a series file on a grid")
     ev.add_argument("--series", required=True)
-    ev.add_argument("--u", default=None)
-    ev.add_argument("--bind", action="append", default=None, metavar="K=EXPR")
+    given = ev.add_mutually_exclusive_group(required=True)
+    given.add_argument("--u")
+    given.add_argument("--bind", action="append", metavar="K=EXPR")
     ev.add_argument("--grid", required=True)
     ev.add_argument("--out", required=True)
-    ev.add_argument("--report", default=None)
 
     b = sub.add_parser("bounds", help="convergence certificates")
     b_sub = b.add_subparsers(dest="kind", required=True)
@@ -438,8 +416,9 @@ def build_parser() -> _Parser:
     sp.add_argument("--T", type=float, required=True)
     sp.add_argument("--N", type=int, default=None)
     sp = b_sub.add_parser("estimate")
-    sp.add_argument("--u", default=None)
-    sp.add_argument("--series", default=None)
+    given = sp.add_mutually_exclusive_group(required=True)
+    given.add_argument("--u")
+    given.add_argument("--series")
     sp.add_argument("--grid", required=True)
     sp.add_argument("--k-max", dest="k_max", type=int, default=8)
 

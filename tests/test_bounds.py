@@ -5,14 +5,16 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cfpde import bounds as bd
 from cfpde import cli
+from cfpde import diffop as do
 from cfpde import expr as ex
 from cfpde import iterint as ii
 from cfpde import pde
+from cfpde import series as se
 from cfpde.words import word
 
 THETA = ex.var("theta_1")
@@ -427,6 +429,34 @@ class TestPlainFits:
         grid = ii.Grid(((0.0, 2 * math.pi, 33),), 1.0, 33)
         bd.estimate_growth(ii.InputSignal.symbolic(ex.parse("t*sin(2*theta_1)", 1)), grid)
         bd.estimate_growth(pde.transport_series(pde.TransportSpec(1.5, 0, 8)), grid)
+
+
+class TestCertificateDominatesItsData:
+    """tail_certificate raises K_alpha and K_u until K_alpha M^k (k!)^s is
+    at least every coefficient sup norm and K_u R^k every input norm it
+    was fitted to, k = 0..N (to rounding), however uneven the data."""
+
+    GRID = ii.Grid.from_spec("0:1:17,0:1:17")
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 10).flatmap(lambda n: st.lists(
+               st.integers(1, 64).map(lambda j: j / 8), min_size=n + 1, max_size=n + 1)),
+           st.sampled_from([0.5, 0.75, 1.0, 1.25, 1.5, 2.0]), st.floats(0.5, 3.0))
+    def test_constants_dominate_the_fitted_norms(self, mantissas, r, w):
+        """alpha_k is a dyadic value in [1/8, 8] times r^k, k = 0..N."""
+        alphas = [m * r ** k for k, m in enumerate(mantissas)]
+        c = se.series_from_coeffs(1, {word(*["x0"] * k, "x1"): do.monomial(ex.const(a), (k,))
+                                      for k, a in enumerate(alphas)})
+        u = ii.InputSignal.symbolic(ex.parse(f"t*sin({w!r}*theta_1)", 1))
+        cert = bd.tail_certificate(c, u, self.GRID)
+        assume(cert is not None)  # a factorial model with M R T >= 1 has no finite tail
+        g = cert["constants"]
+        for k, a in enumerate(bd._coefficient_sup_norms(c, self.GRID)):
+            assert g["K_alpha"] * g["M"] ** k * math.factorial(k) ** g["s"] >= a * (1 - 1e-12)
+        split = bd._split(u, 1)
+        for k in range(len(alphas)):
+            norm = bd._input_norm_surrogate(u, split, self.GRID, k)
+            assert g["K_u"] * g["R"] ** k >= norm * (1 - 1e-12)
 
 
 class TestScaleFreeFit:

@@ -44,6 +44,14 @@ def write_series(path, c):
     return str(path)
 
 
+def writer_argv(kind, files):
+    """A solve, an eval or an algebra call without its --out, the last
+    two on the series files of the transport_files fixture."""
+    return {"solve": SOLVE,
+            "eval": ["eval", "--series", files[0], "--u", "t", "--grid", "0:1:5,0:1:5"],
+            "algebra": ["algebra", "sum", "--left", files[0], "--right", files[1]]}[kind]
+
+
 @pytest.fixture
 def transport_files(tmp_path):
     left = pde.transport_series(pde.TransportSpec(V=1.0, y0=0, N=3))
@@ -316,10 +324,37 @@ class TestBounds:
                     "--K-u", "1", "--R", "1", "--s", "0",
                     "--T", "1"]) == 1
 
-    def test_estimate_refuses_input_and_series(self, capsys, transport_files):
-        assert run(["bounds", "estimate", "--u", "t*sin(theta_1)", "--series",
-                    transport_files[0], "--grid", "0:1:9,0:1:9"]) == 1
-        assert capsys.readouterr().err == "error: give --u or --series, not both\n"
+    @pytest.mark.parametrize("both, message", [
+        (True, "argument --series: not allowed with argument --u"),
+        (False, "one of the arguments --u --series is required")])
+    def test_estimate_takes_input_or_series(self, capsys, monkeypatch, transport_files,
+                                            both, message):
+        from cfpde import bounds
+        monkeypatch.setattr(bounds, "estimate_growth", None)
+        given = ["--u", "t*sin(theta_1)", "--series", transport_files[0]] if both else []
+        assert run(["bounds", "estimate", *given, "--grid", "0:1:9,0:1:9"]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("target, fitted", [
+        ("--u", {"K_u", "R", "T"}), ("--series", {"K_alpha", "M", "s"})])
+    def test_estimate_prints_only_the_constants_it_fitted(self, capsys, transport_files,
+                                                          target, fitted):
+        """An input fit gives K_u, R and T, a coefficient fit K_alpha, M
+        and s; the other three were once printed as placeholders."""
+        value = "t*sin(2*theta_1)" if target == "--u" else transport_files[0]
+        assert run(["bounds", "estimate", target, value, "--grid", "0:1:33,0:1:33"]) == 0
+        assert set(json.loads(capsys.readouterr().out)["constants"]) == fitted
+
+    def test_estimate_stops_at_the_input_degree(self, capsys):
+        """t*theta_1^2 has exactly zero derivatives past order 2; fitting
+        their clamped norms once gave K_u 7.7e-21, R 1.0e-45 and a
+        residual of 185.6."""
+        assert run(["bounds", "estimate", "--u", "t*theta_1^2",
+                    "--grid", "0:1:33,0:1:33"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert len(payload["log_norms"]) == 3
+        assert payload["constants"]["K_u"] == pytest.approx(0.561, abs=1e-3)
+        assert payload["constants"]["R"] == pytest.approx(math.sqrt(2), rel=1e-9)
 
     @pytest.mark.parametrize("target", ["--u", "--series"])
     def test_estimate_needs_one_theta_axis(self, capsys, transport_files, target):
@@ -370,21 +405,24 @@ class TestOutputFiles:
         monkeypatch.setattr(se, "load_series", no_work)
         out = str(tmp_path / "missing" / "y.out") if where == "missing directory" \
             else str(tmp_path)
-        argv = {"solve": SOLVE,
-                "eval": ["eval", "--series", transport_files[0], "--u", "t",
-                         "--grid", "0:1:5,0:1:5"],
-                "algebra": ["algebra", "sum", "--left", transport_files[0],
-                            "--right", transport_files[1]]}[kind]
-        assert run(argv + ["--out", out]) == 1
+        assert run(writer_argv(kind, transport_files) + ["--out", out]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: cannot write {out}: ") and err.count("\n") == 1
 
-    def test_unwritable_report_fails_before_work(self, tmp_path, monkeypatch, capsys):
+    @pytest.mark.parametrize("kind", ["solve", "eval", "algebra"])
+    def test_unwritable_report_fails_before_work(self, tmp_path, transport_files,
+                                                 monkeypatch, capsys, kind):
+        """A directory where <out>.report.json goes is refused before any
+        work, and neither the out file nor a temporary file is left."""
         monkeypatch.setattr(ii, "evaluate_series", None)
-        report = tmp_path / "missing" / "r.json"
-        assert run(SOLVE + ["--out", str(tmp_path / "y.csv"), "--report", str(report)]) == 1
-        assert capsys.readouterr().err.startswith(f"error: cannot write {report}: ")
-        assert list(tmp_path.iterdir()) == []
+        monkeypatch.setattr(se, "load_series", None)
+        (tmp_path / "o").mkdir()
+        out = tmp_path / "o" / "y.out"
+        report = tmp_path / "o" / "y.out.report.json"
+        report.mkdir()
+        assert run(writer_argv(kind, transport_files) + ["--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: cannot write {report}: it is a directory\n"
+        assert [p.name for p in (tmp_path / "o").iterdir()] == [report.name]
 
     def test_failed_csv_write_is_one_line(self, tmp_path, monkeypatch, capsys):
         def disk_full(field, fh):
@@ -414,38 +452,25 @@ class TestOutputFiles:
 
 
 class TestOutputCollision:
-    @pytest.mark.parametrize("kind", ["solve", "eval"])
-    @pytest.mark.parametrize("link", [False, True])
+    @pytest.mark.parametrize("kind", ["solve", "eval", "algebra"])
     def test_report_naming_the_out_file_exits_one(self, tmp_path, monkeypatch, capsys,
-                                                  transport_files, kind, link):
-        """--report a.txt --out a.txt would leave the report in place of
-        the CSV; a symbolic link to the out file is the same file."""
+                                                  transport_files, kind):
+        """A symbolic link from <out>.report.json to the out file would
+        leave the report in place of the output."""
         def no_work(*args):
             raise AssertionError("work started")
         monkeypatch.setattr(ii, "evaluate_series", no_work)
-        out = tmp_path / "a.txt"
-        report = out
-        if link:
-            out.write_text("old\n")
-            report = tmp_path / "link.txt"
-            report.symlink_to(out)
-        argv = {"solve": ["solve", "transport", "--V", "1", "--y0", "sin(theta_1)",
-                          "--u", "t", "--N", "2", "--grid", "0:1:3,0:1:3"],
-                "eval": ["eval", "--series", transport_files[0], "--u", "t",
-                         "--grid", "0:1:3,0:1:3"]}[kind]
-        assert run(argv + ["--out", str(out), "--report", str(report)]) == 1
+        monkeypatch.setattr(se, "load_series", no_work)
+        (tmp_path / "o").mkdir()
+        out = tmp_path / "o" / "a.txt"
+        out.write_text("old\n")
+        report = tmp_path / "o" / "a.txt.report.json"
+        report.symlink_to(out)
+        assert run(writer_argv(kind, transport_files) + ["--out", str(out)]) == 1
         assert capsys.readouterr().err == \
             f"error: cannot write {report}: it is also the output {out}\n"
-        if link:
-            assert out.read_text() == "old\n"
-        else:
-            assert not out.exists()
-
-    def test_distinct_report_is_written(self, tmp_path):
-        out, report = tmp_path / "a.txt", tmp_path / "b.json"
-        assert run(SOLVE + ["--out", str(out), "--report", str(report)]) == 0
-        assert read_report(report)["command"] == "cf solve transport"
-        assert out.read_text().startswith("theta_1,t,re,im\n")
+        assert out.read_text() == "old\n"
+        assert sorted(p.name for p in (tmp_path / "o").iterdir()) == [out.name, report.name]
 
 
 class TestArgumentValidation:
@@ -483,17 +508,13 @@ class TestArgumentValidation:
                     "--grid", GRID]) == 1
 
     @pytest.mark.parametrize("k", ["0", "-1"])
-    @pytest.mark.parametrize("command", ["solve", "eval"])
-    def test_bind_below_one_exits_one(self, tmp_path, capsys, command, k):
+    def test_bind_below_one_exits_one(self, tmp_path, capsys, k):
         """x0 is the drift letter and negative letters do not exist."""
         out = tmp_path / "y.csv"
-        if command == "solve":
-            argv = ["solve", "transport", "--V", "1", "--N", "2"]
-        else:
-            c = se.series_from_coeffs(1, {word("x1"): do.identity(1)})
-            argv = ["eval", "--series", write_series(tmp_path / "c.series", c)]
-        argv += ["--bind", "1=t", "--bind", f"{k}=t", "--grid", "0:1:5,0:1:5",
-                 "--out", str(out)]
+        c = se.series_from_coeffs(1, {word("x1"): do.identity(1)})
+        argv = ["eval", "--series", write_series(tmp_path / "c.series", c),
+                "--bind", "1=t", "--bind", f"{k}=t", "--grid", "0:1:5,0:1:5",
+                "--out", str(out)]
         assert run(argv) == 1
         assert capsys.readouterr().err == (
             f"error: bad --bind '{k}=t'; k must be an input letter id 1, 2, ... "
@@ -501,24 +522,35 @@ class TestArgumentValidation:
         assert not out.exists()
 
     @pytest.mark.parametrize("inputs, message", [
-        (["--u", "t", "--bind", "1=t"], "give --u or --bind, not both"),
+        (["--u", "t", "--bind", "1=t"], "argument --bind: not allowed with argument --u"),
+        ([], "one of the arguments --u --bind is required"),
         (["--bind", "1=t", "--bind", "1=2*t"], "bad --bind '1=2*t'; x1 is already bound"),
         (["--bind", "1=t", "--bind", "2=t"], "bad --bind '2=t'; the series has no letter x2"),
     ])
-    @pytest.mark.parametrize("command", ["solve", "eval"])
-    def test_bind_faults_exit_one(self, tmp_path, capsys, monkeypatch, command,
-                                  inputs, message):
-        """--u with --bind, a letter bound twice and a letter outside the
-        series' alphabet are refused before any evaluation."""
+    def test_bind_faults_exit_one(self, tmp_path, capsys, monkeypatch, inputs, message):
+        """--u with --bind, neither of them, a letter bound twice and a
+        letter outside the series' alphabet are refused before any
+        evaluation, and leave no output and no temporary file."""
         monkeypatch.setattr(ii, "evaluate_series", None)
         out = tmp_path / "y.csv"
-        if command == "solve":
-            argv = ["solve", "transport", "--V", "1", "--N", "2"]
-        else:
-            c = se.series_from_coeffs(1, {word("x1"): do.identity(1)})
-            argv = ["eval", "--series", write_series(tmp_path / "c.series", c)]
+        c = se.series_from_coeffs(1, {word("x1"): do.identity(1)})
+        argv = ["eval", "--series", write_series(tmp_path / "c.series", c)]
         assert run(argv + inputs + ["--grid", "0:1:5,0:1:5", "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["c.series"]
+
+    @pytest.mark.parametrize("command, option", [
+        ("solve", ["--bind", "1=t"]), ("solve", ["--report", "r.json"]),
+        ("eval", ["--report", "r.json"])])
+    def test_one_spelling_per_input_and_output(self, tmp_path, capsys, transport_files,
+                                               command, option):
+        """A solve takes its input as --u alone, and every output's report
+        is <out>.report.json."""
+        out = tmp_path / "y.csv"
+        assert run(writer_argv(command, transport_files) + option
+                   + ["--out", str(out)]) == 1
+        assert capsys.readouterr().err == \
+            f"error: unrecognized arguments: {' '.join(option)}\n"
         assert not out.exists()
 
 
@@ -1020,18 +1052,14 @@ class TestTailBoundScope:
         assert bound is None or bound["tail"] >= np.max(np.abs(f_m - f_n))
         assert bound is not None or not certified
 
-    @pytest.mark.parametrize("command", ["solve", "eval"])
-    def test_bind_of_the_input_letter_gets_the_certificate_of_u(self, tmp_path, command):
+    def test_bind_of_the_input_letter_gets_the_certificate_of_u(self, tmp_path):
         """--bind 1=EXPR and --u EXPR give the series' one input letter the
         same signal, so they write the same CSV and report the same
         certificate."""
         u, grid = "t*sin(2.05*theta_1)", "0:6.28:33,0:1:33"
-        if command == "solve":
-            argv = ["solve", "transport", "--V", "1.03", "--N", "8"]
-        else:
-            path = tmp_path / "c.series"
-            se.save_series(pde.transport_series(pde.TransportSpec(1.03, 0, 8)), path)
-            argv = ["eval", "--series", str(path)]
+        path = tmp_path / "c.series"
+        se.save_series(pde.transport_series(pde.TransportSpec(1.03, 0, 8)), path)
+        argv = ["eval", "--series", str(path)]
         results = []
         for i, spelling in enumerate((["--u", u], ["--bind", f"1={u}"])):
             out = tmp_path / f"{i}.csv"
@@ -1039,6 +1067,22 @@ class TestTailBoundScope:
             results.append((out.read_bytes(), read_report(str(out) + ".report.json")["bound"]))
         assert results[0] == results[1]
         assert results[0][1]["kind"] == "gevrey_tail"
+
+    def test_coefficient_model_dominates_its_data_through_N(self, tmp_path):
+        """alpha_k = 1.5^k, tripled at odd k, through N = 8: the
+        least-squares model alone gave 2.39 at alpha_1 = 4.5 and 8.99 at
+        alpha_3 = 10.125.  K_alpha is raised as K_u is, so that
+        K_alpha M^k (k!)^s is at least every alpha_k (to rounding)."""
+        alphas = [1.5 ** k * (3 if k % 2 else 1) for k in range(9)]
+        c = se.series_from_coeffs(1, {word(*["x0"] * k, "x1"): do.monomial(ex.const(a), (k,))
+                                      for k, a in enumerate(alphas)})
+        out = tmp_path / "y.csv"
+        assert run(["eval", "--series", write_series(tmp_path / "c.series", c),
+                    "--u", "t*sin(2*theta_1)", "--grid", "0:1:33,0:1:33",
+                    "--out", str(out)]) == 0
+        g = read_report(str(out) + ".report.json")["bound"]["constants"]
+        for k, a in enumerate(alphas):
+            assert g["K_alpha"] * g["M"] ** k * math.factorial(k) ** g["s"] >= a * (1 - 1e-12)
 
     @pytest.mark.parametrize("u, N, kind", [
         ("t*theta_1^3", 6, "exact"), ("t*theta_1", 6, "exact"), ("t", 6, "exact"),
@@ -1127,7 +1171,9 @@ class TestCsvStreaming:
 
     def test_bytes_match_write_csv(self, tmp_path):
         field = self.field()
-        cli._write_csv_atomic(str(tmp_path / "y.csv"), field)
+        with cli._atomic_file(str(tmp_path / "y.csv")) as fh:
+            assert ii.write_csv(field, fh)
+        assert [p.name for p in tmp_path.iterdir()] == ["y.csv"]
         buf = io.StringIO()
         ii.write_csv(field, buf)
         assert (tmp_path / "y.csv").read_bytes() == buf.getvalue().encode()
@@ -1142,8 +1188,10 @@ class TestCsvStreaming:
             raise OSError("disk full")
 
         monkeypatch.setattr(ii, "write_csv", failing)
-        with pytest.raises(OSError, match="disk full"):
-            cli._write_csv_atomic(str(target), self.field())
+        with pytest.raises(cli.CliError, match=f"^cannot write {re.escape(str(target))}: "
+                                               "disk full$"):
+            with cli._atomic_file(str(target)) as fh:
+                ii.write_csv(self.field(), fh)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["y.csv"]
         assert target.read_text() == "old\n"
 
@@ -1179,12 +1227,14 @@ class TestArgvFuzz:
                       "exp(800*theta_1)", "(1+theta_1)^100"])
     binds = _mostly(["1=t", "1=sin(theta_1)*t", "2=t", "1=-t"],
                     ["x=t", "1", "1=", "99=t", "1=sin(", "0=t", "-1=t"])
-    # the input options, mostly --u alone or one or two --binds; refused
-    # are --u with --bind, two --binds of one letter, and a bind of a
-    # letter the series lacks ("99=t", and "2=t" on a series over x0, x1)
-    inputs = _mostly([("--u",), ("--bind",), ("--bind", "--bind")], [("--u", "--bind")])
-    # bounds estimate reads --u or --series; both together are refused
-    estimate_inputs = _mostly([("--u",), ("--series",)], [("--u", "--series")])
+    # the input options of eval, mostly --u alone or one or two --binds;
+    # refused are neither, --u with --bind, two --binds of one letter, and
+    # a bind of a letter the series lacks ("99=t", and "2=t" on a series
+    # over x0, x1).  A solve takes --u alone and refuses --bind.
+    inputs = _mostly([("--u",), ("--bind",), ("--bind", "--bind")], [(), ("--u", "--bind")])
+    solve_inputs = _mostly([("--u",)], [(), ("--u", "--bind"), ("--bind",)])
+    # bounds estimate reads --u or --series; both or neither are refused
+    estimate_inputs = _mostly([("--u",), ("--series",)], [(), ("--u", "--series")])
     orders = _mostly(["0", "1", "2", "3", "4"], ["-1", "x", "1.5", ""])
     series = _mostly(["good.series", "other.series"], ["bad.series", "missing.series", "."])
     outs = _mostly(["out.file"], ["none/out.file", "."])
@@ -1192,8 +1242,7 @@ class TestArgvFuzz:
 
     # the option strings of each subcommand and the values each can take
     two = {"--left": series, "--right": series, "--out": outs}
-    solve = {"input": inputs, "--N": orders, "--grid": grids,
-             "--out": outs, "--report": outs}
+    solve = {"input": solve_inputs, "--N": orders, "--grid": grids, "--out": outs}
     OPTIONS = {
         ("algebra", "shuffle"): two, ("algebra", "sum"): two,
         ("algebra", "compose"): two,
@@ -1206,8 +1255,7 @@ class TestArgvFuzz:
             "--alpha1": numbers, "--alpha2": numbers, "--y0": thetas, "--y1": thetas,
             "--form": _mostly(["direct", "cascade", "partial-fraction"], ["x", ""]),
             **solve},
-        ("eval",): {"--series": series, "input": inputs, "--grid": grids,
-                    "--out": outs, "--report": outs},
+        ("eval",): {"--series": series, "input": inputs, "--grid": grids, "--out": outs},
         ("bounds", "check"): {
             **dict.fromkeys(["--K-alpha", "--M", "--K-u", "--R", "--T"], positive),
             "--s": _mostly(["0", "0.25", "0.5", "1"], bad_numbers), "--N": orders},
