@@ -149,7 +149,6 @@ class GrowthFit:
     data: GrowthData
     log_norms: tuple[float, ...]
     residual: float
-    theta_independent: bool = False
 
 
 def _time_integrals(u: InputSignal, grid: Grid, order: int) -> np.ndarray:
@@ -220,31 +219,27 @@ def _least_squares(columns: Sequence[Sequence[float]], y: Sequence[float]
 
 
 def _theta_degree(u: InputSignal) -> float:
-    """The theta-degree of u, read from its terms: the largest theta_1
-    power, or math.inf when u is sampled, a power is negative or an atom
+    """The theta-degree of the symbolic u, its largest theta_1 power on
+    the axes (theta_1, t), or math.inf when a power is negative or an atom
     involves theta_1: no derivative order makes such a term vanish."""
-    if not u.is_symbolic:
-        return math.inf
     return max((math.inf if e[0] < 0 or any(ex.depends_on(arg, "theta_1")
                                             for _, arg, _ in atoms) else e[0]
-                for e, atoms in u.expr.terms), default=0)
+                for e, atoms in u.expr.embed(2, 0, True).terms), default=0)
 
 
 def _fit_input(u: InputSignal, grid: Grid, k_max: int) -> GrowthFit:
     """Fit log ||d^k u|| ~ log K_u + k log R over k = 0..k_max, or through
     the theta-degree d of u when d < k_max: the norms past d are exactly
-    0, and their clamped logs would drag the fit down.  The input is
-    theta-independent (R = 0, K_u its norm) when every derivative norm is
-    at most 1e-14 of the norm of u itself, a test that does not depend
-    on the scale of u."""
+    0, and their clamped logs would drag the fit down.  At d = 0, u is
+    theta-free: K_u is its one norm and R = 0."""
     k_max = min(k_max, _theta_degree(u))
     split = _split(u, grid.dim)  # once, so each derivative chain is built once
     norms = [_input_norm_surrogate(u, split, grid, k) for k in range(k_max + 1)]
     base = GrowthData(K_alpha=1.0, M=1.0, K_u=max(norms[0], _TINY_TERM),
                       R=0.0, s=0.0, T=grid.t_end)
     logs = [math.log(max(n, _TINY_TERM)) for n in norms]
-    if all(n <= 1e-14 * norms[0] for n in norms[1:]):
-        return GrowthFit(base, tuple(logs), 0.0, theta_independent=True)
+    if k_max == 0:
+        return GrowthFit(base, tuple(logs), 0.0)
     (log_k, log_r), residual = _least_squares([range(k_max + 1)], logs)
     data = replace(base, K_u=math.exp(log_k), R=math.exp(log_r))
     return GrowthFit(data, tuple(logs), residual)
@@ -293,8 +288,9 @@ def estimate_growth(target: Union[InputSignal, GenSeries], grid: Grid,
     """Fit growth constants from data on a one-parameter grid.
 
     * InputSignal: fits K_u, R from the derivative norms (conservative
-      interval-length * sup-theta surrogate of the L1 norm); flags the
-      theta-independent R = 0 regime.
+      interval-length * sup-theta surrogate of the L1 norm) through its
+      theta-degree; a theta-free input has R = 0.  A sampled one has no
+      expression to read: ValueError.
     * GenSeries: fits K_alpha, M, s from the coefficient sup norms.
 
     The residual (rms log-misfit) is reported so hypothesis quality can be
@@ -305,6 +301,8 @@ def estimate_growth(target: Union[InputSignal, GenSeries], grid: Grid,
     if grid.dim != 1:
         raise ValueError("growth fits are defined for one-parameter grids")
     if isinstance(target, InputSignal):
+        if not target.is_symbolic:
+            raise ValueError("growth fits read a symbolic input; this one is sampled")
         return _fit_input(target, grid, k_max)
     norms = _coefficient_sup_norms(target, grid)[:k_max + 1]
     return _fit_coefficients(norms, grid.t_end)
@@ -342,14 +340,13 @@ def tail_certificate(series: GenSeries, u, grid: Grid) -> dict | None:
     try:
         coeff_fit = estimate_growth(series, grid, k_max=n)
         input_fit = _fit_input(u, grid, n)
-        g, K_u = coeff_fit.data, input_fit.data.K_u
+        g, K_u, R = coeff_fit.data, input_fit.data.K_u, input_fit.data.R
         log_m = math.log(g.M)
         K_alpha = _dominating(g.K_alpha, coeff_fit.log_norms,
                               lambda k: k * log_m + g.s * math.lgamma(k + 1))
-        if not input_fit.theta_independent:
-            log_r = math.log(input_fit.data.R)
-            K_u = _dominating(K_u, input_fit.log_norms, lambda k: k * log_r)
-        g = replace(g, K_alpha=K_alpha, K_u=K_u, R=input_fit.data.R)
+        if R:  # R = 0 is a theta-free input: one norm, which K_u is
+            K_u = _dominating(K_u, input_fit.log_norms, lambda k: k * math.log(R))
+        g = replace(g, K_alpha=K_alpha, K_u=K_u, R=R)
         tail = 0.0 if exact else gevrey_tail(g, n)
     except (ValueError, ArithmeticError):
         return None

@@ -41,6 +41,7 @@ import gc
 import json
 import math
 import os
+import re
 import sys
 import tempfile
 import time
@@ -162,17 +163,16 @@ def _binding_from_args(args, dim: int, letters):
         if "=" not in item:
             raise CliError(f"bad --bind {item!r}; expected k=expr")
         k_text, expr_text = item.split("=", 1)
-        try:
-            k = int(k_text)
-        except ValueError:
-            raise CliError(f"bad input letter id {k_text!r}") from None
-        if k < 1:
+        if re.fullmatch("0|-[0-9]+", k_text):
             raise CliError(f"bad --bind {item!r}; k must be an input letter id "
                            "1, 2, ... (x0 is the drift)")
+        if not re.fullmatch("[1-9][0-9]*", k_text):  # the digits of a letter xk
+            raise CliError(f"bad input letter id {k_text!r}")
+        if "x" + k_text not in [l.text() for l in letters]:  # int() takes <= 4300 digits
+            raise CliError(f"bad --bind {item!r}; the series has no letter x{k_text}")
+        k = int(k_text)
         if k in binding:
             raise CliError(f"bad --bind {item!r}; x{k} is already bound")
-        if k not in letters:
-            raise CliError(f"bad --bind {item!r}; the series has no letter x{k}")
         binding[k] = ii.InputSignal.symbolic(_parse_expr_arg(expr_text, dim, "input"))
     return binding
 
@@ -334,7 +334,6 @@ def _cmd_bounds(args, command: str, started: float) -> int:
     print(json.dumps({
         "constants": {name: getattr(fit.data, name) for name in fitted},
         "residual": fit.residual,
-        "theta_independent": fit.theta_independent,
         "log_norms": list(fit.log_norms),
     }, indent=2, sort_keys=True))
     return 0
@@ -343,7 +342,7 @@ def _cmd_bounds(args, command: str, started: float) -> int:
 def _cmd_verify(args, command: str, started: float) -> int:
     from . import acceptance
     only = None
-    if args.only:
+    if args.only is not None:
         try:
             only = sorted({int(x) for x in args.only.split(",")})
         except ValueError:

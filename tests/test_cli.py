@@ -343,7 +343,9 @@ class TestBounds:
         and s; the other three were once printed as placeholders."""
         value = "t*sin(2*theta_1)" if target == "--u" else transport_files[0]
         assert run(["bounds", "estimate", target, value, "--grid", "0:1:33,0:1:33"]) == 0
-        assert set(json.loads(capsys.readouterr().out)["constants"]) == fitted
+        payload = json.loads(capsys.readouterr().out)
+        assert set(payload) == {"constants", "log_norms", "residual"}
+        assert set(payload["constants"]) == fitted
 
     def test_estimate_stops_at_the_input_degree(self, capsys):
         """t*theta_1^2 has exactly zero derivatives past order 2; fitting
@@ -372,7 +374,12 @@ class TestVerify:
         assert "PASS criterion 8" in out
 
     def test_bad_only_flag(self, capsys):
-        assert run(["verify", "--only", "abc"]) == 1
+        """An empty selection is a bad one, not every criterion."""
+        for only in ("abc", ""):
+            assert run(["verify", "--only", only]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: bad --only {only!r}\n"
 
     @pytest.mark.parametrize("only", ["0", "11", "-1", "1,11"])
     def test_only_out_of_range_runs_nothing(self, capsys, only):
@@ -526,11 +533,17 @@ class TestArgumentValidation:
         ([], "one of the arguments --u --bind is required"),
         (["--bind", "1=t", "--bind", "1=2*t"], "bad --bind '1=2*t'; x1 is already bound"),
         (["--bind", "1=t", "--bind", "2=t"], "bad --bind '2=t'; the series has no letter x2"),
+        # one spelling per letter id: int() reads each of these as 1 or 10
+        (["--bind", "01=t"], "bad input letter id '01'"),
+        (["--bind", "+1=t"], "bad input letter id '+1'"),
+        (["--bind", " 1=t"], "bad input letter id ' 1'"),
+        (["--bind", "1_0=t"], "bad input letter id '1_0'"),
     ])
     def test_bind_faults_exit_one(self, tmp_path, capsys, monkeypatch, inputs, message):
-        """--u with --bind, neither of them, a letter bound twice and a
-        letter outside the series' alphabet are refused before any
-        evaluation, and leave no output and no temporary file."""
+        """--u with --bind, neither of them, a letter bound twice, a
+        letter outside the series' alphabet and a letter id spelled other
+        than as its digits are refused before any evaluation, and leave
+        no output and no temporary file."""
         monkeypatch.setattr(ii, "evaluate_series", None)
         out = tmp_path / "y.csv"
         c = se.series_from_coeffs(1, {word("x1"): do.identity(1)})
@@ -538,6 +551,17 @@ class TestArgumentValidation:
         assert run(argv + inputs + ["--grid", "0:1:5,0:1:5", "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
         assert [p.name for p in tmp_path.iterdir()] == ["c.series"]
+
+    def test_bind_of_a_letter_id_past_int_digits_exits_one(self, tmp_path, capsys):
+        """A letter id of 5000 digits, past the 4300 that int() converts,
+        is a letter the series lacks, not a ValueError."""
+        c = se.series_from_coeffs(1, {word("x1"): do.identity(1)})
+        k = "1" * 5000
+        assert run(["eval", "--series", write_series(tmp_path / "c.series", c),
+                    "--bind", f"{k}=t", "--grid", "0:1:5,0:1:5",
+                    "--out", str(tmp_path / "y.csv")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: bad --bind '{k}=t'; the series has no letter x{k}\n")
 
     @pytest.mark.parametrize("command, option", [
         ("solve", ["--bind", "1=t"]), ("solve", ["--report", "r.json"]),
@@ -1107,6 +1131,28 @@ class TestTailBoundScope:
                     for n in (N, N + 16))
         assert bound["tail"] >= np.max(np.abs(f_m - f_n))
         assert (bound["tail"] == 0) == (kind == "exact")
+
+    def test_near_theta_free_input_is_fitted(self, tmp_path):
+        """t*(1 + 1e-15*sin(theta_1)) depends on theta_1: its constants
+        dominate the input norms it was fitted to, each about 3e-15, and
+        its tail is not 0.  A 1e-14 test of those norms once called it
+        theta-independent and reported R = 0 and a tail of 0.  t^2 has
+        theta-degree 0 and keeps its exact tail with R = 0."""
+        from cfpde import bounds as bd
+        grid = "0:6.283185307179586:65,0:1:65"
+        for u, kind in (("t*(1 + 1e-15*sin(theta_1))", "gevrey_tail"), ("t^2", "exact")):
+            out = tmp_path / "y.csv"
+            assert run(["solve", "transport", "--V", "1", "--u", u, "--N", "8",
+                        "--grid", grid, "--out", str(out)]) == 0
+            bound = read_report(str(out) + ".report.json")["bound"]
+            g = bound["constants"]
+            assert bound["kind"] == kind
+            assert (g["R"] > 0 and bound["tail"] > 0) == (kind != "exact")
+            signal = ii.InputSignal.symbolic(ex.parse(u, 1))
+            grid_obj = ii.Grid.from_spec(grid)
+            for k in range(9 if g["R"] else 1):
+                norm = bd._input_norm_surrogate(signal, bd._split(signal, 1), grid_obj, k)
+                assert g["K_u"] * g["R"] ** k >= norm * (1 - 1e-12)
 
     @pytest.mark.parametrize("argv", [
         ["wave"],

@@ -45,7 +45,7 @@ class TestValueSemantics:
         g = GrowthData(1.0, 2.0, 3.0, 0.5, 0.0, 1.0)
         assert hash(g) == hash((1.0, 2.0, 3.0, 0.5, 0.0, 1.0))
         fit = GrowthFit(g, (0.0, -1.0), 0.25)
-        assert hash(fit) == hash((g, (0.0, -1.0), 0.25, False))
+        assert hash(fit) == hash((g, (0.0, -1.0), 0.25))
 
     def test_repr(self):
         assert repr(GrowthData(1.0, 2.0, 3.0, 0.5, 0.0, 1.0)) == (
