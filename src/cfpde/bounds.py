@@ -31,6 +31,7 @@ from dataclasses import dataclass, replace
 from typing import Sequence, Union
 
 from . import expr as ex
+from .diffop import MAX_TERM_DEGREE
 # iterint before numpy, so that it is compiled before numpy is imported
 # (see cli._evaluation_errors)
 from .iterint import Grid, InputSignal, _as_binding, _sample_split, _split, cumulative_trapezoid
@@ -293,11 +294,13 @@ def estimate_growth(target: Union[InputSignal, GenSeries], grid: Grid,
       expression to read: ValueError.
     * GenSeries: fits K_alpha, M, s from the coefficient sup norms.
 
-    The residual (rms log-misfit) is reported so hypothesis quality can be
-    judged before trusting a certificate built from the fit.
+    k_max is 2..MAX_TERM_DEGREE, the cap on a series' operator term
+    degree, past which no certificate reads a fit.  The residual (rms
+    log-misfit) is reported so hypothesis quality can be judged before
+    trusting a certificate built from the fit.
     """
-    if k_max < 2:
-        raise ValueError("k_max must be at least 2")
+    if not 2 <= k_max <= MAX_TERM_DEGREE:
+        raise ValueError(f"k_max must be in 2..{MAX_TERM_DEGREE}")
     if grid.dim != 1:
         raise ValueError("growth fits are defined for one-parameter grids")
     if isinstance(target, InputSignal):

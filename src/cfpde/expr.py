@@ -510,8 +510,11 @@ def depends_on(p: Poly, v: str) -> bool:
 # so that printed derivatives round-trip.  A denominator is a monomial in
 # t and theta (a constant, or a product of their powers).
 
+# a number token without its 'i', and a grid bound (Grid.from_spec)
+NUMBER = r"(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
+
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<number>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?i?)"
+    rf"\s*(?:(?P<number>{NUMBER}i?)"
     r"|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
     r"|(?P<op>[-+*/^()]))"
 )
@@ -603,7 +606,7 @@ class _Parser:
         if kind == "op" and value == "-":
             sign = -1
             kind, value, pos = self.next()
-        if kind != "number" or not re.fullmatch(r"\d+", value):
+        if kind != "number" or not re.fullmatch(r"[0-9]+", value):
             raise ParseError("expected an integer exponent", pos)
         try:
             return sign * int(value)

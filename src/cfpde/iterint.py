@@ -24,8 +24,8 @@ the input alone decides which:
   y = sum_tau A_tau(theta) E_tau(t) over time words tau: the walk sums
   A_tau on the theta axes, each E_tau is one trapezoid pass on a 1-D
   time array shared along suffixes, and the field keeps A and E as its
-  factors, contracted a block of theta rows at a time when it is
-  written or read.
+  factors, contracted a run of theta rows at a time (GridField.rows)
+  when it is written or read.
 * Grid.  Sampled signals and mixed ones such as sin(theta_1 - t): a
   node's sum is its coefficient plus one cumulative integral of the sum
   over its child steps (letter, order) of the letter's signal times the
@@ -49,6 +49,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import re
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Optional, Union
 
@@ -77,6 +78,9 @@ def _check_spacing(length: float, n: int) -> None:
         spacing = 0.0
     if not 0 < spacing < math.inf:
         raise EvaluationError("grid spacing must be a positive finite float")
+
+
+_AXIS_RE = re.compile(rf"(-?{ex.NUMBER}):(-?{ex.NUMBER}):(0|[1-9][0-9]*)")
 
 
 @dataclass(frozen=True)
@@ -148,18 +152,20 @@ class Grid:
 
     @classmethod
     def from_spec(cls, spec: str) -> "Grid":
-        """Parse "a:b:n,...,0:T:nt" (theta axes first, time axis last)."""
+        """Parse "a:b:n,...,0:T:nt" (theta axes first, time axis last): a
+        and b numbers as expressions spell them, with an optional '-', and
+        n digits with no leading zero; no other spelling."""
         axes = []
         for chunk in spec.split(","):
-            parts = chunk.split(":")
-            if len(parts) != 3:
-                raise EvaluationError(f"bad grid axis {chunk!r}; expected a:b:n")
-            try:
-                a, b, n = float(parts[0]), float(parts[1]), int(parts[2])
-            except ValueError:
+            m = _AXIS_RE.fullmatch(chunk)
+            if m is None:
                 raise EvaluationError(
-                    f"bad grid axis {chunk!r}; a and b must be numbers and n "
-                    "an integer") from None
+                    f"bad grid axis {chunk!r}; expected a:b:n, a and b numbers and "
+                    "n an integer")
+            try:
+                a, b, n = float(m[1]), float(m[2]), int(m[3])
+            except ValueError:  # more digits than int() converts
+                raise EvaluationError(f"bad grid axis {chunk!r}; n is too long") from None
             if not (math.isfinite(a) and math.isfinite(b)):
                 raise EvaluationError(f"bad grid axis {chunk!r}; bounds must be finite")
             axes.append((a, b, n))
@@ -171,11 +177,6 @@ class Grid:
         return cls(tuple(axes[:-1]), t1, nt)
 
 
-# Grid points per block of a field's theta rows: a factored field is
-# formed, and every field exported, this many points at a time.
-_BLOCK = 16384
-
-
 class GridField:
     """Complex samples of a scalar field on a grid.
 
@@ -183,17 +184,17 @@ class GridField:
     two factors of y = sum_tau A_tau(theta) E_tau(t): weights, one column
     per time word tau over the theta points in grid order (one row per
     theta row of the field), and times, one row per tau over the time
-    points.  ``blocks`` yields the field's theta rows in blocks of _BLOCK
-    grid points, a factored field's formed block by block, so that
-    ``write_csv`` never holds all of it.  ``values`` is the full array:
-    for a factored field it is built once, from the same blocks, and kept
-    in place of the factors, so a library caller's samples and the CSV's
-    agree bit for bit."""
+    points.  ``rows`` gives a run of the field's theta rows, a factored
+    field's formed in the caller's buffer, so that ``write_csv`` never
+    holds all of it.  ``values`` is the full array: for a factored field
+    it is built once, each row by the product ``rows`` forms it with, and
+    kept in place of the factors, so a library caller's samples and the
+    CSV's agree bit for bit."""
 
     __slots__ = ("grid", "_values", "_factors")
 
     def __init__(self, grid: Grid, values: np.ndarray):
-        values = np.asarray(values, dtype=np.complex128)
+        values = np.ascontiguousarray(values, dtype=np.complex128)
         if values.shape != grid.shape:
             raise EvaluationError(
                 f"field shape {values.shape} does not match grid {grid.shape}")
@@ -217,37 +218,38 @@ class GridField:
         return field
 
     @property
+    def is_real(self) -> bool:
+        """Whether every imaginary part is +0.0: the factors are real, or
+        no held imaginary part is nonzero, -0.0 or nan."""
+        if self._factors is not None:
+            return self._factors[1].dtype == np.float64
+        return not self._values.imag.view(np.uint64).any()
+
+    def rows(self, r0: int, r1: int, out: np.ndarray | None = None) -> np.ndarray:
+        """The (r1 - r0, n_t) samples of theta rows r0..r1-1 in grid order.
+        Held samples give a view, and out is not used.  A factored field's
+        rows are formed in out[:r1 - r0], float64 when the field is real
+        and complex128 otherwise, a vector-matrix product per row: a first
+        matrix-matrix product would start BLAS's level-3 buffers, about
+        0.6 MB more resident memory."""
+        if self._factors is None:
+            return self._values.reshape(-1, self.grid.n_t)[r0:r1]
+        weights, times = self._factors
+        block = out[:r1 - r0]
+        for w, row in zip(weights[r0:r1], block):
+            np.matmul(w, times, out=row)
+        return block
+
+    @property
     def values(self) -> np.ndarray:
         if self._values is None:
             out = np.empty(self.grid.shape, dtype=np.complex128)
-            rows = out.reshape(-1, self.grid.n_t)
-            for r0, block in self.blocks():
-                rows[r0:r0 + len(block)] = block
+            flat = out.reshape(-1, self.grid.n_t)
+            row = np.empty((1, self.grid.n_t), dtype=self._factors[1].dtype)
+            for r in range(len(flat)):
+                flat[r] = self.rows(r, r + 1, row)[0]
             self._values, self._factors = out, None
         return self._values
-
-    def blocks(self):
-        """(r0, rows) over the field's theta rows in grid order: rows holds
-        the samples of rows r0..r0+m-1, m rows of _BLOCK grid points or one
-        row when a row alone holds more.  Held samples give views.  A
-        factored field's block, complex or real as its factors are, is
-        formed in one buffer that the next block overwrites, a
-        vector-matrix product per row: a first matrix-matrix product would
-        start BLAS's level-3 buffers, about 0.6 MB more resident memory."""
-        n_t = self.grid.n_t
-        step = max(1, _BLOCK // n_t)
-        if self._factors is None:
-            rows = self._values.reshape(-1, n_t)
-            for r0 in range(0, len(rows), step):
-                yield r0, rows[r0:r0 + step]
-            return
-        weights, times = self._factors
-        out = np.empty((min(step, len(weights)), n_t), dtype=times.dtype)
-        for r0 in range(0, len(weights), step):
-            block = out[:len(weights) - r0]
-            for i, w in enumerate(weights[r0:r0 + step]):
-                np.matmul(w, times, out=block[i])
-            yield r0, block
 
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.values)))
@@ -607,7 +609,7 @@ class _Separable:
 
     def field(self, root: _TrieNode) -> GridField:
         """Walk the trie, and return A and E as the factors of the field:
-        their product is formed a block of theta rows at a time, when the
+        their product is formed a run of theta rows at a time, when the
         field is written or its values are asked for."""
         self.walk(root, None, ())
         grid = self.grid
@@ -848,16 +850,16 @@ def _format_block(x: np.ndarray, cells: np.ndarray, mask: np.ndarray,
             mask[i, j, :len(text)] = True
 
 
-def _text_columns(strings: list[str], lead: bytes, right: bool,
-                  width: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """lead + s + ',' for each string, justified in a common width of at
-    least width, with its mask; both as one void item per string."""
-    texts = [lead + s.encode() + b"," for s in strings]
+def _text_columns(points: np.ndarray, lead: bytes, right: bool,
+                  width: int = 0) -> np.ndarray:
+    """lead + format(x, ".17g") + ',' for each point, NUL-padded to a
+    common width of at least width, as one void item per point.  No text
+    holds a NUL, so a byte of it is kept exactly when it is not NUL."""
+    texts = [lead + f"{x:.17g}".encode() + b"," for x in points.tolist()]
     width = max(width, *map(len, texts))
     padded = [t.rjust(width, b"\0") if right else t.ljust(width, b"\0")
               for t in texts]
-    chars = np.frombuffer(b"".join(padded), dtype=np.uint8).reshape(-1, width)
-    return chars.view(f"V{width}")[:, 0], (chars != 0).view(f"V{width}")[:, 0]
+    return np.frombuffer(b"".join(padded), dtype=f"V{width}")
 
 
 def write_csv(field: GridField, fh) -> bool:
@@ -871,82 +873,72 @@ def write_csv(field: GridField, fh) -> bool:
     others (smaller or larger magnitudes, subnormals, inf, nan) and the
     coordinates go through format() one at a time.
 
-    The field is taken in the blocks of GridField.blocks, a factored
-    field's formed one block at a time and dropped once printed.  Each
-    block is printed in chunks of lines: runs of whole theta rows, or
-    spans of one row when a row alone is longer.  A chunk fills the
-    bytes of at most _CSV_LINES lines with an im cell each, in whole
-    rows when one fits.  When every imaginary part of a block is +0.0,
-    its im column is the constant text "0" and only the real parts are
-    formatted, so more of its narrower lines fit; "0" is how +0.0
-    prints, so the bytes are the same whichever blocks take that path."""
+    The line layout is chosen once for the field.  When every imaginary
+    part is +0.0 (GridField.is_real) the im column is the constant text
+    "0", which is how +0.0 prints, and only the real parts are formatted;
+    otherwise each line has a re and an im cell.  The field is then
+    printed in chunks of lines, each filling a text buffer that holds the
+    bytes of _CSV_LINES complex lines: runs of whole theta rows, taken
+    with GridField.rows (a factored field's formed in one buffer that the
+    next run overwrites), or spans of time points when one row alone is
+    longer than a chunk."""
     grid = field.grid
     nt = grid.n_t
     # each line starts with the newline that ends the one before it
     fh.write(",".join([f"theta_{k + 1}" for k in range(grid.dim)] + ["t", "re", "im"]))
-    columns = [_text_columns([f"{x:.17g}" for x in grid.theta_points(k).tolist()],
-                             b"" if k else b"\n", right=not k)
+    columns = [_text_columns(grid.theta_points(k), b"" if k else b"\n", right=not k)
                for k in range(grid.dim)]
     t_width = 25  # the longest ".17g" text of a double, and ','
-    edges = np.cumsum([0] + [chars.itemsize for chars, _ in columns] + [t_width]).tolist()
+    edges = np.cumsum([0] + [chars.itemsize for chars in columns] + [t_width]).tolist()
     head = -(-edges[-1] // 8) * 8  # cells start on 8-byte boundaries
-    # a chunk's text holds the bytes of _CSV_LINES complex lines, and
-    # each layout takes whole rows of its own lines from it
     budget = _CSV_LINES * (head + 2 * _CELL)
-    t_points = grid.t_points
-
-    def t_texts(c0: int, n: int):
-        return _text_columns([f"{x:.17g}" for x in t_points[c0:c0 + n].tolist()],
-                             b"", right=False, width=t_width)
-
+    real = field.is_real
+    n_cells = 1 if real else 2
+    # lines of a re and an im cell, or of a re cell and an 8-byte slot
+    # holding ",0"; a chunk is rows x span of them
+    width = head + n_cells * _CELL + 8 * real
+    span = min(nt, budget // width)
+    rows = max(1, budget // width // nt)
+    text = np.zeros((rows * span, width), dtype=np.uint8)
+    keep = np.zeros((rows * span, width), dtype=bool)
+    # each coordinate column's text, one void item per line
+    coords = [text[:, a:b].view(f"V{b - a}")[:, 0] for a, b in zip(edges, edges[1:])]
+    cells = text[:, head:head + n_cells * _CELL].reshape(-1, n_cells, _CELL)
+    cell_keep = keep[:, head:head + n_cells * _CELL].reshape(-1, n_cells, _CELL)
+    cells[..., _DOT] = ord(".")
+    if real:
+        text[:, -8:-6] = np.frombuffer(b",0", dtype=np.uint8)
+        keep[:, -8:-6] = True
     # the time column is formatted once when its text fits in the budget,
     # else for each span of time points of every row
-    t_all = t_texts(0, nt) if nt * t_width <= budget else None
-
-    # one text buffer and mask, viewed as lines of each block's layout
-    text_bytes = np.zeros(budget, dtype=np.uint8)
-    keep_bytes = np.zeros(budget, dtype=bool)
+    t_points = grid.t_points
+    t_all = _text_columns(t_points, b"", False, t_width) if nt * t_width <= budget else None
+    if span == nt:  # every chunk holds whole rows
+        coords[-1].reshape(rows, nt)[:] = t_all
+    # a factored field's rows are formed here; held ones are views
+    out = None if field._factors is None else np.empty(
+        (rows, nt), dtype=np.float64 if real else np.complex128)
+    groups = np.empty(4 * text.shape[0] * n_cells, dtype=np.int64)
+    n_rows = math.prod(grid.shape[:-1])
     finite = True
-    for r0, block in field.blocks():
-        # a real block, or no imaginary part is nonzero, -0.0 or nan
-        real = block.dtype == np.float64 or not block.imag.view(np.uint64).any()
-        n_cells = 1 if real else 2
-        # lines of a re and an im cell, or of a re cell and an 8-byte slot
-        # holding ",0"; a chunk is rows x span of them
-        width = head + n_cells * _CELL + 8 * real
-        span = min(nt, budget // width)
-        rows = max(1, budget // width // nt)
-        text = text_bytes[:rows * span * width].reshape(-1, width)
-        keep = keep_bytes[:rows * span * width].reshape(-1, width)
-        keep[:] = False
-        # each coordinate column's text and mask, one void item per line
-        coords = [(text[:, a:b].view(f"V{b - a}")[:, 0], keep[:, a:b].view(f"V{b - a}")[:, 0])
-                  for a, b in zip(edges, edges[1:])]
-        cells = text[:, head:head + n_cells * _CELL].reshape(-1, n_cells, _CELL)
-        cell_keep = keep[:, head:head + n_cells * _CELL].reshape(-1, n_cells, _CELL)
-        cells[..., _DOT] = ord(".")
-        if real:
-            text[:, -8:-6] = np.frombuffer(b",0", dtype=np.uint8)
-            keep[:, -8:-6] = True
-        if span == nt:  # every chunk holds whole rows
-            coords[-1][0].reshape(rows, nt)[:] = t_all[0]
-            coords[-1][1].reshape(rows, nt)[:] = t_all[1]
-        index = np.unravel_index(np.arange(r0, r0 + len(block)), grid.shape[:-1])
-        for i0, c0 in itertools.product(range(0, len(block), rows), range(0, nt, span)):
-            m, n = min(rows, len(block) - i0), min(span, nt - c0)
+    for r0 in range(0, n_rows, rows):
+        block = field.rows(r0, min(r0 + rows, n_rows), out)
+        m = len(block)
+        # the theta texts of each row, broadcast along it
+        index = np.unravel_index(np.arange(r0, r0 + m), grid.shape[:-1])
+        for coord, at, chars in zip(coords, index, columns):
+            coord[:m * span].reshape(m, span)[:] = chars[at, None]
+        for c0 in range(0, nt, span):
+            n = min(span, nt - c0)
             lines = m * n
-            # the theta texts of each row, broadcast along it
-            for (text_k, keep_k), at, (chars, chars_keep) in zip(coords, index, columns):
-                text_k[:lines].reshape(m, n)[:] = chars[at[i0:i0 + m], None]
-                keep_k[:lines].reshape(m, n)[:] = chars_keep[at[i0:i0 + m], None]
             if span < nt:
-                t = t_texts(c0, n) if t_all is None else [a[c0:c0 + n] for a in t_all]
-                coords[-1][0][:n], coords[-1][1][:n] = t
-            part = block[i0:i0 + m, c0:c0 + n]
+                coords[-1][:n] = (_text_columns(t_points[c0:c0 + n], b"", False, t_width)
+                                  if t_all is None else t_all[c0:c0 + n])
+            np.not_equal(text[:lines, :head], 0, out=keep[:lines, :head])
+            part = block[:, c0:c0 + n]
             x = np.ascontiguousarray(part.real if real else part).view(np.float64)
-            _format_block(x.reshape(lines, n_cells), cells[:lines], cell_keep[:lines],
-                          np.empty(4 * x.size, dtype=np.int64))
+            _format_block(x.reshape(lines, n_cells), cells[:lines], cell_keep[:lines], groups)
+            finite = finite and bool(np.isfinite(x).all())
             fh.write(text[:lines].reshape(-1)[keep[:lines].reshape(-1)].tobytes().decode("ascii"))
-        finite = finite and bool(np.isfinite(block).all())
     fh.write("\n")
     return finite

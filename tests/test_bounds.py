@@ -314,6 +314,26 @@ class TestEstimateGrowth:
         assert fit.data.K_u == pytest.approx(math.pi, rel=0.05)
         assert fit.residual < 0.05
 
+    @pytest.mark.parametrize("k_max", [1, do.MAX_TERM_DEGREE + 1, 100_000])
+    def test_k_max_outside_its_range_is_refused_before_sampling(self, monkeypatch, k_max):
+        """No series carries an operator term past MAX_TERM_DEGREE, so no
+        certificate reads a fit past it; each order re-walks the
+        derivative chain, so k_max 100,000 once ran for minutes."""
+        def sampled(*args):
+            raise AssertionError("sampled")
+
+        monkeypatch.setattr(bd, "_input_norm_surrogate", sampled)
+        grid = ii.Grid(((0.0, 1.0, 5),), 1.0, 5)
+        u = ii.InputSignal.symbolic(ex.parse("t*sin(theta_1)", 1))
+        with pytest.raises(ValueError, match=f"k_max must be in 2..{do.MAX_TERM_DEGREE}"):
+            bd.estimate_growth(u, grid, k_max=k_max)
+
+    def test_k_max_at_the_cap_fits(self):
+        grid = ii.Grid(((0.0, 1.0, 5),), 1.0, 5)
+        u = ii.InputSignal.symbolic(ex.parse("t*sin(theta_1)", 1))
+        fit = bd.estimate_growth(u, grid, k_max=do.MAX_TERM_DEGREE)
+        assert len(fit.log_norms) == do.MAX_TERM_DEGREE + 1
+
     def test_theta_independent_input_flagged(self):
         """t^2 has theta-degree 0: one norm, which K_u is, and R = 0."""
         grid = ii.Grid(((0.0, 1.0, 33),), 1.0, 65)

@@ -9,6 +9,7 @@ import re
 import stat
 import subprocess
 import sys
+import time
 import warnings
 
 import numpy as np
@@ -358,6 +359,21 @@ class TestBounds:
         assert payload["constants"]["K_u"] == pytest.approx(0.561, abs=1e-3)
         assert payload["constants"]["R"] == pytest.approx(math.sqrt(2), rel=1e-9)
 
+    @pytest.mark.parametrize("k_max", ["65", "100000"])
+    def test_estimate_k_max_past_the_cap_exits_one(self, capsys, k_max):
+        """--k-max is 2..64; 100,000 once fitted for minutes."""
+        start = time.perf_counter()
+        assert run(["bounds", "estimate", "--u", "t*sin(theta_1)",
+                    "--grid", "0:1:5,0:1:5", "--k-max", k_max]) == 1
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.err == "error: k_max must be in 2..64\n" and captured.out == ""
+
+    def test_estimate_k_max_at_the_cap_fits(self, capsys):
+        assert run(["bounds", "estimate", "--u", "t*sin(theta_1)",
+                    "--grid", "0:1:5,0:1:5", "--k-max", "64"]) == 0
+        assert len(json.loads(capsys.readouterr().out)["log_norms"]) == 65
+
     @pytest.mark.parametrize("target", ["--u", "--series"])
     def test_estimate_needs_one_theta_axis(self, capsys, transport_files, target):
         value = "t*sin(theta_1)" if target == "--u" else transport_files[0]
@@ -493,6 +509,17 @@ class TestArgumentValidation:
                     "--grid", "0:1:abc,0:1:5", "--out", str(tmp_path / "y.csv")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: bad --grid") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("grid", ["0:1:1_7,0:1:9", "0:1: 17,0:1:9", "0:1:+17,0:1:9",
+                                      "0:1:017,0:1:9", "0:1_0:17,0:1:9"])
+    def test_grid_spelled_past_cf_numbers_exits_one(self, tmp_path, capsys, grid):
+        """Each of these once gave 17 points (or an interval to 10)."""
+        out = tmp_path / "g.csv"
+        assert run(["solve", "transport", "--V", "1", "--u", "t", "--N", "2",
+                    "--grid", grid, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad --grid: bad grid axis") and err.count("\n") == 1
+        assert not out.exists()
 
     def test_overflowing_grid_length_exits_one(self, tmp_path, capsys):
         """Both bounds are finite but b - a is inf: one line, no numpy

@@ -34,6 +34,13 @@ class TestParse:
     def test_imaginary_number(self):
         assert ex.parse("2.5i", 1) == ex.Poly(2, {((0, 0), ()): 2.5j}, t=True)
 
+    @pytest.mark.parametrize("text", ["\u0661\u0667*t", "t^\u0662", "1e\u0662*t"])
+    def test_digits_are_ascii(self, text):
+        """Other scripts' digits, which float() and int() read, are not
+        numbers here."""
+        with pytest.raises(ex.ParseError):
+            ex.parse(text, 1)
+
     def test_scientific_notation(self):
         assert ex.parse("1.5e-3", 1) == ex.Poly(2, {((0, 0), ()): 1.5e-3 + 0j}, t=True)
 

@@ -2,6 +2,8 @@ import gc
 import io
 import itertools
 import math
+import pathlib
+import re
 import tracemalloc
 import weakref
 from fractions import Fraction
@@ -404,6 +406,30 @@ class TestGridAndCsv:
         with pytest.raises(ii.EvaluationError, match="bad grid axis"):
             ii.Grid.from_spec(spec)
 
+    @pytest.mark.parametrize("spec", [
+        "0:1:1_7,0:1:9", "0:1: 17,0:1:9", "0:1:+17,0:1:9", "0:1:017,0:1:9",
+        "0:1_0:17,0:1:9", "+0:1:17,0:1:9", "0:1:17, 0:1:9", "0:1:17,0:1:9\n",
+        "0:1i:17,0:1:9", "0:\u0661:17,0:1:9", "--1:1:17,0:1:9", "0:nan:17,0:1:9",
+        "0:1:17,0:1:9,"])
+    def test_grid_spec_reads_cf_numbers_only(self, spec):
+        """int() and float() also read digit separators, spaces, signs,
+        leading zeros and other scripts' digits.  A bound is a number as an
+        expression spells it, with an optional leading '-', and n plain
+        digits; anything else is a bad axis, not 17 points."""
+        with pytest.raises(ii.EvaluationError, match="bad grid axis"):
+            ii.Grid.from_spec(spec)
+
+    def test_documented_grids_parse(self):
+        """Every --grid that README.md and the CI workflow spell, but the
+        one the workflow checks that cf refuses."""
+        root = pathlib.Path(__file__).resolve().parents[1]
+        texts = [(root / name).read_text()
+                 for name in ("README.md", ".github/workflows/tests.yml")]
+        specs = {m for text in texts for m in re.findall(r'--grid[ =]"?([^"\s]+)', text)}
+        assert len(specs) > 5 and "0:1:1_7,0:1:9" in specs
+        for spec in specs - {"0:1:1_7,0:1:9"}:
+            ii.Grid.from_spec(spec)
+
     def test_grid_spec_requires_zero_time_origin(self):
         with pytest.raises(ii.EvaluationError, match="start at 0"):
             ii.Grid.from_spec("0:1:9,1:2:9")
@@ -656,13 +682,12 @@ class TestCsvDigits:
         (((-1.0, 0.3, 7), (-0.7, -0.1, 9)), 65),  # several theta rows per chunk
         (((0.0, 2.0, 3),), 1500),                 # each row cut in spans
     ]))
-    def test_blocks_match_per_cell_formatting(self, monkeypatch, theta_axes, n_t, chunk):
+    def test_chunks_match_per_cell_formatting(self, monkeypatch, theta_axes, n_t, chunk):
         """Every value is complex, so each chunk holds at most chunk lines:
         whole theta rows, or spans of one row when a row is longer."""
         monkeypatch.setattr(ii, "_CSV_LINES", chunk)
         g = ii.Grid(theta_axes, 0.9, n_t)
         n_rows = math.prod(n for *_, n in theta_axes)
-        assert n_rows * n_t <= ii._BLOCK  # one block
         if chunk >= n_t:
             rows = chunk // n_t
             want = [min(rows, n_rows - r) * n_t for r in range(0, n_rows, rows)]
@@ -690,8 +715,8 @@ class TestCsvDigits:
         assert lines == want
 
     @pytest.mark.parametrize("theta_axes, n_t", [
-        (((-1.0, 0.3, 7), (-0.7, -0.1, 9)), 65),  # several theta rows per block
-        (((0.0, 2.0, 3),), 1500),                 # each row split in two blocks
+        (((-1.0, 0.3, 7), (-0.7, -0.1, 9)), 65),  # several theta rows per chunk
+        (((0.0, 2.0, 3),), 1500),                 # each row cut in spans
     ])
     @pytest.mark.parametrize("imag, columns", [
         (None, 1),         # every imaginary part +0.0: the constant im cell
@@ -723,6 +748,29 @@ class TestCsvDigits:
         ii.write_csv(ii.GridField(g, values), buf)
         assert_same_csv(buf.getvalue(), per_cell_csv(ii.GridField(g, values)))
         assert len(formatted) > 1 and set(formatted) == {columns}
+
+    def test_layout_is_chosen_once_per_field(self, monkeypatch):
+        """A held field whose one -0.0 imaginary part is in one row prints
+        every line with an im cell, as per-cell formatting does."""
+        g = ii.Grid(((-1.0, 0.3, 7), (-0.7, -0.1, 9)), 0.9, 65)
+        rng = np.random.default_rng(8)
+        values = rng.standard_normal(g.shape).astype(np.complex128)
+        values[3, 4, 10] = complex(values[3, 4, 10].real, -0.0)
+        formatted = []
+        format_block = ii._format_block
+
+        def spy(x, *args):
+            formatted.append(x.shape[1])
+            format_block(x, *args)
+
+        monkeypatch.setattr(ii, "_format_block", spy)
+        monkeypatch.setattr(ii, "_CSV_LINES", 2 * g.n_t)  # two rows to a chunk
+        field = ii.GridField(g, values)
+        assert not field.is_real
+        buf = io.StringIO()
+        ii.write_csv(field, buf)
+        assert_same_csv(buf.getvalue(), per_cell_csv(field))
+        assert len(formatted) == 32 and set(formatted) == {2}
 
     def test_real_rows_fill_the_complex_budget(self, monkeypatch):
         """A chunk holds the bytes of _CSV_LINES complex lines, and real
@@ -767,13 +815,13 @@ class TestCsvDigits:
 
 
 class TestFactoredField:
-    """A separable evaluation returns the factors of its field, formed a
-    block of theta rows at a time by values and by write_csv alike."""
+    """A separable evaluation returns the factors of its field, whose rows
+    GridField.rows forms for values and for write_csv alike."""
 
     @staticmethod
     def factored(grid, kind, k=5, seed=3):
         """Factors of a field on grid: all real, all complex, or real but
-        for the rows of the second block of theta rows."""
+        for theta rows 2 and 3."""
         rng = np.random.default_rng(seed)
         n_rows = math.prod(grid.shape[:-1])
         weights = rng.standard_normal((n_rows, k)) * 10.0 ** rng.uniform(-6, 6, (n_rows, 1))
@@ -783,22 +831,20 @@ class TestFactoredField:
             weights += 1j * rng.standard_normal(weights.shape)
             times -= 1j * rng.standard_normal(times.shape)
         elif kind == "mixed":
-            step = max(1, ii._BLOCK // grid.n_t)
-            weights[step:2 * step] += 1j * rng.standard_normal((step, k))
+            weights[2:4] += 1j * rng.standard_normal((2, k))
         # two fields with the same factors: one for write_csv, one whose
         # values are read
         return (ii.GridField.factored(grid, weights, times),
                 ii.GridField.factored(grid, weights.copy(), times.copy()))
 
     @pytest.mark.parametrize("kind, columns", [("real", {1}), ("complex", {2}),
-                                                ("mixed", {1, 2})])
+                                                ("mixed", {2})])
     @pytest.mark.parametrize("theta_axes, n_t, chunk", chunk_cases([
         (((-1.0, 0.3, 7), (-0.7, -0.1, 9)), 65),  # several theta rows per chunk
         (((0.0, 2.0, 5),), 1500),                 # rows in spans of time points
     ]))
     def test_csv_matches_per_cell_formatting(self, monkeypatch, kind, columns,
                                              theta_axes, n_t, chunk):
-        monkeypatch.setattr(ii, "_BLOCK", 2 * n_t)  # blocks of two rows
         monkeypatch.setattr(ii, "_CSV_LINES", chunk)
         grid = ii.Grid(theta_axes, 0.9, n_t)
         streamed, materialised = self.factored(grid, kind)
@@ -816,15 +862,26 @@ class TestFactoredField:
         assert_same_csv(buf.getvalue(), per_cell_csv(materialised))
         assert set(formatted) == columns
 
-    def test_values_are_formed_once_from_the_same_blocks(self, monkeypatch):
-        monkeypatch.setattr(ii, "_BLOCK", 3 * 33)
-        grid = ii.Grid(((0.0, 1.0, 10),), 1.0, 33)
-        field, _ = self.factored(grid, "complex")
-        blocks = [block.copy() for _, block in field.blocks()]
-        assert len(blocks) == 4
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    @pytest.mark.parametrize("n_t", [33, 64])
+    def test_values_are_formed_once_from_the_same_rows(self, kind, n_t):
+        """Rows formed in runs of 3, 1 and all 10, in buffers whose rows
+        start at every 8-byte offset (n_t odd), hold the bits of values'
+        rows, signed zeros included; values is built once and replaces
+        the factors."""
+        grid = ii.Grid(((0.0, 1.0, 10),), 1.0, n_t)
+        field, _ = self.factored(grid, kind)
+        assert field.is_real == (kind == "real")
+        dtype = np.float64 if field.is_real else np.complex128
+        runs = []
+        for step in (3, 1, 10):
+            out = np.empty((step, n_t), dtype=dtype)
+            runs.append(np.concatenate([field.rows(r0, min(r0 + step, 10), out)
+                                        .astype(np.complex128) for r0 in range(0, 10, step)]))
         values = field.values
         assert values.flags.owndata and values.flags.writeable
-        assert np.array_equal(values.reshape(-1, grid.n_t), np.concatenate(blocks))
+        for got in runs:
+            assert np.array_equal(got.view(np.uint64), values.reshape(-1, n_t).view(np.uint64))
         assert field.values is values and field._factors is None
 
     def test_real_factors_are_kept_as_floats(self):
