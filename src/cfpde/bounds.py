@@ -225,7 +225,7 @@ def _theta_degree(u: InputSignal) -> float:
     involves theta_1: no derivative order makes such a term vanish."""
     return max((math.inf if e[0] < 0 or any(ex.depends_on(arg, "theta_1")
                                             for _, arg, _ in atoms) else e[0]
-                for e, atoms in u.expr.embed(2, 0, True).terms), default=0)
+                for e, atoms in u.expr.embed(1).terms), default=0)
 
 
 def _fit_input(u: InputSignal, grid: Grid, k_max: int) -> GrowthFit:

@@ -7,10 +7,10 @@ through a coefficient with the Leibniz rule, so
 op_apply(op_mul(A, B), f) == op_apply(A, op_apply(B, f)).
 
 Coefficients depend on the theta variables only, never on t.  They are
-``expr.Poly`` values without a t slot: an expression is converted once
-when it enters a DiffOp (a t slot it carries is dropped, and t itself is
-refused), every operation below works on the monomial dicts, and a term
-is zero exactly when its coefficient's dict is empty.
+``expr.Poly`` values with dim theta axes and t exponent 0: an expression
+is checked once when it enters a DiffOp (t itself is refused, wherever
+it appears), every operation below works on the monomial dicts, and a
+term is zero exactly when its coefficient's dict is empty.
 """
 
 from __future__ import annotations
@@ -147,13 +147,17 @@ _TERM = re.compile(r"([^\[\]]+) \* D\[([0-9]+(?:,[0-9]+)*)\]")
 
 def from_text(text: str, dim: int) -> DiffOp:
     """The operator that ``DiffOp.text`` wrote; any other text, such as
-    one that gives a multi-index twice, is a DiffOpError."""
+    one that gives a multi-index twice, is a DiffOpError.  A multi-index
+    is checked against dim before its coefficient is parsed, since a
+    coefficient takes space in proportion to dim."""
     terms = {}
     for part in re.split(r"(?<=\]) \+ ", text):
         m = _TERM.fullmatch(part)
         if m is None:
             raise DiffOpError(f"bad operator term {part!r}")
         alpha = tuple(map(int, m[2].split(",")))
+        if len(alpha) != dim:
+            raise DiffOpError(f"bad multi-index {alpha} for dim {dim}")
         if alpha in terms:
             raise DiffOpError(f"bad operator: D[{m[2]}] is given twice")
         terms[alpha] = ex.parse(m[1], dim)
@@ -161,16 +165,15 @@ def from_text(text: str, dim: int) -> DiffOp:
 
 
 def _to_poly(value, dim: int, what: str, error) -> ex.Poly:
-    """Check that an expression lives on theta_1..theta_dim and give it
-    the coefficient layout: dim theta axes, no t slot."""
+    """Check that an expression is free of t and lives on
+    theta_1..theta_dim, and give it dim theta axes."""
     p = ex.simplify(value)
-    if p.t or p.dim > dim:
-        names = ex.variables(p)
-        if "t" in names:
-            raise DiffOpError(f"operator {what} may not depend on t")
-        bad = [int(name[6:]) for name in names if int(name[6:]) > dim]
-        if bad:
-            raise error(f"{what} references theta_{max(bad)} beyond dim {dim}")
+    names = ex.variables(p)
+    if "t" in names:
+        raise DiffOpError(f"operator {what} may not depend on t")
+    bad = [int(name[6:]) for name in names if int(name[6:]) > dim]
+    if bad:
+        raise error(f"{what} references theta_{max(bad)} beyond dim {dim}")
     return p.embed(dim)
 
 
@@ -203,21 +206,13 @@ def _check_dims(a: DiffOp, b: DiffOp):
         raise DimensionMismatch(f"operator dims differ: {a.dim} vs {b.dim}")
 
 
-def _derivative(p: ex.Poly, delta: MultiIndex) -> ex.Poly:
-    """D^delta p along the chain that p keeps: the last axis first."""
-    for axis in reversed(range(len(delta))):
-        for _ in range(delta[axis]):
-            p = p.derivative(axis)
-    return p
-
-
 def op_apply(op: DiffOp, f) -> ex.Poly:
     """Apply the operator to a function of theta: sum of a_alpha * d^alpha f,
-    a Poly in the coefficient layout."""
+    a Poly on dim theta axes, free of t."""
     f = _to_poly(f, op.dim, "function", DimensionMismatch)
     pairs = []
     for alpha, coeff in op.sorted_terms():
-        pairs += ex.product_terms(coeff, _derivative(f, alpha))
+        pairs += ex.product_terms(coeff, ex.theta_derivative(f, alpha))
     return ex.collect(op.dim, pairs)
 
 
@@ -255,7 +250,7 @@ def op_mul(a: DiffOp, b: DiffOp) -> DiffOp:
         for beta, cb in b.terms.items():
             constant = cb.constant() is not None
             for gamma in (alpha,) if constant else _sub_indices(alpha):
-                db = _derivative(cb, tuple(x - y for x, y in zip(alpha, gamma)))
+                db = ex.theta_derivative(cb, tuple(x - y for x, y in zip(alpha, gamma)))
                 if db.terms:
                     pieces.setdefault(mi_add(gamma, beta), []).extend(
                         ex.product_terms(ca, db, _mi_binomial(alpha, gamma)))

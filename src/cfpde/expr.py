@@ -7,11 +7,12 @@ and the unary functions sin/cos/exp.  It is closed under differentiation.
 Every expression is held in one canonical sparse form, ``Poly``: a dict
 from monomial key to complex coefficient, where a key is the exponent
 tuple (negative entries allowed) and a sorted tuple of atoms
-(sin|cos|exp, canonical argument, multiplicity).  The exponent tuple has
-one entry per theta axis and, in a Poly with a t slot, one more for t,
-last.  ``parse`` gives its result a t slot; operator coefficients have
-none.  Like terms collect when a Poly is built, so zero is the empty
-dict and equality is dict equality.  A collected sum is zero when it is
+(sin|cos|exp, canonical argument, multiplicity).  Every Poly has one
+layout: ``dim`` theta axes, and an exponent tuple of dim + 1 entries,
+one per theta axis and then t, always last.  A Poly free of t, such as
+an operator coefficient, has t exponent 0.  Like terms collect when a
+Poly is built, so zero is the empty dict, and equality is dict equality
+however the Poly was built.  A collected sum is zero when it is
 exactly 0 or within 8 eps of the summed magnitudes of its contributions,
 never by an absolute cut.  Trig identities are not applied:
 sin^2 + cos^2 - 1 stays three terms and evaluates to about 0.
@@ -30,7 +31,7 @@ __all__ = [
     "const", "var", "add", "mul", "neg", "sub", "intpow", "sin", "cos", "exp",
     "parse", "to_string", "simplify", "differentiate", "evaluate",
     "variables", "theta_indices", "depends_on",
-    "collect", "product_terms",
+    "collect", "product_terms", "theta_derivative", "split_time",
 ]
 
 MAX_EXPONENT = 2 ** 31
@@ -63,24 +64,23 @@ class PoleError(EvalError):
 class Poly:
     """Canonical sparse sum of monomials.
 
-    ``dim`` is the length of an exponent tuple: the theta axes, then t
-    when ``t`` is set.  ``terms`` maps (exponents, atoms) to a nonzero
+    ``dim`` counts the theta axes; an exponent tuple has dim + 1
+    entries, t last.  ``terms`` maps (exponents, atoms) to a nonzero
     complex coefficient; an atom is (name, argument Poly of the same
     layout, multiplicity).  Build one with the constructors below,
     ``parse`` or ``collect``; treat it as immutable."""
 
-    __slots__ = ("dim", "t", "terms", "_hash", "_sorted", "_key", "_derivatives")
+    __slots__ = ("dim", "terms", "_hash", "_sorted", "_key", "_derivatives")
 
-    def __init__(self, dim: int, terms: dict, t: bool = False):
+    def __init__(self, dim: int, terms: dict):
         self.dim = dim
-        self.t = t
         self.terms = terms
         self._hash = self._sorted = self._key = None
         self._derivatives: dict[int, Poly] = {}
 
     def __eq__(self, other):
         return (isinstance(other, Poly) and self.dim == other.dim
-                and self.t == other.t and self.terms == other.terms)
+                and self.terms == other.terms)
 
     def __hash__(self):
         if self._hash is None:
@@ -138,32 +138,30 @@ class Poly:
                 else:
                     other = "cos" if name == "sin" else "sin"
                     extra, factor = ((other, arg, 1),), c * (m if name == "sin" else -m)
-                base = _mono_mul((e, kept), ((0,) * self.dim, extra))
+                base = _mono_mul((e, kept), ((0,) * len(e), extra))
                 pairs.extend((_mono_mul(base, dm), factor * dc)
                              for dm, dc in darg.terms.items())
-        return collect(self.dim, pairs, self.t)
+        return collect(self.dim, pairs)
 
-    def embed(self, dim: int, offset: int = 0, t: bool = False) -> "Poly":
-        """This Poly with dim axes: theta_k becomes theta_{k+offset} among
-        the first dim - t, and t is the last when t is set.  Axes cut off
-        at the end, and a t axis dropped, must be unused."""
-        if (dim, offset, t) == (self.dim, 0, self.t):
+    def embed(self, dim: int, offset: int = 0) -> "Poly":
+        """This Poly with dim theta axes: theta_k becomes theta_{k+offset},
+        and t stays last.  Theta axes cut off at the end must be unused."""
+        if (dim, offset) == (self.dim, 0):
             return self
-        n, m = dim - t, self.dim - self.t
 
         def shift(e):
-            theta = ((0,) * offset + e[:m])[:n]
-            return theta + (0,) * (n - len(theta)) + ((e[m:] or (0,)) if t else ())
-        return Poly(dim, {(shift(e), tuple((name, a.embed(dim, offset, t), k)
+            theta = ((0,) * offset + e[:-1])[:dim]
+            return theta + (0,) * (dim - len(theta)) + e[-1:]
+        return Poly(dim, {(shift(e), tuple((name, a.embed(dim, offset), k)
                                            for name, a, k in atoms)): c
-                          for (e, atoms), c in self.terms.items()}, t)
+                          for (e, atoms), c in self.terms.items()})
 
 
 _THETA_RE = re.compile(r"theta_([1-9][0-9]*)$")
 
 
 def _axis_name(p: Poly, axis: int) -> str:
-    return "t" if p.t and axis == p.dim - 1 else f"theta_{axis + 1}"
+    return "t" if axis == p.dim else f"theta_{axis + 1}"
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +186,7 @@ def _mono_mul(a, b):
                            key=lambda atom: (atom[0], atom[1].sort_key())))
 
 
-def collect(dim: int, pairs, t: bool = False) -> Poly:
+def collect(dim: int, pairs) -> Poly:
     """Sum (monomial, value) pairs into a Poly.  A monomial's sum is
     dropped when it is exactly 0 or no larger than 8 eps times the sum of
     the magnitudes of its contributions (roundoff of a cancellation)."""
@@ -202,7 +200,7 @@ def collect(dim: int, pairs, t: bool = False) -> Poly:
             acc[m] = c
             mag[m] = abs(c)
     return Poly(dim, {m: c for m, c in acc.items()
-                      if not (c == 0 or abs(c) <= _ROUNDOFF * mag[m] < float("inf"))}, t)
+                      if not (c == 0 or abs(c) <= _ROUNDOFF * mag[m] < float("inf"))})
 
 
 def product_terms(p: Poly, q: Poly, weight=1) -> list:
@@ -211,12 +209,13 @@ def product_terms(p: Poly, q: Poly, weight=1) -> list:
             for mp, cp in p.terms.items() for mq, cq in q.terms.items()]
 
 
-def _const_poly(value, dim: int, t: bool = False) -> Poly:
-    return collect(dim, [(((0,) * dim, ()), complex(value))], t)
+def _const_poly(value, dim: int) -> Poly:
+    return collect(dim, [(((0,) * (dim + 1), ()), complex(value))])
 
 
-def _var_poly(axis: int, dim: int, t: bool) -> Poly:
-    return Poly(dim, {(tuple(int(i == axis) for i in range(dim)), ()): 1 + 0j}, t)
+def _var_poly(axis: int, dim: int) -> Poly:
+    """theta_{axis+1}, or t at axis = dim."""
+    return Poly(dim, {(tuple(int(i == axis) for i in range(dim + 1)), ()): 1 + 0j})
 
 
 def _finite(p: Poly, what: str) -> Poly:
@@ -244,19 +243,19 @@ def _fold(fn, *args) -> complex:
 # later add contributions does not depend on how the input was written.
 
 def _sum(ps: list) -> Poly:
-    p = collect(ps[0].dim, [mc for q in ps for mc in q.terms.items()], ps[0].t)
-    return _finite(Poly(p.dim, dict(p.sorted_items()), p.t), "sum")
+    p = collect(ps[0].dim, [mc for q in ps for mc in q.terms.items()])
+    return _finite(Poly(p.dim, dict(p.sorted_items())), "sum")
 
 
 def _product(ps: list) -> Poly:
     out = ps[0]
     for p in ps[1:]:
-        out = collect(out.dim, product_terms(out, p), out.t)
+        out = collect(out.dim, product_terms(out, p))
     return _finite(out, "product")
 
 
 def _neg(p: Poly) -> Poly:
-    return Poly(p.dim, {m: -c for m, c in p.terms.items()}, p.t)
+    return Poly(p.dim, {m: -c for m, c in p.terms.items()})
 
 
 _NEGATIVE_POWER = "negative exponents require a monomial in t and theta as base"
@@ -266,21 +265,21 @@ def _power(p: Poly, k: int) -> Poly:
     if abs(k) > MAX_EXPONENT:
         raise ExprError(f"exponent {k} exceeds the supported range")
     if k == 0:
-        return _const_poly(1, p.dim, p.t)
+        return _const_poly(1, p.dim)
     if k == 1:
         return p
     value = p.constant()
     if value is not None:
         if value == 0 and k < 0:
             raise PoleError("zero raised to a negative power")
-        return _const_poly(_fold(pow, value, k), p.dim, p.t)
+        return _const_poly(_fold(pow, value, k), p.dim)
     if len(p.terms) == 1:
         ((e, atoms), c), = p.terms.items()
         if k < 0 and atoms:
             raise ExprError(_NEGATIVE_POWER)
         return _finite(collect(p.dim, [((tuple(x * k for x in e),
                                          tuple((n, a, m * k) for n, a, m in atoms)),
-                                        _int_power(c, k))], p.t), "power")
+                                        _int_power(c, k))]), "power")
     if k < 0:
         raise ExprError(_NEGATIVE_POWER)
     if k > MAX_EXPANDED_POWER:
@@ -309,13 +308,13 @@ def _power_size(p: Poly, k: int) -> int:
 def _func(name: str, p: Poly) -> Poly:
     value = p.constant()
     if value is not None:
-        return _const_poly(_fold(_CMATH[name], value), p.dim, p.t)
-    return Poly(p.dim, {((0,) * p.dim, ((name, p, 1),)): 1 + 0j}, p.t)
+        return _const_poly(_fold(_CMATH[name], value), p.dim)
+    return Poly(p.dim, {((0,) * (p.dim + 1), ((name, p, 1),)): 1 + 0j})
 
 
 # ---------------------------------------------------------------------------
-# constructors: any mix of numbers and Polys; operands are brought to one
-# layout, the most theta axes among them and a t slot when any has one
+# constructors: any mix of numbers and Polys; operands are brought to the
+# most theta axes among them
 
 def simplify(e) -> Poly:
     """Coerce a number into a constant Poly; pass a Poly through."""
@@ -328,9 +327,8 @@ def simplify(e) -> Poly:
 
 def _aligned(values) -> list[Poly]:
     ps = [simplify(v) for v in values]
-    t = any(p.t for p in ps)
-    dim = max((p.dim - p.t for p in ps), default=0) + t
-    return [p.embed(dim, 0, t) for p in ps]
+    dim = max((p.dim for p in ps), default=0)
+    return [p.embed(dim) for p in ps]
 
 
 def const(value) -> Poly:
@@ -343,12 +341,12 @@ ONE = const(1)
 
 def var(name: str) -> Poly:
     if name == "t":
-        return _var_poly(0, 1, True)
+        return _var_poly(0, 0)
     m = _THETA_RE.match(name)
     if m is None:
         raise ExprError(f"invalid variable name {name!r}")
     k = int(m.group(1))
-    return _var_poly(k - 1, k, False)
+    return _var_poly(k - 1, k)
 
 
 def add(*terms) -> Poly:
@@ -398,16 +396,44 @@ def differentiate(e, v: str, order: int = 1) -> Poly:
     if order < 0:
         raise ExprError("derivative order must be nonnegative")
     p = simplify(e)
-    n = p.dim - p.t
-    if v == "t":
-        axis = n if p.t else None
-    else:
-        axis = int(v[6:]) - 1 if int(v[6:]) <= n else None
-    if axis is None:
-        return p if order == 0 else Poly(p.dim, {}, p.t)
+    if v != "t" and int(v[6:]) > p.dim:
+        return p if order == 0 else Poly(p.dim, {})
+    axis = p.dim if v == "t" else int(v[6:]) - 1
     for _ in range(order):
         p = p.derivative(axis)
     return p
+
+
+def theta_derivative(p: Poly, order) -> Poly:
+    """D^order p, order a theta multi-index, on the chain that p keeps,
+    the last axis first; 0 along an axis p does not have."""
+    if any(order[p.dim:]):
+        return Poly(p.dim, {})
+    for axis in reversed(range(len(order))):
+        for _ in range(order[axis]):
+            p = p.derivative(axis)
+    return p
+
+
+def split_time(p: Poly) -> list | None:
+    """[(G, F)] with p = sum G(t) F(theta): each G a time monomial, a
+    power of t times atoms in t alone with coefficient 1, and each F free
+    of t, grouped by G in the order of p's terms.  None when an atom's
+    argument mixes theta and t."""
+    groups: dict = {}
+    for (e, atoms), c in p.sorted_items():
+        in_t, in_theta = [], []
+        for atom in atoms:
+            names = variables(atom[1])
+            if "t" not in names:
+                in_theta.append(atom)
+            elif len(names) == 1:
+                in_t.append(atom)
+            else:
+                return None
+        g = ((0,) * p.dim + e[-1:], tuple(in_t))
+        groups.setdefault(g, {})[e[:-1] + (0,), tuple(in_theta)] = c
+    return [(Poly(p.dim, {g: 1 + 0j}), Poly(p.dim, terms)) for g, terms in groups.items()]
 
 
 def evaluate(p: Poly, bindings: Mapping[str, object]):
@@ -615,13 +641,12 @@ class _Parser:
 
     def atom(self) -> Poly:
         kind, value, pos = self.next()
-        n = self.dim + 1  # theta_1..theta_dim, then t
         if kind == "number":
             x = float(value.rstrip("i"))
             if cmath.isinf(x):
                 raise ParseError(f"number {value} is out of range", pos)
             return _const_poly(complex(0, x) if value.endswith("i") else complex(x),
-                               n, True)
+                               self.dim)
         if kind == "ident":
             if value in _CMATH:
                 self.expect_op("(")
@@ -629,14 +654,14 @@ class _Parser:
                 self.expect_op(")")
                 return _func(value, arg)
             if value == "t":
-                return _var_poly(self.dim, n, True)
+                return _var_poly(self.dim, self.dim)
             m = _THETA_RE.match(value)
             if m:
                 k = int(m.group(1))
                 if not 1 <= k <= self.dim:
                     raise ParseError(
                         f"theta index out of range: {value} with dim={self.dim}", pos)
-                return _var_poly(k - 1, n, True)
+                return _var_poly(k - 1, self.dim)
             raise ParseError(f"unknown identifier {value!r}", pos)
         if kind == "op" and value == "(":
             e = self.expr()
@@ -647,7 +672,7 @@ class _Parser:
 
 def parse(text: str, dim: int) -> Poly:
     """Parse an expression over t and theta_1..theta_dim into a Poly with
-    dim theta axes and a t slot."""
+    dim theta axes."""
     if dim < 1:
         raise ExprError("dim must be a positive integer")
     try:

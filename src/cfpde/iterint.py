@@ -313,7 +313,7 @@ class InputSignal:
     def derivative_values(self, grid: Grid, order: MultiIndex) -> np.ndarray:
         """Samples of the order-th theta-derivative, broadcast to grid shape."""
         if self.is_symbolic:
-            e = _theta_derivative(self.expr, order)
+            e = ex.theta_derivative(self.expr, order)
             values = np.asarray(ex.evaluate(e, grid.meshes()), dtype=np.complex128)
             values = np.broadcast_to(values, grid.shape)
         else:
@@ -329,17 +329,6 @@ class InputSignal:
                 for _ in range(k):
                     values = np.gradient(values, h, axis=axis, edge_order=2)
         return values
-
-
-def _theta_derivative(p: ex.Poly, order: MultiIndex) -> ex.Poly:
-    """d^order p along the theta axes, the first axis first, on the chain
-    that p keeps; 0 along an axis p does not have."""
-    if any(order[p.dim - p.t:]):
-        return ex.ZERO
-    for axis, k in enumerate(order):
-        for _ in range(k):
-            p = p.derivative(axis)
-    return p
 
 
 Binding = Mapping[int, InputSignal]
@@ -509,56 +498,40 @@ def _build_trie(c: GenSeries, grid: Grid) -> _TrieNode:
 # separable inputs: u_l(theta, t) = sum_g F_{l,g}(theta) G_g(t)
 
 def _split(signal: InputSignal, dim: int) -> list | None:
-    """[(g, F_g)] with u = sum_g F_g(theta) G_g(t): g is a time monomial
-    (t exponent, atoms in t alone) and F_g a Poly in theta_1..theta_dim,
-    read off the t exponents of the signal's Poly.  None for a sampled
-    signal, one with theta beyond dim, or one with an atom whose argument
-    mixes theta and t."""
+    """[(G, F)] with u = sum G(t) F(theta), ``expr.split_time`` of the
+    signal's Poly on dim theta axes: each G a time monomial, each F a
+    Poly in theta_1..theta_dim.  None for a sampled signal, one with theta
+    beyond dim, or one with an atom whose argument mixes theta and t."""
     if not signal.is_symbolic or any(k > dim for k in ex.theta_indices(signal.expr)):
         return None
-    p = signal.expr.embed(dim + 1, 0, True)
-    groups: dict = {}
-    for (e, atoms), c in p.sorted_items():
-        in_t, in_theta = [], []
-        for atom in atoms:
-            names = ex.variables(atom[1])
-            if "t" not in names:
-                in_theta.append(atom)
-            elif len(names) == 1:
-                in_t.append(atom)
-            else:
-                return None
-        g = (e[dim], tuple(in_t))
-        groups.setdefault(g, {})[e[:dim] + (0,), tuple(in_theta)] = c
-    return [(g, ex.Poly(dim + 1, terms, True)) for g, terms in groups.items()]
+    return ex.split_time(signal.expr.embed(dim))
 
 
 def _sample_split(split: list, order: MultiIndex, grid: Grid) -> list:
-    """(g, theta samples of d^order F_g, (n_t,) time samples of G_g) for
-    each group of a split whose derivative is not zero.  Each F_g keeps
-    its derivative chain, so a split sampled at several orders builds it
+    """(G, theta samples of d^order F, (n_t,) time samples of G) for each
+    group of a split whose derivative is not zero.  Each F keeps its
+    derivative chain, so a split sampled at several orders builds it
     once."""
     meshes, t = grid.meshes(with_t=False), {"t": grid.t_points}
     out = []
     for g, f in split:
-        f = _theta_derivative(f, order)
+        f = ex.theta_derivative(f, order)
         if f.terms:
-            g_t = ex.Poly(grid.dim + 1, {((0,) * grid.dim + (g[0],), g[1]): 1 + 0j}, True)
             out.append((g, np.asarray(ex.evaluate(f, meshes), dtype=np.complex128),
-                        np.broadcast_to(np.asarray(ex.evaluate(g_t, t), dtype=np.complex128),
+                        np.broadcast_to(np.asarray(ex.evaluate(g, t), dtype=np.complex128),
                                         (grid.n_t,))))
     return out
 
 
 class _Separable:
     """A separable evaluation, y = sum_tau A_tau(theta) E_tau(t).  Time
-    monomials are interned as time letters, 0 being the drift's 1;
-    A_tau sums, per time word tau, weight * coefficient * the product of
-    the input steps' theta factors."""
+    monomials G are interned as time letters, 0 being the drift's 1, which
+    an input's constant G shares; A_tau sums, per time word tau, weight *
+    coefficient * the product of the input steps' theta factors."""
 
     def __init__(self, binding: Binding, splits: dict, grid: Grid):
         self.binding, self.splits, self.grid = binding, splits, grid
-        self.letters: dict = {(0, ()): 0}
+        self.letters: dict = {ex.ONE.embed(grid.dim): 0}
         self.times: list = [None]  # by time letter: G_g's samples, None for 1
         self.factors: dict = {}  # (signal, order) -> [(time letter, samples)]
         self.sums: dict = {}  # tau -> A_tau

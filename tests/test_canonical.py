@@ -114,11 +114,35 @@ class TestTimeAxis:
     def test_t_is_the_last_axis(self):
         with_t = ex.parse("t^2*sin(theta_1) + cos(3*t)", 1)
         theta_2 = ex.parse("theta_2^2*sin(theta_1) + cos(3*theta_2)", 2)
-        assert (with_t.dim, with_t.t) == (2, True)
+        assert (with_t.dim, theta_2.dim) == (1, 2)
         # exponents of (theta_1, t) and of (theta_1, theta_2, t)
         assert sorted(e for e, _ in with_t.terms) == [(0, 0), (0, 2)]
         assert sorted(e for e, _ in theta_2.terms) == [(0, 0, 0), (0, 2, 0)]
         assert ex.to_string(with_t) == "t^2*sin(theta_1) + cos(3*t)"
+
+
+class TestOneLayout:
+    def test_parsed_equals_built(self):
+        parsed = ex.parse("2*theta_1 + sin(theta_1)", 1)
+        built = ex.add(ex.mul(2, ex.var("theta_1")), ex.sin(ex.var("theta_1")))
+        assert parsed == built and hash(parsed) == hash(built)
+
+    def test_operator_and_input_share_one_derivative_chain(self, monkeypatch):
+        """An operator applied to f walks f's derivative chain; the input
+        made from f then samples the same chain and takes no new step."""
+        f = ex.parse("sin(theta_1)*cos(2*theta_2) + theta_1^2*theta_2", 2)
+        do.op_apply(do.monomial(ex.ONE, (1, 1)), f)
+        steps = []
+        derivative = ex.Poly._derivative
+
+        def counted(p, axis):
+            steps.append(axis)
+            return derivative(p, axis)
+
+        monkeypatch.setattr(ex.Poly, "_derivative", counted)
+        grid = ii.Grid(((0.0, 1.0, 5), (0.0, 1.0, 4)), 1.0, 3)
+        ii.InputSignal.symbolic(f).derivative_values(grid, (1, 1))
+        assert steps == []
 
 
 class TestAlgebraLaws:

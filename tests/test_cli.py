@@ -971,6 +971,8 @@ class TestInputFaults:
         "dim=1 maxlen=1 alphabet=x0,x0,x1\nx1 :: 1 * D[0]\n",
         "dim=1 dim=1 maxlen=1 alphabet=x0,x1\nx1 :: 1 * D[0]\n",
         "dim=1 maxlen=1 alphabet=x0,x1\nx01 :: 1 * D[0]\n",
+        # refused on its multi-index before a dim-long coefficient is built
+        "dim=20000000 maxlen=1 alphabet=x0,x1\nx1 :: 1 * D[0]\n",
     ])
     def test_malformed_series_text_exits_one(self, tmp_path, capsys, text):
         path = tmp_path / "bad.series"

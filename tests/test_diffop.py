@@ -4,6 +4,7 @@ import pytest
 
 from cfpde import diffop as do
 from cfpde import expr as ex
+from cfpde import series as se
 from conftest import exprs_equal, ops_agree, random_expr, theta_points
 
 THETA = ex.var("theta_1")
@@ -132,9 +133,24 @@ class TestRingOps:
         with pytest.raises(do.DiffOpError, match="cap"):
             do.monomial(ex.ONE, (65,))
 
-    def test_time_dependent_coefficient_rejected(self):
-        with pytest.raises(do.DiffOpError, match="depend on t"):
-            do.from_expr(ex.var("t"), 1)
+    @pytest.mark.parametrize("text", ["t^2*theta_1", "sin(t)*theta_1", "exp(theta_1*t)"],
+                             ids=["power", "sin", "exp"])
+    @pytest.mark.parametrize("way", ["from_expr", "monomial", "op_scale", "op_apply",
+                                     "series_from_text"])
+    def test_time_dependent_coefficient_rejected(self, way, text):
+        """No layout flag tells a t-free Poly from another, so every way
+        into an operator checks for t, as a power or inside an atom."""
+        coeff = ex.parse(text, 1)
+        build = {
+            "from_expr": lambda: do.from_expr(coeff, 1),
+            "monomial": lambda: do.monomial(coeff, (1,)),
+            "op_scale": lambda: do.op_scale(coeff, do.partial(1)),
+            "op_apply": lambda: do.op_apply(do.partial(1), coeff),
+            "series_from_text": lambda: se.series_from_text(
+                f"dim=1 maxlen=1 alphabet=x0,x1\nx1 :: {text} * D[0]\n"),
+        }[way]
+        with pytest.raises((do.DiffOpError, se.SeriesError), match="depend on t"):
+            build()
 
 
 class TestFormat:

@@ -1046,6 +1046,17 @@ class TestSeparablePath:
                                small_grid(n_theta=9, n_t=17))
         assert passes and set(passes) == {(17, 9)}
 
+    @pytest.mark.parametrize("text, words", [("sin(theta_1)", 5), ("t*sin(theta_1)", 8)])
+    def test_constant_time_monomial_shares_the_drift_letter(self, text, words):
+        """A t-free input's time monomial is the drift's 1, so its A_tau
+        columns are the drift words' own: N + 2 time words at N = 3, where
+        a separate letter for it would give 8, as t*sin(theta_1) does."""
+        c = pde.transport_series(pde.TransportSpec(V=1, y0=ex.parse("sin(theta_1)", 1), N=3))
+        u = ii.InputSignal.symbolic(ex.parse(text, 1))
+        field = ii.evaluate_series(c, u, small_grid(n_theta=9, n_t=17))
+        weights, times = field._factors
+        assert times.shape[0] == weights.shape[1] == words
+
     @pytest.mark.parametrize("k, ndim", [(1, 1), (4, 2)])
     def test_walk_size_decides_for_many_time_monomials(self, k, ndim):
         """(1+t)^8 has nine time monomials, so the separable walk over

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -308,6 +310,20 @@ class TestSerialization:
         second spelling of a letter."""
         with pytest.raises(se.SeriesError, match="^bad "):
             se.series_from_text(text)
+
+    def test_multi_index_is_checked_against_dim_before_its_coefficient(self):
+        """A coefficient holds a dim-long exponent tuple per term, so a
+        header's dim is checked on the multi-index first: a wide header
+        costs nothing before it is refused."""
+        text = "dim=20000000 maxlen=1 alphabet=x0,x1\nx1 :: 1 * D[0]\n"
+        tracemalloc.start()
+        try:
+            with pytest.raises(se.SeriesError, match="^bad series line .*bad multi-index"):
+                se.series_from_text(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
 
     def test_empty_word_spelled_e(self):
         c = se.one_series(1)
