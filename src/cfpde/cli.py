@@ -452,6 +452,20 @@ def _attach_dash_values(argv: list[str]) -> list[str]:
     return out
 
 
+_MESSAGE_WIDTH = 200  # characters of a failure message printed before "..."
+
+
+def _fail(kind: str, message, code: int) -> int:
+    """Print the one line "kind: message" on standard error and return
+    code.  A message that echoes a long input line is clipped to
+    _MESSAGE_WIDTH characters, so the line stays readable."""
+    text = str(message)
+    if len(text) > _MESSAGE_WIDTH:
+        text = text[:_MESSAGE_WIDTH] + "..."
+    print(f"{kind}: {text}", file=sys.stderr)
+    return code
+
+
 def main(argv=None) -> int:
     started = time.monotonic()
     parser = build_parser()
@@ -463,22 +477,15 @@ def main(argv=None) -> int:
                            + ([args.kind] if getattr(args, "kind", None) else []))
         return _HANDLERS[args.command](args, command, started)
     except CliError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+        return _fail("error", e, 1)
     except (NumericFailure, ex.PoleError, se.NonFinite) as e:
-        print(f"numeric failure: {e}", file=sys.stderr)
-        return 2
+        return _fail("numeric failure", e, 2)
     except ArithmeticError as e:  # a float overflow, or a sum that never settles
-        detail = e.args[-1] if e.args else type(e).__name__
-        print(f"numeric failure: {detail}", file=sys.stderr)
-        return 2
+        return _fail("numeric failure", e.args[-1] if e.args else type(e).__name__, 2)
     except MemoryError as e:
-        detail = f": {e}" if str(e) else ""
-        print(f"numeric failure: out of memory{detail}", file=sys.stderr)
-        return 2
+        return _fail("numeric failure", "out of memory" + (f": {e}" if str(e) else ""), 2)
     except (se.SeriesError, do.DiffOpError, ex.ExprError) as e:
-        print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
-        return 1
+        return _fail("error", f"{type(e).__name__}: {e}", 1)
 
 
 def entry() -> int:

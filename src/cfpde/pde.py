@@ -5,13 +5,15 @@
   y(theta, 0) = y0 and dy/dt(theta, 0) = y1; the wave equation is
   a1 = 0, a2 = -1.
 
-Integrated in time, each problem reads (I + A) y = rhs.  Every builder
-forms the inverse series I + R of I + A and passes it to one kernel,
-``_solve``, which forms rhs + R o rhs.  The second-order inverse has
-three routes: the direct geometric expansion, the series interconnection
-(cascade) of two first-order inverses, I + R1 + R2 + R2 o R1, and the
-parallel interconnection (partial fractions) of two first-order
-solutions.  Only ``first_order_inverse`` forms operator powers.
+Integrated in time, each problem reads (I + A) y = rhs, with
+A = A1 E_{x1} + A2 E_{x0 x1} for differential operators A1 and A2.
+Every builder forms the inverse series I + R of I + A and passes it to
+one kernel, ``_solve``, which forms rhs + R o rhs.  ``_inverse`` is the
+one expansion that forms operator powers: ``first_order_inverse`` is its
+A2 = 0 case and the direct second-order form its A2 != 0 case.  The
+cascade form is the series interconnection I + R1 + R2 + R2 o R1 of two
+first-order inverses; the partial-fraction form is the parallel
+interconnection of two first-order solutions.
 
 Words x0^k carry the initial-condition data; words x0^k x1 carry the
 input.  Evaluating with the input signal and the implicit constant drift
@@ -99,6 +101,20 @@ def transport_series(spec: TransportSpec) -> GenSeries:
         _solve(first_order_inverse(spec.V, spec.N), rhs), spec.N)
 
 
+def _inverse(a1: DiffOp, a2: DiffOp, n: int) -> GenSeries:
+    """The geometric inverse I + R of I + a1 E_{x1} + a2 E_{x0 x1}: the
+    sum of the powers of -(a1 on x1 + a2 on x0 x1), cut at length n and
+    exact through it, since the k-th power has no word shorter than k."""
+    dim = a1.dim
+    neg_a = se.truncate(GenSeries(dim, {Word((X1,)): do.op_neg(a1),
+                                        Word((DRIFT, X1)): do.op_neg(a2)}, 2), n)
+    total, power = se.one_series(dim), neg_a
+    while not power.is_zero():
+        total = se.parallel_sum(total, power)
+        power = se.compose(neg_a, power, max_len=n)
+    return GenSeries(dim, total.coeffs, n, {DRIFT, X1}, exact_len=n)
+
+
 def first_order_inverse(beta, n: int) -> GenSeries:
     """The geometric inverse of I + beta d/dtheta E_{x1}: empty-word
     coefficient 1 and (-beta d/dtheta)^k on x0^(k-1) x1 for 1 <= k <= n.
@@ -107,13 +123,7 @@ def first_order_inverse(beta, n: int) -> GenSeries:
     and F the forward series beta d/dtheta on x1, (I + R)(I + F) = I
     reads R + F + R o F = 0, and it holds through length n.
     """
-    step = do.op_scale(ex.neg(_theta_only(beta, "beta")), do.partial(1))
-    coeffs: dict[Word, DiffOp] = {EMPTY_WORD: do.identity(1)}
-    power = do.identity(1)
-    for k in range(1, n + 1):
-        power = do.op_mul(step, power)
-        coeffs[Word((DRIFT,) * (k - 1) + (X1,))] = power
-    return GenSeries(1, coeffs, max(n, 0), {DRIFT, X1}, exact_len=max(n, 0))
+    return _inverse(do.monomial(_theta_only(beta, "beta"), (1,)), do.zero(1), n)
 
 
 def first_order_residual(beta, n: int) -> GenSeries:
@@ -180,13 +190,14 @@ def _repeated_root(alpha1: complex, alpha2: complex) -> bool:
             <= 8 * eps * (abs(alpha1) ** 2 + 4 * abs(alpha2)))
 
 
-def _rhs_series(y0: ex.Poly, y1: ex.Poly, alpha1) -> GenSeries:
+def _rhs_series(y0: ex.Poly, y1: ex.Poly, a1: DiffOp) -> GenSeries:
     """The doubly-integrated right-hand side: y0 on the empty word,
-    y1 + alpha1*y0' on x0, and 1 on x0 x1."""
-    drift_coeff = ex.add(y1, ex.mul(alpha1, ex.differentiate(y0, "theta_1")))
-    return GenSeries(1, {EMPTY_WORD: do.from_expr(y0, 1),
-                         Word((DRIFT,)): do.from_expr(drift_coeff, 1),
-                         Word((DRIFT, X1)): do.identity(1)}, 2, {DRIFT, X1})
+    y1 + a1 y0 on x0, and 1 on x0 x1."""
+    dim = a1.dim
+    drift_coeff = ex.add(y1, do.op_apply(a1, y0))
+    return GenSeries(dim, {EMPTY_WORD: do.from_expr(y0, dim),
+                           Word((DRIFT,)): do.from_expr(drift_coeff, dim),
+                           Word((DRIFT, X1)): do.identity(dim)}, 2, {DRIFT, X1})
 
 
 def _triangular_truncate(c: GenSeries, n: int) -> GenSeries:
@@ -208,26 +219,13 @@ def _cascade_inverse(beta1, beta2, n: int) -> GenSeries:
                            se.compose(r2, _rest(inverse1), max_len=n))
 
 
-def _direct_inverse(alpha1, alpha2, n: int) -> GenSeries:
-    """Geometric expansion of the inverse of
-    I + alpha1 d E_{x1} + alpha2 d^2 E_{x0 x1}, cut at length n and exact
-    through it: the k-th power has no word shorter than k."""
-    neg_a = se.truncate(GenSeries(1, {
-        Word((X1,)): do.monomial(ex.const(-alpha1), (1,)),
-        Word((DRIFT, X1)): do.monomial(ex.const(-alpha2), (2,))}, 2, {DRIFT, X1}), n)
-    total, power = se.one_series(1, {DRIFT, X1}), neg_a
-    while not power.is_zero():
-        total = se.parallel_sum(total, power)
-        power = se.compose(neg_a, power, max_len=n)
-    return GenSeries(1, total.coeffs, n, {DRIFT, X1}, exact_len=n)
-
-
 def second_order_series(spec: SecondOrderSpec) -> GenSeries:
     """Series solution of the constant-coefficient second-order problem in
     the requested representation.  All three forms agree coefficient-wise
     on their common truncation."""
     beta1, beta2 = _roots(spec.alpha1, spec.alpha2)
-    rhs = _rhs_series(spec.y0, spec.y1, ex.const(spec.alpha1))
+    a1 = do.monomial(spec.alpha1, (1,))
+    rhs = _rhs_series(spec.y0, spec.y1, a1)
     n = spec.N
     if spec.form is SecondOrderForm.CASCADE:
         out = _solve(_cascade_inverse(beta1, beta2, n), rhs)
@@ -241,7 +239,7 @@ def second_order_series(spec: SecondOrderSpec) -> GenSeries:
             se.series_scale(w1, _solve(first_order_inverse(beta1, n), rhs)),
             se.series_scale(w2, _solve(first_order_inverse(beta2, n), rhs)))
     else:
-        out = _solve(_direct_inverse(spec.alpha1, spec.alpha2, n), rhs)
+        out = _solve(_inverse(a1, do.monomial(spec.alpha2, (2,)), n), rhs)
     return _triangular_truncate(out, n)
 
 
@@ -253,7 +251,7 @@ def second_order_series_factored(beta1, beta2, y0=0, y1=0, n: int = 8) -> GenSer
     beta1 = _theta_only(beta1, "beta1")
     beta2 = _theta_only(beta2, "beta2")
     rhs = _rhs_series(_theta_only(y0, "y0"), _theta_only(y1, "y1"),
-                      ex.add(beta1, beta2))
+                      do.monomial(ex.add(beta1, beta2), (1,)))
     return _triangular_truncate(_solve(_cascade_inverse(beta1, beta2, n), rhs), n)
 
 

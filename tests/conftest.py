@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from cfpde import diffop as do
 from cfpde import expr as ex
 
 
@@ -27,20 +26,6 @@ def exprs_equal(a, b, points, tol=1e-12):
 def theta_points(rng, n=10, dim=1, low=0.3, high=2.3):
     pts = rng.uniform(low, high, size=(n, dim))
     return [{f"theta_{k + 1}": pts[i, k] for k in range(dim)} for i in range(n)]
-
-
-def ops_agree(a, b, rng, funcs=None, tol=1e-9, dim=1):
-    """Operator equality by application to test functions at random points."""
-    theta = ex.var("theta_1")
-    if funcs is None:
-        funcs = [theta, ex.intpow(theta, 2), ex.sin(theta)]
-    points = theta_points(rng, 10, dim)
-    for f in funcs:
-        fa = do.op_apply(a, f)
-        fb = do.op_apply(b, f)
-        if not exprs_equal(fa, fb, points, tol):
-            return False
-    return True
 
 
 def random_expr(rng, dim=1, max_depth=3, allow_t=True):

@@ -581,14 +581,15 @@ class TestArgumentValidation:
 
     def test_bind_of_a_letter_id_past_int_digits_exits_one(self, tmp_path, capsys):
         """A letter id of 5000 digits, past the 4300 that int() converts,
-        is a letter the series lacks, not a ValueError."""
+        is a letter the series lacks, not a ValueError; the message that
+        echoes it is clipped."""
         c = se.series_from_coeffs(1, {word("x1"): do.identity(1)})
         k = "1" * 5000
         assert run(["eval", "--series", write_series(tmp_path / "c.series", c),
                     "--bind", f"{k}=t", "--grid", "0:1:5,0:1:5",
                     "--out", str(tmp_path / "y.csv")]) == 1
-        assert capsys.readouterr().err == (
-            f"error: bad --bind '{k}=t'; the series has no letter x{k}\n")
+        message = f"bad --bind '{k}=t'; the series has no letter x{k}"
+        assert capsys.readouterr().err == f"error: {message[:cli._MESSAGE_WIDTH]}...\n"
 
     @pytest.mark.parametrize("command, option", [
         ("solve", ["--bind", "1=t"]), ("solve", ["--report", "r.json"]),
@@ -982,6 +983,27 @@ class TestInputFaults:
                     "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: cannot load series: bad ") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text", [
+        # a 2.0 MB line with a multi-index of 10**6 entries
+        "dim=1 maxlen=1 alphabet=x0,x1\nx1 :: 1 * D[" + ",".join(["0"] * 10**6) + "]\n",
+        # a 1.6 MB coefficient, a 2.1 MB word and a 1.5 MB header
+        "dim=1 maxlen=1 alphabet=x0,x1\nx1 :: " + "1+" * 800_000 + " * D[0]\n",
+        "dim=1 maxlen=1 alphabet=x0,x1\n" + " ".join(["x1"] * 700_000) + " :: 1 * D[0]\n",
+        "dim=1 maxlen=1 alphabet=x0" + ",x1" * 500_000 + "\nx1 :: 1 * D[0]\n",
+    ], ids=["multi-index", "coefficient", "word", "header"])
+    def test_long_malformed_line_gives_a_short_error(self, tmp_path, capsys, text):
+        """The error echoes the input, clipped: one line of at most 300
+        bytes, however long the line it quotes."""
+        path = tmp_path / "long.series"
+        path.write_text(text)
+        out = tmp_path / "out.series"
+        assert run(["algebra", "truncate", "--series", str(path), "--N", "1",
+                    "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot load series: ") and err.count("\n") == 1
+        assert len(err.encode()) <= 300 and err.endswith("...\n")
         assert not out.exists()
 
     def test_power_of_a_sum_past_the_expansion_cap_exits_one(self, tmp_path, capsys):

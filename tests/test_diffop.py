@@ -5,7 +5,7 @@ import pytest
 from cfpde import diffop as do
 from cfpde import expr as ex
 from cfpde import series as se
-from conftest import exprs_equal, ops_agree, random_expr, theta_points
+from conftest import exprs_equal, random_expr, theta_points
 
 THETA = ex.var("theta_1")
 
@@ -33,7 +33,7 @@ class TestApply:
         got = do.op_apply(A, ex.intpow(THETA, 2))
         assert exprs_equal(got, ex.mul(2, ex.intpow(THETA, 2)), theta_points(rng))
 
-    def test_identity(self, rng):
+    def test_identity(self):
         f = ex.sin(ex.mul(2, THETA))
         assert do.op_apply(do.identity(1), f) == ex.simplify(f)
 
@@ -64,7 +64,7 @@ class TestProduct:
                                do.op_apply(A, do.op_apply(B, f)), pts)
         expected = do.op_add(do.monomial(ex.mul(2, ex.intpow(THETA, 2)), (1,)),
                              do.monomial(ex.intpow(THETA, 3), (2,)))
-        assert ops_agree(AB, expected, rng)
+        assert AB == expected
 
     def test_leibniz_rule(self):
         got = do.op_mul(do.partial(1), do.from_expr(THETA, 1))

@@ -11,7 +11,6 @@ from cfpde import iterint as ii
 from cfpde import pde
 from cfpde import series as se
 from cfpde.words import DRIFT, Letter, Word, word
-from conftest import ops_agree
 
 THETA = ex.var("theta_1")
 X1, X2 = Letter(1), Letter(2)
@@ -31,16 +30,16 @@ class TestTransportSeries:
         assert c.coefficient(word("x0", "x0", "x1")) == do.monomial(
             ex.const(4.0), (2,))
 
-    def test_closed_form_recurrence(self, rng):
+    def test_closed_form_recurrence(self):
         V = ex.add(1, ex.mul(0.5, ex.sin(THETA)))  # theta-dependent velocity
         c = pde.transport_series(pde.TransportSpec(V=V, y0=0, N=5))
         step = do.op_scale(ex.neg(V), do.partial(1))
         for k in range(5):
             lhs = c.coefficient(Word((DRIFT,) * (k + 1) + (X1,)))
             rhs = do.op_mul(step, c.coefficient(Word((DRIFT,) * k + (X1,))))
-            assert ops_agree(lhs, rhs, rng, tol=1e-12)
+            assert lhs == rhs
 
-    def test_two_term_recurrence_reading_for_constant_velocity(self, rng):
+    def test_two_term_recurrence_reading_for_constant_velocity(self):
         # the expanded normal-ordered recurrence
         #   next = -V (coefficient derivative) - V (coefficient o d/dtheta)
         # agrees with the composed closed form when V is constant
@@ -55,7 +54,7 @@ class TestTransportSeries:
             two_term = do.op_add(
                 do.op_scale(ex.const(-V), cur_derivative),
                 do.op_mul(do.op_scale(ex.const(-V), cur), do.partial(1)))
-            assert ops_agree(nxt, two_term, rng, tol=1e-12)
+            assert nxt == two_term
 
     def test_pde_residual(self):
         # dy/dt + V dy/dtheta = u on the interior, by finite differences
@@ -130,7 +129,7 @@ class TestSecondOrder:
         c = pde.wave_series(7)
         assert c.coefficient(word("x0", "x0", "x1")).is_zero()
 
-    def test_wave_partial_fraction_half_weights(self, rng):
+    def test_wave_partial_fraction_half_weights(self):
         c = pde.second_order_series(pde.SecondOrderSpec(
             0, -1, 0, 0, 6, pde.SecondOrderForm.PARTIAL_FRACTION))
         for k in range(6):
@@ -139,7 +138,7 @@ class TestSecondOrder:
                             do.op_pow(do.op_scale(ex.const(-1), do.partial(1)), k)),
                 do.op_scale(ex.const(0.5), do.op_pow(do.partial(1), k)))
             got = c.coefficient(Word((DRIFT,) * (k + 1) + (X1,)))
-            assert ops_agree(got, expected, rng, tol=1e-12)
+            assert got == expected
 
     def test_degenerate_double_integrator(self):
         y0 = ex.sin(THETA)
@@ -161,7 +160,7 @@ class TestSecondOrder:
         with pytest.raises(se.SeriesError, match="bogus"):
             pde.SecondOrderSpec(3, 2, form="bogus")
 
-    def test_form_agreement_with_initial_data(self, rng):
+    def test_form_agreement_with_initial_data(self):
         y0 = ex.sin(THETA)
         built = [pde.second_order_series(pde.SecondOrderSpec(3, 2, y0, 1, 5, f))
                  for f in pde.SecondOrderForm]
@@ -170,10 +169,9 @@ class TestSecondOrder:
             words_union |= set(s.coeffs)
         for other in built[1:]:
             for w in words_union:
-                assert ops_agree(built[0].coefficient(w), other.coefficient(w),
-                                 rng, tol=1e-9)
+                assert built[0].coefficient(w) == other.coefficient(w)
 
-    def test_cascade_equals_composition_of_transports(self, rng):
+    def test_cascade_equals_composition_of_transports(self):
         # zero-data cascade = composition of the two first-order solution
         # series, word for word
         alpha1, alpha2 = 3.0, 2.0  # factors beta1 = 2, beta2 = 1
@@ -185,8 +183,7 @@ class TestSecondOrder:
             pde.transport_series(pde.TransportSpec(V=2.0, y0=0, N=n)), {X1: X2})
         comp = se.relabel_letters(se.compose(outer, inner), {X2: X1})
         for w in set(casc.coeffs) | {ww for ww in comp.coeffs if len(ww) <= n + 1}:
-            assert ops_agree(casc.coefficient(w), comp.coefficient(w), rng,
-                             tol=1e-9)
+            assert casc.coefficient(w) == comp.coefficient(w)
 
     def test_repeated_root_rejected(self):
         with pytest.raises(pde.RepeatedRoot):
@@ -197,14 +194,13 @@ class TestSecondOrder:
         with pytest.raises(pde.NonConstantCoefficients):
             pde.SecondOrderSpec(THETA, -1, 0, 0, 4)
 
-    def test_factored_entry_matches_constant_path(self, rng):
+    def test_factored_entry_matches_constant_path(self):
         casc = pde.second_order_series(pde.SecondOrderSpec(
             3, 2, ex.sin(THETA), 0, 5, pde.SecondOrderForm.CASCADE))
         fact = pde.second_order_series_factored(
             ex.const(2), ex.const(1), ex.sin(THETA), 0, 5)
         for w in set(casc.coeffs) | set(fact.coeffs):
-            assert ops_agree(casc.coefficient(w), fact.coefficient(w), rng,
-                             tol=1e-9)
+            assert casc.coefficient(w) == fact.coefficient(w)
 
     def test_root_ordering(self):
         c = pde.second_order_series(pde.SecondOrderSpec(
@@ -235,12 +231,24 @@ class TestSolveKernel:
     @pytest.mark.parametrize("n", [0, 1, 8])
     def test_inverses_and_their_rest_are_exact_through_n(self, n):
         # before _triangular_truncate: an inverse claims exactly what it holds
-        for inverse in (pde.first_order_inverse(1.5, n), pde._direct_inverse(1.0, -2.0, n),
+        a1, a2 = do.monomial(1.0, (1,)), do.monomial(-2.0, (2,))
+        for inverse in (pde.first_order_inverse(1.5, n), pde._inverse(a1, a2, n),
                         pde._cascade_inverse(2.0, -1.0, n)):
             assert (inverse.exact_len, inverse.max_len) == (n, n)
             assert pde._rest(inverse).exact_len == n
-        short = pde._direct_inverse(1.0, -2.0, n + 2)
+        short = pde._inverse(a1, a2, n + 2)
         assert pde._rest(se.GenSeries(1, short.coeffs, n + 2, exact_len=n)).exact_len == n
+
+    @pytest.mark.parametrize("n", [4, 8, 12])
+    @pytest.mark.parametrize("alpha1, alpha2", [(0.75, -1.25), (0.3 + 0.2j, 0.125),
+                                                (1.0117, -2.0338)])
+    def test_second_order_inverse_identity(self, alpha1, alpha2, n):
+        # with A2 != 0, (I + R)(I + A) = I reads R + A + R o A = 0 through n
+        a1, a2 = do.monomial(alpha1, (1,)), do.monomial(alpha2, (2,))
+        rest = pde._rest(pde._inverse(a1, a2, n))
+        fwd = se.GenSeries(1, {word("x1"): a1, word("x0", "x1"): a2}, 2)
+        residual = se.parallel_sum(se.parallel_sum(rest, fwd), se.compose(rest, fwd))
+        assert se.truncate(residual, n).is_zero()
 
     @pytest.mark.parametrize("n", [1, 7])
     def test_wave_and_factored_entry_are_exact_through_n(self, n):
