@@ -144,12 +144,18 @@ def _parse_expr_arg(text: str, dim: int, what: str) -> ex.Poly:
         raise CliError(f"bad {what} expression: {e}") from e
 
 
-def _complex_arg(text: str, what: str) -> complex:
-    try:
-        return complex(text)
-    except ValueError:
-        raise CliError(f"bad {what} {text!r}; expected a number such as "
-                       "-1.5 or 1+2j") from None
+def _spelled(pattern: str, convert, example: str):
+    """An argparse type that takes a number only as cf spells it, in ASCII."""
+    def number(text: str):
+        if not re.fullmatch(pattern, text):
+            raise argparse.ArgumentTypeError(f"expected a number such as {example}, "
+                                             f"not {text!r}")
+        return convert(text)  # int() refuses past 4300 digits: "invalid number value"
+    return number
+
+
+_integer_arg = _spelled("-?(0|[1-9][0-9]*)", int, "8")
+_real_arg = _spelled(f"-?{ex.NUMBER}", float, "0.5")
 
 
 def _binding_from_args(args, dim: int, letters):
@@ -208,24 +214,20 @@ def _evaluation_errors():
 
 
 def _solver_series(args) -> tuple[se.GenSeries, dict]:
-    """The series cf solve builds with pde, and the parameters it read."""
+    """The series cf solve builds with pde, and the parameters it read.
+    Every coefficient and initial datum is an expression in theta_1; the
+    names are in the order of the spec's fields."""
     from . import pde
-    params = {"N": args.N}
+    names = {"transport": ("V", "y0"), "wave": (),
+             "second-order": ("alpha1", "alpha2", "y0", "y1")}[args.kind]
+    exprs = [_parse_expr_arg(getattr(args, k), 1, "--" + k) for k in names]
+    params = {"N": args.N, **{k: getattr(args, k) for k in names}}
     if args.kind == "transport":
-        v = _parse_expr_arg(args.V, 1, "--V")
-        y0 = _parse_expr_arg(args.y0, 1, "--y0")
-        params.update({"V": args.V, "y0": args.y0})
-        return pde.transport_series(pde.TransportSpec(v, y0, args.N)), params
+        return pde.transport_series(pde.TransportSpec(*exprs, args.N)), params
     if args.kind == "wave":
         return pde.wave_series(args.N), params
-    y0 = _parse_expr_arg(args.y0, 1, "--y0")
-    y1 = _parse_expr_arg(args.y1, 1, "--y1")
-    spec = pde.SecondOrderSpec(_complex_arg(args.alpha1, "--alpha1"),
-                               _complex_arg(args.alpha2, "--alpha2"),
-                               y0, y1, args.N, args.form)
-    params.update({"alpha1": args.alpha1, "alpha2": args.alpha2,
-                   "y0": args.y0, "y1": args.y1, "form": args.form})
-    return pde.second_order_series(spec), params
+    params["form"] = args.form
+    return pde.second_order_series(pde.SecondOrderSpec(*exprs, args.N, args.form)), params
 
 
 def _cmd_field(args, command: str, started: float) -> int:
@@ -372,7 +374,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--out", required=True)
     sp = alg_sub.add_parser("truncate")
     sp.add_argument("--series", required=True)
-    sp.add_argument("--N", type=int, required=True)
+    sp.add_argument("--N", type=_integer_arg, required=True)
     sp.add_argument("--out", required=True)
 
     solve = sub.add_parser("solve", help="build and evaluate a solution series")
@@ -392,7 +394,7 @@ def build_parser() -> _Parser:
             sp.add_argument("--form", default="direct",
                             choices=("direct", "cascade", "partial-fraction"))
         sp.add_argument("--u", required=True)
-        sp.add_argument("--N", type=int, required=True)
+        sp.add_argument("--N", type=_integer_arg, required=True)
         sp.add_argument("--grid", required=True)
         sp.add_argument("--out", required=True)
 
@@ -407,19 +409,19 @@ def build_parser() -> _Parser:
     b = sub.add_parser("bounds", help="convergence certificates")
     b_sub = b.add_subparsers(dest="kind", required=True)
     sp = b_sub.add_parser("check")
-    sp.add_argument("--K-alpha", dest="K_alpha", type=float, required=True)
-    sp.add_argument("--M", type=float, required=True)
-    sp.add_argument("--K-u", dest="K_u", type=float, required=True)
-    sp.add_argument("--R", type=float, required=True)
-    sp.add_argument("--s", type=float, required=True)
-    sp.add_argument("--T", type=float, required=True)
-    sp.add_argument("--N", type=int, default=None)
+    sp.add_argument("--K-alpha", dest="K_alpha", type=_real_arg, required=True)
+    sp.add_argument("--M", type=_real_arg, required=True)
+    sp.add_argument("--K-u", dest="K_u", type=_real_arg, required=True)
+    sp.add_argument("--R", type=_real_arg, required=True)
+    sp.add_argument("--s", type=_real_arg, required=True)
+    sp.add_argument("--T", type=_real_arg, required=True)
+    sp.add_argument("--N", type=_integer_arg, default=None)
     sp = b_sub.add_parser("estimate")
     given = sp.add_mutually_exclusive_group(required=True)
     given.add_argument("--u")
     given.add_argument("--series")
     sp.add_argument("--grid", required=True)
-    sp.add_argument("--k-max", dest="k_max", type=int, default=8)
+    sp.add_argument("--k-max", dest="k_max", type=_integer_arg, default=8)
 
     v = sub.add_parser("verify", help="run the acceptance checks")
     v.add_argument("--only", default=None,

@@ -1,19 +1,22 @@
-"""Generating-series builders for Cauchy problems on one parameter:
+"""Generating-series builders for Cauchy problems with operator coefficients:
 
-* transport:  dy/dt + V dy/dtheta = u,   y(theta, 0) = y0(theta)
+* first order:  dy/dt + A y = u,  y(theta, 0) = y0(theta), for an operator
+  A of any dim and order; transport is A = V d/dtheta;
 * second order:  d2y/dt2 + a1 d2y/dtdtheta + a2 d2y/dtheta2 = u with
-  y(theta, 0) = y0 and dy/dt(theta, 0) = y1; the wave equation is
-  a1 = 0, a2 = -1.
+  y(theta, 0) = y0, dy/dt(theta, 0) = y1 and a1, a2 functions of theta;
+  the wave equation is a1 = 0, a2 = -1.
 
 Integrated in time, each problem reads (I + A) y = rhs, with
 A = A1 E_{x1} + A2 E_{x0 x1} for differential operators A1 and A2.
 Every builder forms the inverse series I + R of I + A and passes it to
 one kernel, ``_solve``, which forms rhs + R o rhs.  ``_inverse`` is the
-one expansion that forms operator powers: ``first_order_inverse`` is its
-A2 = 0 case and the direct second-order form its A2 != 0 case.  The
+one expansion that forms operator powers: the first-order solution is
+its A2 = 0 case and the direct second-order form its A2 != 0 case.  The
 cascade form is the series interconnection I + R1 + R2 + R2 o R1 of two
 first-order inverses; the partial-fraction form is the parallel
-interconnection of two first-order solutions.
+interconnection of two first-order solutions; both need the roots of
+constant a1, a2 (``second_order_series_factored`` takes theta-dependent
+factors).
 
 Words x0^k carry the initial-condition data; words x0^k x1 carry the
 input.  Evaluating with the input signal and the implicit constant drift
@@ -35,8 +38,7 @@ from .series import GenSeries
 from .words import DRIFT, EMPTY_WORD, Letter, Word
 
 __all__ = [
-    "TransportSpec", "SecondOrderSpec", "SecondOrderForm",
-    "RepeatedRoot", "NonConstantCoefficients",
+    "TransportSpec", "SecondOrderSpec", "SecondOrderForm", "RepeatedRoot",
     "transport_series", "first_order_inverse", "first_order_residual",
     "second_order_series", "second_order_series_factored", "wave_series",
 ]
@@ -48,14 +50,12 @@ class RepeatedRoot(se.SeriesError):
     pass
 
 
-class NonConstantCoefficients(se.SeriesError):
-    pass
-
-
 def _theta_only(e, what: str) -> ex.Poly:
     e = ex.simplify(e)
     if ex.depends_on(e, "t"):
         raise se.SeriesError(f"{what} may depend on theta only, not on t")
+    if not all(map(cmath.isfinite, e.terms.values())):
+        raise se.SeriesError(f"{what} must be finite")
     return e
 
 
@@ -86,19 +86,21 @@ def _solve(inverse: GenSeries, rhs: GenSeries) -> GenSeries:
     return se.parallel_sum(rhs, se.compose(_rest(inverse), rhs))
 
 
-def transport_series(spec: TransportSpec) -> GenSeries:
-    """Series solution of the transport problem, truncated at drift power N.
+def _first_order_series(a: DiffOp, y0: ex.Poly, n: int) -> GenSeries:
+    """Series solution of y_t + A y = u, y(theta, 0) = y0, truncated at
+    drift power n: (-A)^k y0 on x0^k and (-A)^k on x0^k x1."""
+    dim = a.dim
+    rhs = GenSeries(dim, {EMPTY_WORD: do.from_expr(y0, dim),
+                          Word((X1,)): do.identity(dim)}, 1, {DRIFT, X1})
+    return _triangular_truncate(_solve(_inverse(a, do.zero(dim), n), rhs), n)
 
-    The coefficient on x0^k is (-V d/dtheta)^k applied to y0; the
-    coefficient on x0^k x1 is the composed operator (-V d/dtheta)^k
-    itself.  For non-constant V the operator power expands by the Leibniz
-    rule, which reproduces the two-term normal-ordered recurrence between
-    consecutive coefficients.
-    """
-    rhs = GenSeries(1, {EMPTY_WORD: do.from_expr(spec.y0, 1),
-                        Word((X1,)): do.identity(1)}, 1, {DRIFT, X1})
-    return _triangular_truncate(
-        _solve(first_order_inverse(spec.V, spec.N), rhs), spec.N)
+
+def transport_series(spec: TransportSpec) -> GenSeries:
+    """The first-order solution with A = V d/dtheta.  For non-constant V
+    the powers (-V d/dtheta)^k expand by the Leibniz rule, which reproduces
+    the two-term normal-ordered recurrence between consecutive
+    coefficients."""
+    return _first_order_series(do.monomial(spec.V, (1,)), spec.y0, spec.N)
 
 
 def _inverse(a1: DiffOp, a2: DiffOp, n: int) -> GenSeries:
@@ -144,25 +146,16 @@ class SecondOrderForm(enum.Enum):
 
 @dataclass(frozen=True)
 class SecondOrderSpec:
-    alpha1: complex
-    alpha2: complex
+    alpha1: object
+    alpha2: object
     y0: object = 0
     y1: object = 0
     N: int = 8
     form: SecondOrderForm = SecondOrderForm.DIRECT
 
     def __post_init__(self):
-        for name in ("alpha1", "alpha2"):
-            v = getattr(self, name)
-            if not isinstance(v, (int, float, complex)):
-                raise NonConstantCoefficients(
-                    "symbolic coefficients need an explicit factorization; "
-                    "use second_order_series_factored")
-            if not cmath.isfinite(v):
-                raise se.SeriesError(f"{name} must be finite, not {v}")
-            object.__setattr__(self, name, complex(v))
-        object.__setattr__(self, "y0", _theta_only(self.y0, "y0"))
-        object.__setattr__(self, "y1", _theta_only(self.y1, "y1"))
+        for name in ("alpha1", "alpha2", "y0", "y1"):
+            object.__setattr__(self, name, _theta_only(getattr(self, name), name))
         if self.N < 0:
             raise se.SeriesError("truncation N must be nonnegative")
         try:
@@ -220,34 +213,38 @@ def _cascade_inverse(beta1, beta2, n: int) -> GenSeries:
 
 
 def second_order_series(spec: SecondOrderSpec) -> GenSeries:
-    """Series solution of the constant-coefficient second-order problem in
-    the requested representation.  All three forms agree coefficient-wise
-    on their common truncation."""
-    beta1, beta2 = _roots(spec.alpha1, spec.alpha2)
+    """Series solution of the second-order problem in the requested form.
+    The direct form takes theta-dependent alphas, the other two need the
+    roots of constant ones; the forms agree on their common truncation."""
     a1 = do.monomial(spec.alpha1, (1,))
     rhs = _rhs_series(spec.y0, spec.y1, a1)
     n = spec.N
+    if spec.form is SecondOrderForm.DIRECT:
+        out = _solve(_inverse(a1, do.monomial(spec.alpha2, (2,)), n), rhs)
+        return _triangular_truncate(out, n)
+    alpha1, alpha2 = spec.alpha1.constant(), spec.alpha2.constant()
+    if alpha1 is None or alpha2 is None:
+        raise se.SeriesError(
+            f"the {spec.form.value} form needs constant alpha1 and alpha2; "
+            "for theta-dependent factors use second_order_series_factored")
+    beta1, beta2 = _roots(alpha1, alpha2)
     if spec.form is SecondOrderForm.CASCADE:
         out = _solve(_cascade_inverse(beta1, beta2, n), rhs)
-    elif spec.form is SecondOrderForm.PARTIAL_FRACTION:
-        if _repeated_root(spec.alpha1, spec.alpha2):
-            raise RepeatedRoot(
-                "partial fractions need distinct factor roots")
+    else:
+        if _repeated_root(alpha1, alpha2):
+            raise RepeatedRoot("partial fractions need distinct factor roots")
         w1 = beta1 / (beta1 - beta2)
         w2 = beta2 / (beta2 - beta1)
         out = se.parallel_sum(
             se.series_scale(w1, _solve(first_order_inverse(beta1, n), rhs)),
             se.series_scale(w2, _solve(first_order_inverse(beta2, n), rhs)))
-    else:
-        out = _solve(_inverse(a1, do.monomial(spec.alpha2, (2,)), n), rhs)
     return _triangular_truncate(out, n)
 
 
 def second_order_series_factored(beta1, beta2, y0=0, y1=0, n: int = 8) -> GenSeries:
     """Entry point for theta-dependent factors: the caller asserts that
-    the operator factors as (I + beta1 d)(I + beta2 d).  The series is
-    built in the cascade form only; the direct and partial-fraction forms
-    need constant coefficients (second_order_series)."""
+    the operator factors as (I + beta1 d)(I + beta2 d), and the series is
+    built in the cascade form."""
     beta1 = _theta_only(beta1, "beta1")
     beta2 = _theta_only(beta2, "beta2")
     rhs = _rhs_series(_theta_only(y0, "y0"), _theta_only(y1, "y1"),

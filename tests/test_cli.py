@@ -111,6 +111,39 @@ class TestSolve:
         vb = np.loadtxt(b, delimiter=",", skiprows=1)
         assert np.max(np.abs(va - vb)) <= 1e-12
 
+    SECOND_ORDER = ["solve", "second-order", "--alpha2=-1", "--u", "t", "--N", "4",
+                    "--grid", "0:1:9,0:1:9"]
+
+    def test_theta_dependent_direct_form(self, tmp_path):
+        out = tmp_path / "y.csv"
+        assert run([*self.SECOND_ORDER, "--alpha1", "1+0.5*sin(theta_1)",
+                    "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 1 + 9 * 9
+        report = read_report(str(out) + ".report.json")
+        assert report["params"]["alpha1"] == "1+0.5*sin(theta_1)"
+        assert report["truncation"] == {"max_len": 5, "exact_len": 4}
+
+    @pytest.mark.parametrize("form", ["cascade", "partial-fraction"])
+    def test_theta_dependent_alpha_needs_the_direct_form(self, tmp_path, capsys, form):
+        out = tmp_path / "y.csv"
+        assert run([*self.SECOND_ORDER, "--alpha1", "1+0.5*sin(theta_1)",
+                    "--form", form, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: SeriesError: ") and err.count("\n") == 1
+        assert "second_order_series_factored" in err
+        assert not out.exists()
+
+    def test_alpha_is_an_expression(self, tmp_path, capsys):
+        """i marks the imaginary unit, as in every other expression; the
+        j of Python's complex() is refused."""
+        out = tmp_path / "y.csv"
+        assert run([*self.SECOND_ORDER, "--alpha1", "1+2i", "--out", str(out)]) == 0
+        assert run([*self.SECOND_ORDER, "--alpha1", "1+2j",
+                    "--out", str(tmp_path / "j.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad --alpha1 expression") and err.count("\n") == 1
+        assert not (tmp_path / "j.csv").exists()
+
     def test_determinism(self, tmp_path):
         outs = []
         reports = []
@@ -520,6 +553,27 @@ class TestArgumentValidation:
         err = capsys.readouterr().err
         assert err.startswith("error: bad --grid: bad grid axis") and err.count("\n") == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv, option, value", [
+        (SOLVE, "--N", v) for v in ["1_2", "+3", "03", "\uff13", " 3", "3 ", "3.0", "1e1"]
+    ] + [
+        (["algebra", "truncate", "--series", "c.series"], "--N", "1_2"),
+        (CHECK, "--N", "\uff10"),
+        (CHECK, "--K-alpha", "1_0"), (CHECK, "--M", " 1"), (CHECK, "--K-u", "\uff13"),
+        (CHECK, "--R", "+0.5"), (CHECK, "--s", "nan"), (CHECK, "--T", "inf"),
+        (["bounds", "estimate", "--u", "t", "--grid", "0:1:5,0:1:5"], "--k-max", "0_8"),
+    ])
+    def test_numbers_spelled_past_cf_numbers_exit_one(self, tmp_path, capsys, monkeypatch,
+                                                      argv, option, value):
+        """int() and float() take each of these; cf once solved --N 1_2
+        at N = 12."""
+        monkeypatch.chdir(tmp_path)
+        out = ["--out", "y.csv"] if argv[0] in ("solve", "algebra") else []
+        assert run([*argv, *out, option, value]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: argument {option}: expected a number such as ")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "y.csv").exists()
 
     def test_overflowing_grid_length_exits_one(self, tmp_path, capsys):
         """Both bounds are finite but b - a is inf: one line, no numpy

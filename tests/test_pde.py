@@ -191,8 +191,13 @@ class TestSecondOrder:
                 2, 1, 0, 0, 4, pde.SecondOrderForm.PARTIAL_FRACTION))
 
     def test_symbolic_coefficients_need_factored_entry(self):
-        with pytest.raises(pde.NonConstantCoefficients):
-            pde.SecondOrderSpec(THETA, -1, 0, 0, 4)
+        # the direct form builds with a theta-dependent alpha; the cascade
+        # and partial-fraction forms need the roots of constant ones
+        direct = pde.second_order_series(pde.SecondOrderSpec(THETA, -1, 0, 0, 4))
+        assert direct.coefficient(word("x0", "x0", "x1")) == do.monomial(ex.neg(THETA), (1,))
+        for form in ("cascade", "partial-fraction"):
+            with pytest.raises(se.SeriesError, match="use second_order_series_factored$"):
+                pde.second_order_series(pde.SecondOrderSpec(THETA, -1, 0, 0, 4, form))
 
     def test_factored_entry_matches_constant_path(self):
         casc = pde.second_order_series(pde.SecondOrderSpec(
@@ -271,3 +276,98 @@ class TestSolveKernel:
         with pytest.raises(pde.RepeatedRoot):
             pde.second_order_series(pde.SecondOrderSpec(
                 0.2, 0.01, 0, 0, 4, pde.SecondOrderForm.PARTIAL_FRACTION))
+
+
+def _zero_input(dim):
+    return ii.InputSignal.symbolic(ex.parse("0", dim))
+
+
+class TestOperatorCoefficients:
+    """The first-order solution of y_t + A y = u for an operator A of any
+    dim and order, and the direct second-order form with theta-dependent
+    alphas, against closed forms."""
+
+    HEAT = do.monomial(-0.5, (2,))  # y_t = kappa y_thetatheta + u, kappa = 0.5
+
+    def heat_grid(self):
+        grid = ii.Grid(((0.0, 2 * math.pi, 129),), 1.0, 257)
+        return grid, grid.theta_points(0)[:, None], grid.t_points[None, :]
+
+    def test_heat_initial_condition_decays(self):
+        grid, th, t = self.heat_grid()
+        c = pde._first_order_series(self.HEAT, ex.sin(THETA), 12)
+        y = ii.evaluate_series(c, _zero_input(1), grid).values
+        assert np.max(np.abs(y - np.exp(-0.5 * t) * np.sin(th))) <= 2e-7
+
+    def test_heat_forced_from_rest(self):
+        grid, th, t = self.heat_grid()
+        kappa = 0.5
+        c = pde._first_order_series(self.HEAT, ex.ZERO, 16)
+        y = ii.evaluate_series(c, ii.InputSignal.symbolic(ex.parse("t*sin(theta_1)", 1)),
+                               grid).values
+        exact = np.sin(th) * (t / kappa - (1 - np.exp(-kappa * t)) / kappa ** 2)
+        assert np.max(np.abs(y - exact)) <= 1e-6
+
+    def test_transport_in_two_thetas(self):
+        # A = d1 + 0.5 d2 carries y0 along (1, 0.5)
+        a = do.op_add(do.monomial(1.0, (1, 0)), do.monomial(0.5, (0, 1)))
+        grid = ii.Grid(((0.0, 1.0, 33), (0.0, 1.0, 33)), 1.0, 65)
+        c = pde._first_order_series(a, ex.parse("sin(theta_1 + 2*theta_2)", 2), 16)
+        y = ii.evaluate_series(c, _zero_input(2), grid).values
+        th1 = grid.theta_points(0)[:, None, None]
+        th2 = grid.theta_points(1)[None, :, None]
+        t = grid.t_points[None, None, :]
+        assert np.max(np.abs(y - np.sin(th1 + 2 * th2 - 2 * t))) <= 3e-4
+
+    def test_theta_dependent_direct_form_residual(self):
+        # y_tt + (1 + 0.5 sin theta) y_ttheta - y_thetatheta = sin 2 theta
+        alpha1 = ex.parse("1 + 0.5*sin(theta_1)", 1)
+        c = pde.second_order_series(pde.SecondOrderSpec(alpha1, -1, ex.sin(THETA), 0, 16))
+        grid = ii.Grid(((0.0, 2 * math.pi, 401),), 0.5, 401)
+        u = ii.InputSignal.symbolic(ex.parse("sin(2*theta_1)", 1))
+        y = ii.evaluate_series(c, u, grid).values.real
+        dt, dth = grid.dt, grid.theta_spacing(0)
+        ytt = (y[1:-1, 2:] - 2 * y[1:-1, 1:-1] + y[1:-1, :-2]) / dt ** 2
+        yqq = (y[2:, 1:-1] - 2 * y[1:-1, 1:-1] + y[:-2, 1:-1]) / dth ** 2
+        ytq = (y[2:, 2:] - y[2:, :-2] - y[:-2, 2:] + y[:-2, :-2]) / (4 * dt * dth)
+        th = grid.theta_points(0)[1:-1, None]
+        residual = ytt + (1 + 0.5 * np.sin(th)) * ytq - yqq - np.sin(2 * th)
+        assert np.max(np.abs(residual)) <= 1e-3
+        assert np.array_equal(y[:, 0], np.sin(grid.theta_points(0)))
+
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_direct_inverse_of_the_factored_operator_is_the_cascade(self, n):
+        # (I + B1 E_x1)(I + B2 E_x1) = I + (B1 + B2) E_x1 + B1 o B2 E_x0x1
+        b1, b2 = ex.add(1, ex.mul(0.5, ex.sin(THETA))), THETA
+        op1, op2 = do.monomial(b1, (1,)), do.monomial(b2, (1,))
+        a1 = do.op_add(op1, op2)
+        rhs = pde._rhs_series(ex.sin(THETA), ex.ONE, a1)
+        direct = pde._solve(pde._inverse(a1, do.op_mul(op1, op2), n), rhs)
+        assert pde._triangular_truncate(direct, n) == pde.second_order_series_factored(
+            b1, b2, ex.sin(THETA), 1, n)
+
+
+NON_FINITE = [math.nan, math.inf, complex(1, math.inf)]
+BUILDER_INPUTS = {  # each builder input, and the name its error gives it
+    "V": (lambda v: pde.TransportSpec(v), "the velocity"),
+    "transport y0": (lambda v: pde.TransportSpec(1, v), "the initial condition"),
+    "alpha1": (lambda v: pde.SecondOrderSpec(v, -1), "alpha1"),
+    "alpha2": (lambda v: pde.SecondOrderSpec(0, v), "alpha2"),
+    "y0": (lambda v: pde.SecondOrderSpec(0, -1, v), "y0"),
+    "y1": (lambda v: pde.SecondOrderSpec(0, -1, 0, v), "y1"),
+    "beta": (lambda v: pde.first_order_inverse(v, 3), "beta"),
+    "residual beta": (lambda v: pde.first_order_residual(v, 3), "beta"),
+    "beta1": (lambda v: pde.second_order_series_factored(v, 1), "beta1"),
+    "beta2": (lambda v: pde.second_order_series_factored(1, v), "beta2"),
+    "factored y0": (lambda v: pde.second_order_series_factored(1, 1, v), "y0"),
+    "factored y1": (lambda v: pde.second_order_series_factored(1, 1, 0, v), "y1"),
+}
+
+
+@pytest.mark.parametrize("value", NON_FINITE, ids=repr)
+@pytest.mark.parametrize("which", list(BUILDER_INPUTS))
+def test_non_finite_builder_input_is_refused(which, value):
+    """Each of these once built a series with NaN coefficients."""
+    build, what = BUILDER_INPUTS[which]
+    with pytest.raises(se.SeriesError, match=f"^{what} must be finite$"):
+        build(value)

@@ -29,7 +29,7 @@ class TestConstruction:
     def test_post_init_validates_and_normalises(self):
         spec = pde.TransportSpec(V)
         assert spec.N == 8 and spec.V == ex.simplify(V)
-        assert pde.SecondOrderSpec(0, -1).alpha2 == complex(-1)
+        assert pde.SecondOrderSpec(0, -1).alpha2 == ex.const(-1)
         with pytest.raises(ValueError):
             GrowthData(1.0, 2.0, 3.0, -1.0, 0.0, 1.0)
 
