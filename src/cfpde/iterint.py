@@ -12,32 +12,25 @@ A series is evaluated over a trie of decorated words, each node holding
 the coefficient of the word ending there, walked depth first with
 children in first-insertion order (canonical word order, then
 lexicographic operator terms, then ``expand_derivative`` order), so
-repeated runs are bit-identical.  The walk takes one of two paths, and
-the input alone decides which:
+repeated runs are bit-identical.  Each input signal is split, at each
+theta-derivative order o the trie asks of it, as
+d^o u = sum_g d^o F_g(theta) G_g(t) (``_source``):
 
-* Separable.  When every input letter the series uses is bound to a
-  symbolic signal with no atom mixing theta and t, each signal splits
-  once as u = sum_g F_g(theta) G_g(t), grouped by time monomial g,
-  unless the time words would outnumber the trie's edges by far (see
-  ``_MAX_VISITS_PER_EDGE``).  The coefficients are free of t and the
-  trapezoid rule is linear, I[a(theta) b(t)] = a(theta) I[b](t), so
-  y = sum_tau A_tau(theta) E_tau(t) over time words tau: the walk sums
-  A_tau on the theta axes, each E_tau is one trapezoid pass on a 1-D
-  time array shared along suffixes, and the field keeps A and E as its
-  factors, contracted a run of theta rows at a time (GridField.rows)
-  when it is written or read.
-* Grid.  Sampled signals and mixed ones such as sin(theta_1 - t): a
-  node's sum is its coefficient plus one cumulative integral of the sum
-  over its child steps (letter, order) of the letter's signal times the
-  child's sum, one pass per node with children.  These arrays are
-  time-leading, (t, theta...): ``cumulative_trapezoid`` integrates along
-  axis 0, so each of its steps runs over contiguous rows.  Signal
-  samples enter as moved-axis views and coefficients with shape
-  (1, theta...); a result is moved back to grid layout once.
+* exactly, by ``expr.split_time``, when no atom mixes theta and t;
+* for an atom that mixes them, by interpolation in t at the fewest
+  Chebyshev points on [0, T] at which d^o u chops, G_g the Lagrange
+  basis, or at the grid's own times, G_g = e_g, once that would take no
+  fewer points;
+* for a sampled signal, by a factored field's own factors or the
+  truncated SVD of held samples, differenced on the theta columns.
 
-Both paths apply the same trapezoid rule to the same integrands, so
-they agree up to rounding.  Grids and fields are laid out (theta..., t),
-time last.
+The coefficients are free of t and the trapezoid rule is linear,
+I[a(theta) b(t)] = a(theta) I[b](t), so y = sum_tau A_tau(theta)
+E_tau(t) over time words tau: the walk sums A_tau on the theta axes,
+each E_tau is one trapezoid pass on a 1-D time array shared along
+suffixes, and the field keeps A and E as its factors, contracted a run
+of theta rows at a time (GridField.rows) when it is written or read.
+Grids and fields are laid out (theta..., t), time last.
 
 ``iterated_integral`` is the one-word case: E_w[u] for a plain word w is
 the evaluation of the series {w: identity}, so the trie walk is the only
@@ -388,13 +381,7 @@ def expand_derivative(w: Word, alpha: MultiIndex) -> list[tuple[int, DecoratedWo
 
 
 # ---------------------------------------------------------------------------
-# the trie walk, time-leading: (t, theta...)
-
-def _to_grid(values: np.ndarray | complex, grid: Grid) -> GridField:
-    """A time-leading result as an owned, C-contiguous grid-shaped field."""
-    full = np.broadcast_to(values, (grid.n_t,) + grid.shape[:-1])
-    return GridField(grid, np.moveaxis(full, 0, -1).copy())
-
+# the trie of decorated words
 
 class _TrieNode:
     """A decorated prefix: the summed coefficient of the word ending here
@@ -408,74 +395,10 @@ class _TrieNode:
         self.children: dict[tuple[Letter, Optional[MultiIndex]], _TrieNode] = {}
 
 
-def _accumulate(total: np.ndarray | None,
-                part: np.ndarray | None) -> np.ndarray | None:
-    """total + part, in place when total (owned) already has the result
-    shape; None is the empty sum."""
-    if total is None:
-        return part
-    if part is None:
-        return total
-    # the shapes are sub-shapes of one grid's, with equal lengths
-    if total.shape == tuple(map(max, total.shape, part.shape)):
-        total += part
-        return total
-    return total + part
-
-
-class _Derivatives:
-    """Derivative samples of the bound signals, each computed once and
-    held only while an unvisited trie edge still needs it."""
-
-    def __init__(self, binding: Binding, grid: Grid, root: _TrieNode):
-        self.binding, self.grid = binding, grid
-        self.uses: dict = {}
-        self.held: dict = {}
-        self._count(root)
-
-    def _count(self, node: _TrieNode) -> None:
-        for (letter, order), child in node.children.items():
-            if not letter.is_drift:
-                key = (self.binding[letter.index], order)
-                self.uses[key] = self.uses.get(key, 0) + 1
-            self._count(child)
-
-    def take(self, letter: Letter, order: MultiIndex) -> np.ndarray:
-        """The (t, theta...) samples of the letter's order-th derivative, a
-        view that keeps the zero strides of a broadcast signal."""
-        key = (self.binding[letter.index], order)
-        values = self.held.pop(key, None)
-        if values is None:
-            values = np.moveaxis(key[0].derivative_values(self.grid, order), -1, 0)
-        self.uses[key] -= 1
-        if self.uses[key]:
-            self.held[key] = values
-        return values
-
-
-def _node_sum(node: _TrieNode, derivatives: _Derivatives,
-              grid: Grid) -> np.ndarray | None:
-    """sum_w a_{p w} E_w for the node's prefix p, time-leading: its
-    coefficient plus one integration pass over the summed integrands of
-    its children (the drift child's sum, u_l^(o) times an input child's
-    sum)."""
-    integrand = None
-    for (letter, order), child in node.children.items():
-        inner = _node_sum(child, derivatives, grid)
-        if not letter.is_drift:
-            inner = derivatives.take(letter, order) * inner
-        integrand = _accumulate(integrand, inner)
-    if integrand is None:
-        return node.coef
-    integrand = np.broadcast_to(integrand, (grid.n_t,) + integrand.shape[1:])
-    return _accumulate(cumulative_trapezoid(integrand, grid.dt), node.coef)
-
-
 def _build_trie(c: GenSeries, grid: Grid) -> _TrieNode:
     """The trie of decorated words of c, each node's coefficient summed
-    with shape (1, theta...)."""
+    on the theta axes."""
     theta_meshes = grid.meshes(with_t=False)
-    coef_shape = (1,) * (grid.dim + 1)  # (t, theta...) of a constant
     root = _TrieNode()
     for w in sorted(c.coeffs, key=Word.sort_key):
         for alpha, coeff in c.coeffs[w].sorted_terms():
@@ -483,19 +406,18 @@ def _build_trie(c: GenSeries, grid: Grid) -> _TrieNode:
             if not terms:
                 continue
             a = np.asarray(ex.evaluate(coeff, theta_meshes), dtype=np.complex128)
-            a = a[np.newaxis] if a.ndim else a.reshape(coef_shape)
             for weight, dw in terms:
                 node = root
                 for step in dw:
                     if step not in node.children:
                         node.children[step] = _TrieNode()
                     node = node.children[step]
-                node.coef = _accumulate(node.coef, a * weight)
+                node.coef = a * weight if node.coef is None else node.coef + a * weight
     return root
 
 
 # ---------------------------------------------------------------------------
-# separable inputs: u_l(theta, t) = sum_g F_{l,g}(theta) G_g(t)
+# input splits: d^o u_l(theta, t) = sum_g d^o F_{l,g}(theta) G_g(t)
 
 def _split(signal: InputSignal, dim: int) -> list | None:
     """[(G, F)] with u = sum G(t) F(theta), ``expr.split_time`` of the
@@ -523,14 +445,124 @@ def _sample_split(split: list, order: MultiIndex, grid: Grid) -> list:
     return out
 
 
+_EPS = float(np.finfo(np.float64).eps)
+
+
+def _chops(values: np.ndarray) -> bool:
+    """Whether (rows, n) samples at the n Chebyshev points resolve every
+    row: the last two coefficients of the interpolants, sum_j'' f_j
+    cos(k arccos x_j) halved at both ends (up to 2/(n - 1)), are at most
+    n eps times the largest of any row."""
+    n = values.shape[-1]
+    vandermonde = np.cos(np.arange(n) * (np.pi - np.pi * np.arange(n) / (n - 1))[:, None])
+    vandermonde[[0, -1]] *= 0.5
+    c = np.abs(values @ vandermonde)
+    c[:, [0, -1]] *= 0.5
+    return bool(np.max(c[:, -2:]) <= n * _EPS * np.max(c))
+
+
+def _lagrange(nodes: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """(n, len(t)) samples of the Lagrange basis at the n Chebyshev points
+    nodes, by the barycentric formula with weights (-1)^j halved at both
+    ends (Berrut & Trefethen, SIAM Review 2004); exactly 1 or 0 at a node."""
+    w = np.where(np.arange(len(nodes)) % 2, -1.0, 1.0)
+    w[[0, -1]] *= 0.5
+    d = t - nodes[:, None]
+    hit = d == 0
+    q = w[:, None] / np.where(hit, 1.0, d)
+    basis = q / q.sum(axis=0)
+    at_node = hit.any(axis=0)
+    basis[:, at_node] = hit[:, at_node]
+    return basis
+
+
+def _interpolate(p: ex.Poly, grid: Grid) -> list:
+    """The groups of p = sum_j p(theta, t_j) l_j(t), p mixing theta and t,
+    at the fewest Chebyshev points of the second kind on [0, T], n = 9,
+    17, 33, ..., at which p chops, l_j their Lagrange basis; once n would
+    be no fewer than the grid's times, at those, with l_j = e_j.  A key
+    (n, j) names l_j, as one grid has one set of n points."""
+    if not p.terms:
+        return []
+    meshes = grid.meshes()
+
+    def at(times):
+        meshes["t"] = times.reshape((1,) * grid.dim + (-1,))
+        values = np.asarray(ex.evaluate(p, meshes), dtype=np.complex128)
+        return np.broadcast_to(values, grid.shape[:-1] + times.shape)
+
+    n = 9
+    while n < grid.n_t:
+        # the symmetric form, so that 0 and T are exact
+        nodes = (1 + np.sin(np.pi * np.arange(1 - n, n, 2) / (2 * n - 2))) * (0.5 * grid.t_end)
+        values = at(nodes)
+        if _chops(values.reshape(-1, n)):
+            basis = _lagrange(nodes, grid.t_points)
+            break
+        n = 2 * n - 1
+    else:
+        values, basis = at(grid.t_points), np.eye(grid.n_t)
+    theta = np.moveaxis(values, -1, 0)
+    return [((len(basis), j), theta[j], basis[j]) for j in range(len(basis))]
+
+
+def _sampled_source(field: GridField, grid: Grid):
+    """order -> groups of a sampled signal: a factored field's own factors,
+    or the truncated SVD of held samples, keeping sigma > max(rows, n_t)
+    eps sigma_1 (samples not all finite keep every column, with G_j =
+    e_j).  Derivatives are the central differences of
+    ``InputSignal.derivative_values``, taken on the theta columns."""
+    if field.grid.shape != grid.shape:
+        raise EvaluationError("sampled signal lives on a different grid")
+    key = field
+    if field._factors is not None:
+        weights, times = field._factors
+    else:
+        flat = field._values.reshape(-1, grid.n_t)
+        if np.isfinite(flat).all():
+            u, s, vh = np.linalg.svd(flat, full_matrices=False)
+            rank = np.count_nonzero(s > max(flat.shape) * _EPS * s[0])
+            weights, times = u[:, :rank] * s[:rank], vh[:rank]
+        else:
+            weights, times, key = flat, np.eye(grid.n_t), grid.n_t
+    columns = np.moveaxis(weights.reshape(grid.shape[:-1] + (-1,)), -1, 0)
+
+    def source(order: MultiIndex) -> list:
+        if mi_abs(tuple(order)) > MAX_SAMPLED_FD_ORDER:
+            raise EvaluationError(
+                f"derivative order {tuple(order)} exceeds the sampled-signal "
+                f"cap of {MAX_SAMPLED_FD_ORDER}")
+        values = columns
+        for axis, k in enumerate(order):
+            for _ in range(k):
+                values = np.gradient(values, grid.theta_spacing(axis), axis=axis + 1,
+                                     edge_order=2)
+        return [((key, j), values[j], times[j]) for j in range(len(times))]
+
+    return source
+
+
+def _source(signal: InputSignal, grid: Grid):
+    """The signal's split, built once: order o -> [(key, theta samples of
+    d^o F_g, (n_t,) samples of G_g)] for each group whose factor is not
+    zero, equal keys naming equal G_g.  Exact (``_split``) unless an atom
+    mixes theta and t (``_interpolate``), or sampled (``_sampled_source``)."""
+    if not signal.is_symbolic:
+        return _sampled_source(signal.field, grid)
+    split = _split(signal, grid.dim)
+    if split is not None:  # [] is the zero input
+        return lambda order: _sample_split(split, order, grid)
+    return lambda order: _interpolate(ex.theta_derivative(signal.expr, order), grid)
+
+
 class _Separable:
     """A separable evaluation, y = sum_tau A_tau(theta) E_tau(t).  Time
-    monomials G are interned as time letters, 0 being the drift's 1, which
+    factors G are interned as time letters, 0 being the drift's 1, which
     an input's constant G shares; A_tau sums, per time word tau, weight *
     coefficient * the product of the input steps' theta factors."""
 
-    def __init__(self, binding: Binding, splits: dict, grid: Grid):
-        self.binding, self.splits, self.grid = binding, splits, grid
+    def __init__(self, binding: Binding, sources: dict, grid: Grid):
+        self.binding, self.sources, self.grid = binding, sources, grid
         self.letters: dict = {ex.ONE.embed(grid.dim): 0}
         self.times: list = [None]  # by time letter: G_g's samples, None for 1
         self.factors: dict = {}  # (signal, order) -> [(time letter, samples)]
@@ -539,12 +571,12 @@ class _Separable:
 
     def steps(self, letter: Letter, order: MultiIndex) -> list:
         """(time letter, theta samples of d^order F_g) per nonzero group
-        of the letter's signal, each derivative chain built once."""
+        of the letter's signal, each (signal, order) built once."""
         signal = self.binding[letter.index]
         key = (signal, order)
         if key not in self.factors:
             out = []
-            for g, theta, time in _sample_split(self.splits[signal], order, self.grid):
+            for g, theta, time in self.sources[signal](order):
                 if g not in self.letters:
                     self.letters[g] = len(self.letters)
                     self.times.append(time)
@@ -554,7 +586,7 @@ class _Separable:
 
     def walk(self, node: _TrieNode, product, tau: tuple) -> None:
         if node.coef is not None:
-            part = node.coef[0] if product is None else node.coef[0] * product
+            part = node.coef if product is None else node.coef * product
             if tau in self.sums:
                 self.sums[tau] += part
             else:
@@ -597,46 +629,17 @@ class _Separable:
         return GridField.factored(grid, weights, times)
 
 
-# The separable walk visits a trie edge once per choice of time monomial
-# along its prefix, and the contraction takes at most one matrix row per
-# visit, where the grid walk makes about one full-grid pass per edge.  A
-# matrix-product row costs a few percent of such a pass, so past this
-# many visits per edge (inputs with many time monomials on words with
-# several input letters: the visits grow as their power) the grid walk
-# is the cheaper one.
-_MAX_VISITS_PER_EDGE = 32
-
-
-def _visits(node: _TrieNode, groups) -> int:
-    """Edges a walk visits when each step is taken groups(step) ways."""
-    return sum(groups(step) * (1 + _visits(child, groups))
-               for step, child in node.children.items())
-
-
 def evaluate_series(c: GenSeries, u: Union[InputSignal, Binding],
                     grid: Grid) -> GridField:
     """Evaluate the input-output map of c: sum over words and operator
     terms of coefficient(theta) times the decorated iterated integrals.
 
-    The terms are gathered in a trie of decorated words.  When every
-    input letter the series uses is bound to a symbolic signal with no
-    atom mixing theta and t, each signal is split once as
-    sum_g F_g(theta) G_g(t), and the walk carries the product of the
-    theta factors d^o F_g and the time word tau of the G_g (1 for drift):
-    y = sum_tau A_tau(theta) E_tau(t), with every E_tau a trapezoid pass
-    on a 1-D time array, shared along suffixes.  That walk takes an input
-    edge once per time monomial g of the prefix's choices, so it is used
-    only while it visits at most _MAX_VISITS_PER_EDGE times as many
-    edges as the trie has.  Otherwise (sampled or mixed signals, or that
-    many time words) each trie node with children sums its children's
-    time-leading integrands and integrates once, since
-    sum_w a_w E_{l w} = I[u_l sum_w a_w E_w] and I[f] + I[g] = I[f + g];
-    a signal derivative is computed once and released after its last
-    edge.  The coefficients are free of t and the trapezoid rule is
-    linear, so I[a(theta) b(t)] = a(theta) I[b](t) and both paths give
-    the same values up to rounding.  The separable path returns the
-    factored field (see GridField), the grid walk an owned array in grid
-    layout."""
+    The terms are gathered in a trie of decorated words, and each input
+    signal the series uses is split once (``_source``), so that the walk
+    gives y = sum_tau A_tau(theta) E_tau(t) over time words tau (see the
+    module docstring).  An input edge is taken once per group of its
+    signal's split: a sampled signal of rank r takes each of its edges r
+    times.  The field is returned factored (see GridField)."""
     if grid.dim != c.dim:
         raise EvaluationError(
             f"grid dim {grid.dim} does not match series dim {c.dim}")
@@ -646,18 +649,8 @@ def evaluate_series(c: GenSeries, u: Union[InputSignal, Binding],
     if missing:
         raise EvaluationError(
             f"unbound input letters: {sorted('x%d' % i for i in missing)}")
-    root = _build_trie(c, grid)
-    splits = {binding[i]: _split(binding[i], grid.dim) for i in needed}
-    if all(split is not None for split in splits.values()):
-        def groups(step):
-            letter = step[0]
-            return 1 if letter.is_drift else len(splits[binding[letter.index]])
-
-        if _visits(root, groups) <= _MAX_VISITS_PER_EDGE * _visits(root, lambda _: 1):
-            return _Separable(binding, splits, grid).field(root)
-    derivatives = _Derivatives(binding, grid, root)
-    total = _node_sum(root, derivatives, grid)
-    return _to_grid(0j if total is None else total, grid)
+    sources = {binding[i]: _source(binding[i], grid) for i in needed}
+    return _Separable(binding, sources, grid).field(_build_trie(c, grid))
 
 
 def iterated_integral(w: Word, u: Union[InputSignal, Binding], grid: Grid) -> GridField:

@@ -917,6 +917,15 @@ class TestStartup:
         assert "cfpde.pde" in loaded
         assert "cfpde.bounds" not in loaded
 
+    def test_mixed_input_solve_loads_no_numpy_polynomial(self, tmp_path):
+        """An input mixing theta and t is interpolated at Chebyshev points
+        (33 times, so not at the grid's) without numpy.polynomial."""
+        loaded = _loaded_after([["solve", "transport", "--V", "1", "--u", "sin(theta_1 - t)",
+                                 "--N", "4", "--grid", "0:1:5,0:1:33",
+                                 "--out", str(tmp_path / "y.csv")]], tmp_path)
+        assert "cfpde.iterint" in loaded
+        assert "numpy.polynomial" not in loaded
+
     def test_transport_solve_compiles_its_modules_before_numpy(self, tmp_path):
         """A module is looked up on sys.meta_path when its import starts,
         before it is compiled: the lookups give the order of compilation."""
@@ -1290,10 +1299,10 @@ class TestSeparableFallback:
         assert not (tmp_path / "y.csv").exists()
 
     def test_mixed_input_keeps_grid_trie_bytes(self, tmp_path):
-        """sin(theta_1 - t) mixes theta and t, so it takes the grid trie;
-        with multiplication-only coefficients that trie sees the same
-        samples whether the signal is symbolic or sampled, so the bytes
-        must match those of the sampled signal."""
+        """sin(theta_1 - t) mixes theta and t, so it is interpolated in t:
+        cf's CSV is the library's evaluate_series and write_csv, byte for
+        byte, and its values are those of the sampled signal, split by its
+        SVD, to rounding."""
         theta = ex.var("theta_1")
         c = se.series_from_coeffs(1, {
             word("x1"): do.from_expr(ex.cos(theta), 1),
@@ -1304,13 +1313,17 @@ class TestSeparableFallback:
         assert run(["eval", "--series", path, "--u", "sin(theta_1-t)",
                     "--grid", "0:3:9,0:1:17", "--out", str(out)]) == 0
         grid = ii.Grid.from_spec("0:3:9,0:1:17")
-        m = grid.meshes()
-        samples = np.broadcast_to(np.sin(m["theta_1"] - m["t"]), grid.shape)
         field = ii.evaluate_series(
-            c, ii.InputSignal.sampled(ii.GridField(grid, samples)), grid)
+            c, ii.InputSignal.symbolic(ex.parse("sin(theta_1-t)", 1)), grid)
         buf = io.StringIO()
         ii.write_csv(field, buf)
         assert out.read_bytes() == buf.getvalue().encode()
+        m = grid.meshes()
+        samples = np.broadcast_to(np.sin(m["theta_1"] - m["t"]), grid.shape)
+        sampled = ii.evaluate_series(
+            c, ii.InputSignal.sampled(ii.GridField(grid, samples)), grid).values
+        scale = np.max(np.abs(sampled))
+        assert np.max(np.abs(field.values - sampled)) <= 1e-13 * scale
 
 
 class TestCsvStreaming:
@@ -1360,7 +1373,8 @@ class TestArgvFuzz:
     N <= 4, so a run that gets through does little work."""
 
     bad_numbers = ["1e308", "-1e308", "1e-320", "nan", "inf", "-inf", "abc", "", "0", "-1"]
-    numbers = _mostly(["0", "1", "-1", "0.5", "0.25", "2", "-0.75", "1+2j"], bad_numbers)
+    numbers = _mostly(["0", "1", "-1", "0.5", "0.25", "2", "-0.75", "1+2i", "1+0.5*sin(theta_1)"],
+                      bad_numbers)
     positive = _mostly(["1", "0.5", "0.25", "2", "3"], bad_numbers)
     grids = _mostly(["0:1:5,0:1:5", "0:6.283185307179586:9,0:1:9", "-0.5:0.5:9,0:0.1:4",
                      "0:1:2,0:1:2", "1:1.5:3,0:2:7"],
@@ -1369,7 +1383,8 @@ class TestArgvFuzz:
                      "0:1e308:5,0:1:5", "-1e308:1e308:5,0:1:5", "0:1:5,0:1e-320:5",
                      "0:1:5,,0:1:5", ""])
     exprs = _mostly(["t", "sin(theta_1)*t", "theta_1^2", "-t", "2i*t", "0", "exp(t)^3",
-                     "cos(theta_1)/2", "t*exp(-theta_1)", "1.5"],
+                     "cos(theta_1)/2", "t*exp(-theta_1)", "1.5", "sin(theta_1 - t)",
+                     "t*sin(theta_1*t)"],
                     ["t*theta_2", "1/theta_1", "1/t", "exp(1e308*t)", "exp(800*theta_1)*t",
                      "(1+theta_1)^100", "1e308*1e308", "nan", "sin(", "", "t^-1",
                      "theta_1^-2", "exp(exp(exp(10*theta_1)))"])

@@ -356,13 +356,20 @@ class TestEvaluateSeries:
         assert np.max(np.abs(out.values - want)) <= 1e-13 * (1 + scale)
 
     def test_one_integration_pass_per_decorated_prefix(self, monkeypatch):
-        """One pass per trie node with children: per decorated prefix, the
-        empty one included, that some decorated word extends."""
+        """One 1-D pass per distinct nonempty suffix of the time words,
+        for an input that mixes theta and t: each input step of a
+        decorated word takes one of its order's interpolation groups."""
         c = pde.transport_series(pde.TransportSpec(1.0, ex.parse("sin(theta_1)", 1), 24))
-        prefixes = {dw[:k]
-                    for w, op in c.coeffs.items() for alpha, _ in op.sorted_terms()
-                    for _, dw in ii.expand_derivative(w, alpha)
-                    for k in range(len(dw))}
+        u = ii.InputSignal.symbolic(ex.parse("t*sin(2*theta_1 + t)", 1))
+        grid = small_grid(n_theta=9, n_t=17)
+        groups = ii._source(u, grid)
+        time_words = {tau
+                      for w, op in c.coeffs.items() for alpha, _ in op.sorted_terms()
+                      for _, dw in ii.expand_derivative(w, alpha)
+                      for tau in itertools.product(*(
+                          [None] if l.is_drift else [g for g, _, _ in groups(order)]
+                          for l, order in dw))}
+        suffixes = {tau[k:] for tau in time_words for k in range(len(tau))}
         passes = []
         integrate = ii.cumulative_trapezoid
 
@@ -371,10 +378,9 @@ class TestEvaluateSeries:
             return integrate(f, dt)
 
         monkeypatch.setattr(ii, "cumulative_trapezoid", counted)
-        u = ii.InputSignal.symbolic(ex.parse("t*sin(2*theta_1 + t)", 1))
-        ii.evaluate_series(c, u, small_grid(n_theta=9, n_t=17))
-        assert len(passes) == len(prefixes) == 25
-        assert set(passes) == {(17, 9)}  # time-leading
+        ii.evaluate_series(c, u, grid)
+        assert len(passes) == len(suffixes) > 25
+        assert set(passes) == {(17,)}
 
     @pytest.mark.parametrize("c, value", [(se.GenSeries(2, {}, 0), 0.0),
                                           (se.one_series(2), 1.0)])
@@ -928,39 +934,51 @@ class TestFactoredField:
 
 
 class TestDerivativeHolding:
-    """evaluate_series holds a signal derivative only while an unvisited
-    trie edge still needs it, and computes each one once."""
+    """evaluate_series splits each signal once and builds each (signal,
+    order) group list once, holds the groups only while it evaluates,
+    and samples no derivative on the full grid."""
 
     @staticmethod
     def spy(monkeypatch):
-        made = []  # (signal, order, arrays alive before this call, weakref
-        #           to the array that owns the samples' memory)
-        original = ii.InputSignal.derivative_values
+        splits = []  # signal per split built
+        made = []  # (signal, order, weak references to its theta samples)
+        original = ii._source
 
-        def derivative_values(self, grid, order):
-            alive = sum(ref() is not None for *_, ref in made)
-            values = original(self, grid, order)
-            owner = values  # views of it keep this alive, not values itself
-            while owner.base is not None:
-                owner = owner.base
-            made.append((self, tuple(order), alive, weakref.ref(owner)))
-            return values
+        def source(signal, grid):
+            splits.append(signal)
+            groups = original(signal, grid)
 
-        monkeypatch.setattr(ii.InputSignal, "derivative_values", derivative_values)
-        return made
+            def spied(order):
+                out = groups(order)
+                owners = []
+                for _, theta, _ in out:
+                    while theta.base is not None:  # the array owning the memory
+                        theta = theta.base
+                    owners.append(weakref.ref(theta))
+                made.append((signal, tuple(order), owners))
+                return out
+
+            return spied
+
+        def refuse(*args):
+            raise AssertionError("full-grid derivative samples")
+
+        monkeypatch.setattr(ii, "_source", source)
+        monkeypatch.setattr(ii.InputSignal, "derivative_values", refuse)
+        return splits, made
 
     def test_released_after_last_use(self, monkeypatch):
-        made = self.spy(monkeypatch)
+        splits, made = self.spy(monkeypatch)
         c = pde.transport_series(pde.TransportSpec(V=1.0, y0=0, N=8))
         u = ii.InputSignal.symbolic(ex.parse("t*sin(theta_1 + t)", 1))
         field = ii.evaluate_series(c, u, small_grid())
-        assert sorted(order for _, order, _, _ in made) == [(k,) for k in range(9)]
-        assert max(alive for _, _, alive, _ in made) == 0
-        assert all(ref() is None for *_, ref in made)
+        assert splits == [u]
+        assert sorted(order for _, order, _ in made) == [(k,) for k in range(9)]
+        assert all(ref() is None for *_, refs in made for ref in refs)
         assert np.all(np.isfinite(field.values))
 
     def test_each_order_computed_once(self, monkeypatch):
-        made = self.spy(monkeypatch)
+        splits, made = self.spy(monkeypatch)
         c = se.embed(pde.transport_series(pde.TransportSpec(V=1.0, y0=0, N=3)), 2, 0)
         d = se.relabel_letters(
             se.embed(pde.transport_series(pde.TransportSpec(V=0.5, y0=0, N=3)), 2, 1),
@@ -969,14 +987,16 @@ class TestDerivativeHolding:
         binding = {1: ii.InputSignal.symbolic(ex.parse("t*sin(theta_1)", 2)),
                    2: ii.InputSignal.symbolic(ex.parse("t*cos(theta_2 + t)", 2))}
         ii.evaluate_series(p, binding, GRID_2D)
-        keys = [(id(signal), order) for signal, order, _, _ in made]
+        assert sorted(map(id, splits)) == sorted(map(id, binding.values()))
+        keys = [(id(signal), order) for signal, order, _ in made]
         assert len(keys) == len(set(keys)) > 4
-        assert all(ref() is None for *_, ref in made)
+        assert all(ref() is None for *_, refs in made for ref in refs)
 
 
 class TestSeparablePath:
-    """Inputs that are sums of theta-factor times t-factor terms integrate
-    on 1-D time arrays; mixed and sampled inputs take the grid trie."""
+    """Every input integrates on 1-D time arrays: an exact split, an
+    interpolation in t for an atom mixing theta and t, or a sampled
+    signal's factors."""
 
     @staticmethod
     def record_passes(passes):
@@ -1020,31 +1040,38 @@ class TestSeparablePath:
     @settings(max_examples=60, deadline=None)
     @given(random_series_2d, st.floats(0.5, 3).map(lambda w: round(w, 3)))
     def test_separable_matches_grid_path(self, c, w):
+        """The exact split of sin(w theta_1 + t) against the atom itself:
+        at n_t = 9 it is taken at the grid's times, at n_t = 129 it is
+        interpolated at Chebyshev points."""
         second = ii.InputSignal.symbolic(ex.parse("t*cos(theta_2) + theta_1", 2))
         split = {1: ii.InputSignal.symbolic(ex.parse(
                      f"sin({w}*theta_1)*cos(t) + cos({w}*theta_1)*sin(t)", 2)),
                  2: second}
         mixed = {1: ii.InputSignal.symbolic(ex.parse(f"sin({w}*theta_1 + t)", 2)),
                  2: second}
-        sep_passes, grid_passes = [], []
-        with self.record_passes(sep_passes):
-            got = ii.evaluate_series(c, split, GRID_2D)
-        with self.record_passes(grid_passes):
-            want = ii.evaluate_series(c, mixed, GRID_2D)
-        assert all(shape == (GRID_2D.n_t,) for shape in sep_passes)
-        if any(l == X1 for w in c.coeffs for l in w.input_letters()):
-            assert all(len(shape) == 3 for shape in grid_passes)
-        _, scale = per_word_sum(c, mixed, GRID_2D)
-        assert np.max(np.abs(got.values - want.values)) <= 1e-13 * (1 + scale)
+        for grid in (GRID_2D, ii.Grid(GRID_2D.theta_axes, 1.0, 129)):
+            passes = []
+            with self.record_passes(passes):
+                got = ii.evaluate_series(c, split, grid)
+                want = ii.evaluate_series(c, mixed, grid)
+            assert all(shape == (grid.n_t,) for shape in passes)
+            _, scale = per_word_sum(c, mixed, grid)
+            assert np.max(np.abs(got.values - want.values)) <= 1e-13 * (1 + scale)
 
     @pytest.mark.parametrize("text", ["sin(theta_1 - t)", "exp(theta_1*cos(t))"])
     def test_mixed_atom_takes_grid_path(self, text):
+        """A mixed atom takes the one walk too: 1-D passes only, a factored
+        field, and the values of the word-by-word reference."""
         passes = []
         c = pde.transport_series(pde.TransportSpec(1.0, 0, 4))
+        u = ii.InputSignal.symbolic(ex.parse(text, 1))
+        grid = small_grid(n_theta=9, n_t=17)
         with self.record_passes(passes):
-            ii.evaluate_series(c, ii.InputSignal.symbolic(ex.parse(text, 1)),
-                               small_grid(n_theta=9, n_t=17))
-        assert passes and set(passes) == {(17, 9)}
+            field = ii.evaluate_series(c, u, grid)
+        assert passes and set(passes) == {(17,)}
+        assert field._values is None
+        want, scale = per_word_sum(c, u, grid)
+        assert np.max(np.abs(field.values - want)) <= 1e-13 * (1 + scale)
 
     @pytest.mark.parametrize("text, words", [("sin(theta_1)", 5), ("t*sin(theta_1)", 8)])
     def test_constant_time_monomial_shares_the_drift_letter(self, text, words):
@@ -1057,17 +1084,100 @@ class TestSeparablePath:
         weights, times = field._factors
         assert times.shape[0] == weights.shape[1] == words
 
-    @pytest.mark.parametrize("k, ndim", [(1, 1), (4, 2)])
-    def test_walk_size_decides_for_many_time_monomials(self, k, ndim):
-        """(1+t)^8 has nine time monomials, so the separable walk over
-        x1^k visits 9 + 81 + ... + 9^k edges: fine for k = 1, but past
-        the grid walk's cost for k = 4 (6,560 visits for 4 edges)."""
-        c = se.series_from_coeffs(1, {Word((X1,) * k): do.identity(1)})
-        u = ii.InputSignal.symbolic(ex.parse("(1 + t)^8*sin(theta_1)", 1))
+    @pytest.mark.parametrize("k, dim", [(1, 1), (4, 2)])
+    def test_walk_size_decides_for_many_time_monomials(self, k, dim):
+        """(1+t)^8 has nine time monomials, so the walk over x1^k visits
+        9 + 81 + ... + 9^k edges (6,560 for k = 4): still 1-D passes
+        only, with no cap that sends it elsewhere."""
+        c = se.series_from_coeffs(dim, {Word((X1,) * k): do.identity(dim)})
+        u = ii.InputSignal.symbolic(ex.parse("(1 + t)^8*sin(theta_1)", dim))
+        grid = ii.Grid(((0.0, 1.0, 9),) * dim, 1.0, 17)
         passes = []
         with self.record_passes(passes):
-            ii.evaluate_series(c, u, small_grid(n_theta=9, n_t=17))
-        assert passes and {len(shape) for shape in passes} == {ndim}
+            field = ii.evaluate_series(c, u, grid)
+        assert passes and set(passes) == {(17,)}
+        want, scale = per_word_sum(c, u, grid)
+        assert np.max(np.abs(field.values - want)) <= 1e-13 * (1 + scale)
+
+
+class TestSplitSources:
+    """The three sources of an input's split: Chebyshev interpolation in t
+    for an atom mixing theta and t, a sampled field's own factors, and
+    the truncated SVD of held samples."""
+
+    def test_factored_sampled_input_keeps_its_factors(self):
+        """A cascade's inner field feeds the walk from its factors: its full
+        samples are never formed, and the result is the reference's."""
+        grid = small_grid(n_theta=17, n_t=33)
+        inner = ii.evaluate_series(pde.transport_series(pde.TransportSpec(1.0, 0, 3)),
+                                   ii.InputSignal.symbolic(ex.parse("t*sin(theta_1)", 1)), grid)
+        c = pde.transport_series(pde.TransportSpec(0.5, 0, 3))
+        outer = ii.evaluate_series(c, ii.InputSignal.sampled(inner), grid)
+        assert inner._values is None
+        held = ii.InputSignal.sampled(ii.GridField(grid, inner.values))
+        want, scale = per_word_sum(c, held, grid)
+        assert np.max(np.abs(outer.values - want)) <= 1e-13 * (1 + scale)
+
+    def test_held_samples_keep_their_rank(self):
+        """t sin(2.05 theta - t) = t sin(2.05 theta) cos t - t cos(2.05 theta)
+        sin t has rank 2."""
+        grid = small_grid(n_theta=33, n_t=129, theta=(0.0, 2 * math.pi))
+        m = grid.meshes()
+        u = ii.InputSignal.sampled(ii.GridField(grid, np.broadcast_to(
+            m["t"] * np.sin(2.05 * m["theta_1"] - m["t"]), grid.shape)))
+        assert len(ii._source(u, grid)((0,))) == 2
+
+    def test_held_noise_matches_per_word_sum(self):
+        """Full-rank samples take each input edge once per singular value."""
+        grid = small_grid(n_theta=9, n_t=17)
+        rng = np.random.default_rng(5)
+        u = ii.InputSignal.sampled(ii.GridField(
+            grid, rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)))
+        assert len(ii._source(u, grid)((0,))) == 9
+        c = pde.transport_series(pde.TransportSpec(1.0, 0, 4))
+        field = ii.evaluate_series(c, u, grid)
+        want, scale = per_word_sum(c, u, grid)
+        assert np.max(np.abs(field.values - want)) <= 1e-13 * scale
+
+    def test_non_finite_held_samples_keep_every_column(self):
+        """Samples with a nan have no SVD: each theta column is taken at
+        the grid's times, and the nan reaches the field instead of an
+        exception."""
+        grid = small_grid(n_theta=9, n_t=17)
+        samples = np.ones(grid.shape)
+        samples[4, 8] = math.nan
+        u = ii.InputSignal.sampled(ii.GridField(grid, samples))
+        assert len(ii._source(u, grid)((0,))) == 17
+        field = ii.evaluate_series(pde.transport_series(pde.TransportSpec(1.0, 0, 2)), u, grid)
+        assert np.isnan(field.values).any() and np.isfinite(field.values[0]).all()
+
+    def test_mixed_atom_chops_below_the_grid_times(self):
+        """On the transport-grid grid every derivative order 0..24 of
+        sin(theta_1 t) takes fewer Chebyshev points than the 513 times,
+        and its interpolant is the derivative to rounding."""
+        grid = ii.Grid.from_spec("0:6.283185307179586:257,0:1:513")
+        p = ex.parse("sin(theta_1*t)", 1)
+        groups = ii._source(ii.InputSignal.symbolic(p), grid)
+        for k in range(25):
+            split = groups((k,))
+            assert len(split) < grid.n_t
+            got = sum(theta[:, None] * time for _, theta, time in split)
+            want = ex.evaluate(ex.theta_derivative(p, (k,)), grid.meshes())
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_many_time_monomials_shuffle_matches_per_word_sum(self):
+        """The (1+t)^8 inputs of a shuffle product: nine time monomials on
+        words with two input letters."""
+        def transport(v, axis, letter):
+            c = se.embed(pde.transport_series(pde.TransportSpec(v, 0, 3)), 2, axis)
+            return se.relabel_letters(c, {X1: letter})
+        p = se.shuffle_series(transport(1.03, 0, X1), transport(1.03, 1, Letter(2)))
+        binding = {1: ii.InputSignal.symbolic(ex.parse("(1+t)^8*sin(1.03*theta_1)", 2)),
+                   2: ii.InputSignal.symbolic(ex.parse("(1+t)^8*cos(1.03*theta_2)", 2))}
+        grid = ii.Grid(((0.0, 1.0, 17),) * 2, 1.0, 65)
+        field = ii.evaluate_series(p, binding, grid)
+        want, scale = per_word_sum(p, binding, grid)
+        assert np.max(np.abs(field.values - want)) <= 1e-13 * (1 + scale)
 
 
 class TestNoReferenceCycles:
@@ -1090,7 +1200,7 @@ class TestNoReferenceCycles:
 
     @pytest.mark.parametrize("text", ["t*cos(theta_2)", "t*cos(theta_2 + t)"])
     def test_evaluate_shuffle_product(self, text):
-        """Both walks: a separable input, and one that mixes theta and t."""
+        """An input that splits exactly, and one that mixes theta and t."""
         c = se.embed(pde.transport_series(pde.TransportSpec(V=1.0, y0=0, N=2)), 2, 0)
         d = se.relabel_letters(
             se.embed(pde.transport_series(pde.TransportSpec(V=0.5, y0=0, N=2)), 2, 1),
