@@ -14,23 +14,18 @@ children in first-insertion order (canonical word order, then
 lexicographic operator terms, then ``expand_derivative`` order), so
 repeated runs are bit-identical.  Each input signal is split, at each
 theta-derivative order o the trie asks of it, as
-d^o u = sum_g d^o F_g(theta) G_g(t) (``_source``):
-
-* exactly, by ``expr.split_time``, when no atom mixes theta and t;
-* for an atom that mixes them, by interpolation in t at the fewest
-  Chebyshev points on [0, T] at which d^o u chops, G_g the Lagrange
-  basis, or at the grid's own times, G_g = e_g, once that would take no
-  fewer points;
-* for a sampled signal, by a factored field's own factors or the
-  truncated SVD of held samples, differenced on the theta columns.
-
-The coefficients are free of t and the trapezoid rule is linear,
-I[a(theta) b(t)] = a(theta) I[b](t), so y = sum_tau A_tau(theta)
-E_tau(t) over time words tau: the walk sums A_tau on the theta axes,
-each E_tau is one trapezoid pass on a 1-D time array shared along
-suffixes, and the field keeps A and E as its factors, contracted a run
-of theta rows at a time (GridField.rows) when it is written or read.
-Grids and fields are laid out (theta..., t), time last.
+d^o u = sum_g d^o F_g(theta) G_g(t) (``_source``): exactly by
+``expr.split_time`` when no atom mixes theta and t; otherwise from
+samples at time nodes (Chebyshev points on [0, T] fine enough for every
+order, or the grid's times; a sampled signal's own times, differenced on
+the theta axes), in one low-rank time basis.  The coefficients are free
+of t and the trapezoid rule is linear, I[a(theta) b(t)] = a(theta)
+I[b](t), so y = sum_tau A_tau(theta) E_tau(t) over time words tau: the
+walk sums A_tau on the theta axes, each E_tau is one trapezoid pass on a
+1-D time array shared along suffixes, and the field keeps A and E as its
+factors, contracted a run of theta rows at a time (GridField.rows) when
+it is written or read.  Grids and fields are laid out (theta..., t),
+time last.
 
 ``iterated_integral`` is the one-word case: E_w[u] for a plain word w is
 the evaluation of the series {w: identity}, so the trie walk is the only
@@ -268,6 +263,19 @@ def cumulative_trapezoid(f: np.ndarray, dt: float) -> np.ndarray:
 MAX_SAMPLED_FD_ORDER = 4
 
 
+def _theta_differences(values: np.ndarray, order: MultiIndex, grid: Grid) -> np.ndarray:
+    """d^order of samples on the leading theta axes by repeated central
+    differences (second order at the edges), up to MAX_SAMPLED_FD_ORDER."""
+    if mi_abs(tuple(order)) > MAX_SAMPLED_FD_ORDER:
+        raise EvaluationError(
+            f"derivative order {tuple(order)} exceeds the sampled-signal "
+            f"cap of {MAX_SAMPLED_FD_ORDER}")
+    for axis, k in enumerate(order):
+        for _ in range(k):
+            values = np.gradient(values, grid.theta_spacing(axis), axis=axis, edge_order=2)
+    return values
+
+
 class InputSignal:
     """A control input u(theta, t), symbolic or sampled.
 
@@ -307,21 +315,11 @@ class InputSignal:
         """Samples of the order-th theta-derivative, broadcast to grid shape."""
         if self.is_symbolic:
             e = ex.theta_derivative(self.expr, order)
-            values = np.asarray(ex.evaluate(e, grid.meshes()), dtype=np.complex128)
-            values = np.broadcast_to(values, grid.shape)
-        else:
-            if self.field.grid.shape != grid.shape:
-                raise EvaluationError("sampled signal lives on a different grid")
-            if mi_abs(tuple(order)) > MAX_SAMPLED_FD_ORDER:
-                raise EvaluationError(
-                    f"derivative order {tuple(order)} exceeds the sampled-signal "
-                    f"cap of {MAX_SAMPLED_FD_ORDER}")
-            values = self.field.values
-            for axis, k in enumerate(order):
-                h = grid.theta_spacing(axis)
-                for _ in range(k):
-                    values = np.gradient(values, h, axis=axis, edge_order=2)
-        return values
+            return np.broadcast_to(np.asarray(ex.evaluate(e, grid.meshes()),
+                                              dtype=np.complex128), grid.shape)
+        if self.field.grid.shape != grid.shape:
+            raise EvaluationError("sampled signal lives on a different grid")
+        return _theta_differences(self.field.values, order, grid)
 
 
 Binding = Mapping[int, InputSignal]
@@ -329,10 +327,7 @@ Binding = Mapping[int, InputSignal]
 
 def _as_binding(u: Union[InputSignal, Binding], alphabet) -> Binding:
     if isinstance(u, InputSignal):
-        ids = sorted(l.index for l in alphabet if not l.is_drift)
-        if not ids:
-            return {}
-        return {i: u for i in ids}
+        return {l.index: u for l in alphabet if not l.is_drift}
     return dict(u)
 
 
@@ -384,9 +379,8 @@ def expand_derivative(w: Word, alpha: MultiIndex) -> list[tuple[int, DecoratedWo
 # the trie of decorated words
 
 class _TrieNode:
-    """A decorated prefix: the summed coefficient of the word ending here
-    and the children keyed by the next (letter, order) step, in insertion
-    order."""
+    """A decorated prefix: the summed coefficient of the word ending here,
+    and the children keyed by the next (letter, order) step in insertion order."""
 
     __slots__ = ("coef", "children")
 
@@ -395,11 +389,11 @@ class _TrieNode:
         self.children: dict[tuple[Letter, Optional[MultiIndex]], _TrieNode] = {}
 
 
-def _build_trie(c: GenSeries, grid: Grid) -> _TrieNode:
+def _build_trie(c: GenSeries, grid: Grid) -> tuple[_TrieNode, dict]:
     """The trie of decorated words of c, each node's coefficient summed
-    on the theta axes."""
+    on the theta axes, and its (letter, order) steps in first use."""
     theta_meshes = grid.meshes(with_t=False)
-    root = _TrieNode()
+    root, steps = _TrieNode(), {}
     for w in sorted(c.coeffs, key=Word.sort_key):
         for alpha, coeff in c.coeffs[w].sorted_terms():
             terms = expand_derivative(w, alpha)
@@ -409,11 +403,12 @@ def _build_trie(c: GenSeries, grid: Grid) -> _TrieNode:
             for weight, dw in terms:
                 node = root
                 for step in dw:
+                    steps[step] = None
                     if step not in node.children:
                         node.children[step] = _TrieNode()
                     node = node.children[step]
                 node.coef = a * weight if node.coef is None else node.coef + a * weight
-    return root
+    return root, steps
 
 
 # ---------------------------------------------------------------------------
@@ -430,35 +425,27 @@ def _split(signal: InputSignal, dim: int) -> list | None:
 
 
 def _sample_split(split: list, order: MultiIndex, grid: Grid) -> list:
-    """(G, theta samples of d^order F, (n_t,) time samples of G) for each
-    group of a split whose derivative is not zero.  Each F keeps its
-    derivative chain, so a split sampled at several orders builds it
-    once."""
+    """(G, theta samples of d^order F, (n_t,) samples of G) for each group
+    of a split whose derivative is not zero."""
     meshes, t = grid.meshes(with_t=False), {"t": grid.t_points}
-    out = []
-    for g, f in split:
-        f = ex.theta_derivative(f, order)
-        if f.terms:
-            out.append((g, np.asarray(ex.evaluate(f, meshes), dtype=np.complex128),
-                        np.broadcast_to(np.asarray(ex.evaluate(g, t), dtype=np.complex128),
-                                        (grid.n_t,))))
-    return out
+    return [(g, np.asarray(ex.evaluate(d, meshes), dtype=np.complex128),
+             np.broadcast_to(np.asarray(ex.evaluate(g, t), dtype=np.complex128), (grid.n_t,)))
+            for g, f in split if (d := ex.theta_derivative(f, order)).terms]
 
 
 _EPS = float(np.finfo(np.float64).eps)
 
 
-def _chops(values: np.ndarray) -> bool:
-    """Whether (rows, n) samples at the n Chebyshev points resolve every
-    row: the last two coefficients of the interpolants, sum_j'' f_j
-    cos(k arccos x_j) halved at both ends (up to 2/(n - 1)), are at most
-    n eps times the largest of any row."""
-    n = values.shape[-1]
-    vandermonde = np.cos(np.arange(n) * (np.pi - np.pi * np.arange(n) / (n - 1))[:, None])
+def _resolves(values: np.ndarray, n: int) -> bool:
+    """Whether (rows, m = 2n - 1) samples at m Chebyshev points need only
+    n: the interpolants' coefficients k >= n, sum_j'' f_j cos(k arccos x_j),
+    are at most m eps times the largest, so a mode aliased at n shows."""
+    m = values.shape[-1]
+    vandermonde = np.cos(np.arange(m) * (np.pi - np.pi * np.arange(m) / (m - 1))[:, None])
     vandermonde[[0, -1]] *= 0.5
     c = np.abs(values @ vandermonde)
     c[:, [0, -1]] *= 0.5
-    return bool(np.max(c[:, -2:]) <= n * _EPS * np.max(c))
+    return bool(np.max(c[:, n:]) <= m * _EPS * np.max(c))
 
 
 def _lagrange(nodes: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -470,89 +457,93 @@ def _lagrange(nodes: np.ndarray, t: np.ndarray) -> np.ndarray:
     d = t - nodes[:, None]
     hit = d == 0
     q = w[:, None] / np.where(hit, 1.0, d)
-    basis = q / q.sum(axis=0)
-    at_node = hit.any(axis=0)
-    basis[:, at_node] = hit[:, at_node]
-    return basis
+    return np.where(hit.any(axis=0), hit, q / q.sum(axis=0))
 
 
-def _interpolate(p: ex.Poly, grid: Grid) -> list:
-    """The groups of p = sum_j p(theta, t_j) l_j(t), p mixing theta and t,
-    at the fewest Chebyshev points of the second kind on [0, T], n = 9,
-    17, 33, ..., at which p chops, l_j their Lagrange basis; once n would
-    be no fewer than the grid's times, at those, with l_j = e_j.  A key
-    (n, j) names l_j, as one grid has one set of n points."""
-    if not p.terms:
-        return []
-    meshes = grid.meshes()
+def _low_rank(samples: list, key) -> tuple:
+    """(keys, weights, times), samples[i] = weights[i] @ times, for (rows,
+    n) samples at n time nodes: the right singular vectors of the stacked
+    samples, each scaled to its largest value, with sigma > max(rows, n)
+    eps sigma_1.  Samples not all finite keep every node, keyed (n, j)."""
+    rows, n = samples[0].shape
+    if not all(np.isfinite(v).all() for v in samples):
+        return [(n, j) for j in range(n)], samples, np.eye(n)
+    stack = np.concatenate([v / (np.max(np.abs(v)) or 1.0) for v in samples])
+    _, s, vh = np.linalg.svd(stack if stack.imag.any() else stack.real, full_matrices=False)
+    vh = vh[:np.count_nonzero(s > max(rows, n) * _EPS * s[0])]
+    return [(key, j) for j in range(len(vh))], [v @ vh.conj().T for v in samples], vh
+
+
+def _interpolate(signal: InputSignal, orders: list, grid: Grid) -> tuple:
+    """(keys, order -> weights, times) of d^o u = sum_j d^o u(theta, t_j)
+    l_j(t) at the fewest Chebyshev points on [0, T], n = 9, 17, 33, ...,
+    that resolve every order, l_j their Lagrange basis, or at the grid's
+    times once n would be no fewer, made low-rank (``_low_rank``)."""
+    polys = {o: p for o in orders if (p := ex.theta_derivative(signal.expr, o)).terms}
+    if not polys:
+        return [], {}, None
+    meshes, shape = grid.meshes(), grid.shape[:-1]
 
     def at(times):
         meshes["t"] = times.reshape((1,) * grid.dim + (-1,))
-        values = np.asarray(ex.evaluate(p, meshes), dtype=np.complex128)
-        return np.broadcast_to(values, grid.shape[:-1] + times.shape)
+        return {o: np.broadcast_to(np.asarray(ex.evaluate(p, meshes), dtype=np.complex128),
+                                   shape + times.shape).reshape(-1, len(times))
+                for o, p in polys.items()}
 
-    n = 9
+    n, basis, values = 9, None, {}
     while n < grid.n_t:
-        # the symmetric form, so that 0 and T are exact
-        nodes = (1 + np.sin(np.pi * np.arange(1 - n, n, 2) / (2 * n - 2))) * (0.5 * grid.t_end)
-        values = at(nodes)
-        if _chops(values.reshape(-1, n)):
-            basis = _lagrange(nodes, grid.t_points)
+        # symmetric, so 0 and T are exact; the last level's n points are the even ones
+        nodes = (1 + np.sin(np.pi * np.arange(2 - 2 * n, 2 * n - 1, 2) / (4 * n - 4))) \
+            * (0.5 * grid.t_end)
+        new = at(nodes[1::2] if values else nodes)
+        for o, v in values.items():
+            new[o], odd = np.empty((len(v), len(nodes)), dtype=np.complex128), new[o]
+            new[o][:, ::2], new[o][:, 1::2] = v, odd
+        values = new
+        if all(_resolves(v, n) for v in values.values()):
+            values = {o: v[:, ::2] for o, v in values.items()}
+            basis = _lagrange(nodes[::2], grid.t_points)
             break
         n = 2 * n - 1
     else:
-        values, basis = at(grid.t_points), np.eye(grid.n_t)
-    theta = np.moveaxis(values, -1, 0)
-    return [((len(basis), j), theta[j], basis[j]) for j in range(len(basis))]
+        values = at(grid.t_points)
+    keys, weights, times = _low_rank(list(values.values()), signal)
+    return keys, dict(zip(values, weights)), times if basis is None else times @ basis
 
 
-def _sampled_source(field: GridField, grid: Grid):
-    """order -> groups of a sampled signal: a factored field's own factors,
-    or the truncated SVD of held samples, keeping sigma > max(rows, n_t)
-    eps sigma_1 (samples not all finite keep every column, with G_j =
-    e_j).  Derivatives are the central differences of
-    ``InputSignal.derivative_values``, taken on the theta columns."""
-    if field.grid.shape != grid.shape:
-        raise EvaluationError("sampled signal lives on a different grid")
-    key = field
-    if field._factors is not None:
-        weights, times = field._factors
+def _source(signal: InputSignal, orders: list, grid: Grid) -> dict:
+    """o -> [(key, theta samples of d^o F_g, (n_t,) samples of G_g)] for
+    each order o asked, equal keys naming equal G_g: exact (``_split``),
+    interpolated (``_interpolate``), or a sampled field's factors or
+    low-rank form, differenced on the theta axes."""
+    if signal.is_symbolic:
+        split = _split(signal, grid.dim)
+        if split is not None:  # [] is the zero input
+            return {o: _sample_split(split, o, grid) for o in orders}
+        keys, weights, times = _interpolate(signal, orders, grid)
     else:
-        flat = field._values.reshape(-1, grid.n_t)
-        if np.isfinite(flat).all():
-            u, s, vh = np.linalg.svd(flat, full_matrices=False)
-            rank = np.count_nonzero(s > max(flat.shape) * _EPS * s[0])
-            weights, times = u[:, :rank] * s[:rank], vh[:rank]
+        field = signal.field
+        if field.grid.shape != grid.shape:
+            raise EvaluationError("sampled signal lives on a different grid")
+        if field._factors is None:
+            keys, (columns,), times = _low_rank([field._values.reshape(-1, grid.n_t)], signal)
         else:
-            weights, times, key = flat, np.eye(grid.n_t), grid.n_t
-    columns = np.moveaxis(weights.reshape(grid.shape[:-1] + (-1,)), -1, 0)
-
-    def source(order: MultiIndex) -> list:
-        if mi_abs(tuple(order)) > MAX_SAMPLED_FD_ORDER:
-            raise EvaluationError(
-                f"derivative order {tuple(order)} exceeds the sampled-signal "
-                f"cap of {MAX_SAMPLED_FD_ORDER}")
-        values = columns
-        for axis, k in enumerate(order):
-            for _ in range(k):
-                values = np.gradient(values, grid.theta_spacing(axis), axis=axis + 1,
-                                     edge_order=2)
-        return [((key, j), values[j], times[j]) for j in range(len(times))]
-
-    return source
+            columns, times = field._factors
+            keys = [(signal, j) for j in range(len(times))]
+        columns = columns.reshape(grid.shape[:-1] + (-1,))
+        weights = {o: _theta_differences(columns, o, grid) for o in orders}
+    shape = grid.shape[:-1] + (-1,)
+    return {o: list(zip(keys, np.moveaxis(weights[o].reshape(shape), -1, 0), times))
+            if o in weights else [] for o in orders}
 
 
-def _source(signal: InputSignal, grid: Grid):
-    """The signal's split, built once: order o -> [(key, theta samples of
-    d^o F_g, (n_t,) samples of G_g)] for each group whose factor is not
-    zero, equal keys naming equal G_g.  Exact (``_split``) unless an atom
-    mixes theta and t (``_interpolate``), or sampled (``_sampled_source``)."""
-    if not signal.is_symbolic:
-        return _sampled_source(signal.field, grid)
-    split = _split(signal, grid.dim)
-    if split is not None:  # [] is the zero input
-        return lambda order: _sample_split(split, order, grid)
-    return lambda order: _interpolate(ex.theta_derivative(signal.expr, order), grid)
+_WALK_NUMBERS = 2 ** 22  # the numbers a walk may hold on any grid: 64 MiB complex
+
+
+def _walk_size(node: _TrieNode, groups) -> int:
+    """Steps a walk below node takes, each step taken groups(step) ways."""
+    return sum(groups(step) * (1 + _walk_size(child, groups))
+               for step, child in node.children.items())
 
 
 class _Separable:
@@ -561,28 +552,26 @@ class _Separable:
     an input's constant G shares; A_tau sums, per time word tau, weight *
     coefficient * the product of the input steps' theta factors."""
 
-    def __init__(self, binding: Binding, sources: dict, grid: Grid):
-        self.binding, self.sources, self.grid = binding, sources, grid
+    def __init__(self, groups: dict, grid: Grid):
+        self.groups, self.grid = groups, grid  # input step -> its split's groups
         self.letters: dict = {ex.ONE.embed(grid.dim): 0}
         self.times: list = [None]  # by time letter: G_g's samples, None for 1
-        self.factors: dict = {}  # (signal, order) -> [(time letter, samples)]
+        self.factors: dict = {}  # input step -> [(time letter, theta samples)]
         self.sums: dict = {}  # tau -> A_tau
         self.integrals: dict = {}  # tau -> E_tau
 
-    def steps(self, letter: Letter, order: MultiIndex) -> list:
+    def steps(self, step) -> list:
         """(time letter, theta samples of d^order F_g) per nonzero group
-        of the letter's signal, each (signal, order) built once."""
-        signal = self.binding[letter.index]
-        key = (signal, order)
-        if key not in self.factors:
+        of an input step's split, the time letters interned in walk order."""
+        if step not in self.factors:
             out = []
-            for g, theta, time in self.sources[signal](order):
+            for g, theta, time in self.groups[step]:
                 if g not in self.letters:
                     self.letters[g] = len(self.letters)
                     self.times.append(time)
                 out.append((self.letters[g], theta))
-            self.factors[key] = out
-        return self.factors[key]
+            self.factors[step] = out
+        return self.factors[step]
 
     def walk(self, node: _TrieNode, product, tau: tuple) -> None:
         if node.coef is not None:
@@ -591,11 +580,11 @@ class _Separable:
                 self.sums[tau] += part
             else:
                 self.sums[tau] = np.array(np.broadcast_to(part, self.grid.shape[:-1]))
-        for (letter, order), child in node.children.items():
-            if letter.is_drift:
+        for step, child in node.children.items():
+            if step[0].is_drift:
                 self.walk(child, product, tau + (0,))
                 continue
-            for g, factor in self.steps(letter, order):
+            for g, factor in self.steps(step):
                 self.walk(child, factor if product is None else product * factor,
                           tau + (g,))
 
@@ -638,8 +627,11 @@ def evaluate_series(c: GenSeries, u: Union[InputSignal, Binding],
     signal the series uses is split once (``_source``), so that the walk
     gives y = sum_tau A_tau(theta) E_tau(t) over time words tau (see the
     module docstring).  An input edge is taken once per group of its
-    signal's split: a sampled signal of rank r takes each of its edges r
-    times.  The field is returned factored (see GridField)."""
+    signal's split: an input of rank r takes each of its edges r times,
+    and a word with k input letters is walked up to r^k ways.  A walk
+    that would hold more numbers, (theta rows + times) per step, than a
+    full grid per trie edge, or 2^22 if more, is refused with an
+    EvaluationError.  The field is returned factored (see GridField)."""
     if grid.dim != c.dim:
         raise EvaluationError(
             f"grid dim {grid.dim} does not match series dim {c.dim}")
@@ -649,8 +641,22 @@ def evaluate_series(c: GenSeries, u: Union[InputSignal, Binding],
     if missing:
         raise EvaluationError(
             f"unbound input letters: {sorted('x%d' % i for i in missing)}")
-    sources = {binding[i]: _source(binding[i], grid) for i in needed}
-    return _Separable(binding, sources, grid).field(_build_trie(c, grid))
+    root, steps = _build_trie(c, grid)
+    orders = {binding[i]: {} for i in needed}  # signal -> the orders asked of it
+    for letter, order in steps:
+        if not letter.is_drift:
+            orders[binding[letter.index]][order] = None
+    sources = {signal: _source(signal, list(asked), grid) for signal, asked in orders.items()}
+    groups = {(l, o): sources[binding[l.index]][o] for l, o in steps if not l.is_drift}
+    rows = math.prod(grid.shape[:-1])
+    size = (rows + grid.n_t) * _walk_size(
+        root, lambda step: len(groups[step]) if step in groups else 1)
+    budget = max(rows * grid.n_t * _walk_size(root, lambda step: 1), _WALK_NUMBERS)
+    if size > budget:
+        raise EvaluationError(
+            f"the inputs' splits make the walk hold up to {size} numbers, more "
+            f"than {budget} (a full grid per trie edge, or 2^22)")
+    return _Separable(groups, grid).field(root)
 
 
 def iterated_integral(w: Word, u: Union[InputSignal, Binding], grid: Grid) -> GridField:

@@ -1298,6 +1298,19 @@ class TestSeparableFallback:
         assert "zero raised to a negative power" in capsys.readouterr().err
         assert not (tmp_path / "y.csv").exists()
 
+    def test_walk_past_its_budget_exits_one(self, tmp_path, capsys):
+        """sin(200 theta_1 t) needs every one of the 65 times, so x1 x1 x1 x1
+        would be walked 65^4 ways: one error line, no CSV."""
+        c = se.series_from_coeffs(1, {word("x1", "x1", "x1", "x1"): do.identity(1)})
+        path = write_series(tmp_path / "c.series", c)
+        out = tmp_path / "y.csv"
+        assert run(["eval", "--series", path, "--u", "sin(200*theta_1*t)",
+                    "--grid", "0:1:65,0:1:65", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: EvaluationError: the inputs' splits make the walk ")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     def test_mixed_input_keeps_grid_trie_bytes(self, tmp_path):
         """sin(theta_1 - t) mixes theta and t, so it is interpolated in t:
         cf's CSV is the library's evaluate_series and write_csv, byte for

@@ -362,13 +362,12 @@ class TestEvaluateSeries:
         c = pde.transport_series(pde.TransportSpec(1.0, ex.parse("sin(theta_1)", 1), 24))
         u = ii.InputSignal.symbolic(ex.parse("t*sin(2*theta_1 + t)", 1))
         grid = small_grid(n_theta=9, n_t=17)
-        groups = ii._source(u, grid)
-        time_words = {tau
-                      for w, op in c.coeffs.items() for alpha, _ in op.sorted_terms()
-                      for _, dw in ii.expand_derivative(w, alpha)
-                      for tau in itertools.product(*(
-                          [None] if l.is_drift else [g for g, _, _ in groups(order)]
-                          for l, order in dw))}
+        words = [dw for w, op in c.coeffs.items() for alpha, _ in op.sorted_terms()
+                 for _, dw in ii.expand_derivative(w, alpha)]
+        groups = ii._source(u, {order for dw in words for l, order in dw if not l.is_drift},
+                            grid)
+        time_words = {tau for dw in words for tau in itertools.product(*(
+            [None] if l.is_drift else [g for g, _, _ in groups[order]] for l, order in dw))}
         suffixes = {tau[k:] for tau in time_words for k in range(len(tau))}
         passes = []
         integrate = ii.cumulative_trapezoid
@@ -944,21 +943,17 @@ class TestDerivativeHolding:
         made = []  # (signal, order, weak references to its theta samples)
         original = ii._source
 
-        def source(signal, grid):
+        def source(signal, orders, grid):
             splits.append(signal)
-            groups = original(signal, grid)
-
-            def spied(order):
-                out = groups(order)
+            groups = original(signal, orders, grid)
+            for order, out in groups.items():
                 owners = []
                 for _, theta, _ in out:
                     while theta.base is not None:  # the array owning the memory
                         theta = theta.base
                     owners.append(weakref.ref(theta))
                 made.append((signal, tuple(order), owners))
-                return out
-
-            return spied
+            return groups
 
         def refuse(*args):
             raise AssertionError("full-grid derivative samples")
@@ -1125,7 +1120,7 @@ class TestSplitSources:
         m = grid.meshes()
         u = ii.InputSignal.sampled(ii.GridField(grid, np.broadcast_to(
             m["t"] * np.sin(2.05 * m["theta_1"] - m["t"]), grid.shape)))
-        assert len(ii._source(u, grid)((0,))) == 2
+        assert len(ii._source(u, [(0,)], grid)[(0,)]) == 2
 
     def test_held_noise_matches_per_word_sum(self):
         """Full-rank samples take each input edge once per singular value."""
@@ -1133,7 +1128,7 @@ class TestSplitSources:
         rng = np.random.default_rng(5)
         u = ii.InputSignal.sampled(ii.GridField(
             grid, rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)))
-        assert len(ii._source(u, grid)((0,))) == 9
+        assert len(ii._source(u, [(0,)], grid)[(0,)]) == 9
         c = pde.transport_series(pde.TransportSpec(1.0, 0, 4))
         field = ii.evaluate_series(c, u, grid)
         want, scale = per_word_sum(c, u, grid)
@@ -1147,7 +1142,7 @@ class TestSplitSources:
         samples = np.ones(grid.shape)
         samples[4, 8] = math.nan
         u = ii.InputSignal.sampled(ii.GridField(grid, samples))
-        assert len(ii._source(u, grid)((0,))) == 17
+        assert len(ii._source(u, [(0,)], grid)[(0,)]) == 17
         field = ii.evaluate_series(pde.transport_series(pde.TransportSpec(1.0, 0, 2)), u, grid)
         assert np.isnan(field.values).any() and np.isfinite(field.values[0]).all()
 
@@ -1157,9 +1152,9 @@ class TestSplitSources:
         and its interpolant is the derivative to rounding."""
         grid = ii.Grid.from_spec("0:6.283185307179586:257,0:1:513")
         p = ex.parse("sin(theta_1*t)", 1)
-        groups = ii._source(ii.InputSignal.symbolic(p), grid)
+        groups = ii._source(ii.InputSignal.symbolic(p), [(k,) for k in range(25)], grid)
         for k in range(25):
-            split = groups((k,))
+            split = groups[(k,)]
             assert len(split) < grid.n_t
             got = sum(theta[:, None] * time for _, theta, time in split)
             want = ex.evaluate(ex.theta_derivative(p, (k,)), grid.meshes())
@@ -1178,6 +1173,58 @@ class TestSplitSources:
         field = ii.evaluate_series(p, binding, grid)
         want, scale = per_word_sum(p, binding, grid)
         assert np.max(np.abs(field.values - want)) <= 1e-13 * (1 + scale)
+
+    def test_resolution_sees_a_mode_aliased_at_n_points(self):
+        """T_16 equals T_0 at the 9 Chebyshev points, so 1 + T_16 sampled
+        there looks constant; at the 17 points that hold them its upper
+        coefficients show, and 17 points resolve it."""
+        def samples(m):
+            x = -np.cos(np.pi * np.arange(m) / (m - 1))
+            return (1 + np.cos(16 * np.arccos(x)))[None, :].astype(np.complex128)
+        assert ii._resolves(samples(9), 5)  # the 9 samples alone are fooled
+        assert not ii._resolves(samples(17), 9)
+        assert ii._resolves(samples(33), 17)
+
+    def test_mixed_atom_of_rank_two_takes_two_groups(self):
+        """sin(theta_1 - t) = sin(theta_1) cos t - cos(theta_1) sin t: every
+        order shares one time basis of two functions, the field of a real
+        input is real, and it matches the reference."""
+        grid = small_grid(n_theta=17, n_t=129, theta=(0.0, 3.0))
+        u = ii.InputSignal.symbolic(ex.parse("sin(theta_1 - t)", 1))
+        groups = ii._source(u, [(k,) for k in range(5)], grid)
+        assert [len(groups[(k,)]) for k in range(5)] == [2] * 5
+        assert len({key for k in range(5) for key, _, _ in groups[(k,)]}) == 2
+        c = pde.transport_series(pde.TransportSpec(1.0, ex.parse("sin(theta_1)", 1), 6))
+        field = ii.evaluate_series(c, u, grid)
+        assert field.is_real
+        want, scale = per_word_sum(c, u, grid)
+        assert np.max(np.abs(field.values - want)) <= 1e-13 * (1 + scale)
+
+    def test_two_mixed_inputs_on_a_shuffle_match_per_word_sum(self):
+        """A shuffle product's words hold both letters: sin(theta_1 - t)
+        (rank 2) and sin(40 theta_2 t), which needs many time functions,
+        evaluate within the walk's budget and agree with the reference."""
+        def transport(v, axis, letter):
+            c = se.embed(pde.transport_series(pde.TransportSpec(v, 0, 3)), 2, axis)
+            return se.relabel_letters(c, {X1: letter})
+        p = se.shuffle_series(transport(1.03, 0, X1), transport(0.53, 1, Letter(2)))
+        binding = {1: ii.InputSignal.symbolic(ex.parse("sin(theta_1 - t)", 2)),
+                   2: ii.InputSignal.symbolic(ex.parse("sin(40*theta_2*t)", 2))}
+        grid = ii.Grid(((0.0, 1.0, 17),) * 2, 1.0, 65)
+        field = ii.evaluate_series(p, binding, grid)
+        want, scale = per_word_sum(p, binding, grid)
+        assert np.max(np.abs(field.values - want)) <= 1e-13 * (1 + scale)
+
+    def test_walk_past_its_budget_is_refused(self):
+        """Held noise has full rank 65, so the word x1 x1 x1 would be
+        walked 65^3 ways: more numbers than 2^22 (and than a full grid per
+        edge), refused before any step."""
+        grid = small_grid(n_theta=129, n_t=65)
+        u = ii.InputSignal.sampled(ii.GridField(
+            grid, np.random.default_rng(3).standard_normal(grid.shape)))
+        with pytest.raises(ii.EvaluationError, match=r"numbers, more than 4194304"):
+            ii.iterated_integral(word("x1", "x1", "x1"), u, grid)
+        assert ii.iterated_integral(word("x1"), u, grid).values.shape == grid.shape
 
 
 class TestNoReferenceCycles:
